@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import EmptySetError, IntegrityError, ParseError
-from .retrieval import Bm25Index, bm25_score, build_bm25_index, round_sig, tokenize
+from .retrieval import Bm25Index, build_bm25_index, tokenize, top_k_rank
 
 
 class Stage(str, Enum):
@@ -65,11 +65,11 @@ class DemoLibrary:
         self._sets: dict[tuple[Stage, FactType], list[Demonstration]] = {
             (s, f): [] for s in Stage for f in FactType
         }
-        seen: set[str] = set()
+        self._by_id: dict[str, Demonstration] = {}
         for demo in demos:
-            if demo.id in seen:
+            if demo.id in self._by_id:
                 raise IntegrityError(f"duplicate demonstration id {demo.id!r}")
-            seen.add(demo.id)
+            self._by_id[demo.id] = demo
             if not demo.input_text.strip() or not demo.exemplar_output.strip():
                 raise IntegrityError(f"demonstration {demo.id!r} has empty text")
             if demo.stage is Stage.FA:
@@ -106,12 +106,9 @@ class DemoLibrary:
         demo_list = self._sets[(stage, fact_type)]
         if not demo_list:
             raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
-        index = self._indexes[(stage, fact_type)]
         query = tokenize(x, self.tokenizer_mode)
-        by_id = {d.id: d for d in demo_list}
-        scored = [(d.id, bm25_score(index, query, d.id)) for d in demo_list]
-        scored.sort(key=lambda item: (-round_sig(item[1]), item[0]))
-        return [by_id[doc_id] for doc_id, _ in scored]
+        ranked = top_k_rank(self._indexes[(stage, fact_type)], query, len(demo_list))
+        return [self._by_id[doc_id] for doc_id, _ in ranked]
 
 
 def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, k: int) -> list[Demonstration]:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -381,6 +381,7 @@ class JudgeEngine:
         )
         self.run_id = run_id if run_id is not None else "r1"
         self._fe_cache: dict[tuple[str, str], FactExtraction] = {}
+        self._fe_pending: dict[tuple[str, str], Future] = {}
         self._fe_lock = threading.Lock()
 
     # -- prompting ---------------------------------------------------------
@@ -484,14 +485,38 @@ class JudgeEngine:
     # -- pair and pool drivers ----------------------------------------------
 
     def _cached_extract(self, case: Case, fact_type: FactType, prior_mf: FactExtraction | None = None) -> FactExtraction:
+        """Extract once per (case, fact type), even when pairs run in parallel.
+
+        The first thread to ask runs the extraction; the others wait on its
+        future. A failed extraction is not cached: each waiter then tries
+        again, as the next pair of a serial run would.
+        """
         key = (case.id, fact_type.value)
+        while True:
+            with self._fe_lock:
+                hit = self._fe_cache.get(key)
+                if hit is not None:
+                    return hit
+                pending = self._fe_pending.get(key)
+                if pending is None:
+                    pending = self._fe_pending[key] = Future()
+                    break
+            try:
+                return pending.result()
+            except Exception:
+                continue
+        try:
+            extraction = self.extract_fact(case, fact_type, prior_mf)
+        except BaseException as exc:
+            with self._fe_lock:
+                del self._fe_pending[key]
+            pending.set_exception(exc)
+            raise
         with self._fe_lock:
-            hit = self._fe_cache.get(key)
-        if hit is not None:
-            return hit
-        extraction = self.extract_fact(case, fact_type, prior_mf)
-        with self._fe_lock:
-            return self._fe_cache.setdefault(key, extraction)
+            self._fe_cache[key] = extraction
+            del self._fe_pending[key]
+        pending.set_result(extraction)
+        return extraction
 
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
         """Judge one pair through all six stages, material facts first."""

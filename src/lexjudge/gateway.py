@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
+from ._util import atomic_write_text
 from .errors import AuthError, DomainError, MalformedStageMarker, UpstreamError
 from .retrieval import tokenize
 
@@ -123,6 +124,22 @@ def load_lexicon(path: str | Path) -> frozenset[str]:
     return frozenset(terms)
 
 
+class _PunctuationToSpace(dict):
+    """str.translate table mapping punctuation (category P*) to a space.
+
+    Filled lazily, one unicodedata lookup per distinct code point. Every
+    other code point maps to itself; mapping it to None would delete it.
+    """
+
+    def __missing__(self, cp: int) -> int:
+        value = 0x20 if unicodedata.category(chr(cp)).startswith("P") else cp
+        self[cp] = value
+        return value
+
+
+_PUNCTUATION_TO_SPACE = _PunctuationToSpace()
+
+
 def mock_tokens(text: str) -> list[str]:
     """Normalized token sequence used by every mock rule.
 
@@ -130,17 +147,8 @@ def mock_tokens(text: str) -> list[str]:
     tokenization, deduplicated with first occurrence order preserved.
     Idempotent over its own space-joined output.
     """
-    text = unicodedata.normalize("NFC", text)
-    stripped = "".join(
-        " " if unicodedata.category(ch).startswith("P") else ch for ch in text
-    )
-    seen: set[str] = set()
-    ordered: list[str] = []
-    for token in tokenize(stripped, "cjk_bigram"):
-        if token not in seen:
-            seen.add(token)
-            ordered.append(token)
-    return ordered
+    stripped = unicodedata.normalize("NFC", text).translate(_PUNCTUATION_TO_SPACE)
+    return list(dict.fromkeys(tokenize(stripped, "cjk_bigram")))
 
 
 def mock_lf_tags(tokens: Iterable[str], lexicon: frozenset[str]) -> list[str]:
@@ -343,9 +351,8 @@ class ChatCompletionsJudge:
         path = self._cache_path(digest)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(
+        atomic_write_text(
+            path,
             json.dumps(
                 {
                     "text": response.text,
@@ -354,9 +361,7 @@ class ChatCompletionsJudge:
                 },
                 ensure_ascii=False,
             ),
-            encoding="utf-8",
         )
-        os.replace(tmp, path)
 
     def _transcribe(self, digest: str, request: JudgeRequest, response: JudgeResponse) -> None:
         if self.transcript_path is None:

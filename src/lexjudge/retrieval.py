@@ -9,6 +9,7 @@ ascending doc id.
 from __future__ import annotations
 
 import math
+import re
 import shlex
 import subprocess
 from collections import Counter
@@ -32,34 +33,24 @@ def is_cjk(ch: str) -> bool:
     return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 
+# One character class built from _CJK_RANGES; the capturing group makes
+# re.split return CJK runs at odd indices and the stretches between them
+# at even indices.
+_CJK_RUN_SPLIT = re.compile(
+    "([" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES) + "]+)"
+).split
+
+
 def _cjk_bigram_tokens(text: str) -> list[str]:
-    tokens: list[str] = []
-    run: list[str] = []
-    other: list[str] = []
-
-    def flush_run() -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            tokens.append(run[0])
+    parts = _CJK_RUN_SPLIT(text)
+    tokens = parts[0].split()
+    for i in range(1, len(parts), 2):
+        run = parts[i]
+        if len(run) <= 2:  # a unigram, or a bigram that is the whole run
+            tokens.append(run)
         else:
-            tokens.extend(run[i] + run[i + 1] for i in range(len(run) - 1))
-        run.clear()
-
-    def flush_other() -> None:
-        if other:
-            tokens.extend("".join(other).split())
-            other.clear()
-
-    for ch in text:
-        if is_cjk(ch):
-            flush_other()
-            run.append(ch)
-        else:
-            flush_run()
-            other.append(ch)
-    flush_run()
-    flush_other()
+            tokens.extend(map(str.__add__, run[:-1], run[1:]))
+        tokens.extend(parts[i + 1].split())
     return tokens
 
 
@@ -154,6 +145,12 @@ def build_bm25_index(
     return Bm25Index(doc_count=count, avg_doc_len=avg_len, postings=postings, doc_lens=doc_lens, k1=k1, b=b)
 
 
+def _length_norm(index: Bm25Index, doc_len: int) -> float:
+    if index.avg_doc_len > 0:
+        return index.k1 * (1.0 - index.b + index.b * doc_len / index.avg_doc_len)
+    return index.k1
+
+
 def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> float:
     """Score one document against the query token sequence.
 
@@ -162,11 +159,7 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
     """
     if doc_id not in index.doc_lens:
         raise UnknownDocError(f"doc id {doc_id!r} not in index")
-    doc_len = index.doc_lens[doc_id]
-    if index.avg_doc_len > 0:
-        norm = index.k1 * (1.0 - index.b + index.b * doc_len / index.avg_doc_len)
-    else:
-        norm = index.k1
+    norm = _length_norm(index, index.doc_lens[doc_id])
     score = 0.0
     for term in query_tokens:
         docs = index.postings.get(term)
@@ -180,12 +173,24 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
 
 
 def top_k_rank(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
-    """Top-k documents by BM25 score, ties broken by ascending doc id."""
+    """Top-k documents by BM25 score, ties broken by ascending doc id.
+
+    One pass over the postings of the query terms. Each document's sum
+    adds the same terms in the same order as bm25_score, so every score
+    equals bm25_score(index, query_tokens, doc_id) exactly.
+    """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    scored = [
-        (doc_id, bm25_score(index, query_tokens, doc_id))
-        for doc_id in index.doc_lens
-    ]
+    k1 = index.k1
+    norms = {doc_id: _length_norm(index, n) for doc_id, n in index.doc_lens.items()}
+    scores = dict.fromkeys(index.doc_lens, 0.0)
+    for term in query_tokens:
+        docs = index.postings.get(term)
+        if not docs:
+            continue
+        idf = index.idf(term)
+        for doc_id, tf in docs.items():
+            scores[doc_id] += idf * tf * (k1 + 1.0) / (tf + norms[doc_id])
+    scored = list(scores.items())
     scored.sort(key=lambda item: (-round_sig(item[1]), item[0]))
     return scored[: min(k, index.doc_count)]

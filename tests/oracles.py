@@ -140,14 +140,19 @@ def ndcg_oracle(run_labels: list[int], pool_labels: list[int], k: int) -> float 
 # -- mock-judge rules and label composition -----------------------------------
 
 
+def punctuation_to_spaces(text: str) -> str:
+    """Replace each punctuation character (Unicode category P*) by a space."""
+    cleaned = []
+    for ch in text:
+        cleaned.append(" " if unicodedata.category(ch).startswith("P") else ch)
+    return "".join(cleaned)
+
+
 def normalized_tokens(text: str) -> list[str]:
     """NFC, punctuation to spaces, bigram tokens, first-seen dedup."""
-    cleaned = []
-    for ch in unicodedata.normalize("NFC", text):
-        cleaned.append(" " if unicodedata.category(ch).startswith("P") else ch)
     tokens = []
     seen = set()
-    for token in bigram_tokens("".join(cleaned)):
+    for token in bigram_tokens(punctuation_to_spaces(unicodedata.normalize("NFC", text))):
         if token not in seen:
             seen.add(token)
             tokens.append(token)

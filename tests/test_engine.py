@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from collections import Counter
+
 import pytest
 
+from lexjudge.augmentation import annotate_pairs, sample_pairs
 from lexjudge.corpus import Case, aggregate_label, gold_fact_flags
 from lexjudge.demos import Demonstration, FactType, Stage
 from lexjudge.engine import (
@@ -27,8 +33,19 @@ from lexjudge.errors import (
     JudgeResponseUnparseable,
     StageFailure,
     TemplateError,
+    UpstreamError,
 )
-from lexjudge.gateway import MockJudge, MockJudgeConfig, mock_tokens
+from lexjudge.gateway import (
+    TARGET_BEGIN,
+    TARGET_END,
+    JudgeRequest,
+    JudgeResponse,
+    MockJudge,
+    MockJudgeConfig,
+    mock_complete,
+    mock_tokens,
+    stage_of,
+)
 
 from conftest import FaultyOnPairJudge, ScriptedJudge, make_engine
 from oracles import jaccard_oracle, normalized_tokens
@@ -453,6 +470,86 @@ class TestFactExtractionCache:
         fa_only = instrumented.stages[baseline:]
         assert fa_only == ["FA_MF", "FA_LF"]
         assert first == second
+
+
+class SlowExtractionJudge:
+    """Mock judge that sleeps on extraction calls and counts calls by stage.
+
+    The sleep widens the window in which parallel pairs ask for the same
+    case. With fail_target set, the first FE_MF call for that target
+    raises instead of answering.
+    """
+
+    def __init__(self, cfg: MockJudgeConfig, fail_target: str | None = None, delay_s: float = 0.003):
+        self.cfg = cfg
+        self.fail_target = fail_target
+        self.delay_s = delay_s
+        self.calls: Counter[str] = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request: JudgeRequest) -> JudgeResponse:
+        stage = stage_of(request.user_text)
+        if stage.startswith("FE"):
+            time.sleep(self.delay_s)
+        target = f"{TARGET_BEGIN}\n{self.fail_target}\n{TARGET_END}"
+        with self._lock:
+            self.calls[stage] += 1
+            fail = stage == "FE_MF" and self.fail_target is not None and target in request.user_text
+            if fail:
+                self.fail_target = None
+        if fail:
+            raise UpstreamError("injected extraction failure")
+        return mock_complete(request, self.cfg)
+
+
+@pytest.fixture()
+def short_switch_interval():
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.mark.usefixtures("short_switch_interval")
+class TestSingleFlightExtraction:
+    def test_parallel_pool_extracts_each_case_once(self, mock_cfg, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        query = store.get(pools[0].query_id)
+        candidates = [store.get(cid) for cid in pools[0].candidate_ids]
+        judge = SlowExtractionJudge(mock_cfg)
+        records = make_engine(judge, toy_library, parallelism=8).judge_query(query, candidates)
+        assert len(candidates) == 10
+        assert judge.calls["FE_MF"] == judge.calls["FE_LF"] == 11
+        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_query(query, candidates)
+        assert records == serial
+
+    def test_failed_extraction_is_retried_not_shared(self, mock_cfg, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        query = store.get(pools[0].query_id)
+        candidates = [store.get(cid) for cid in pools[0].candidate_ids]
+        judge = SlowExtractionJudge(mock_cfg, fail_target=query.fact_text)
+        records = make_engine(judge, toy_library, parallelism=8).judge_query(query, candidates)
+        failed = [r for r in records if r.status == "failed"]
+        assert len(failed) == 1 and "injected extraction failure" in failed[0].error
+        # As in a serial run: the failed pair's candidate is never extracted,
+        # and the next pair extracts the query again.
+        assert judge.calls["FE_MF"] == 11
+        assert judge.calls["FE_LF"] == 10
+        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_query(query, candidates)
+        assert [r for r in records if r.status == "ok"] == [
+            r for r in serial if r.candidate_id != failed[0].candidate_id
+        ]
+
+    def test_parallel_annotation_extracts_each_case_once(self, mock_cfg, toy_library, toy_corpus):
+        store = toy_corpus[0]
+        pairs = sample_pairs(store, 100, seed=5)
+        cases = {case_id for pair in pairs for case_id in (pair.left_id, pair.right_id)}
+        judge = SlowExtractionJudge(mock_cfg)
+        records = annotate_pairs(make_engine(judge, toy_library, parallelism=8), store, pairs)
+        assert judge.calls["FE_MF"] + judge.calls["FE_LF"] == 2 * len(cases)
+        assert records == annotate_pairs(make_engine(MockJudge(mock_cfg), toy_library), store, pairs)
 
 
 class TestDisableFe:

@@ -22,6 +22,7 @@ from lexjudge.gateway import (
     TARGET_BEGIN,
     TARGET_END,
     TransportError,
+    _PUNCTUATION_TO_SPACE,
     load_lexicon,
     mock_complete,
     mock_lf_tags,
@@ -30,7 +31,7 @@ from lexjudge.gateway import (
     stage_of,
 )
 
-from oracles import normalized_tokens
+from oracles import normalized_tokens, punctuation_to_spaces
 
 CJK_TEXT = st.text(
     alphabet=st.sampled_from(list("盗窃抢劫罪被告人案ab1 。，；")), max_size=30
@@ -146,10 +147,15 @@ class TestMockRules:
         with pytest.raises(MalformedStageMarker):
             mock_complete(req("FA_MF", "just one blob"), mock_cfg)
 
-    @given(CJK_TEXT)
-    @settings(max_examples=200)
+    @given(st.one_of(CJK_TEXT, st.text()))
+    @settings(max_examples=400)
     def test_tokens_match_independent_rules(self, text):
         assert mock_tokens(text) == normalized_tokens(text)
+
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_punctuation_table_matches_per_character_rule(self, text):
+        assert text.translate(_PUNCTUATION_TO_SPACE) == punctuation_to_spaces(text)
 
     @given(CJK_TEXT)
     @settings(max_examples=200)

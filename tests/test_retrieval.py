@@ -22,7 +22,19 @@ from lexjudge.retrieval import (
 
 from oracles import bigram_tokens, bm25_score_oracle, rank_oracle, twelve_sig
 
-MIXED_ALPHABET = st.sampled_from(list("盗窃罪案件被告人abc XY12 。，"))
+# The code points on each side of every CJK range boundary, and the
+# whitespace str.split honours beyond the ASCII space.
+CJK_BOUNDARIES = [
+    chr(cp)
+    for cp in (
+        0x33FF, 0x3400, 0x4DBF, 0x4DC0, 0x4DFF, 0x4E00, 0x9FFF, 0xA000,
+        0xF8FF, 0xF900, 0xFAFF, 0xFB00, 0x1FFFF, 0x20000, 0x2FA1F, 0x2FA20,
+    )
+]
+SPLIT_WHITESPACE = ["\u3000", "\u00a0", "\u0085", "\x1c", "\x1d", "\x1e", "\x1f"]
+MIXED_ALPHABET = st.sampled_from(
+    list("盗窃罪案件被告人abc XY12 。，") + CJK_BOUNDARIES + SPLIT_WHITESPACE
+)
 MIXED_TEXT = st.text(alphabet=MIXED_ALPHABET, max_size=40)
 
 
@@ -211,8 +223,9 @@ class TestTopK:
             got = top_k_rank(index, query, k)
             want = rank_oracle(docs, query, k, k1, b)
             assert [doc for doc, _ in got] == [doc for doc, _ in want]
-            for (_, gs), (_, ws) in zip(got, want):
+            for (doc, gs), (_, ws) in zip(got, want):
                 assert gs == pytest.approx(ws, abs=1e-12)
+                assert gs == bm25_score(index, query, doc)
 
 
 class TestIndexState:
