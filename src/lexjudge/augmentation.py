@@ -12,8 +12,13 @@ import hashlib
 import json
 import math
 import random
+import sys
 import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -28,7 +33,7 @@ from .errors import (
     ParseError,
     ScorerError,
 )
-from .retrieval import build_bm25_index, bm25_score, round_sig, tokenize
+from .retrieval import round_sig, tokenize
 
 DATASET_MODES = ("distribution_matched", "random")
 EXPORT_FORMATS = ("label_only", "rationale")
@@ -119,18 +124,61 @@ class PairScorer(Protocol):
 
 
 class Bm25PairScorer:
-    """Default pre-ranker: BM25 of the left facts against the right document."""
+    """Default pre-ranker: the left facts scored by BM25 against the right facts alone.
+
+    Each pair is scored as bm25_score over a one-document index that holds
+    only the right case. With one document, idf is the same constant for
+    every term and the length norm cancels to k1, so the score is a
+    saturated count of left tokens that occur in the right text, not
+    corpus BM25 (ROADMAP item 3 proposes one corpus index instead).
+
+    Each distinct fact text is tokenized once. The scorer memoizes, per
+    text, its interned tokens (the query role) and each term's summand
+    idf*tf*(k1+1)/(tf+norm) (the document role), computed with the
+    expressions and operation order of build_bm25_index, _length_norm and
+    bm25_score, so every score equals the one-document bm25_score exactly.
+    A text whose tokenization fails leaves no entry. The memo lives as
+    long as the scorer and holds every text it has scored; the CLI builds
+    one scorer per `augment prerank`, which bounds it by the cases of one
+    pairs file.
+    """
 
     def __init__(self, tokenizer_mode: str = "cjk_bigram", k1: float = 1.2, b: float = 0.75):
+        if k1 < 0 or not 0 <= b <= 1:
+            raise DomainError(f"bad BM25 parameters k1={k1} b={b}")
         self.tokenizer_mode = tokenizer_mode
         self.k1 = k1
         self.b = b
+        # Robertson/Sparck-Jones idf with N = 1 document and n = 1 holding the term.
+        self._idf = math.log(1.0 + (1 - 1 + 0.5) / (1 + 0.5))
+        self._memo: dict[str, tuple[list[str], dict[str, float]]] = {}
+
+    def _entry(self, text: str) -> tuple[list[str], dict[str, float]]:
+        entry = self._memo.get(text)
+        if entry is None:
+            tokens = list(map(sys.intern, tokenize(text, self.tokenizer_mode)))
+            k1, b, idf = self.k1, self.b, self._idf
+            # _length_norm of a one-document index, whose avg_doc_len is doc_len / 1.
+            doc_len = len(tokens)
+            avg_doc_len = doc_len / 1
+            norm = k1 * (1.0 - b + b * doc_len / avg_doc_len) if avg_doc_len > 0 else k1
+            # Summands depend on tf alone; sharing one float per tf keeps the memo small.
+            by_tf: dict[int, float] = {}
+            summands = {}
+            for term, tf in Counter(tokens).items():
+                summand = by_tf.get(tf)
+                if summand is None:
+                    summand = by_tf[tf] = idf * tf * (k1 + 1.0) / (tf + norm)
+                summands[term] = summand
+            entry = self._memo[text] = (tokens, summands)
+        return entry
 
     def score(self, left: Case, right: Case) -> float:
-        index = build_bm25_index(
-            {right.id: tokenize(right.fact_text, self.tokenizer_mode)}, k1=self.k1, b=self.b
-        )
-        return bm25_score(index, tokenize(left.fact_text, self.tokenizer_mode), right.id)
+        tokens = self._entry(left.fact_text)[0]
+        summands = self._entry(right.fact_text)[1]
+        # Adds the summands left to right in query token order, skipping
+        # tokens absent from the right text, as bm25_score does.
+        return reduce(add, filter(None, map(summands.get, tokens)), 0.0)
 
 
 def prerank_pairs(
@@ -202,11 +250,17 @@ def annotate_pairs(
 
     try:
         if engine.parallelism > 1 and len(todo) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
             with ThreadPoolExecutor(max_workers=engine.parallelism) as executor:
-                for record in executor.map(judge_one, todo):
-                    finish(record)
+                futures = [executor.submit(judge_one, pair) for pair in todo]
+                try:
+                    # Completion order, so a slow pair holds back no finished one.
+                    for future in as_completed(futures):
+                        finish(future.result())
+                finally:
+                    # On an error or interrupt, pairs not yet started are dropped
+                    # rather than judged with nowhere to record them.
+                    for future in futures:
+                        future.cancel()
         else:
             for pair in todo:
                 finish(judge_one(pair))

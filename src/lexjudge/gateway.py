@@ -36,6 +36,7 @@ VERDICT_RELEVANT = "VERDICT: RELEVANT"
 VERDICT_IRRELEVANT = "VERDICT: IRRELEVANT"
 
 STAGES = ("FE_MF", "FE_LF", "FA_MF", "FA_LF")
+_STAGE_MARKER = re.compile(rf"^{re.escape(STAGE_PREFIX)}(\S+)\s*$", re.MULTILINE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +85,7 @@ def request_hash(request: JudgeRequest) -> str:
 
 def stage_of(user_text: str) -> str | None:
     """Extract the embedded stage marker, or None when absent/unknown."""
-    match = re.search(rf"^{re.escape(STAGE_PREFIX)}(\S+)\s*$", user_text, re.MULTILINE)
+    match = _STAGE_MARKER.search(user_text)
     if not match or match.group(1) not in STAGES:
         return None
     return match.group(1)

@@ -6,8 +6,14 @@ import hashlib
 import itertools
 import json
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import lexjudge.augmentation as augmentation
 
 from lexjudge.augmentation import (
     Bm25PairScorer,
@@ -32,7 +38,8 @@ from lexjudge.errors import (
     ParseError,
     ScorerError,
 )
-from lexjudge.gateway import mock_tokens
+from lexjudge.gateway import JudgeResponse, mock_complete, mock_tokens, stage_of
+from lexjudge.retrieval import bm25_score, build_bm25_index, tokenize
 
 from conftest import FaultyOnPairJudge, fabricate_record, make_engine
 from oracles import mock_label_oracle, quota_oracle, twelve_sig
@@ -153,6 +160,77 @@ class ConstantScorer:
 class ExplodingScorer:
     def score(self, left, right):
         raise RuntimeError("boom")
+
+
+# Fragments that make tokens repeat within and across texts, in CJK runs
+# (bigrams, lone characters), ASCII words and punctuation.
+FACT_TEXT = st.lists(
+    st.sampled_from(["盗窃", "罪", "案件", "被告人", "law", "fact", " law", "x", " ", "  ", "。", "，", ","]),
+    max_size=30,
+).map("".join)
+# b = 0.7 and 0.9: k1 * (1 - b + b * n / n) differs from k1 in the last bit
+# for some lengths n (0.7 at n = 3), so the length norm must not be folded.
+BM25_PARAMS = st.sampled_from(
+    [(1.2, 0.75), (0.9, 0.4), (2.0, 1.0), (1.5, 0.33), (0.0, 0.0), (0.0, 1.0), (1.2, 0.0),
+     (1.2, 0.7), (0.8, 0.9)]
+)
+
+
+class TestBm25PairScorer:
+    @given(FACT_TEXT, FACT_TEXT, BM25_PARAMS, st.sampled_from(["cjk_bigram", "whitespace"]))
+    @example("law", "law fact fact", (1.2, 0.7), "whitespace")
+    @settings(max_examples=300)
+    def test_equals_one_document_bm25_exactly(self, left_text, right_text, params, mode):
+        k1, b = params
+        scorer = Bm25PairScorer(mode, k1, b)
+        left, right = Case(id="l", fact_text=left_text), Case(id="r", fact_text=right_text)
+        # Both orders, then the first again: memo entries serve both roles.
+        for query, doc in ((left, right), (right, left), (left, right)):
+            index = build_bm25_index({doc.id: tokenize(doc.fact_text, mode)}, k1=k1, b=b)
+            expected = bm25_score(index, tokenize(query.fact_text, mode), doc.id)
+            assert scorer.score(query, doc) == expected
+
+    def test_bad_parameters_rejected(self):
+        with pytest.raises(DomainError):
+            Bm25PairScorer(k1=-0.1)
+        with pytest.raises(DomainError):
+            Bm25PairScorer(b=1.5)
+
+    def counting_tokenize(self, monkeypatch, fail_first: str | None = None):
+        seen: Counter[str] = Counter()
+
+        def counted(text, mode="cjk_bigram"):
+            seen[text] += 1
+            if text == fail_first and seen[text] == 1:
+                raise RuntimeError("injected tokenizer failure")
+            return tokenize(text, mode)
+
+        monkeypatch.setattr(augmentation, "tokenize", counted)
+        return seen
+
+    def test_each_distinct_text_tokenized_once(self, toy_store_only, monkeypatch):
+        store = toy_store_only
+        pairs = sample_pairs(store, 200, seed=9)
+        texts = {store.get(i).fact_text for pair in pairs for i in pair.key()}
+        seen = self.counting_tokenize(monkeypatch)
+        scorer = Bm25PairScorer()
+        kept = prerank_pairs(pairs, store, scorer, top_n=50)
+        assert seen == Counter(texts)
+        seen.clear()
+        assert prerank_pairs(pairs, store, scorer, top_n=50) == kept
+        assert not seen
+
+    def test_failed_tokenize_caches_nothing(self, monkeypatch):
+        store = tiny_store(2, text=lambda i: ["law fact fact", "fact law"][i])
+        pair = make_pair("x0", "x1")
+        seen = self.counting_tokenize(monkeypatch, fail_first="law fact fact")
+        scorer = Bm25PairScorer()
+        with pytest.raises(ScorerError, match="injected"):
+            prerank_pairs([pair], store, scorer, top_n=1)
+        index = build_bm25_index({"x1": ["fact", "law"]})
+        expected = bm25_score(index, ["law", "fact", "fact"], "x1")
+        assert scorer.score(store.get("x0"), store.get("x1")) == expected > 0
+        assert seen["law fact fact"] == 2
 
 
 class TestPrerank:
@@ -307,6 +385,56 @@ class TestAnnotatePairs:
         calls = self.interrupting(replay, stop_after=99)
         assert annotate_pairs(replay, store, pairs, checkpoint_path=checkpoint) == done
         assert calls == []
+
+
+class HoldFirstPairJudge:
+    """Mock judge whose FA_MF call for one pair waits for the other pairs.
+
+    The call blocks until the checkpoint holds `others` lines or the
+    timeout passes, and records whether it saw them.
+    """
+
+    def __init__(self, cfg, fragment: str, checkpoint, others: int, timeout: float = 5.0):
+        self.cfg = cfg
+        self.fragment = fragment
+        self.checkpoint = checkpoint
+        self.others = others
+        self.timeout = timeout
+        self.saw_others = None
+
+    def lines(self) -> int:
+        if not self.checkpoint.exists():
+            return 0
+        return sum(1 for line in self.checkpoint.read_text(encoding="utf-8").splitlines() if line)
+
+    def complete(self, request):
+        if stage_of(request.user_text) == "FA_MF" and self.fragment in request.user_text:
+            deadline = time.monotonic() + self.timeout
+            while self.lines() < self.others and time.monotonic() < deadline:
+                time.sleep(0.005)
+            self.saw_others = self.lines() >= self.others
+        return mock_complete(request, self.cfg)
+
+
+class TestCheckpointOrder:
+    def test_finished_pairs_not_held_behind_a_slow_one(
+        self, mock_cfg, mock_judge, toy_library, toy_corpus, tmp_path
+    ):
+        store, _, _ = toy_corpus
+        ids = sorted(store.ids())[:8]
+        pairs = [make_pair(a, b) for a, b in zip(ids[::2], ids[1::2])]  # no shared cases
+        checkpoint = tmp_path / "progress.jsonl"
+        judge = HoldFirstPairJudge(
+            mock_cfg,
+            " ".join(mock_tokens(store.get(pairs[0].left_id).fact_text)),
+            checkpoint,
+            others=len(pairs) - 1,
+        )
+        engine = make_engine(judge, toy_library, parallelism=2)
+        records = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
+        assert judge.saw_others is True
+        assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs)
+        assert judge.lines() == len(pairs)
 
 
 class TestDatasetSpec:
