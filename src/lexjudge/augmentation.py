@@ -15,7 +15,6 @@ import random
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -245,25 +244,14 @@ def annotate_pairs(
                 sink.flush()
         done[(record.query_id, record.candidate_id)] = record
 
-    def judge_one(pair: CasePair) -> JudgmentRecord:
-        return engine._judge_pair_safe(store.get(pair.left_id), store.get(pair.right_id))
-
     try:
-        if engine.parallelism > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=engine.parallelism) as executor:
-                futures = [executor.submit(judge_one, pair) for pair in todo]
-                try:
-                    # Completion order, so a slow pair holds back no finished one.
-                    for future in as_completed(futures):
-                        finish(future.result())
-                finally:
-                    # On an error or interrupt, pairs not yet started are dropped
-                    # rather than judged with nowhere to record them.
-                    for future in futures:
-                        future.cancel()
-        else:
-            for pair in todo:
-                finish(judge_one(pair))
+        # finish sees pairs in completion order, so a slow pair holds back no
+        # finished line; after an error, pairs not yet started are dropped
+        # rather than judged with nowhere to record them.
+        engine.judge_pairs(
+            [(store.get(pair.left_id), store.get(pair.right_id)) for pair in todo],
+            on_record=finish,
+        )
     finally:
         if sink is not None:
             sink.close()

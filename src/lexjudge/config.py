@@ -55,7 +55,6 @@ class Bm25Config:
 @dataclass
 class TokenizerConfig:
     mode: str = "cjk_bigram"
-    command: str | None = None
 
 
 @dataclass
@@ -172,9 +171,6 @@ def _validate(config: Config) -> None:
         check(isinstance(value, int) and value >= 1, key, f"must be an integer >= 1, got {value!r}")
     check(config.tokenizer.mode in TOKENIZER_MODES,
           "tokenizer.mode", f"must be one of {TOKENIZER_MODES}, got {config.tokenizer.mode!r}")
-    if config.tokenizer.mode == "external":
-        check(bool(config.tokenizer.command), "tokenizer.command",
-              "external tokenizer mode needs a command")
     check(0.0 < config.mock.mf_jaccard_threshold <= 1.0,
           "mock.mf_jaccard_threshold",
           f"must lie in (0, 1], got {config.mock.mf_jaccard_threshold!r}")

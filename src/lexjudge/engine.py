@@ -19,11 +19,11 @@ import hashlib
 import json
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from ._util import atomic_write_text, dumps_jsonl
 from .corpus import Case, CandidatePool, CaseStore, aggregate_label
@@ -104,6 +104,7 @@ TEMPLATE_NAMES = ("fe_mf", "fe_lf", "fa_mf", "fa_lf")
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 _KNOWN_PLACEHOLDERS = {"task_description", "definitions", "demos", "target"}
 _VERDICT_RE = re.compile(r"^\s*VERDICT:\s*(RELEVANT|IRRELEVANT)\s*$", re.IGNORECASE)
+_T = TypeVar("_T")
 
 
 def load_templates(templates_dir: str | Path | None = None) -> dict[str, str]:
@@ -193,11 +194,11 @@ def parse_verdict(raw_text: str) -> tuple[bool, str]:
     raise JudgeResponseUnparseable("reply does not end with a verdict line")
 
 
-def parse_judge_response(stage: Stage, raw_text: str) -> str | tuple[bool, str]:
-    """Extraction text for FE replies, (verdict, reasoning) for FA replies."""
-    if stage is Stage.FE:
-        return parse_facts_block(raw_text)
-    return parse_verdict(raw_text)
+def _parse_nonempty_facts(raw_text: str) -> str:
+    text = parse_facts_block(raw_text)
+    if not text:
+        raise JudgeResponseUnparseable("empty facts block")
+    return text
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,21 +392,26 @@ class JudgeEngine:
         body = assemble_prompt(stage, fact_type, demos, wrapped, templates=self.templates)
         return f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n{body}"
 
-    def _complete_with_retry(self, user_text: str, reminder: str):
-        last = "no attempt made"
+    def _complete(self, user_text: str, reminder: str, parse: Callable[[str], _T]) -> tuple[_T, str]:
+        """Ask until parse accepts a reply; return the parsed value and the reply.
+
+        Attempts after the first append the reminder. Only an unparseable
+        reply earns another attempt; the last parse error is reported.
+        """
         for attempt in range(self.retry + 1):
-            text = user_text if attempt == 0 else f"{user_text}\n\n{reminder}"
             request = JudgeRequest(
                 system_text=SYSTEM_TEXT,
-                user_text=text,
+                user_text=user_text if attempt == 0 else f"{user_text}\n\n{reminder}",
                 temperature=self.temperature,
                 model=self.model,
                 max_tokens=self.max_tokens,
             )
-            response = self.judge.complete(request)
-            yield response
-            last = "reply did not follow the response protocol"
-        raise JudgeResponseUnparseable(f"{last} after {self.retry + 1} attempt(s)")
+            text = self.judge.complete(request).text
+            try:
+                return parse(text), text
+            except JudgeResponseUnparseable as exc:
+                error = exc
+        raise JudgeResponseUnparseable(f"{error} after {self.retry + 1} attempt(s)")
 
     # -- stages ------------------------------------------------------------
 
@@ -440,14 +446,8 @@ class JudgeEngine:
         else:
             demos = adm_select(self.library, target, Stage.FE, fact_type, self.top_k_demos)
         user_text = self._user_text(Stage.FE, fact_type, demos, target)
-        for response in self._complete_with_retry(user_text, FE_REMINDER):
-            try:
-                text = parse_facts_block(response.text)
-            except JudgeResponseUnparseable:
-                continue
-            if text:
-                return FactExtraction(case.id, fact_type, text, response.text)
-        raise AssertionError("unreachable")  # _complete_with_retry raises
+        text, raw = self._complete(user_text, FE_REMINDER, _parse_nonempty_facts)
+        return FactExtraction(case.id, fact_type, text, raw)
 
     def judge_fact_pair(
         self,
@@ -474,13 +474,8 @@ class JudgeEngine:
             )
             demos = relevant + irrelevant
         user_text = self._user_text(Stage.FA, fact_type, demos, target)
-        for response in self._complete_with_retry(user_text, FA_REMINDER):
-            try:
-                relevant_flag, reasoning = parse_verdict(response.text)
-            except JudgeResponseUnparseable:
-                continue
-            return FactVerdict(fact_type, relevant_flag, reasoning, response.text)
-        raise AssertionError("unreachable")
+        (relevant_flag, reasoning), raw = self._complete(user_text, FA_REMINDER, parse_verdict)
+        return FactVerdict(fact_type, relevant_flag, reasoning, raw)
 
     # -- pair and pool drivers ----------------------------------------------
 
@@ -548,38 +543,54 @@ class JudgeEngine:
             config_fingerprint=self.config_fingerprint,
         )
 
-    def _failed_record(self, query_id: str, candidate_id: str, error: str) -> JudgmentRecord:
-        return JudgmentRecord(
-            query_id=query_id,
-            candidate_id=candidate_id,
-            status="failed",
-            label=None,
-            mf_extractions=None,
-            lf_extractions=None,
-            mf_verdict=None,
-            lf_verdict=None,
-            run_id=self.run_id,
-            config_fingerprint=self.config_fingerprint,
-            error=error,
-        )
-
-    def _judge_pair_safe(self, query: Case, candidate: Case) -> JudgmentRecord:
+    def _judge_pair_or_fail(self, query: Case, candidate: Case) -> JudgmentRecord:
         try:
             return self.judge_pair(query, candidate)
         except Exception as exc:
-            return self._failed_record(query.id, candidate.id, str(exc))
+            return JudgmentRecord(
+                query_id=query.id,
+                candidate_id=candidate.id,
+                status="failed",
+                label=None,
+                mf_extractions=None,
+                lf_extractions=None,
+                mf_verdict=None,
+                lf_verdict=None,
+                run_id=self.run_id,
+                config_fingerprint=self.config_fingerprint,
+                error=str(exc),
+            )
 
-    def judge_query(self, query: Case, candidates: Sequence[Case], top_n: int | None = None) -> list[JudgmentRecord]:
-        """Judge a query against the first top_n of its candidates.
+    def judge_pairs(
+        self,
+        pairs: Sequence[tuple[Case, Case]],
+        on_record: Callable[[JudgmentRecord], None] | None = None,
+    ) -> list[JudgmentRecord]:
+        """Judge (query, candidate) pairs; records come back in input order.
 
-        Pair failures become failed records rather than aborting the pool;
-        output order always follows the candidate order.
+        A pair that fails becomes a failed record rather than aborting the
+        batch. on_record sees each record as soon as its pair finishes, so
+        in completion order when pairs run in parallel. On an error or
+        interrupt, pairs not yet started are dropped.
         """
-        chosen = list(candidates if top_n is None else candidates[:top_n])
-        if self.parallelism > 1 and len(chosen) > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                return list(pool.map(lambda c: self._judge_pair_safe(query, c), chosen))
-        return [self._judge_pair_safe(query, c) for c in chosen]
+        if self.parallelism == 1 or len(pairs) < 2:
+            records = []
+            for query, candidate in pairs:
+                record = self._judge_pair_or_fail(query, candidate)
+                if on_record is not None:
+                    on_record(record)
+                records.append(record)
+            return records
+        with ThreadPoolExecutor(max_workers=self.parallelism) as executor:
+            futures = [executor.submit(self._judge_pair_or_fail, q, c) for q, c in pairs]
+            try:
+                for future in as_completed(futures):
+                    if on_record is not None:
+                        on_record(future.result())
+            finally:
+                for future in futures:
+                    future.cancel()
+        return [future.result() for future in futures]
 
     def judge_pools(
         self,
@@ -587,12 +598,16 @@ class JudgeEngine:
         pools: Sequence[CandidatePool],
         top_n: int | None = None,
     ) -> list[JudgmentRecord]:
-        records: list[JudgmentRecord] = []
+        """Judge each pool's query against its first top_n candidates.
+
+        The pairs of all pools share one scheduler, so a slow pool holds
+        back no other; records follow pool order, then candidate order.
+        """
+        pairs = []
         for pool in pools:
             query = store.get(pool.query_id)
-            candidates = [store.get(cid) for cid in pool.candidate_ids]
-            records.extend(self.judge_query(query, candidates, top_n))
-        return records
+            pairs.extend((query, store.get(cid)) for cid in pool.candidate_ids[:top_n])
+        return self.judge_pairs(pairs)
 
 
 def write_records_jsonl(path: str | Path, records: Sequence[JudgmentRecord]) -> None:

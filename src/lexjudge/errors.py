@@ -47,10 +47,6 @@ class UnknownDocError(LexjudgeError):
     """Requested document id is not in the index."""
 
 
-class ExternalTokenizerError(LexjudgeError):
-    """The configured external tokenizer command failed."""
-
-
 class TemplateError(LexjudgeError):
     """A prompt template is missing or contains unknown placeholders."""
 

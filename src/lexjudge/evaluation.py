@@ -136,6 +136,13 @@ def validity_kappa(records: Sequence[JudgmentRecord], qrels: Qrels) -> ValidityR
     Failed records are excluded (with a logged count); every remaining pair
     must carry a gold label.
     """
+    return _validity(records, qrels)[0]
+
+
+def _validity(
+    records: Sequence[JudgmentRecord], qrels: Qrels
+) -> tuple[ValidityResult, dict[str, tuple[LabelSeries, LabelSeries]]]:
+    """validity_kappa's result plus the (judged, gold) series of each layer."""
     ok = _ok_records(records)
     if not ok:
         raise DomainError("no successfully judged pairs to evaluate")
@@ -156,13 +163,15 @@ def validity_kappa(records: Sequence[JudgmentRecord], qrels: Qrels) -> ValidityR
     gold_mf = LabelSeries(id_tuple, tuple(int(gold_fact_flags(g).mf_relevant) for g in gold_labels))
     judged_lf = LabelSeries(id_tuple, tuple(int(r.lf_verdict.relevant) for r in ok))
     gold_lf = LabelSeries(id_tuple, tuple(int(gold_fact_flags(g).lf_relevant) for g in gold_labels))
-    return ValidityResult(
+    result = ValidityResult(
         kappa_mf=cohens_kappa(judged_mf, gold_mf),
         kappa_lf=cohens_kappa(judged_lf, gold_lf),
         kappa_4level=cohens_kappa(judged_4, gold_4),
         pairs_compared=len(ok),
         failed_excluded=len(records) - len(ok),
     )
+    series = {"4x4": (judged_4, gold_4), "mf": (judged_mf, gold_mf), "lf": (judged_lf, gold_lf)}
+    return result, series
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,16 +313,7 @@ def build_validity_report(
     records: Sequence[JudgmentRecord], qrels: Qrels
 ) -> tuple[dict, dict[str, str]]:
     """Validity metrics plus confusion heatmaps as CSV texts."""
-    result = validity_kappa(records, qrels)
-    ok = _ok_records(records)
-    ids = tuple((r.query_id, r.candidate_id) for r in ok)
-    gold_labels = tuple(qrels.label(q, c) for q, c in ids)
-    judged_4 = LabelSeries(ids, tuple(int(r.label) for r in ok))
-    gold_4 = LabelSeries(ids, gold_labels)
-    judged_mf = LabelSeries(ids, tuple(int(r.mf_verdict.relevant) for r in ok))
-    gold_mf = LabelSeries(ids, tuple(int(gold_fact_flags(g).mf_relevant) for g in gold_labels))
-    judged_lf = LabelSeries(ids, tuple(int(r.lf_verdict.relevant) for r in ok))
-    gold_lf = LabelSeries(ids, tuple(int(gold_fact_flags(g).lf_relevant) for g in gold_labels))
+    result, series = _validity(records, qrels)
     report = {
         "kappa_mf": result.kappa_mf,
         "kappa_lf": result.kappa_lf,
@@ -322,9 +322,9 @@ def build_validity_report(
         "failed_excluded": result.failed_excluded,
     }
     heatmaps = {
-        "heatmap_4x4": confusion_matrix(judged_4, gold_4, (0, 1, 2, 3)).to_csv(),
-        "heatmap_mf": confusion_matrix(judged_mf, gold_mf, (0, 1)).to_csv(),
-        "heatmap_lf": confusion_matrix(judged_lf, gold_lf, (0, 1)).to_csv(),
+        "heatmap_4x4": confusion_matrix(*series["4x4"], (0, 1, 2, 3)).to_csv(),
+        "heatmap_mf": confusion_matrix(*series["mf"], (0, 1)).to_csv(),
+        "heatmap_lf": confusion_matrix(*series["lf"], (0, 1)).to_csv(),
     }
     return report, heatmaps
 

@@ -205,7 +205,7 @@ def mock_complete(request: JudgeRequest, cfg: MockJudgeConfig) -> JudgeResponse:
     if stage == "FE_MF":
         reply = f"{FACTS_BEGIN}\n{' '.join(mock_tokens(target))}\n{FACTS_END}"
     elif stage == "FE_LF":
-        tags = sorted(set(mock_tokens(target)) & cfg.lexicon)
+        tags = mock_lf_tags(mock_tokens(target), cfg.lexicon)
         reply = f"{FACTS_BEGIN}\n{' '.join(tags)}\n{FACTS_END}"
     elif stage == "FA_MF":
         a_text, b_text = _pair_inputs(target)

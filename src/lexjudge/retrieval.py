@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 import re
-import shlex
-import subprocess
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, ExternalTokenizerError, UnknownDocError
+from .errors import DomainError, UnknownDocError
 
-TOKENIZER_MODES = ("whitespace", "cjk_bigram", "external")
+TOKENIZER_MODES = ("whitespace", "cjk_bigram")
 
 _CJK_RANGES = (
     (0x4E00, 0x9FFF),    # unified ideographs
@@ -54,42 +52,17 @@ def _cjk_bigram_tokens(text: str) -> list[str]:
     return tokens
 
 
-def tokenize(
-    text: str,
-    mode: str = "cjk_bigram",
-    *,
-    external_command: str | None = None,
-    external_timeout: float = 30.0,
-) -> list[str]:
+def tokenize(text: str, mode: str = "cjk_bigram") -> list[str]:
     """Split text into tokens under the given mode.
 
     whitespace: split on unicode whitespace. cjk_bigram: overlapping
     character bigrams inside CJK runs (a lone CJK character stays a
-    unigram), whitespace tokens elsewhere. external: pipe the text to a
-    configured command and read whitespace-separated tokens from stdout.
+    unigram), whitespace tokens elsewhere.
     """
     if mode == "whitespace":
         return text.split()
     if mode == "cjk_bigram":
         return _cjk_bigram_tokens(text)
-    if mode == "external":
-        if not external_command:
-            raise ExternalTokenizerError("external tokenizer mode without a command")
-        try:
-            proc = subprocess.run(
-                shlex.split(external_command),
-                input=text,
-                capture_output=True,
-                text=True,
-                timeout=external_timeout,
-            )
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise ExternalTokenizerError(f"tokenizer command failed: {exc}") from exc
-        if proc.returncode != 0:
-            raise ExternalTokenizerError(
-                f"tokenizer command exited {proc.returncode}: {proc.stderr.strip()[:200]}"
-            )
-        return proc.stdout.split()
     raise DomainError(f"unknown tokenizer mode: {mode!r}")
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from lexjudge.augmentation import annotate_pairs, sample_pairs
-from lexjudge.corpus import Case, aggregate_label, gold_fact_flags
+from lexjudge.corpus import CandidatePool, Case, aggregate_label, gold_fact_flags
 from lexjudge.demos import Demonstration, FactType, Stage
 from lexjudge.engine import (
     FA_REMINDER,
@@ -23,7 +23,6 @@ from lexjudge.engine import (
     compute_fingerprint,
     load_templates,
     parse_facts_block,
-    parse_judge_response,
     parse_verdict,
     read_records_jsonl,
     write_records_jsonl,
@@ -189,13 +188,6 @@ class TestResponseParsing:
     def test_verdict_must_be_final(self):
         with pytest.raises(JudgeResponseUnparseable):
             parse_verdict("VERDICT: RELEVANT\nafterthought text")
-
-    def test_parse_judge_response_dispatch(self):
-        assert parse_judge_response(Stage.FE, GOOD_FE) == "facts ok"
-        assert parse_judge_response(Stage.FA, GOOD_FA) == (
-            True,
-            "because the facts align",
-        )
 
 
 class TestExtractFact:
@@ -451,7 +443,7 @@ class TestFactExtractionCache:
         query = store.get(pool.query_id)
         candidates = [store.get(cid) for cid in pool.candidate_ids[:2]]
         engine = make_engine(instrumented, toy_library)
-        records = engine.judge_query(query, candidates)
+        records = engine.judge_pairs([(query, c) for c in candidates])
         assert all(r.status == "ok" for r in records)
         # 1 query + 2 candidates extracted once each, per fact layer.
         assert instrumented.count("FE_MF") == 3
@@ -518,29 +510,42 @@ class TestSingleFlightExtraction:
         store, pools, _ = toy_corpus
         query = store.get(pools[0].query_id)
         candidates = [store.get(cid) for cid in pools[0].candidate_ids]
+        pairs = [(query, c) for c in candidates]
         judge = SlowExtractionJudge(mock_cfg)
-        records = make_engine(judge, toy_library, parallelism=8).judge_query(query, candidates)
+        records = make_engine(judge, toy_library, parallelism=8).judge_pairs(pairs)
         assert len(candidates) == 10
         assert judge.calls["FE_MF"] == judge.calls["FE_LF"] == 11
-        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_query(query, candidates)
+        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_pairs(pairs)
         assert records == serial
 
     def test_failed_extraction_is_retried_not_shared(self, mock_cfg, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         query = store.get(pools[0].query_id)
         candidates = [store.get(cid) for cid in pools[0].candidate_ids]
+        pairs = [(query, c) for c in candidates]
         judge = SlowExtractionJudge(mock_cfg, fail_target=query.fact_text)
-        records = make_engine(judge, toy_library, parallelism=8).judge_query(query, candidates)
+        records = make_engine(judge, toy_library, parallelism=8).judge_pairs(pairs)
         failed = [r for r in records if r.status == "failed"]
         assert len(failed) == 1 and "injected extraction failure" in failed[0].error
         # As in a serial run: the failed pair's candidate is never extracted,
         # and the next pair extracts the query again.
         assert judge.calls["FE_MF"] == 11
         assert judge.calls["FE_LF"] == 10
-        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_query(query, candidates)
+        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_pairs(pairs)
         assert [r for r in records if r.status == "ok"] == [
             r for r in serial if r.candidate_id != failed[0].candidate_id
         ]
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 8])
+    def test_all_pools_extract_each_case_once(self, parallelism, mock_cfg, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        cases = {pool.query_id for pool in pools} | {cid for pool in pools for cid in pool.candidate_ids}
+        pairs = sum(len(pool.candidate_ids) for pool in pools)
+        judge = SlowExtractionJudge(mock_cfg)
+        records = make_engine(judge, toy_library, parallelism=parallelism).judge_pools(store, pools)
+        # FE: 2 calls per case; FA: 2 per pair, with the pairs of all pools in flight together.
+        assert sum(judge.calls.values()) == 2 * len(cases) + 2 * pairs == 336
+        assert records == make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
 
     def test_parallel_annotation_extracts_each_case_once(self, mock_cfg, toy_library, toy_corpus):
         store = toy_corpus[0]
@@ -550,6 +555,25 @@ class TestSingleFlightExtraction:
         records = annotate_pairs(make_engine(judge, toy_library, parallelism=8), store, pairs)
         assert judge.calls["FE_MF"] + judge.calls["FE_LF"] == 2 * len(cases)
         assert records == annotate_pairs(make_engine(MockJudge(mock_cfg), toy_library), store, pairs)
+
+
+class TestRetryExhaustion:
+    def test_prose_replies_fail_the_pair_with_the_parse_error(self, toy_library):
+        judge = ScriptedJudge(["These cases look related to me."] * 3)
+        engine = make_engine(judge, toy_library, retry=2, flags=AblationFlags(disable_fe=True))
+        [record] = engine.judge_pairs([(Case(id="a", fact_text="t"), Case(id="b", fact_text="t"))])
+        assert record.status == "failed"
+        assert "reply does not end with a verdict line after 3 attempt(s)" in record.error
+        assert len(judge.requests) == 3
+        assert not judge.requests[0].user_text.endswith(FA_REMINDER)
+        assert all(r.user_text.endswith(FA_REMINDER) for r in judge.requests[1:])
+
+    def test_empty_facts_block_reported(self, toy_library):
+        judge = ScriptedJudge(["===FACTS===\n===END==="] * 3)
+        engine = make_engine(judge, toy_library, retry=2)
+        with pytest.raises(JudgeResponseUnparseable, match="empty facts block after 3 attempt"):
+            engine.extract_fact(Case(id="x1", fact_text="t"), FactType.MF)
+        assert len(judge.requests) == 3
 
 
 class TestDisableFe:
@@ -581,8 +605,9 @@ class TestDisableAdm:
         rnd = make_engine(
             mock_judge, toy_library, flags=AblationFlags(disable_adm=True)
         )
-        adm_labels = [r.label for r in adm.judge_query(query, candidates)]
-        rnd_labels = [r.label for r in rnd.judge_query(query, candidates)]
+        pairs = [(query, c) for c in candidates]
+        adm_labels = [r.label for r in adm.judge_pairs(pairs)]
+        rnd_labels = [r.label for r in rnd.judge_pairs(pairs)]
         assert adm_labels == rnd_labels  # mock verdicts ignore the demos
 
 
@@ -591,18 +616,18 @@ class TestJudgeQuery:
         store, pools, _ = toy_corpus
         pool = pools[0]
         query = store.get(pool.query_id)
-        candidates = [store.get(cid) for cid in pool.candidate_ids[:5]]
         engine = make_engine(mock_judge, toy_library)
-        records = engine.judge_query(query, candidates, top_n=3)
+        five = CandidatePool(query.id, pool.candidate_ids[:5])
+        records = engine.judge_pools(store, [five], top_n=3)
         assert [r.candidate_id for r in records] == list(pool.candidate_ids[:3])
 
     def test_top_n_larger_than_pool(self, mock_judge, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         pool = pools[0]
         query = store.get(pool.query_id)
-        candidates = [store.get(cid) for cid in pool.candidate_ids[:2]]
         engine = make_engine(mock_judge, toy_library)
-        records = engine.judge_query(query, candidates, top_n=30)
+        two = CandidatePool(query.id, pool.candidate_ids[:2])
+        records = engine.judge_pools(store, [two], top_n=30)
         assert len(records) == 2
 
     def test_failed_pair_does_not_abort_run(self, mock_cfg, toy_library, toy_corpus):
@@ -613,7 +638,7 @@ class TestJudgeQuery:
         fragment = " ".join(mock_tokens(candidates[1].fact_text))
         judge = FaultyOnPairJudge(mock_cfg, poisoned_fragment=fragment)
         engine = make_engine(judge, toy_library, retry=1)
-        records = engine.judge_query(query, candidates)
+        records = engine.judge_pairs([(query, c) for c in candidates])
         assert [r.candidate_id for r in records] == [c.id for c in candidates]
         assert [r.status for r in records] == ["ok", "failed", "ok"]
         failed = records[1]
@@ -640,8 +665,9 @@ class TestDeterminismAndParallelism:
         pool = pools[0]
         query = store.get(pool.query_id)
         candidates = [store.get(cid) for cid in pool.candidate_ids]
-        first = make_engine(mock_judge, toy_library).judge_query(query, candidates)
-        second = make_engine(mock_judge, toy_library).judge_query(query, candidates)
+        pairs = [(query, c) for c in candidates]
+        first = make_engine(mock_judge, toy_library).judge_pairs(pairs)
+        second = make_engine(mock_judge, toy_library).judge_pairs(pairs)
         assert first == second
 
     def test_parallel_equals_serial(self, mock_judge, toy_library, toy_corpus):
@@ -651,9 +677,8 @@ class TestDeterminismAndParallelism:
         candidates = [store.get(cid) for cid in pool.candidate_ids]
         serial = make_engine(mock_judge, toy_library, parallelism=1)
         parallel = make_engine(mock_judge, toy_library, parallelism=4)
-        assert serial.judge_query(query, candidates) == parallel.judge_query(
-            query, candidates
-        )
+        pairs = [(query, c) for c in candidates]
+        assert serial.judge_pairs(pairs) == parallel.judge_pairs(pairs)
 
     def test_labels_match_gold_on_bundled_pool(self, mock_judge, toy_library, toy_corpus):
         store, pools, qrels = toy_corpus
@@ -661,7 +686,7 @@ class TestDeterminismAndParallelism:
         query = store.get(pool.query_id)
         candidates = [store.get(cid) for cid in pool.candidate_ids]
         engine = make_engine(mock_judge, toy_library)
-        for record in engine.judge_query(query, candidates):
+        for record in engine.judge_pairs([(query, c) for c in candidates]):
             assert record.label == qrels.label(record.query_id, record.candidate_id)
 
 
@@ -674,7 +699,7 @@ class TestRecordSerialization:
         fragment = " ".join(mock_tokens(candidates[2].fact_text))
         judge = FaultyOnPairJudge(mock_cfg, poisoned_fragment=fragment)
         engine = make_engine(judge, toy_library, retry=0)
-        return engine.judge_query(query, candidates)
+        return engine.judge_pairs([(query, c) for c in candidates])
 
     def test_roundtrip_through_dict(self, mock_cfg, toy_library, toy_corpus):
         for record in self.make_records(mock_cfg, toy_library, toy_corpus):

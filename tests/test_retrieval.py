@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexjudge.errors import DomainError, ExternalTokenizerError, UnknownDocError
+from lexjudge.errors import DomainError, UnknownDocError
 from lexjudge.retrieval import (
     Bm25Index,
     bm25_score,
@@ -71,26 +71,6 @@ class TestTokenize:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             tokenize("x", "stemmed")
-
-    def test_external_mode_runs_command(self):
-        tokens = tokenize(
-            "ignored",
-            "external",
-            external_command="python3 -c \"print('alpha beta')\"",
-        )
-        assert tokens == ["alpha", "beta"]
-
-    def test_external_mode_nonzero_exit(self):
-        with pytest.raises(ExternalTokenizerError):
-            tokenize("x", "external", external_command="python3 -c 'raise SystemExit(3)'")
-
-    def test_external_mode_missing_command(self):
-        with pytest.raises(ExternalTokenizerError):
-            tokenize("x", "external", external_command=None)
-
-    def test_external_mode_unrunnable_command(self):
-        with pytest.raises(ExternalTokenizerError):
-            tokenize("x", "external", external_command="/nonexistent/tokenizer-binary")
 
     def test_is_cjk_spans(self):
         assert is_cjk("盗") and is_cjk("㐀") and is_cjk("\U00020000")
