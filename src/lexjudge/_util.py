@@ -1,12 +1,13 @@
-"""Small shared I/O helpers."""
+"""Small shared helpers: atomic writes, JSON lines, a fill-once memo."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+import threading
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -33,3 +34,24 @@ def atomic_write_json(path: str | Path, payload: object, *, indent: int = 2) -> 
 
 def dumps_jsonl(rows: Iterable[dict]) -> str:
     return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
+class OnceMemo(dict):
+    """A dict that computes a missing value once and keeps it.
+
+    A miss computes under a lock, so concurrent readers of one key share a
+    single computation; a hit is a plain dict lookup. A computation that
+    raises stores nothing.
+    """
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self._compute = compute
+        self._lock = threading.Lock()
+
+    def __missing__(self, key):
+        with self._lock:
+            if key in self:
+                return self[key]
+            value = self[key] = self._compute(key)
+            return value

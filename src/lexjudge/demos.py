@@ -14,9 +14,11 @@ import random
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
+from ._util import OnceMemo
 from .errors import EmptySetError, IntegrityError, ParseError
 from .retrieval import Bm25Index, build_bm25_index, tokenize, top_k_rank
 
@@ -50,8 +52,20 @@ class Demonstration:
     polarity: str | None = None
 
 
+def _postings_terms(vocab: dict[str, str], tokenizer_mode: str, text: str) -> tuple[str, ...]:
+    """The tokens of text that are postings terms, in order, as vocab's strings."""
+    return tuple(filter(None, map(vocab.get, tokenize(text, tokenizer_mode))))
+
+
 class DemoLibrary:
-    """Four demonstration sets, each with its own BM25 index."""
+    """Four demonstration sets, each with its own BM25 index.
+
+    Each set memoizes, per distinct query text, the text's tokens that
+    occur in the set's postings, in order, for the lifetime of the
+    library; a text is tokenized at most once per set. Only those terms
+    can score, so ranking them equals ranking every token. The memoized
+    terms are the postings' own strings.
+    """
 
     def __init__(
         self,
@@ -88,10 +102,13 @@ class DemoLibrary:
                         f"FA/{fact_type.value} set has no {polarity} demonstration"
                     )
         self._indexes: dict[tuple[Stage, FactType], Bm25Index] = {}
+        self._terms: dict[tuple[Stage, FactType], OnceMemo] = {}
         for key, demo_list in self._sets.items():
             if demo_list:
                 docs = {d.id: tokenize(d.input_text, tokenizer_mode) for d in demo_list}
-                self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
+                index = self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
+                vocab = {term: term for term in index.postings}
+                self._terms[key] = OnceMemo(partial(_postings_terms, vocab, tokenizer_mode))
 
     def demo_set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
         return list(self._sets[(stage, fact_type)])
@@ -102,13 +119,22 @@ class DemoLibrary:
     def __len__(self) -> int:
         return sum(len(v) for v in self._sets.values())
 
-    def _ranked(self, x: str, stage: Stage, fact_type: FactType) -> list[Demonstration]:
-        demo_list = self._sets[(stage, fact_type)]
+    def _scored(self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType) -> list[tuple[str, float]]:
+        """Every demo id of the set with its BM25 score against x, best first."""
+        key = (stage, fact_type)
+        demo_list = self._sets[key]
         if not demo_list:
             raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
-        query = tokenize(x, self.tokenizer_mode)
-        ranked = top_k_rank(self._indexes[(stage, fact_type)], query, len(demo_list))
-        return [self._by_id[doc_id] for doc_id, _ in ranked]
+        terms = self._terms[key]
+        if isinstance(x, str):
+            query = terms[x]
+        else:
+            # tokenize("\n".join(parts)) is the parts' tokens concatenated.
+            query = sum((terms[part] for part in x), ())
+        return top_k_rank(self._indexes[key], query, len(demo_list))
+
+    def _ranked(self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType) -> list[Demonstration]:
+        return [self._by_id[doc_id] for doc_id, _ in self._scored(x, stage, fact_type)]
 
 
 def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, k: int) -> list[Demonstration]:
@@ -121,9 +147,13 @@ def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, 
 
 
 def adm_select_fa(
-    library: DemoLibrary, x: str, fact_type: FactType, k_per_polarity: int
+    library: DemoLibrary, x: str | tuple[str, ...], fact_type: FactType, k_per_polarity: int
 ) -> tuple[list[Demonstration], list[Demonstration]]:
-    """Top-k relevant and top-k irrelevant annotation demos closest to x."""
+    """Top-k relevant and top-k irrelevant annotation demos closest to x.
+
+    x is a text, or a pair's fact texts as a tuple of parts, which ranks
+    as the parts joined by newlines.
+    """
     ranked = library._ranked(x, Stage.FA, fact_type)
     relevant = [d for d in ranked if d.polarity == "relevant"][:k_per_polarity]
     irrelevant = [d for d in ranked if d.polarity == "irrelevant"][:k_per_polarity]

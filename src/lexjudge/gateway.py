@@ -14,14 +14,15 @@ import hashlib
 import json
 import os
 import re
+import sys
 import threading
 import time
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
 
-from ._util import atomic_write_text
+from ._util import OnceMemo, atomic_write_text
 from .errors import AuthError, DomainError, MalformedStageMarker, UpstreamError
 from .retrieval import tokenize
 
@@ -77,8 +78,15 @@ class Judge(Protocol):
 
 
 def request_hash(request: JudgeRequest) -> str:
+    """Content address of a request: every field that can change the reply."""
     key = "\x1f".join(
-        [request.model, repr(request.temperature), request.system_text, request.user_text]
+        [
+            request.model,
+            repr(request.temperature),
+            str(request.max_tokens),
+            request.system_text,
+            request.user_text,
+        ]
     )
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
@@ -190,26 +198,31 @@ def _usage_for(request: JudgeRequest, reply: str) -> TokenUsage:
     )
 
 
-def mock_complete(request: JudgeRequest, cfg: MockJudgeConfig) -> JudgeResponse:
+def mock_complete(
+    request: JudgeRequest,
+    cfg: MockJudgeConfig,
+    tokens: Callable[[str], Sequence[str]] = mock_tokens,
+) -> JudgeResponse:
     """Answer a judge request by fixed rules; pure in the request content.
 
     FE_MF: the target's normalized tokens. FE_LF: the sorted intersection
     of target tokens with the lexicon. FA_MF: RELEVANT when the two input
     token sets reach the Jaccard threshold. FA_LF: RELEVANT when the two
-    whitespace-split tag sets intersect. Temperature is ignored.
+    whitespace-split tag sets intersect. Temperature is ignored. tokens
+    must return what mock_tokens returns; MockJudge passes its memo.
     """
     stage = stage_of(request.user_text)
     if stage is None:
         raise MalformedStageMarker("user_text carries no recognizable stage marker")
     target = _target_block(request.user_text)
     if stage == "FE_MF":
-        reply = f"{FACTS_BEGIN}\n{' '.join(mock_tokens(target))}\n{FACTS_END}"
+        reply = f"{FACTS_BEGIN}\n{' '.join(tokens(target))}\n{FACTS_END}"
     elif stage == "FE_LF":
-        tags = mock_lf_tags(mock_tokens(target), cfg.lexicon)
+        tags = mock_lf_tags(tokens(target), cfg.lexicon)
         reply = f"{FACTS_BEGIN}\n{' '.join(tags)}\n{FACTS_END}"
     elif stage == "FA_MF":
         a_text, b_text = _pair_inputs(target)
-        a, b = set(mock_tokens(a_text)), set(mock_tokens(b_text))
+        a, b = set(tokens(a_text)), set(tokens(b_text))
         score = _jaccard(a, b)
         verdict = VERDICT_RELEVANT if score >= cfg.mf_jaccard_threshold else VERDICT_IRRELEVANT
         reply = (
@@ -225,14 +238,24 @@ def mock_complete(request: JudgeRequest, cfg: MockJudgeConfig) -> JudgeResponse:
     return JudgeResponse(text=reply, usage=_usage_for(request, reply), latency_ms=0.0)
 
 
+def _interned_mock_tokens(text: str) -> tuple[str, ...]:
+    return tuple(map(sys.intern, mock_tokens(text)))
+
+
 class MockJudge:
-    """Judge backed by the mock rules; safe to share across threads."""
+    """Judge backed by the mock rules; safe to share across threads.
+
+    mock_tokens runs once per distinct text for the judge's lifetime: the
+    judge keeps each text's tokens as a tuple of interned strings, so a
+    token shared by many texts is stored once.
+    """
 
     def __init__(self, cfg: MockJudgeConfig):
         self.cfg = cfg
+        self._tokens = OnceMemo(_interned_mock_tokens)
 
     def complete(self, request: JudgeRequest) -> JudgeResponse:
-        return mock_complete(request, self.cfg)
+        return mock_complete(request, self.cfg, self._tokens.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ class Bm25Index:
 
     postings maps term -> {doc_id: term frequency}. Scores use the
     Robertson/Sparck-Jones idf ln(1 + (N - n + 0.5)/(n + 0.5)), which
-    never goes negative.
+    never goes negative. The idf of each term and the length norm of each
+    document are computed once, when the index is built.
     """
 
     doc_count: int
@@ -89,11 +90,14 @@ class Bm25Index:
     k1: float = 1.2
     b: float = 0.75
     _idf: dict[str, float] = field(default_factory=dict, repr=False)
+    _norms: dict[str, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         for term, docs in self.postings.items():
             n = len(docs)
             self._idf[term] = math.log(1.0 + (self.doc_count - n + 0.5) / (n + 0.5))
+        for doc_id, doc_len in self.doc_lens.items():
+            self._norms[doc_id] = _length_norm(self, doc_len)
 
     def idf(self, term: str) -> float:
         return self._idf.get(term, 0.0)
@@ -132,7 +136,7 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
     """
     if doc_id not in index.doc_lens:
         raise UnknownDocError(f"doc id {doc_id!r} not in index")
-    norm = _length_norm(index, index.doc_lens[doc_id])
+    norm = index._norms[doc_id]
     score = 0.0
     for term in query_tokens:
         docs = index.postings.get(term)
@@ -150,12 +154,13 @@ def top_k_rank(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tu
 
     One pass over the postings of the query terms. Each document's sum
     adds the same terms in the same order as bm25_score, so every score
-    equals bm25_score(index, query_tokens, doc_id) exactly.
+    equals bm25_score(index, query_tokens, doc_id) exactly. Terms absent
+    from the postings add nothing, so dropping them changes no score.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     k1 = index.k1
-    norms = {doc_id: _length_norm(index, n) for doc_id, n in index.doc_lens.items()}
+    norms = index._norms
     scores = dict.fromkeys(index.doc_lens, 0.0)
     for term in query_tokens:
         docs = index.postings.get(term)

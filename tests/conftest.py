@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import strategies as st
 
 from lexjudge.corpus import CaseStore, ingest_corpus
 from lexjudge.demos import FactType, load_demo_library
@@ -20,6 +21,21 @@ from lexjudge.gateway import (
     stage_of,
 )
 from lexjudge.toydata import toy_paths
+
+# The code points on each side of every CJK range boundary, and the
+# whitespace str.split honours beyond the ASCII space.
+CJK_BOUNDARIES = [
+    chr(cp)
+    for cp in (
+        0x33FF, 0x3400, 0x4DBF, 0x4DC0, 0x4DFF, 0x4E00, 0x9FFF, 0xA000,
+        0xF8FF, 0xF900, 0xFAFF, 0xFB00, 0x1FFFF, 0x20000, 0x2FA1F, 0x2FA20,
+    )
+]
+SPLIT_WHITESPACE = ["\u3000", "\u00a0", "\u0085", "\x1c", "\x1d", "\x1e", "\x1f"]
+MIXED_ALPHABET = st.sampled_from(
+    list("盗窃罪案件被告人abc XY12 。，") + CJK_BOUNDARIES + SPLIT_WHITESPACE
+)
+MIXED_TEXT = st.text(alphabet=MIXED_ALPHABET, max_size=40)
 
 
 @pytest.fixture(scope="session")

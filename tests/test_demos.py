@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexjudge.demos import (
     DemoLibrary,
@@ -19,8 +21,25 @@ from lexjudge.demos import (
     random_select_fa,
 )
 from lexjudge.errors import EmptySetError, IntegrityError
+from lexjudge.retrieval import TOKENIZER_MODES, tokenize, top_k_rank
+from lexjudge.toydata import toy_paths
 
+from conftest import MIXED_ALPHABET
 from oracles import rank_oracle
+
+# Words of the bundled annotation demos mixed with the CJK-boundary
+# alphabet, so that fact texts share terms with the demo sets.
+FA_DEMO_WORDS = sorted(
+    {
+        word
+        for record in json.loads(toy_paths().demos.read_text(encoding="utf-8"))
+        if record["stage"] == "FA"
+        for word in record["input_text"].split()
+    }
+)
+FACT_TEXT = st.lists(
+    st.one_of(MIXED_ALPHABET, st.sampled_from(FA_DEMO_WORDS).map(lambda w: w + " ")), max_size=12
+).map("".join)
 
 
 def demo(
@@ -180,6 +199,32 @@ class TestAdmSelectFa:
         library = DemoLibrary(demos)
         relevant, _ = adm_select_fa(library, "query words overlap strongly", FactType.MF, 1)
         assert [d.id for d in relevant] == ["rel-near"]
+
+
+class TestRankingFromParts:
+    """FA matching ranks a pair from its two fact texts, not their join."""
+
+    @pytest.mark.parametrize("mode", TOKENIZER_MODES)
+    @given(a=FACT_TEXT, b=FACT_TEXT, fact_type=st.sampled_from(FactType))
+    @settings(max_examples=150, deadline=None)
+    def test_parts_rank_as_the_joined_text(self, toy, mode, a, b, fact_type):
+        library = load_demo_library(toy.demos, tokenizer_mode=mode)
+        index = library._indexes[(Stage.FA, fact_type)]
+        joined = f"{a}\n{b}"
+        want = top_k_rank(index, tokenize(joined, mode), index.doc_count)
+        cold = library._scored((a, b), Stage.FA, fact_type)
+        warm = library._scored((a, b), Stage.FA, fact_type)
+        # Lists of (demo id, score): the scores compare with ==.
+        assert cold == want
+        assert warm == want
+        assert library._scored(joined, Stage.FA, fact_type) == want
+        assert adm_select_fa(library, (a, b), fact_type, 2) == adm_select_fa(library, joined, fact_type, 2)
+
+    def test_memo_holds_only_postings_terms(self, toy):
+        library = load_demo_library(toy.demos)
+        library._scored(("被告人某某抢夺 zz", "赌博"), Stage.FA, FactType.LF)
+        memo = library._terms[(Stage.FA, FactType.LF)]
+        assert memo == {"被告人某某抢夺 zz": ("抢夺",), "赌博": ("赌博",)}
 
 
 class TestRandomSelect:

@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import threading
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import lexjudge.demos
+import lexjudge.gateway
 from lexjudge.augmentation import annotate_pairs, sample_pairs
 from lexjudge.corpus import CandidatePool, Case, aggregate_label, gold_fact_flags
-from lexjudge.demos import Demonstration, FactType, Stage
+from lexjudge.demos import Demonstration, FactType, Stage, load_demo_library
 from lexjudge.engine import (
+    _PLACEHOLDER_RE,
+    DEFINITIONS,
     FA_REMINDER,
     FE_REMINDER,
+    TASK_DESCRIPTIONS,
     AblationFlags,
     FactExtraction,
     JudgeEngine,
@@ -25,6 +33,7 @@ from lexjudge.engine import (
     parse_facts_block,
     parse_verdict,
     read_records_jsonl,
+    serialize_demos,
     write_records_jsonl,
 )
 from lexjudge.errors import (
@@ -35,6 +44,7 @@ from lexjudge.errors import (
     UpstreamError,
 )
 from lexjudge.gateway import (
+    STAGE_PREFIX,
     TARGET_BEGIN,
     TARGET_END,
     JudgeRequest,
@@ -434,6 +444,53 @@ class TestJudgePair:
         assert "FA" in message and "MF" in message
 
 
+# Template and text pieces that stress single-pass substitution: repeated
+# and brace-wrapped {{target}}, stray braces, placeholder names as words.
+PROMPT_PIECES = [
+    "{{target}}", "{{demos}}", "{{task_description}}", "{{definitions}}",
+    "{", "}", "{{", "}}", "target", "demos", "x", "\n", " ", "盗窃",
+]
+PROMPT_TEMPLATE = st.lists(st.sampled_from(PROMPT_PIECES), max_size=14).map("".join)
+PROMPT_TEXT = st.lists(st.sampled_from(PROMPT_PIECES), max_size=6).map("".join)
+
+
+def old_single_pass(template: str, values: dict[str, str]) -> str:
+    """Prompt assembly as one _PLACEHOLDER_RE.sub over the whole template."""
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
+
+
+def outcome(fill):
+    try:
+        return fill()
+    except KeyError as exc:  # a placeholder name no template may use
+        return ("KeyError", exc.args)
+
+
+class TestPromptFrame:
+    @given(template=PROMPT_TEMPLATE, target=PROMPT_TEXT, demo_in=PROMPT_TEXT, demo_out=PROMPT_TEXT)
+    @example(template="{{target}}+{{target}}", target="{{demos}}", demo_in="{{target}}", demo_out="")
+    @example(template="{{{target}}}{{demos}}", target="{{target}}", demo_in="{{demos}}", demo_out="}}")
+    @settings(max_examples=300, deadline=None)
+    def test_equals_single_pass_substitution(self, toy_library, template, target, demo_in, demo_out):
+        demos = [Demonstration("d1", Stage.FA, FactType.LF, demo_in, demo_out, polarity="relevant")]
+        templates = {"fa_lf": template}
+        values = {
+            "task_description": TASK_DESCRIPTIONS[("FA", "LF")],
+            "definitions": DEFINITIONS["LF"],
+            "demos": serialize_demos(demos),
+        }
+        want = outcome(lambda: old_single_pass(template, {**values, "target": target}))
+        got = outcome(lambda: assemble_prompt(Stage.FA, FactType.LF, demos, target, templates=templates))
+        assert got == want
+        # The engine's memoized frame adds the stage marker and wraps each target.
+        engine = make_engine(MockJudge(MockJudgeConfig()), toy_library)
+        engine.templates = templates
+        wrapped = f"{TARGET_BEGIN}\n{target}\n{TARGET_END}"
+        want_user = outcome(lambda: f"{STAGE_PREFIX}FA_LF\n" + old_single_pass(template, {**values, "target": wrapped}))
+        for _ in ("cold", "warm"):
+            assert outcome(lambda: engine._user_text(Stage.FA, FactType.LF, demos, target)) == want_user
+
+
 class TestFactExtractionCache:
     def test_query_extracted_once_across_candidates(
         self, instrumented, toy_library, toy_corpus
@@ -555,6 +612,74 @@ class TestSingleFlightExtraction:
         records = annotate_pairs(make_engine(judge, toy_library, parallelism=8), store, pairs)
         assert judge.calls["FE_MF"] + judge.calls["FE_LF"] == 2 * len(cases)
         assert records == annotate_pairs(make_engine(MockJudge(mock_cfg), toy_library), store, pairs)
+
+
+class CountingCalls:
+    """Wraps a one-text function, counting calls per text."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.counts: Counter[str] = Counter()
+        self._lock = threading.Lock()
+
+    def __call__(self, text, *args):
+        with self._lock:
+            self.counts[text] += 1
+        return self.fn(text, *args)
+
+
+@pytest.mark.usefixtures("short_switch_interval")
+class TestComputedOnce:
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_each_text_tokenized_once(self, parallelism, monkeypatch, toy, mock_cfg, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        pairs = [(store.get(pool.query_id), store.get(cid)) for pool in pools for cid in pool.candidate_ids]
+        library = load_demo_library(toy.demos)
+        demo_tokenize = CountingCalls(lexjudge.demos.tokenize)
+        mock_tokens_calls = CountingCalls(lexjudge.gateway.mock_tokens)
+        monkeypatch.setattr(lexjudge.demos, "tokenize", demo_tokenize)
+        monkeypatch.setattr(lexjudge.gateway, "mock_tokens", mock_tokens_calls)
+        judge = MockJudge(mock_cfg)
+        records = make_engine(judge, library, parallelism=parallelism).judge_pairs(pairs)
+        # Each call filled one memo entry of one demo set, and no entry twice.
+        memos = list(library._terms.values())
+        for text, calls in demo_tokenize.counts.items():
+            assert calls == sum(text in memo for memo in memos)
+        assert sum(demo_tokenize.counts.values()) == sum(map(len, memos))
+        assert max(demo_tokenize.counts.values()) == 2  # an MF extraction feeds FE_LF and FA_MF
+        assert set(mock_tokens_calls.counts.values()) == {1}
+        mock_calls = sum(mock_tokens_calls.counts.values())
+        # A second run on the same judge: a fresh library tokenizes again, the judge does not.
+        again = make_engine(judge, load_demo_library(toy.demos), parallelism=parallelism, run_id="r2")
+        second = again.judge_pairs(pairs)
+        assert sum(mock_tokens_calls.counts.values()) == mock_calls
+        monkeypatch.undo()
+        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_pairs(pairs)
+        assert records == serial
+        assert [r.to_dict() | {"run_id": "r1"} for r in second] == [r.to_dict() for r in serial]
+
+
+GOLDEN_RUN_SHA256 = {
+    "r1": "9bd3b264d4ec3440565b36c9cc086f1e2cdfccfecdfd7a40c0cd80c9f672e606",
+    "r2": "45037b84db67a7ed1e9a2e412c278d29711c1bb8fbb0b03fac582e5d71b04677",
+    "r3": "067f7cfc2427d8ae30b5b1969c66d85618ff7d2da47ac0c534a07b99f54bb948",
+}
+
+
+class TestGoldenRecords:
+    """Run files of the bundled pools, byte for byte, as `lexjudge judge --mock` writes them."""
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_run_files_match_pinned_digests(self, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
+        store, pools, _ = toy_corpus
+        judge = MockJudge(mock_cfg)
+        digests = {}
+        for run_id in GOLDEN_RUN_SHA256:
+            engine = make_engine(judge, load_demo_library(toy.demos), parallelism=parallelism, run_id=run_id)
+            path = tmp_path / f"judge.{run_id}.jsonl"
+            write_records_jsonl(path, engine.judge_pools(store, pools))
+            digests[run_id] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == GOLDEN_RUN_SHA256
 
 
 class TestRetryExhaustion:

@@ -69,6 +69,15 @@ class TestRequestBasics:
         assert request_hash(base) != request_hash(
             JudgeRequest(system_text="s", user_text="u", temperature=0.5, model="m")
         )
+        assert request_hash(base) != request_hash(
+            JudgeRequest(system_text="s", user_text="u", temperature=0.4, model="m", max_tokens=64)
+        )
+        assert request_hash(base) != request_hash(
+            JudgeRequest(system_text="s!", user_text="u", temperature=0.4, model="m")
+        )
+        assert request_hash(base) != request_hash(
+            JudgeRequest(system_text="s", user_text="u", temperature=0.4, model="m2")
+        )
 
     def test_stage_of(self):
         assert stage_of("#STAGE:FE_MF\nbody") == "FE_MF"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lexjudge.errors import DomainError, UnknownDocError
 from lexjudge.retrieval import (
+    TOKENIZER_MODES,
     Bm25Index,
     bm25_score,
     build_bm25_index,
@@ -20,22 +21,8 @@ from lexjudge.retrieval import (
     top_k_rank,
 )
 
+from conftest import MIXED_TEXT
 from oracles import bigram_tokens, bm25_score_oracle, rank_oracle, twelve_sig
-
-# The code points on each side of every CJK range boundary, and the
-# whitespace str.split honours beyond the ASCII space.
-CJK_BOUNDARIES = [
-    chr(cp)
-    for cp in (
-        0x33FF, 0x3400, 0x4DBF, 0x4DC0, 0x4DFF, 0x4E00, 0x9FFF, 0xA000,
-        0xF8FF, 0xF900, 0xFAFF, 0xFB00, 0x1FFFF, 0x20000, 0x2FA1F, 0x2FA20,
-    )
-]
-SPLIT_WHITESPACE = ["\u3000", "\u00a0", "\u0085", "\x1c", "\x1d", "\x1e", "\x1f"]
-MIXED_ALPHABET = st.sampled_from(
-    list("盗窃罪案件被告人abc XY12 。，") + CJK_BOUNDARIES + SPLIT_WHITESPACE
-)
-MIXED_TEXT = st.text(alphabet=MIXED_ALPHABET, max_size=40)
 
 
 class TestTokenize:
@@ -67,6 +54,12 @@ class TestTokenize:
     @settings(max_examples=100)
     def test_no_empty_tokens(self, text):
         assert all(tokenize(text, "cjk_bigram"))
+
+    @pytest.mark.parametrize("mode", TOKENIZER_MODES)
+    @given(a=MIXED_TEXT, b=MIXED_TEXT)
+    @settings(max_examples=200)
+    def test_newline_join_concatenates_tokens(self, mode, a, b):
+        assert tokenize(f"{a}\n{b}", mode) == tokenize(a, mode) + tokenize(b, mode)
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,14 @@
-"""Shared I/O helpers under concurrent writers."""
+"""Shared helpers under concurrent writers and readers."""
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
 
-from lexjudge._util import atomic_write_text
+import pytest
+
+from lexjudge._util import OnceMemo, atomic_write_text
 
 
 def test_concurrent_writers_of_one_path_leave_one_whole_payload(tmp_path):
@@ -36,3 +39,53 @@ def test_concurrent_writers_of_one_path_leave_one_whole_payload(tmp_path):
     assert errors == []
     assert target.read_text(encoding="utf-8") in payloads
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_once_memo_computes_each_key_once_across_threads():
+    calls: list[str] = []
+
+    def slow_upper(key: str) -> str:
+        calls.append(key)
+        time.sleep(0.01)
+        return key.upper()
+
+    memo = OnceMemo(slow_upper)
+    start = threading.Barrier(8)
+    results: list[str] = []
+
+    def read() -> None:
+        start.wait(timeout=10)
+        results.append(memo["abc"])
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == ["ABC"] * 8
+    assert calls == ["abc"]
+    assert memo == {"abc": "ABC"}
+
+
+def test_once_memo_stores_nothing_when_the_computation_raises():
+    attempts = []
+
+    def flaky(key: str) -> int:
+        attempts.append(key)
+        if len(attempts) == 1:
+            raise ValueError("first attempt fails")
+        return len(key)
+
+    memo = OnceMemo(flaky)
+    with pytest.raises(ValueError):
+        memo["abcd"]
+    assert memo == {}
+    assert memo["abcd"] == 4
+    assert memo["abcd"] == 4
+    assert attempts == ["abcd", "abcd"]
