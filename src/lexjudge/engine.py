@@ -102,7 +102,6 @@ FA_REMINDER = (
 
 TEMPLATE_NAMES = ("fe_mf", "fe_lf", "fa_mf", "fa_lf")
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
-_TARGET_PLACEHOLDER = "{{target}}"
 _KNOWN_PLACEHOLDERS = {"task_description", "definitions", "demos", "target"}
 _VERDICT_RE = re.compile(r"^\s*VERDICT:\s*(RELEVANT|IRRELEVANT)\s*$", re.IGNORECASE)
 _T = TypeVar("_T")
@@ -145,31 +144,6 @@ def serialize_demos(demos: Sequence[Demonstration]) -> str:
     return "\n\n".join(blocks)
 
 
-def prompt_frame(
-    stage: Stage,
-    fact_type: FactType,
-    demos: Sequence[Demonstration],
-    *,
-    templates: Mapping[str, str] | None = None,
-) -> list[str]:
-    """A stage template split on {{target}}, its other placeholders filled.
-
-    target.join(frame) is the filled template. No placeholder match can
-    overlap a {{target}} occurrence, so filling each piece on its own
-    equals one single-pass substitution over the whole template.
-    """
-    if templates is None:
-        templates = load_templates()
-    name = f"{stage.value}_{fact_type.value}".lower()
-    values = {
-        "task_description": TASK_DESCRIPTIONS[(stage.value, fact_type.value)],
-        "definitions": DEFINITIONS[fact_type.value],
-        "demos": serialize_demos(demos),
-    }
-    fill = lambda m: values[m.group(1)]
-    return [_PLACEHOLDER_RE.sub(fill, piece) for piece in templates[name].split(_TARGET_PLACEHOLDER)]
-
-
 def assemble_prompt(
     stage: Stage,
     fact_type: FactType,
@@ -183,7 +157,17 @@ def assemble_prompt(
     Substitution is single-pass, so braces inside case text or
     demonstrations are never re-expanded.
     """
-    return target.join(prompt_frame(stage, fact_type, demos, templates=templates))
+    if templates is None:
+        templates = load_templates()
+    name = f"{stage.value}_{fact_type.value}".lower()
+    template = templates[name]
+    values = {
+        "task_description": TASK_DESCRIPTIONS[(stage.value, fact_type.value)],
+        "definitions": DEFINITIONS[fact_type.value],
+        "demos": serialize_demos(demos),
+        "target": target,
+    }
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
 
 
 def parse_facts_block(raw_text: str) -> str:
@@ -397,7 +381,6 @@ class JudgeEngine:
             templates=self.templates,
         )
         self.run_id = run_id if run_id is not None else "r1"
-        self._frames: dict[tuple[str, tuple[str, ...]], tuple[str, ...]] = {}
         self._fe_cache: dict[tuple[str, str], FactExtraction] = {}
         self._fe_pending: dict[tuple[str, str], Future] = {}
         self._fe_lock = threading.Lock()
@@ -405,22 +388,9 @@ class JudgeEngine:
     # -- prompting ---------------------------------------------------------
 
     def _user_text(self, stage: Stage, fact_type: FactType, demos: Sequence[Demonstration], target: str) -> str:
-        """The stage marker, then the template with the target between markers.
-
-        The frame around the target is built once per (stage, fact type,
-        demo ids) for the lifetime of the engine.
-        """
-        marker = f"{stage.value}_{fact_type.value}"
-        key = (marker, tuple(d.id for d in demos))
-        frame = self._frames.get(key)
-        if frame is None:
-            first, *rest = prompt_frame(stage, fact_type, demos, templates=self.templates)
-            pieces = [f"{STAGE_PREFIX}{marker}\n{first}"]
-            for piece in rest:
-                pieces[-1] += f"{TARGET_BEGIN}\n"
-                pieces.append(f"\n{TARGET_END}{piece}")
-            frame = self._frames[key] = tuple(pieces)
-        return target.join(frame)
+        wrapped = f"{TARGET_BEGIN}\n{target}\n{TARGET_END}"
+        body = assemble_prompt(stage, fact_type, demos, wrapped, templates=self.templates)
+        return f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n{body}"
 
     def _complete(self, user_text: str, reminder: str, parse: Callable[[str], _T]) -> tuple[_T, str]:
         """Ask until parse accepts a reply; return the parsed value and the reply.
