@@ -3,220 +3,9 @@
 The package covers the full workflow: corpus ingestion, demonstration
 libraries with lexical-similarity demo selection, a two-layer judging
 engine (material facts and legal facts, extracted then compared), agreement
-and ranking metrics, and synthetic dataset construction.
+and ranking metrics, and synthetic dataset construction. Import names
+from their submodules (lexjudge.corpus, lexjudge.engine, ...); the
+package root holds only __version__.
 """
 
-from .augmentation import (
-    CasePair,
-    DatasetSpec,
-    annotate_pairs,
-    build_dataset,
-    export_dataset,
-    largest_remainder_quotas,
-    load_pairs,
-    make_pair,
-    prerank_pairs,
-    sample_pairs,
-    save_pairs,
-)
-from .config import Config, load_config
-from .corpus import (
-    LABELS,
-    CandidatePool,
-    Case,
-    CaseStore,
-    FactFlags,
-    Qrels,
-    aggregate_label,
-    gold_fact_flags,
-    ingest_corpus,
-    load_cases,
-    load_pools,
-    load_qrels,
-)
-from .demos import (
-    DemoLibrary,
-    Demonstration,
-    FactType,
-    Stage,
-    adm_select,
-    adm_select_fa,
-    load_demo_library,
-    random_select,
-    random_select_fa,
-)
-from .engine import (
-    AblationFlags,
-    FactExtraction,
-    FactVerdict,
-    JudgeEngine,
-    JudgmentRecord,
-    assemble_prompt,
-    compute_fingerprint,
-    load_templates,
-    parse_facts_block,
-    parse_verdict,
-    read_records_jsonl,
-    write_records_jsonl,
-)
-from .errors import (
-    AlignmentError,
-    AuthError,
-    ConfigError,
-    DomainError,
-    EmptyRunError,
-    EmptySetError,
-    ExhaustedError,
-    InsufficientLabelError,
-    IntegrityError,
-    JudgeResponseUnparseable,
-    LexjudgeError,
-    MalformedStageMarker,
-    MissingGoldError,
-    ParseError,
-    ScorerError,
-    StageFailure,
-    TemplateError,
-    UnknownDocError,
-    UpstreamError,
-)
-from .evaluation import (
-    ConfusionMatrix,
-    DegenerateSeriesWarning,
-    LabelSeries,
-    NdcgResult,
-    RunFile,
-    ValidityResult,
-    build_reliability_report,
-    build_validity_report,
-    cohens_kappa,
-    confusion_matrix,
-    load_run,
-    ndcg_at_k,
-    reliability_kappa,
-    save_run,
-    validity_kappa,
-)
-from .gateway import (
-    ChatCompletionsJudge,
-    Judge,
-    JudgeRequest,
-    JudgeResponse,
-    MockJudge,
-    MockJudgeConfig,
-    TokenUsage,
-    load_lexicon,
-    mock_complete,
-    mock_lf_tags,
-    mock_tokens,
-)
-from .retrieval import (
-    Bm25Index,
-    bm25_score,
-    build_bm25_index,
-    round_sig,
-    tokenize,
-    top_k_rank,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AblationFlags",
-    "AlignmentError",
-    "AuthError",
-    "Bm25Index",
-    "CandidatePool",
-    "Case",
-    "CasePair",
-    "CaseStore",
-    "ChatCompletionsJudge",
-    "Config",
-    "ConfigError",
-    "ConfusionMatrix",
-    "DatasetSpec",
-    "DegenerateSeriesWarning",
-    "DemoLibrary",
-    "Demonstration",
-    "DomainError",
-    "EmptyRunError",
-    "EmptySetError",
-    "ExhaustedError",
-    "FactExtraction",
-    "FactFlags",
-    "FactType",
-    "FactVerdict",
-    "InsufficientLabelError",
-    "IntegrityError",
-    "Judge",
-    "JudgeEngine",
-    "JudgeRequest",
-    "JudgeResponse",
-    "JudgeResponseUnparseable",
-    "JudgmentRecord",
-    "LABELS",
-    "LabelSeries",
-    "LexjudgeError",
-    "MalformedStageMarker",
-    "MissingGoldError",
-    "MockJudge",
-    "MockJudgeConfig",
-    "NdcgResult",
-    "ParseError",
-    "Qrels",
-    "RunFile",
-    "ScorerError",
-    "Stage",
-    "StageFailure",
-    "TemplateError",
-    "TokenUsage",
-    "UnknownDocError",
-    "UpstreamError",
-    "ValidityResult",
-    "adm_select",
-    "adm_select_fa",
-    "aggregate_label",
-    "annotate_pairs",
-    "assemble_prompt",
-    "bm25_score",
-    "build_bm25_index",
-    "build_dataset",
-    "build_reliability_report",
-    "build_validity_report",
-    "cohens_kappa",
-    "compute_fingerprint",
-    "confusion_matrix",
-    "export_dataset",
-    "gold_fact_flags",
-    "ingest_corpus",
-    "largest_remainder_quotas",
-    "load_cases",
-    "load_config",
-    "load_demo_library",
-    "load_lexicon",
-    "load_pairs",
-    "load_pools",
-    "load_qrels",
-    "load_run",
-    "load_templates",
-    "make_pair",
-    "mock_complete",
-    "mock_lf_tags",
-    "mock_tokens",
-    "ndcg_at_k",
-    "parse_facts_block",
-    "parse_verdict",
-    "prerank_pairs",
-    "random_select",
-    "random_select_fa",
-    "read_records_jsonl",
-    "reliability_kappa",
-    "round_sig",
-    "sample_pairs",
-    "save_pairs",
-    "save_run",
-    "tokenize",
-    "top_k_rank",
-    "validity_kappa",
-    "write_records_jsonl",
-]

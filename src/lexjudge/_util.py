@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic writes, JSON lines, a fill-once memo."""
+"""Small shared helpers: atomic writes, JSON and JSON-lines readers, a fill-once memo."""
 
 from __future__ import annotations
 
@@ -7,7 +7,11 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
+
+from .errors import ParseError
+
+_JSON_TYPE_NAMES = {list: "array", dict: "object"}
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -34,6 +38,41 @@ def atomic_write_json(path: str | Path, payload: object, *, indent: int = 2) -> 
 
 def dumps_jsonl(rows: Iterable[dict]) -> str:
     return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+
+
+def read_json(path: str | Path, kind: type, what: str) -> list | dict:
+    """Parse a JSON file whose top level must be a kind (list or dict).
+
+    Raises ParseError naming the file, whose message calls it what.
+    """
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc.msg}", path=str(path)) from None
+    if not isinstance(raw, kind):
+        raise ParseError(f"{what} must hold a JSON {_JSON_TYPE_NAMES[kind]}", path=str(path))
+    return raw
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSON-lines file.
+
+    Raises ParseError naming the file and line on a line that is not a
+    JSON object.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=line_no) from None
+            if not isinstance(record, dict):
+                raise ParseError("each line must hold a JSON object", path=str(path), line=line_no)
+            yield line_no, record
 
 
 class OnceMemo(dict):

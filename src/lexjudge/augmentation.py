@@ -21,9 +21,9 @@ from operator import add
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from ._util import atomic_write_text, dumps_jsonl
+from ._util import atomic_write_text, dumps_jsonl, read_json, read_jsonl
 from .corpus import LABELS, Case, CaseStore
-from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord
+from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord, read_records_jsonl
 from .errors import (
     DomainError,
     ExhaustedError,
@@ -104,12 +104,7 @@ def save_pairs(path: str | Path, pairs: Sequence[CasePair]) -> None:
 
 def load_pairs(path: str | Path) -> list[CasePair]:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", path=str(path)) from None
-    if not isinstance(raw, list):
-        raise ParseError("pairs file must hold a JSON array", path=str(path))
+    raw = read_json(path, list, "pairs file")
     pairs = []
     for i, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2:
@@ -219,16 +214,10 @@ def annotate_pairs(
     done: dict[tuple[str, str], JudgmentRecord] = {}
     checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
     if checkpoint is not None and checkpoint.exists():
-        with checkpoint.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = JudgmentRecord.from_dict(json.loads(line))
-                if record.config_fingerprint != engine.config_fingerprint:
-                    raise IntegrityError(
-                        "checkpoint was written under a different configuration"
-                    )
-                done[(record.query_id, record.candidate_id)] = record
+        for record in read_records_jsonl(checkpoint):
+            if record.config_fingerprint != engine.config_fingerprint:
+                raise IntegrityError("checkpoint was written under a different configuration")
+            done[(record.query_id, record.candidate_id)] = record
     todo = [pair for key, pair in unique.items() if key not in done]
     write_lock = threading.Lock()
     sink = None
@@ -437,12 +426,8 @@ def export_dataset(
 def _read_record_keys(path: Path) -> set[tuple[str, str]]:
     # Accepts any JSONL whose rows carry query_id plus candidate_id or cand_id.
     keys = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            cand = row.get("candidate_id", row.get("cand_id"))
-            if "query_id" in row and cand is not None:
-                keys.add((row["query_id"], cand))
+    for _, row in read_jsonl(path):
+        cand = row.get("candidate_id", row.get("cand_id"))
+        if "query_id" in row and cand is not None:
+            keys.add((row["query_id"], cand))
     return keys

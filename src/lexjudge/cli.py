@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ._util import atomic_write_json, atomic_write_text
+from ._util import atomic_write_json, atomic_write_text, read_json
 from .augmentation import (
     Bm25PairScorer,
     DatasetSpec,
@@ -28,14 +28,14 @@ from .augmentation import (
 )
 from .config import Config, load_config
 from .corpus import ingest_corpus, load_cases, load_qrels
-from .demos import load_demo_library
+from .demos import DemoLibrary, load_demo_library
 from .engine import (
     AblationFlags,
     JudgeEngine,
     read_records_jsonl,
     write_records_jsonl,
 )
-from .errors import LexjudgeError
+from .errors import LexjudgeError, ParseError
 from .evaluation import (
     build_reliability_report,
     build_validity_report,
@@ -73,21 +73,24 @@ def _make_judge(config: Config, mock: bool) -> Judge:
     )
 
 
-def _make_engine(
-    config: Config,
-    judge: Judge,
-    demos_path: str | None,
-    *,
-    temperature: float | None = None,
-    run_id: str | None = None,
-    templates_dir: str | None = None,
-) -> JudgeEngine:
-    library = load_demo_library(
+def _load_library(config: Config, demos_path: str | None) -> DemoLibrary:
+    return load_demo_library(
         demos_path or str(toy_paths().demos),
         tokenizer_mode=config.tokenizer.mode,
         k1=config.bm25.k1,
         b=config.bm25.b,
     )
+
+
+def _make_engine(
+    config: Config,
+    judge: Judge,
+    library: DemoLibrary,
+    *,
+    temperature: float | None = None,
+    run_id: str | None = None,
+    templates_dir: str | None = None,
+) -> JudgeEngine:
     flags = AblationFlags(
         disable_adm=config.ablation.disable_adm,
         disable_fe=config.ablation.disable_fe,
@@ -126,12 +129,7 @@ def _cmd_ingest(args: argparse.Namespace, config: Config) -> int:
 
 
 def _cmd_demos_validate(args: argparse.Namespace, config: Config) -> int:
-    library = load_demo_library(
-        args.demos,
-        tokenizer_mode=config.tokenizer.mode,
-        k1=config.bm25.k1,
-        b=config.bm25.b,
-    )
+    library = _load_library(config, args.demos)
     _emit({"demonstrations": len(library), "sets": library.counts()})
     return 0
 
@@ -150,12 +148,15 @@ def _cmd_judge(args: argparse.Namespace, config: Config) -> int:
         raise LexjudgeError(f"runs must be >= 1, got {runs}")
     top_n = args.top_n if args.top_n is not None else config.judge.top_n_candidates
     out_paths = _run_paths(Path(args.out), runs)
+    # One library serves every run; each run gets its own engine, so runs
+    # share no extraction cache.
+    library = _load_library(config, args.demos)
     written = []
     for index, out_path in enumerate(out_paths, start=1):
         engine = _make_engine(
             config,
             judge,
-            args.demos,
+            library,
             run_id=f"r{index}",
             templates_dir=args.templates,
         )
@@ -248,7 +249,7 @@ def _cmd_augment_annotate(args: argparse.Namespace, config: Config) -> int:
     pairs = load_pairs(args.pairs)
     judge = _make_judge(config, args.mock)
     engine = _make_engine(
-        config, judge, args.demos, temperature=config.augment.temperature
+        config, judge, _load_library(config, args.demos), temperature=config.augment.temperature
     )
     records = annotate_pairs(engine, store, pairs, checkpoint_path=args.out)
     failed = sum(1 for r in records if r.status != "ok")
@@ -297,15 +298,18 @@ def _cmd_augment_export(args: argparse.Namespace, config: Config) -> int:
     spec = None
     sidecar_path = Path(args.dataset + ".spec.json")
     if sidecar_path.exists():
-        raw = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        raw = read_json(sidecar_path, dict, "spec sidecar")
         distribution = raw.get("distribution")
-        spec = DatasetSpec(
-            name=raw["name"],
-            size=raw["size"],
-            mode=raw["mode"],
-            distribution={int(k): float(v) for k, v in distribution.items()} if distribution else None,
-            seed=raw["seed"],
-        )
+        try:
+            spec = DatasetSpec(
+                name=raw["name"],
+                size=raw["size"],
+                mode=raw["mode"],
+                distribution={int(k): float(v) for k, v in distribution.items()} if distribution else None,
+                seed=raw["seed"],
+            )
+        except KeyError as exc:
+            raise ParseError(f"spec sidecar missing key {exc}", path=str(sidecar_path)) from None
     manifest = export_dataset(
         records, args.format, args.out, store, spec=spec, compare_path=args.compare
     )

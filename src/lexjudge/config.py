@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .errors import ConfigError, ParseError
+from ._util import read_json
+from .errors import ConfigError
 from .retrieval import TOKENIZER_MODES
 
 
@@ -191,13 +192,9 @@ def load_config(path: str | Path | None = None, overrides: Sequence[str] = ()) -
     if path is not None:
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = read_json(path, dict, "config file")
         except FileNotFoundError:
             raise ConfigError(str(path), "config file not found") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc.msg}", path=str(path)) from None
-        if not isinstance(raw, dict):
-            raise ParseError("config file must hold a JSON object", path=str(path))
         for key, value in _flatten(raw).items():
             _assign(config, key, value)
     for raw_override in overrides:

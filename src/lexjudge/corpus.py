@@ -8,13 +8,13 @@ never lowercased.
 
 from __future__ import annotations
 
-import json
 import logging
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from ._util import read_json, read_jsonl
 from .errors import DomainError, IntegrityError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -185,33 +185,14 @@ def case_from_lecard(record: Mapping[str, object]) -> Case:
     )
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=str(path), line=line_no) from None
-            if not isinstance(record, dict):
-                raise ParseError("each line must hold a JSON object", path=str(path), line=line_no)
-            yield line_no, record
-
-
 def load_cases(path: str | Path) -> CaseStore:
     path = Path(path)
-    return CaseStore(case_from_record(rec, path=str(path), line=ln) for ln, rec in _read_jsonl(path))
+    return CaseStore(case_from_record(rec, path=str(path), line=ln) for ln, rec in read_jsonl(path))
 
 
 def load_pools(path: str | Path, store: CaseStore) -> list[CandidatePool]:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", path=str(path)) from None
-    if not isinstance(raw, list):
-        raise ParseError("pools file must hold a JSON array", path=str(path))
+    raw = read_json(path, list, "pools file")
     pools: list[CandidatePool] = []
     seen_queries: set[str] = set()
     for i, entry in enumerate(raw):
@@ -235,12 +216,7 @@ def load_pools(path: str | Path, store: CaseStore) -> list[CandidatePool]:
 
 def load_qrels(path: str | Path, store: CaseStore | None = None) -> Qrels:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", path=str(path)) from None
-    if not isinstance(raw, dict):
-        raise ParseError("qrels file must hold a JSON object", path=str(path))
+    raw = read_json(path, dict, "qrels file")
     entries: dict[str, dict[str, int]] = {}
     for qid, row in raw.items():
         if not isinstance(row, dict):

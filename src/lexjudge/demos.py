@@ -9,7 +9,6 @@ per call site so results do not depend on evaluation order.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import unicodedata
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
-from ._util import OnceMemo
+from ._util import OnceMemo, read_json
 from .errors import EmptySetError, IntegrityError, ParseError
 from .retrieval import Bm25Index, build_bm25_index, tokenize, top_k_rank
 
@@ -237,12 +236,7 @@ def load_demo_library(
 ) -> DemoLibrary:
     """Load a demonstration library from a JSON array file."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", path=str(path)) from None
-    if not isinstance(raw, list):
-        raise ParseError("demonstration file must hold a JSON array", path=str(path))
+    raw = read_json(path, list, "demonstration file")
     demos = []
     for i, rec in enumerate(raw):
         if not isinstance(rec, dict):

@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from ._util import atomic_write_text, dumps_jsonl
+from ._util import atomic_write_text, dumps_jsonl, read_jsonl
 from .corpus import Case, CandidatePool, CaseStore, aggregate_label
 from .demos import (
     DemoLibrary,
@@ -40,6 +40,7 @@ from .demos import (
 from .errors import (
     DomainError,
     JudgeResponseUnparseable,
+    ParseError,
     StageFailure,
     TemplateError,
 )
@@ -615,9 +616,13 @@ def write_records_jsonl(path: str | Path, records: Sequence[JudgmentRecord]) -> 
 
 
 def read_records_jsonl(path: str | Path) -> list[JudgmentRecord]:
+    path = Path(path)
     records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(JudgmentRecord.from_dict(json.loads(line)))
+    for line_no, row in read_jsonl(path):
+        try:
+            records.append(JudgmentRecord.from_dict(row))
+        except KeyError as exc:
+            raise ParseError(f"record missing key {exc}", path=str(path), line=line_no) from None
+        except TypeError as exc:
+            raise ParseError(f"malformed record: {exc}", path=str(path), line=line_no) from None
     return records

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .corpus import Qrels, gold_fact_flags
 from .engine import JudgmentRecord
@@ -115,19 +115,21 @@ def _ok_records(records: Sequence[JudgmentRecord]) -> list[JudgmentRecord]:
     return ok
 
 
+# The value each series kind reads from a successful record, in report order.
+_SERIES_VALUES: dict[str, Callable[[JudgmentRecord], int]] = {
+    "mf": lambda r: int(r.mf_verdict.relevant),
+    "lf": lambda r: int(r.lf_verdict.relevant),
+    "label": lambda r: int(r.label),
+}
+
+
 def series_from_records(records: Sequence[JudgmentRecord], kind: str) -> LabelSeries:
     """Build a series from successful records: kind is mf, lf, or label."""
+    if kind not in _SERIES_VALUES:
+        raise DomainError(f"unknown series kind {kind!r}")
     ok = _ok_records(records)
     ids = tuple((r.query_id, r.candidate_id) for r in ok)
-    if kind == "label":
-        values = tuple(int(r.label) for r in ok)
-    elif kind == "mf":
-        values = tuple(int(r.mf_verdict.relevant) for r in ok)
-    elif kind == "lf":
-        values = tuple(int(r.lf_verdict.relevant) for r in ok)
-    else:
-        raise DomainError(f"unknown series kind {kind!r}")
-    return LabelSeries(ids=ids, labels=values)
+    return LabelSeries(ids=ids, labels=tuple(map(_SERIES_VALUES[kind], ok)))
 
 
 def validity_kappa(records: Sequence[JudgmentRecord], qrels: Qrels) -> ValidityResult:
@@ -157,20 +159,23 @@ def _validity(
         ids.append((record.query_id, record.candidate_id))
         gold_labels.append(gold)
     id_tuple = tuple(ids)
-    judged_4 = LabelSeries(id_tuple, tuple(int(r.label) for r in ok))
-    gold_4 = LabelSeries(id_tuple, tuple(gold_labels))
-    judged_mf = LabelSeries(id_tuple, tuple(int(r.mf_verdict.relevant) for r in ok))
-    gold_mf = LabelSeries(id_tuple, tuple(int(gold_fact_flags(g).mf_relevant) for g in gold_labels))
-    judged_lf = LabelSeries(id_tuple, tuple(int(r.lf_verdict.relevant) for r in ok))
-    gold_lf = LabelSeries(id_tuple, tuple(int(gold_fact_flags(g).lf_relevant) for g in gold_labels))
+    gold_flags = [gold_fact_flags(g) for g in gold_labels]
+    gold = {
+        "mf": tuple(int(f.mf_relevant) for f in gold_flags),
+        "lf": tuple(int(f.lf_relevant) for f in gold_flags),
+        "label": tuple(gold_labels),
+    }
+    series = {
+        kind: (LabelSeries(id_tuple, tuple(map(value, ok))), LabelSeries(id_tuple, gold[kind]))
+        for kind, value in _SERIES_VALUES.items()
+    }
     result = ValidityResult(
-        kappa_mf=cohens_kappa(judged_mf, gold_mf),
-        kappa_lf=cohens_kappa(judged_lf, gold_lf),
-        kappa_4level=cohens_kappa(judged_4, gold_4),
+        kappa_mf=cohens_kappa(*series["mf"]),
+        kappa_lf=cohens_kappa(*series["lf"]),
+        kappa_4level=cohens_kappa(*series["label"]),
         pairs_compared=len(ok),
         failed_excluded=len(records) - len(ok),
     )
-    series = {"4x4": (judged_4, gold_4), "mf": (judged_mf, gold_mf), "lf": (judged_lf, gold_lf)}
     return result, series
 
 
@@ -322,7 +327,7 @@ def build_validity_report(
         "failed_excluded": result.failed_excluded,
     }
     heatmaps = {
-        "heatmap_4x4": confusion_matrix(*series["4x4"], (0, 1, 2, 3)).to_csv(),
+        "heatmap_4x4": confusion_matrix(*series["label"], (0, 1, 2, 3)).to_csv(),
         "heatmap_mf": confusion_matrix(*series["mf"], (0, 1)).to_csv(),
         "heatmap_lf": confusion_matrix(*series["lf"], (0, 1)).to_csv(),
     }
@@ -348,13 +353,9 @@ def build_reliability_report(records_per_run: Sequence[Sequence[JudgmentRecord]]
         raise DomainError("no pair was judged successfully in every run")
     order = sorted(common)
     report: dict = {"pairs_compared": len(order), "runs": len(records_per_run)}
-    for kind, getter in (
-        ("mf", lambda r: int(r.mf_verdict.relevant)),
-        ("lf", lambda r: int(r.lf_verdict.relevant)),
-        ("label", lambda r: int(r.label)),
-    ):
+    for kind, value in _SERIES_VALUES.items():
         series = [
-            LabelSeries(tuple(order), tuple(getter(m[pair]) for pair in order))
+            LabelSeries(tuple(order), tuple(value(m[pair]) for pair in order))
             for m in ok_maps
         ]
         mean, per_pair = reliability_kappa(series)
@@ -363,9 +364,3 @@ def build_reliability_report(records_per_run: Sequence[Sequence[JudgmentRecord]]
             "pairs": [{"run_a": i, "run_b": j, "kappa": k} for i, j, k in per_pair],
         }
     return report
-
-
-def load_records_per_run(paths: Iterable[str | Path]) -> list[list[JudgmentRecord]]:
-    from .engine import read_records_jsonl
-
-    return [read_records_jsonl(p) for p in paths]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
-from ._util import OnceMemo, atomic_write_text
+from ._util import OnceMemo, atomic_write_text, read_json
 from .errors import AuthError, DomainError, MalformedStageMarker, UpstreamError
 from .retrieval import tokenize
 
@@ -363,7 +363,7 @@ class ChatCompletionsJudge:
         path = self._cache_path(digest)
         if path is None or not path.exists():
             return None
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = read_json(path, dict, "cache entry")
         return JudgeResponse(
             text=payload["text"],
             usage=TokenUsage(payload["prompt_tokens"], payload["completion_tokens"]),

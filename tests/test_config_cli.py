@@ -363,6 +363,34 @@ class TestCliJudge:
         assert payload["outputs"][0]["pairs"] == 24
 
 
+    def test_runs_share_one_demo_library(self, toy, tmp_path, monkeypatch, capsys):
+        import lexjudge.demos
+
+        calls = []
+        tokenize = lexjudge.demos.tokenize
+
+        def counting_tokenize(text, *args):
+            calls.append(text)
+            return tokenize(text, *args)
+
+        monkeypatch.setattr(lexjudge.demos, "tokenize", counting_tokenize)
+        counts = {}
+        for runs in (1, 3):
+            calls.clear()
+            code, payload = run_cli(
+                capsys,
+                "judge",
+                "--cases", str(toy.cases),
+                "--pools", str(toy.pools),
+                "--out", str(tmp_path / f"runs{runs}" / "j.jsonl"),
+                "--runs", str(runs),
+                "--mock",
+            )
+            assert code == 0 and payload["runs"] == runs
+            counts[runs] = len(calls)
+        assert counts[3] == counts[1] > 0
+
+
 class TestCliEvaluate:
     def test_validity_report(self, judged, tmp_path, capsys):
         toy, out = judged
@@ -663,3 +691,106 @@ class TestCliAugment:
         )
         assert code == 1
         assert "distribution" in capsys.readouterr().err
+
+
+def _records_file(path, source, line_no: int, text: str):
+    """The first three lines of a records file, with line line_no replaced by text."""
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)[:3]
+    lines[line_no - 1] = text + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
+def _truncated(source, line_no: int) -> str:
+    return source.read_text(encoding="utf-8").splitlines()[line_no - 1][:40]
+
+
+def _without_candidate_id(source, line_no: int) -> str:
+    row = json.loads(source.read_text(encoding="utf-8").splitlines()[line_no - 1])
+    del row["candidate_id"]
+    return json.dumps(row, ensure_ascii=False)
+
+
+def _validity_truncated(toy, out, tmp):
+    bad = _records_file(tmp / "in.jsonl", out, 2, _truncated(out, 2))
+    return ["evaluate", "validity", "--in", str(bad), "--qrels", str(toy.qrels),
+            "--report-dir", str(tmp / "rep")], bad, 2
+
+
+def _heatmap_truncated(toy, out, tmp):
+    bad = _records_file(tmp / "in.jsonl", out, 3, _truncated(out, 3))
+    return ["report", "heatmap", "--in", str(bad), "--qrels", str(toy.qrels),
+            "--out-dir", str(tmp / "maps")], bad, 3
+
+
+def _checkpoint_without_candidate_id(toy, out, tmp):
+    bad = _records_file(tmp / "ck.jsonl", out, 2, _without_candidate_id(out, 2))
+    pairs = tmp / "pairs.json"
+    pairs.write_text('[["q01", "q02"]]', encoding="utf-8")
+    return ["augment", "annotate", "--cases", str(toy.cases), "--pairs", str(pairs),
+            "--out", str(bad), "--mock"], bad, 2
+
+
+def _annotated_non_object(toy, out, tmp):
+    bad = _records_file(tmp / "annotated.jsonl", out, 2, "[1, 2]")
+    return ["augment", "build", "--annotated", str(bad), "--name", "x", "--size", "1",
+            "--mode", "random", "--out", str(tmp / "d.jsonl")], bad, 2
+
+
+def _export_args(toy, dataset, tmp):
+    return ["augment", "export", "--dataset", str(dataset), "--cases", str(toy.cases),
+            "--format", "label_only", "--out", str(tmp / "e.jsonl")]
+
+
+def _sidecar(text):
+    def case(toy, out, tmp):
+        dataset = _records_file(tmp / "d.jsonl", out, 1, out.read_text(encoding="utf-8").splitlines()[0])
+        bad = tmp / "d.jsonl.spec.json"
+        bad.write_text(text, encoding="utf-8")
+        return _export_args(toy, dataset, tmp), bad, None
+
+    return case
+
+
+def _compare_truncated(toy, out, tmp):
+    dataset = _records_file(tmp / "d.jsonl", out, 1, out.read_text(encoding="utf-8").splitlines()[0])
+    bad = _records_file(tmp / "other.jsonl", out, 2, _truncated(out, 2))
+    return _export_args(toy, dataset, tmp) + ["--compare", str(bad)], bad, 2
+
+
+class TestCliMalformedInput:
+    """A malformed input file is a data problem: exit 1 with one error line naming it."""
+
+    @pytest.mark.parametrize(
+        "make_case",
+        [
+            _validity_truncated,
+            _heatmap_truncated,
+            _checkpoint_without_candidate_id,
+            _annotated_non_object,
+            _sidecar('{"name": "x", "size": '),
+            _sidecar('["x"]'),
+            _sidecar('{"name": "x", "mode": "random", "seed": 0}'),
+            _compare_truncated,
+        ],
+        ids=[
+            "validity-truncated-line",
+            "heatmap-truncated-line",
+            "checkpoint-line-without-candidate_id",
+            "annotated-non-object-line",
+            "spec-sidecar-truncated",
+            "spec-sidecar-not-an-object",
+            "spec-sidecar-missing-key",
+            "compare-truncated-line",
+        ],
+    )
+    def test_exits_1_with_one_error_line(self, make_case, judged, tmp_path, capsys):
+        toy, out = judged
+        argv, bad, line = make_case(toy, out, tmp_path)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        [message] = err.splitlines()
+        assert message.startswith("error: ")
+        assert message.endswith(f"({bad}:{line})" if line is not None else f"({bad})")

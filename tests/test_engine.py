@@ -670,17 +670,28 @@ GOLDEN_RUN_SHA256 = {
 class TestGoldenRecords:
     """Run files of the bundled pools, byte for byte, as `lexjudge judge --mock` writes them."""
 
-    @pytest.mark.parametrize("parallelism", [1, 8])
-    def test_run_files_match_pinned_digests(self, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
+    @staticmethod
+    def run_digests(libraries, parallelism, tmp_path, mock_cfg, toy_corpus) -> dict[str, str]:
+        """One engine per run on a shared judge, run i on the i-th library."""
         store, pools, _ = toy_corpus
         judge = MockJudge(mock_cfg)
         digests = {}
-        for run_id in GOLDEN_RUN_SHA256:
-            engine = make_engine(judge, load_demo_library(toy.demos), parallelism=parallelism, run_id=run_id)
+        for run_id, library in zip(GOLDEN_RUN_SHA256, libraries):
+            engine = make_engine(judge, library, parallelism=parallelism, run_id=run_id)
             path = tmp_path / f"judge.{run_id}.jsonl"
             write_records_jsonl(path, engine.judge_pools(store, pools))
             digests[run_id] = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digests == GOLDEN_RUN_SHA256
+        return digests
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_run_files_match_pinned_digests(self, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
+        libraries = (load_demo_library(toy.demos) for _ in GOLDEN_RUN_SHA256)
+        assert self.run_digests(libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_one_library_serves_every_run(self, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
+        libraries = [load_demo_library(toy.demos)] * len(GOLDEN_RUN_SHA256)
+        assert self.run_digests(libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
 
 
 class TestRetryExhaustion:

@@ -9,6 +9,12 @@ import time
 import pytest
 
 from lexjudge._util import OnceMemo, atomic_write_text
+from lexjudge.augmentation import load_pairs
+from lexjudge.config import load_config
+from lexjudge.corpus import CaseStore, load_cases, load_pools, load_qrels
+from lexjudge.demos import load_demo_library
+from lexjudge.engine import read_records_jsonl
+from lexjudge.errors import ParseError
 
 
 def test_concurrent_writers_of_one_path_leave_one_whole_payload(tmp_path):
@@ -89,3 +95,41 @@ def test_once_memo_stores_nothing_when_the_computation_raises():
     assert memo["abcd"] == 4
     assert memo["abcd"] == 4
     assert attempts == ["abcd", "abcd"]
+
+
+@pytest.mark.parametrize(
+    "load, wrong_top_level, message",
+    [
+        (lambda p: load_pools(p, CaseStore([])), "{}", "pools file must hold a JSON array"),
+        (load_qrels, "[]", "qrels file must hold a JSON object"),
+        (load_demo_library, "{}", "demonstration file must hold a JSON array"),
+        (load_pairs, "{}", "pairs file must hold a JSON array"),
+        (load_config, "[]", "config file must hold a JSON object"),
+    ],
+    ids=["pools", "qrels", "demos", "pairs", "config"],
+)
+def test_json_loaders_keep_their_messages(load, wrong_top_level, message, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text("[1,", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"bad JSON: Expecting value ({path})"
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), None)
+    path.write_text(wrong_top_level, encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{message} ({path})"
+
+
+@pytest.mark.parametrize("load", [load_cases, read_records_jsonl], ids=["cases", "records"])
+def test_jsonl_loaders_name_the_line(load, tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text("\n[1, 2]\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"each line must hold a JSON object ({path}:2)"
+    path.write_text('\n\n{"id": \n', encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"bad JSON: Expecting value ({path}:3)"
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
