@@ -737,25 +737,26 @@ def _annotated_non_object(toy, out, tmp):
             "--mode", "random", "--out", str(tmp / "d.jsonl")], bad, 2
 
 
-def _export_args(toy, dataset, tmp):
+def _export_args(toy, out, tmp):
+    """Export a three-record dataset d.jsonl from tmp."""
+    dataset = tmp / "d.jsonl"
+    dataset.write_text("".join(out.read_text(encoding="utf-8").splitlines(keepends=True)[:3]), encoding="utf-8")
     return ["augment", "export", "--dataset", str(dataset), "--cases", str(toy.cases),
             "--format", "label_only", "--out", str(tmp / "e.jsonl")]
 
 
 def _sidecar(text):
     def case(toy, out, tmp):
-        dataset = _records_file(tmp / "d.jsonl", out, 1, out.read_text(encoding="utf-8").splitlines()[0])
         bad = tmp / "d.jsonl.spec.json"
         bad.write_text(text, encoding="utf-8")
-        return _export_args(toy, dataset, tmp), bad, None
+        return _export_args(toy, out, tmp), bad, None
 
     return case
 
 
 def _compare_truncated(toy, out, tmp):
-    dataset = _records_file(tmp / "d.jsonl", out, 1, out.read_text(encoding="utf-8").splitlines()[0])
     bad = _records_file(tmp / "other.jsonl", out, 2, _truncated(out, 2))
-    return _export_args(toy, dataset, tmp) + ["--compare", str(bad)], bad, 2
+    return _export_args(toy, out, tmp) + ["--compare", str(bad)], bad, 2
 
 
 class TestCliMalformedInput:
