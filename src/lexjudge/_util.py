@@ -14,30 +14,37 @@ from .errors import ParseError
 _JSON_TYPE_NAMES = {list: "array", dict: "object"}
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file.
+def atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write lines via a sibling temp file and rename, so readers never see a torn file.
 
-    The temp file gets a unique name, so concurrent writers of one path,
-    threads included, never share it; the last rename wins.
+    Lines are written as the iterable yields them, so the whole file never
+    sits in memory. The temp file gets a unique name, so concurrent writers
+    of one path, threads included, never share it; the last rename wins.
+    If anything raises, the iterable included, the temp file is removed and
+    the target is left as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_lines(path, (text,))
+
+
 def atomic_write_json(path: str | Path, payload: object, *, indent: int = 2) -> None:
     atomic_write_text(path, json.dumps(payload, ensure_ascii=False, indent=indent) + "\n")
 
 
-def dumps_jsonl(rows: Iterable[dict]) -> str:
-    return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
 
 
 def read_json(path: str | Path, kind: type, what: str) -> list | dict:
@@ -47,7 +54,9 @@ def read_json(path: str | Path, kind: type, what: str) -> list | dict:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(_not_utf8(exc), path=str(path)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", path=str(path)) from None
     if not isinstance(raw, kind):
@@ -58,12 +67,17 @@ def read_json(path: str | Path, kind: type, what: str) -> list | dict:
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a JSON-lines file.
 
-    Raises ParseError naming the file and line on a line that is not a
-    JSON object.
+    Lines end at "\n" and each is decoded on its own, so a byte that is not
+    UTF-8 is reported at its own line. Raises ParseError naming the file
+    and line on a line that is not UTF-8 or not a JSON object.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with path.open("rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(_not_utf8(exc), path=str(path), line=line_no) from None
             if not line.strip():
                 continue
             try:

@@ -21,9 +21,9 @@ from operator import add
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from ._util import atomic_write_text, dumps_jsonl, read_json, read_jsonl
+from ._util import atomic_write_lines, atomic_write_text, read_json, read_jsonl
 from .corpus import LABELS, Case, CaseStore
-from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord, read_records_jsonl
+from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord, read_records_jsonl, record_line
 from .errors import (
     DomainError,
     ExhaustedError,
@@ -227,7 +227,7 @@ def annotate_pairs(
 
     def finish(record: JudgmentRecord) -> None:
         if sink is not None:
-            line = json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+            line = record_line(record)
             with write_lock:
                 sink.write(line)
                 sink.flush()
@@ -339,6 +339,34 @@ def _rationale_assistant_text(record: JudgmentRecord) -> str:
     return "\n".join(parts)
 
 
+def _export_row(record: JudgmentRecord, fmt: str, store: CaseStore) -> dict:
+    query = store.get(record.query_id)
+    cand = store.get(record.candidate_id)
+    if fmt == "label_only":
+        return {
+            "query_id": record.query_id,
+            "cand_id": record.candidate_id,
+            "query_text": query.fact_text,
+            "cand_text": cand.fact_text,
+            "label": record.label,
+        }
+    return {
+        "messages": [
+            {"role": "system", "content": SYSTEM_TEXT},
+            {
+                "role": "user",
+                "content": (
+                    "Case A facts:\n" + query.fact_text + "\n\nCase B facts:\n"
+                    + cand.fact_text + "\n\nExtract both layers of facts, compare "
+                    "them, and state the graded relevance of case B to case A."
+                ),
+            },
+            {"role": "assistant", "content": _rationale_assistant_text(record)},
+        ],
+        "label": record.label,
+    }
+
+
 def export_dataset(
     dataset: Sequence[JudgmentRecord],
     fmt: str,
@@ -353,52 +381,33 @@ def export_dataset(
     rows are chat-style with the full staged reasoning as the assistant
     turn. The manifest lands next to the dataset with a .manifest.json
     suffix and records the content hash, so two identical builds are
-    byte-comparable.
+    byte-comparable. Every check, the compare file's read included, runs
+    before the dataset is written, so bad input leaves no dataset file.
     """
     if fmt not in EXPORT_FORMATS:
         raise DomainError(f"format must be one of {EXPORT_FORMATS}, got {fmt!r}")
-    rows = []
     for record in dataset:
         if record.status != "ok":
             raise DomainError(
                 f"cannot export failed pair ({record.query_id!r}, {record.candidate_id!r})"
             )
-        query = store.get(record.query_id)
-        cand = store.get(record.candidate_id)
-        if fmt == "label_only":
-            rows.append(
-                {
-                    "query_id": record.query_id,
-                    "cand_id": record.candidate_id,
-                    "query_text": query.fact_text,
-                    "cand_text": cand.fact_text,
-                    "label": record.label,
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "messages": [
-                        {"role": "system", "content": SYSTEM_TEXT},
-                        {
-                            "role": "user",
-                            "content": (
-                                "Case A facts:\n" + query.fact_text + "\n\nCase B facts:\n"
-                                + cand.fact_text + "\n\nExtract both layers of facts, compare "
-                                "them, and state the graded relevance of case B to case A."
-                            ),
-                        },
-                        {"role": "assistant", "content": _rationale_assistant_text(record)},
-                    ],
-                    "label": record.label,
-                }
-            )
-    out_path = Path(out_path)
-    content = dumps_jsonl(rows)
-    atomic_write_text(out_path, content)
     fingerprints = {r.config_fingerprint for r in dataset}
     if len(fingerprints) > 1:
         raise IntegrityError("dataset mixes records from different configurations")
+    overlap = None
+    if compare_path is not None:
+        keys = {(r.query_id, r.candidate_id) for r in dataset}
+        overlap = len(keys & _read_record_keys(Path(compare_path)))
+    out_path = Path(out_path)
+    digest = hashlib.sha256()
+
+    def lines():
+        for record in dataset:
+            line = json.dumps(_export_row(record, fmt, store), ensure_ascii=False) + "\n"
+            digest.update(line.encode("utf-8"))
+            yield line
+
+    atomic_write_lines(out_path, lines())
     histogram = {str(label): 0 for label in LABELS}
     for record in dataset:
         histogram[str(record.label)] += 1
@@ -410,12 +419,10 @@ def export_dataset(
         "format": fmt,
         "histogram": histogram,
         "config_fingerprint": next(iter(fingerprints)) if fingerprints else None,
-        "sha256": hashlib.sha256(content.encode("utf-8")).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
-    if compare_path is not None:
-        keys = {(r.query_id, r.candidate_id) for r in dataset}
-        other = _read_record_keys(Path(compare_path))
-        manifest["overlap_with_compare"] = len(keys & other)
+    if overlap is not None:
+        manifest["overlap_with_compare"] = overlap
     atomic_write_text(
         out_path.with_name(out_path.name + ".manifest.json"),
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n",

@@ -23,9 +23,9 @@ from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from ._util import atomic_write_text, dumps_jsonl, read_jsonl
+from ._util import atomic_write_lines, read_jsonl
 from .corpus import Case, CandidatePool, CaseStore, aggregate_label
 from .demos import (
     DemoLibrary,
@@ -275,33 +275,53 @@ class JudgmentRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "JudgmentRecord":
+    def from_dict(cls, data: Mapping, shared: dict | None = None) -> "JudgmentRecord":
+        """Rebuild a record from its to_dict form.
+
+        Calls that pass one shared dict get one object back for each equal
+        id, status, run id, fingerprint, extraction and verdict, so a case
+        extraction copied into many records is held once. All of these are
+        immutable, so sharing them changes no value.
+        """
+        table = {} if shared is None else shared
+        same = table.setdefault
+
+        def one(kind, *fields):
+            key = (kind, *fields)
+            found = table.get(key)
+            if found is None:
+                found = table[key] = kind(*fields)
+            return found
+
         def ex(block: Mapping | None, fact_type: FactType, qid: str, cid: str):
             if block is None:
                 return None
+            q, c = block["query"], block["candidate"]
             return (
-                FactExtraction(qid, fact_type, block["query"]["text"], block["query"]["raw_response"]),
-                FactExtraction(cid, fact_type, block["candidate"]["text"], block["candidate"]["raw_response"]),
+                one(FactExtraction, qid, fact_type, q["text"], q["raw_response"]),
+                one(FactExtraction, cid, fact_type, c["text"], c["raw_response"]),
             )
 
         def ve(block: Mapping | None, fact_type: FactType):
             if block is None:
                 return None
-            return FactVerdict(fact_type, bool(block["relevant"]), block["reasoning"], block["raw_response"])
+            return one(FactVerdict, fact_type, bool(block["relevant"]), block["reasoning"], block["raw_response"])
 
         qid = data["query_id"]
         cid = data["candidate_id"]
+        qid, cid = same(qid, qid), same(cid, cid)
+        status, run_id, fingerprint = data["status"], data["run_id"], data["config_fingerprint"]
         return cls(
             query_id=qid,
             candidate_id=cid,
-            status=data["status"],
+            status=same(status, status),
             label=data["label"],
             mf_extractions=ex(data["mf"]["extractions"], FactType.MF, qid, cid),
             lf_extractions=ex(data["lf"]["extractions"], FactType.LF, qid, cid),
             mf_verdict=ve(data["mf"]["verdict"], FactType.MF),
             lf_verdict=ve(data["lf"]["verdict"], FactType.LF),
-            run_id=data["run_id"],
-            config_fingerprint=data["config_fingerprint"],
+            run_id=same(run_id, run_id),
+            config_fingerprint=same(fingerprint, fingerprint),
             error=data.get("error"),
         )
 
@@ -611,16 +631,23 @@ class JudgeEngine:
         return self.judge_pairs(pairs)
 
 
-def write_records_jsonl(path: str | Path, records: Sequence[JudgmentRecord]) -> None:
-    atomic_write_text(path, dumps_jsonl(r.to_dict() for r in records))
+def record_line(record: JudgmentRecord) -> str:
+    """One JSON-lines line of a records file, newline included."""
+    return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+
+
+def write_records_jsonl(path: str | Path, records: Iterable[JudgmentRecord]) -> None:
+    atomic_write_lines(path, map(record_line, records))
 
 
 def read_records_jsonl(path: str | Path) -> list[JudgmentRecord]:
+    """Read a records file; its records share equal parts (see JudgmentRecord.from_dict)."""
     path = Path(path)
+    shared: dict = {}
     records = []
     for line_no, row in read_jsonl(path):
         try:
-            records.append(JudgmentRecord.from_dict(row))
+            records.append(JudgmentRecord.from_dict(row, shared))
         except KeyError as exc:
             raise ParseError(f"record missing key {exc}", path=str(path), line=line_no) from None
         except TypeError as exc:

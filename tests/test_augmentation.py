@@ -678,3 +678,34 @@ class TestExportDataset:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             export_dataset([], "csv", tmp_path / "d.jsonl", self.export_store())
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("failed-record", DomainError),
+            ("mixed-fingerprints", IntegrityError),
+            ("truncated-compare", ParseError),
+            ("unknown-case-mid-stream", IntegrityError),
+        ],
+    )
+    def test_bad_input_leaves_the_dataset_file_as_it_was(self, bad, error, tmp_path):
+        records = self.records()
+        compare = None
+        if bad == "failed-record":
+            records.append(fabricate_record("e6", "e7", 0, status="failed"))
+        elif bad == "mixed-fingerprints":
+            clone = fabricate_record("e6", "e7", 1)
+            object.__setattr__(clone, "config_fingerprint", "other")
+            records.append(clone)
+        elif bad == "truncated-compare":
+            compare = tmp_path / "other.jsonl"
+            compare.write_text('{"query_id": "e0", "candidate_id": "e1"}\n{"query_id": \n', encoding="utf-8")
+        else:
+            records.insert(1, fabricate_record("e6", "unknown", 1))
+        out = tmp_path / "d.jsonl"
+        out.write_text("an earlier export\n", encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(error):
+            export_dataset(records, "label_only", out, self.export_store(), compare_path=compare)
+        assert sorted(tmp_path.iterdir()) == before
+        assert out.read_text(encoding="utf-8") == "an earlier export\n"

@@ -759,6 +759,13 @@ def _compare_truncated(toy, out, tmp):
     return _export_args(toy, out, tmp) + ["--compare", str(bad)], bad, 2
 
 
+def _cases_latin1(toy, out, tmp):
+    bad = tmp / "cases.jsonl"
+    first = toy.cases.read_bytes().splitlines(keepends=True)[0]
+    bad.write_bytes(first + '{"id": "x1", "fact_text": "café"}\n'.encode("latin-1"))
+    return ["ingest", "--cases", str(bad), "--pools", str(toy.pools)], bad, 2
+
+
 class TestCliMalformedInput:
     """A malformed input file is a data problem: exit 1 with one error line naming it."""
 
@@ -773,6 +780,7 @@ class TestCliMalformedInput:
             _sidecar('["x"]'),
             _sidecar('{"name": "x", "mode": "random", "seed": 0}'),
             _compare_truncated,
+            _cases_latin1,
         ],
         ids=[
             "validity-truncated-line",
@@ -783,6 +791,7 @@ class TestCliMalformedInput:
             "spec-sidecar-not-an-object",
             "spec-sidecar-missing-key",
             "compare-truncated-line",
+            "cases-latin1-line",
         ],
     )
     def test_exits_1_with_one_error_line(self, make_case, judged, tmp_path, capsys):
@@ -795,3 +804,11 @@ class TestCliMalformedInput:
         [message] = err.splitlines()
         assert message.startswith("error: ")
         assert message.endswith(f"({bad}:{line})" if line is not None else f"({bad})")
+
+    def test_export_with_a_bad_compare_file_writes_no_dataset(self, judged, tmp_path, capsys):
+        toy, out = judged
+        argv, _, _ = _compare_truncated(toy, out, tmp_path)
+        assert main(argv) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "e.jsonl").exists()
+        assert not (tmp_path / "e.jsonl.manifest.json").exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -56,7 +57,7 @@ from lexjudge.gateway import (
     stage_of,
 )
 
-from conftest import FaultyOnPairJudge, ScriptedJudge, make_engine
+from conftest import FaultyOnPairJudge, ScriptedJudge, fabricate_record, make_engine
 from oracles import jaccard_oracle, normalized_tokens
 
 GOOD_FE = "===FACTS===\nfacts ok\n===END==="
@@ -867,6 +868,69 @@ class TestRecordSerialization:
             "config_fingerprint",
             "error",
         ]
+
+
+class TestRecordFiles:
+    """A records file is written line by line; one read shares each repeated part."""
+
+    @staticmethod
+    def toy_run(path, parallelism, mock_cfg, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        engine = make_engine(MockJudge(mock_cfg), toy_library, parallelism=parallelism)
+        records = engine.judge_pools(store, pools)
+        write_records_jsonl(path, records)
+        return records
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_read_back_rewrites_byte_identical(self, parallelism, tmp_path, mock_cfg, toy_library, toy_corpus):
+        path, again = tmp_path / "run.jsonl", tmp_path / "again.jsonl"
+        records = self.toy_run(path, parallelism, mock_cfg, toy_library, toy_corpus)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RUN_SHA256["r1"]
+        read = read_records_jsonl(path)
+        assert read == records
+        write_records_jsonl(again, read)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_one_read_shares_each_repeated_part(self, tmp_path, mock_cfg, toy_library, toy_corpus):
+        _, pools, _ = toy_corpus
+        path = tmp_path / "run.jsonl"
+        self.toy_run(path, 1, mock_cfg, toy_library, toy_corpus)
+        read = read_records_jsonl(path)
+        for pool in pools:
+            first, *rest = [r for r in read if r.query_id == pool.query_id]
+            assert len(rest) == len(pool.candidate_ids) - 1
+            for record in rest:
+                assert record.query_id is first.query_id
+                assert record.mf_extractions[0] is first.mf_extractions[0]
+                assert record.lf_extractions[0] is first.lf_extractions[0]
+        # A case met in several pools, as query or candidate, has one object per fact type.
+        objects: dict[tuple[str, FactType], set[int]] = {}
+        for record in read:
+            for extraction in (*record.mf_extractions, *record.lf_extractions):
+                objects.setdefault((extraction.case_id, extraction.fact_type), set()).add(id(extraction))
+        assert {len(ids) for ids in objects.values()} == {1}
+        for field in ("status", "run_id", "config_fingerprint"):
+            assert len({id(getattr(r, field)) for r in read}) == 1
+
+    def test_different_texts_of_one_case_stay_distinct(self, tmp_path):
+        # A run resumed against a live backend can hold two extractions of one case.
+        first = fabricate_record("q1", "c1", 3, query_text="盗窃 财物")
+        second = fabricate_record("q1", "c2", 1, query_text="抢劫 财物")
+        third = fabricate_record("q1", "c3", 1, query_text="盗窃 财物")
+        fourth = fabricate_record("q1", "c4", 3, query_text="盗窃 财物")
+        other_raw = FactExtraction("q1", FactType.MF, "盗窃 财物", "another reply")
+        fourth = dataclasses.replace(fourth, mf_extractions=(other_raw, fourth.mf_extractions[1]))
+        records = [first, second, third, fourth]
+        path = tmp_path / "resumed.jsonl"
+        write_records_jsonl(path, records)
+        read = read_records_jsonl(path)
+        assert read == records
+        queries = [r.mf_extractions[0] for r in read]
+        assert queries[0] is queries[2]
+        assert [q.text for q in queries] == ["盗窃 财物", "抢劫 财物", "盗窃 财物", "盗窃 财物"]
+        assert queries[3].raw_response == "another reply"
+        assert len({id(q) for q in queries}) == 3
+        assert read[1].mf_verdict is read[2].mf_verdict
 
 
 class TestFingerprint:

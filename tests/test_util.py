@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
 
 import pytest
 
-from lexjudge._util import OnceMemo, atomic_write_text
+from lexjudge._util import OnceMemo, atomic_write_lines, atomic_write_text, read_json, read_jsonl
 from lexjudge.augmentation import load_pairs
 from lexjudge.config import load_config
 from lexjudge.corpus import CaseStore, load_cases, load_pools, load_qrels
@@ -45,6 +46,24 @@ def test_concurrent_writers_of_one_path_leave_one_whole_payload(tmp_path):
     assert errors == []
     assert target.read_text(encoding="utf-8") in payloads
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["over-a-file", "new-path"])
+def test_writer_whose_lines_raise_leaves_the_target_as_it_was(existing, tmp_path):
+    target = tmp_path / "out.jsonl"
+    if existing:
+        target.write_text("old\n", encoding="utf-8")
+
+    def lines():
+        yield "first\n"
+        yield "x" * 100_000 + "\n"
+        raise ValueError("the row source failed")
+
+    with pytest.raises(ValueError, match="the row source failed"):
+        atomic_write_lines(target, lines())
+    assert [p.name for p in tmp_path.iterdir()] == (["out.jsonl"] if existing else [])
+    if existing:
+        assert target.read_text(encoding="utf-8") == "old\n"
 
 
 def test_once_memo_computes_each_key_once_across_threads():
@@ -133,3 +152,31 @@ def test_jsonl_loaders_name_the_line(load, tmp_path):
         load(path)
     assert str(excinfo.value) == f"bad JSON: Expecting value ({path}:3)"
     assert (excinfo.value.path, excinfo.value.line) == (str(path), 3)
+
+
+def test_json_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_bytes('{"案": "caf'.encode("utf-8") + b'\xe9"}')
+    with pytest.raises(ParseError) as excinfo:
+        read_json(path, dict, "config file")
+    assert str(excinfo.value) == f"not UTF-8: byte 0xe9 at offset 12 ({path})"
+
+
+def test_jsonl_that_is_not_utf8_names_the_exact_line(tmp_path):
+    # Thousands of multi-byte lines first, so the bad byte lies far past any read buffer.
+    good = "".join(json.dumps({"id": f"c{i}", "fact_text": "被告人盗窃" * 8}, ensure_ascii=False) + "\n" for i in range(3000))
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(good.encode("utf-8") + b'{"id": "caf\xe9"}\n' + b'{"id": "next"}\n')
+    rows = read_jsonl(path)
+    for _ in range(3000):
+        next(rows)
+    with pytest.raises(ParseError) as excinfo:
+        next(rows)
+    assert str(excinfo.value) == f"not UTF-8: byte 0xe9 at offset 11 ({path}:3001)"
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), 3001)
+
+
+def test_jsonl_lines_may_end_in_crlf(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n\r\n{"b": "\xe6\xa1\x88"}\r\n')
+    assert list(read_jsonl(path)) == [(1, {"a": 1}), (3, {"b": "案"})]
