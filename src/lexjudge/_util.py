@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic writes, JSON and JSON-lines readers, a fill-once memo."""
+"""Small shared helpers: atomic writes, text, JSON and JSON-lines readers, a fill-once memo."""
 
 from __future__ import annotations
 
@@ -43,8 +43,23 @@ def atomic_write_json(path: str | Path, payload: object, *, indent: int = 2) -> 
     atomic_write_text(path, json.dumps(payload, ensure_ascii=False, indent=indent) + "\n")
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> str:
-    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+def _not_utf8(exc: UnicodeDecodeError, line_start: int = 0) -> str:
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start - line_start}"
+
+
+def read_text(path) -> str:
+    """Read a UTF-8 file, a path or a packaged resource, with line ends made "\\n" as in text mode.
+
+    A byte that is not UTF-8 raises ParseError naming the file and line,
+    with the byte's offset counted from the start of that line.
+    """
+    data = (Path(path) if isinstance(path, str) else path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(_not_utf8(exc, line_start), path=str(path), line=line) from None
 
 
 def read_json(path: str | Path, kind: type, what: str) -> list | dict:
@@ -90,21 +105,37 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 class OnceMemo(dict):
-    """A dict that computes a missing value once and keeps it.
+    """A dict that computes a missing value once per key and keeps it.
 
-    A miss computes under a lock, so concurrent readers of one key share a
-    single computation; a hit is a plain dict lookup. A computation that
-    raises stores nothing.
+    A hit is a plain dict lookup. A miss runs compute(key) outside any
+    memo-wide lock: readers of that key wait for the one computation; a
+    miss on another key, or a computation reading another key, goes ahead.
+    A computation that raises stores nothing, and its waiters retry one at
+    a time. A computation must not read its own key.
     """
 
     def __init__(self, compute: Callable):
         super().__init__()
         self._compute = compute
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards _running
+        self._running: dict = {}
 
     def __missing__(self, key):
-        with self._lock:
-            if key in self:
-                return self[key]
+        while True:
+            with self._lock:
+                if key in self:
+                    return self[key]
+                running = self._running.get(key)
+                if running is None:
+                    running = self._running[key] = threading.Lock()  # far cheaper than an Event
+                    running.acquire()
+                    break
+            with running:  # held by the computing thread until it ends; then look again
+                pass
+        try:
             value = self[key] = self._compute(key)
-            return value
+        finally:
+            with self._lock:
+                del self._running[key]
+            running.release()
+        return value

@@ -16,12 +16,12 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from ._util import atomic_write_lines, atomic_write_text, read_json, read_jsonl
+from ._util import OnceMemo, atomic_write_lines, atomic_write_text, read_json, read_jsonl
 from .corpus import LABELS, Case, CaseStore
 from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord, read_records_jsonl, record_line
 from .errors import (
@@ -117,18 +117,37 @@ class PairScorer(Protocol):
     def score(self, left: Case, right: Case) -> float: ...
 
 
+def _one_document_terms(
+    tokenizer_mode: str, k1: float, b: float, idf: float, text: str
+) -> tuple[list[str], dict[str, float]]:
+    tokens = list(map(sys.intern, tokenize(text, tokenizer_mode)))
+    # _length_norm of a one-document index, whose avg_doc_len is doc_len / 1.
+    doc_len = len(tokens)
+    avg_doc_len = doc_len / 1
+    norm = k1 * (1.0 - b + b * doc_len / avg_doc_len) if avg_doc_len > 0 else k1
+    # Summands depend on tf alone; sharing one float per tf keeps the memo small.
+    by_tf: dict[int, float] = {}
+    summands = {}
+    for term, tf in Counter(tokens).items():
+        summand = by_tf.get(tf)
+        if summand is None:
+            summand = by_tf[tf] = idf * tf * (k1 + 1.0) / (tf + norm)
+        summands[term] = summand
+    return tokens, summands
+
+
 class Bm25PairScorer:
     """Default pre-ranker: the left facts scored by BM25 against the right facts alone.
 
     Each pair is scored as bm25_score over a one-document index that holds
     only the right case. With one document, idf is the same constant for
     every term and the length norm cancels to k1, so the score is a
-    saturated count of left tokens that occur in the right text, not
-    corpus BM25 (ROADMAP item 3 proposes one corpus index instead).
+    saturated count of left tokens that occur in the right text, not corpus
+    BM25 (the ROADMAP item "Prerank as real BM25" proposes one index).
 
-    Each distinct fact text is tokenized once. The scorer memoizes, per
-    text, its interned tokens (the query role) and each term's summand
-    idf*tf*(k1+1)/(tf+norm) (the document role), computed with the
+    Each distinct fact text is tokenized once. The scorer's OnceMemo
+    holds, per text, its interned tokens (the query role) and each term's
+    summand idf*tf*(k1+1)/(tf+norm) (the document role), computed with the
     expressions and operation order of build_bm25_index, _length_norm and
     bm25_score, so every score equals the one-document bm25_score exactly.
     A text whose tokenization fails leaves no entry. The memo lives as
@@ -140,36 +159,13 @@ class Bm25PairScorer:
     def __init__(self, tokenizer_mode: str = "cjk_bigram", k1: float = 1.2, b: float = 0.75):
         if k1 < 0 or not 0 <= b <= 1:
             raise DomainError(f"bad BM25 parameters k1={k1} b={b}")
-        self.tokenizer_mode = tokenizer_mode
-        self.k1 = k1
-        self.b = b
         # Robertson/Sparck-Jones idf with N = 1 document and n = 1 holding the term.
-        self._idf = math.log(1.0 + (1 - 1 + 0.5) / (1 + 0.5))
-        self._memo: dict[str, tuple[list[str], dict[str, float]]] = {}
-
-    def _entry(self, text: str) -> tuple[list[str], dict[str, float]]:
-        entry = self._memo.get(text)
-        if entry is None:
-            tokens = list(map(sys.intern, tokenize(text, self.tokenizer_mode)))
-            k1, b, idf = self.k1, self.b, self._idf
-            # _length_norm of a one-document index, whose avg_doc_len is doc_len / 1.
-            doc_len = len(tokens)
-            avg_doc_len = doc_len / 1
-            norm = k1 * (1.0 - b + b * doc_len / avg_doc_len) if avg_doc_len > 0 else k1
-            # Summands depend on tf alone; sharing one float per tf keeps the memo small.
-            by_tf: dict[int, float] = {}
-            summands = {}
-            for term, tf in Counter(tokens).items():
-                summand = by_tf.get(tf)
-                if summand is None:
-                    summand = by_tf[tf] = idf * tf * (k1 + 1.0) / (tf + norm)
-                summands[term] = summand
-            entry = self._memo[text] = (tokens, summands)
-        return entry
+        idf = math.log(1.0 + (1 - 1 + 0.5) / (1 + 0.5))
+        self._memo = OnceMemo(partial(_one_document_terms, tokenizer_mode, k1, b, idf))
 
     def score(self, left: Case, right: Case) -> float:
-        tokens = self._entry(left.fact_text)[0]
-        summands = self._entry(right.fact_text)[1]
+        tokens = self._memo[left.fact_text][0]
+        summands = self._memo[right.fact_text][1]
         # Adds the summands left to right in query token order, skipping
         # tokens absent from the right text, as bm25_score does.
         return reduce(add, filter(None, map(summands.get, tokens)), 0.0)
@@ -275,6 +271,33 @@ class DatasetSpec:
             total = sum(self.distribution.values())
             if abs(total - 1.0) > 1e-6:
                 raise DomainError(f"distribution must sum to 1, got {total}")
+
+    def to_dict(self) -> dict:
+        """The spec sidecar's fields; distribution labels become JSON keys."""
+        return {
+            "name": self.name,
+            "size": self.size,
+            "mode": self.mode,
+            "distribution": {str(k): v for k, v in (self.distribution or {}).items()} or None,
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_dict(cls, raw: Mapping, path: str | Path) -> "DatasetSpec":
+        """Rebuild a spec from its sidecar at path; ParseError naming it on any bad field."""
+        for key, kind in (("name", str), ("size", int), ("mode", str), ("seed", int)):
+            if key not in raw:
+                raise ParseError(f"spec sidecar missing key {key!r}", path=str(path))
+            if isinstance(raw[key], bool) or not isinstance(raw[key], kind):
+                what = "a string" if kind is str else "an integer"
+                raise ParseError(f"spec sidecar field {key!r} must be {what}", path=str(path))
+        distribution = raw.get("distribution")
+        try:
+            if distribution:
+                distribution = {int(k): float(v) for k, v in distribution.items()}
+            return cls(raw["name"], raw["size"], raw["mode"], distribution or None, raw["seed"])
+        except (AttributeError, TypeError, ValueError, DomainError) as exc:
+            raise ParseError(f"bad spec sidecar: {exc}", path=str(path)) from None
 
 
 def largest_remainder_quotas(size: int, distribution: Mapping[int, float]) -> dict[int, int]:

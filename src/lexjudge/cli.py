@@ -35,7 +35,7 @@ from .engine import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from .errors import LexjudgeError, ParseError
+from .errors import LexjudgeError
 from .evaluation import (
     build_reliability_report,
     build_validity_report,
@@ -149,7 +149,7 @@ def _cmd_judge(args: argparse.Namespace, config: Config) -> int:
     top_n = args.top_n if args.top_n is not None else config.judge.top_n_candidates
     out_paths = _run_paths(Path(args.out), runs)
     # One library serves every run; each run gets its own engine, so runs
-    # share no extraction cache.
+    # share no extraction memo.
     library = _load_library(config, args.demos)
     written = []
     for index, out_path in enumerate(out_paths, start=1):
@@ -277,14 +277,7 @@ def _cmd_augment_build(args: argparse.Namespace, config: Config) -> int:
     )
     chosen = build_dataset(records, spec)
     write_records_jsonl(args.out, chosen)
-    sidecar = {
-        "name": spec.name,
-        "size": spec.size,
-        "mode": spec.mode,
-        "distribution": {str(k): v for k, v in (spec.distribution or {}).items()} or None,
-        "seed": spec.seed,
-    }
-    atomic_write_json(Path(args.out + ".spec.json"), sidecar)
+    atomic_write_json(Path(args.out + ".spec.json"), spec.to_dict())
     histogram: dict[str, int] = {}
     for record in chosen:
         histogram[str(record.label)] = histogram.get(str(record.label), 0) + 1
@@ -298,18 +291,7 @@ def _cmd_augment_export(args: argparse.Namespace, config: Config) -> int:
     spec = None
     sidecar_path = Path(args.dataset + ".spec.json")
     if sidecar_path.exists():
-        raw = read_json(sidecar_path, dict, "spec sidecar")
-        distribution = raw.get("distribution")
-        try:
-            spec = DatasetSpec(
-                name=raw["name"],
-                size=raw["size"],
-                mode=raw["mode"],
-                distribution={int(k): float(v) for k, v in distribution.items()} if distribution else None,
-                seed=raw["seed"],
-            )
-        except KeyError as exc:
-            raise ParseError(f"spec sidecar missing key {exc}", path=str(sidecar_path)) from None
+        spec = DatasetSpec.from_dict(read_json(sidecar_path, dict, "spec sidecar"), sidecar_path)
     manifest = export_dataset(
         records, args.format, args.out, store, spec=spec, compare_path=args.compare
     )

@@ -18,14 +18,15 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+import weakref
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from ._util import atomic_write_lines, read_jsonl
+from ._util import OnceMemo, atomic_write_lines, read_jsonl, read_text
 from .corpus import Case, CandidatePool, CaseStore, aggregate_label
 from .demos import (
     DemoLibrary,
@@ -116,12 +117,11 @@ def load_templates(templates_dir: str | Path | None = None) -> dict[str, str]:
             ref = resources.files("lexjudge").joinpath(f"templates/{name}.txt")
             if not ref.is_file():
                 raise TemplateError(f"packaged template {name}.txt is missing")
-            text = ref.read_text(encoding="utf-8")
         else:
-            path = Path(templates_dir) / f"{name}.txt"
-            if not path.is_file():
-                raise TemplateError(f"template file not found: {path}")
-            text = path.read_text(encoding="utf-8")
+            ref = Path(templates_dir) / f"{name}.txt"
+            if not ref.is_file():
+                raise TemplateError(f"template file not found: {ref}")
+        text = read_text(ref)
         found = set(_PLACEHOLDER_RE.findall(text))
         unknown = found - _KNOWN_PLACEHOLDERS
         if unknown:
@@ -353,9 +353,9 @@ def compute_fingerprint(
 class JudgeEngine:
     """Drives the staged workflow against any judge backend.
 
-    Fact extraction results are cached per (case id, fact type) for the
-    lifetime of the engine, so a query case is extracted once per run no
-    matter how many candidates it faces.
+    Each (case, fact type) is extracted once per engine, however many pairs
+    the case is in, through one OnceMemo: parallel pairs share the one
+    extraction, and a failed one is not kept, so the next pair retries it.
     """
 
     def __init__(
@@ -402,9 +402,8 @@ class JudgeEngine:
             templates=self.templates,
         )
         self.run_id = run_id if run_id is not None else "r1"
-        self._fe_cache: dict[tuple[str, str], FactExtraction] = {}
-        self._fe_pending: dict[tuple[str, str], Future] = {}
-        self._fe_lock = threading.Lock()
+        # Weakly, so engine and memo form no cycle: a finished engine frees its extractions at once.
+        self._extractions = OnceMemo(partial(JudgeEngine._extract_once, weakref.proxy(self)))
 
     # -- prompting ---------------------------------------------------------
 
@@ -500,39 +499,10 @@ class JudgeEngine:
 
     # -- pair and pool drivers ----------------------------------------------
 
-    def _cached_extract(self, case: Case, fact_type: FactType, prior_mf: FactExtraction | None = None) -> FactExtraction:
-        """Extract once per (case, fact type), even when pairs run in parallel.
-
-        The first thread to ask runs the extraction; the others wait on its
-        future. A failed extraction is not cached: each waiter then tries
-        again, as the next pair of a serial run would.
-        """
-        key = (case.id, fact_type.value)
-        while True:
-            with self._fe_lock:
-                hit = self._fe_cache.get(key)
-                if hit is not None:
-                    return hit
-                pending = self._fe_pending.get(key)
-                if pending is None:
-                    pending = self._fe_pending[key] = Future()
-                    break
-            try:
-                return pending.result()
-            except Exception:
-                continue
-        try:
-            extraction = self.extract_fact(case, fact_type, prior_mf)
-        except BaseException as exc:
-            with self._fe_lock:
-                del self._fe_pending[key]
-            pending.set_exception(exc)
-            raise
-        with self._fe_lock:
-            self._fe_cache[key] = extraction
-            del self._fe_pending[key]
-        pending.set_result(extraction)
-        return extraction
+    def _extract_once(self, key: tuple[Case, FactType]) -> FactExtraction:
+        case, fact_type = key
+        prior_mf = self._extractions[case, FactType.MF] if fact_type is FactType.LF else None
+        return self.extract_fact(case, fact_type, prior_mf)
 
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
         """Judge one pair through all six stages, material facts first."""
@@ -545,10 +515,10 @@ class JudgeEngine:
             except Exception as exc:
                 raise StageFailure(stage.value, fact_type.value, str(exc)) from exc
 
-        mf_q = run(Stage.FE, FactType.MF, lambda: self._cached_extract(query, FactType.MF))
-        mf_c = run(Stage.FE, FactType.MF, lambda: self._cached_extract(candidate, FactType.MF))
-        lf_q = run(Stage.FE, FactType.LF, lambda: self._cached_extract(query, FactType.LF, mf_q))
-        lf_c = run(Stage.FE, FactType.LF, lambda: self._cached_extract(candidate, FactType.LF, mf_c))
+        mf_q = run(Stage.FE, FactType.MF, lambda: self._extractions[query, FactType.MF])
+        mf_c = run(Stage.FE, FactType.MF, lambda: self._extractions[candidate, FactType.MF])
+        lf_q = run(Stage.FE, FactType.LF, lambda: self._extractions[query, FactType.LF])
+        lf_c = run(Stage.FE, FactType.LF, lambda: self._extractions[candidate, FactType.LF])
         mf_verdict = run(Stage.FA, FactType.MF, lambda: self.judge_fact_pair(mf_q, mf_c, FactType.MF))
         lf_verdict = run(Stage.FA, FactType.LF, lambda: self.judge_fact_pair(lf_q, lf_c, FactType.LF))
         return JudgmentRecord(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from ._util import read_text
 from .corpus import Qrels, gold_fact_flags
 from .engine import JudgmentRecord
 from .errors import (
@@ -229,35 +230,33 @@ def load_run(path: str | Path) -> RunFile:
     Ranks must count up from 1 and scores must never increase within a
     query.
     """
-    path = Path(path)
     entries: dict[str, list[tuple[str, float]]] = {}
     expected_rank: dict[str, int] = {}
     last_score: dict[str, float] = {}
     seen: set[tuple[str, str]] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError("run line must have 6 columns", path=str(path), line=line_no)
-            qid, _, cid, rank_s, score_s, _ = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise ParseError("bad rank or score", path=str(path), line=line_no) from None
-            if (qid, cid) in seen:
-                raise IntegrityError(f"run repeats candidate {cid!r} for query {qid!r}")
-            seen.add((qid, cid))
-            want = expected_rank.get(qid, 1)
-            if rank != want:
-                raise IntegrityError(f"query {qid!r}: rank {rank} where {want} expected")
-            expected_rank[qid] = want + 1
-            if qid in last_score and score > last_score[qid]:
-                raise IntegrityError(f"query {qid!r}: scores increase at rank {rank}")
-            last_score[qid] = score
-            entries.setdefault(qid, []).append((cid, score))
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError("run line must have 6 columns", path=str(path), line=line_no)
+        qid, _, cid, rank_s, score_s, _ = parts
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise ParseError("bad rank or score", path=str(path), line=line_no) from None
+        if (qid, cid) in seen:
+            raise IntegrityError(f"run repeats candidate {cid!r} for query {qid!r}")
+        seen.add((qid, cid))
+        want = expected_rank.get(qid, 1)
+        if rank != want:
+            raise IntegrityError(f"query {qid!r}: rank {rank} where {want} expected")
+        expected_rank[qid] = want + 1
+        if qid in last_score and score > last_score[qid]:
+            raise IntegrityError(f"query {qid!r}: scores increase at rank {rank}")
+        last_score[qid] = score
+        entries.setdefault(qid, []).append((cid, score))
     if not entries:
         raise EmptyRunError(f"run file {path} holds no entries")
     return RunFile(entries=entries)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
-from ._util import OnceMemo, atomic_write_text, read_json
+from ._util import OnceMemo, atomic_write_text, read_json, read_text
 from .errors import AuthError, DomainError, MalformedStageMarker, UpstreamError
 from .retrieval import tokenize
 
@@ -126,27 +126,20 @@ class MockJudgeConfig:
 
 def load_lexicon(path: str | Path) -> frozenset[str]:
     terms = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         term = unicodedata.normalize("NFC", line.strip())
         if term and not term.startswith("#"):
             terms.add(term)
     return frozenset(terms)
 
 
-class _PunctuationToSpace(dict):
-    """str.translate table mapping punctuation (category P*) to a space.
-
-    Filled lazily, one unicodedata lookup per distinct code point. Every
-    other code point maps to itself; mapping it to None would delete it.
-    """
-
-    def __missing__(self, cp: int) -> int:
-        value = 0x20 if unicodedata.category(chr(cp)).startswith("P") else cp
-        self[cp] = value
-        return value
+def _punctuation_to_space(cp: int) -> int:
+    # Every other code point maps to itself; mapping it to None would delete it.
+    return 0x20 if unicodedata.category(chr(cp)).startswith("P") else cp
 
 
-_PUNCTUATION_TO_SPACE = _PunctuationToSpace()
+# str.translate table: punctuation (category P*) to a space, one lookup per code point.
+_PUNCTUATION_TO_SPACE = OnceMemo(_punctuation_to_space)
 
 
 def mock_tokens(text: str) -> list[str]:

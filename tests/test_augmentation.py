@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
 import random
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -195,6 +197,17 @@ class TestBm25PairScorer:
             Bm25PairScorer(k1=-0.1)
         with pytest.raises(DomainError):
             Bm25PairScorer(b=1.5)
+
+    def test_is_freed_without_the_cycle_collector(self):
+        scorer = Bm25PairScorer()
+        assert scorer.score(Case(id="l", fact_text="被告人盗窃"), Case(id="r", fact_text="盗窃财物")) > 0
+        freed = weakref.ref(scorer)
+        gc.disable()
+        try:
+            del scorer
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def counting_tokenize(self, monkeypatch, fail_first: str | None = None):
         seen: Counter[str] = Counter()

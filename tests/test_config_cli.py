@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 
 from lexjudge.cli import main
 from lexjudge.config import Config, load_config
 from lexjudge.corpus import load_qrels
-from lexjudge.engine import read_records_jsonl
+from lexjudge.engine import TEMPLATE_NAMES, read_records_jsonl
 from lexjudge.errors import ConfigError, ParseError
 
 
@@ -766,6 +767,36 @@ def _cases_latin1(toy, out, tmp):
     return ["ingest", "--cases", str(bad), "--pools", str(toy.pools)], bad, 2
 
 
+def _judge_args(toy, tmp):
+    return ["judge", "--mock", "--cases", str(toy.cases), "--pools", str(toy.pools),
+            "--runs", "1", "--out", str(tmp / "j.jsonl")]
+
+
+def _lexicon_latin1(toy, out, tmp):
+    bad = tmp / "lexicon.txt"
+    bad.write_bytes("盗窃\n".encode("utf-8") + "café\n".encode("latin-1"))
+    return ["--set", f"mock.lexicon_path={bad}"] + _judge_args(toy, tmp), bad, 2
+
+
+def _template_ends_in_latin1(toy, out, tmp):
+    templates = tmp / "templates"
+    templates.mkdir()
+    for name in TEMPLATE_NAMES:
+        packaged = resources.files("lexjudge").joinpath(f"templates/{name}.txt")
+        (templates / f"{name}.txt").write_bytes(packaged.read_bytes())
+    bad = templates / "fa_lf.txt"
+    text = bad.read_bytes()
+    assert text.endswith(b"\n")
+    bad.write_bytes(text + b"\xe9")
+    return _judge_args(toy, tmp) + ["--templates", str(templates)], bad, text.count(b"\n") + 1
+
+
+def _run_latin1_line(toy, out, tmp):
+    bad = tmp / "run.txt"
+    bad.write_bytes(b"q01 Q0 c01 1 0.9 t\n" + "q01 Q0 café 2 0.8 t\n".encode("latin-1"))
+    return ["ndcg", "--run", str(bad), "--qrels", str(toy.qrels)], bad, 2
+
+
 class TestCliMalformedInput:
     """A malformed input file is a data problem: exit 1 with one error line naming it."""
 
@@ -779,8 +810,13 @@ class TestCliMalformedInput:
             _sidecar('{"name": "x", "size": '),
             _sidecar('["x"]'),
             _sidecar('{"name": "x", "mode": "random", "seed": 0}'),
+            _sidecar('{"name": "x", "size": 4, "mode": "random", "distribution": [1], "seed": 0}'),
+            _sidecar('{"name": "x", "size": "4", "mode": "random", "distribution": null, "seed": 0}'),
             _compare_truncated,
             _cases_latin1,
+            _lexicon_latin1,
+            _template_ends_in_latin1,
+            _run_latin1_line,
         ],
         ids=[
             "validity-truncated-line",
@@ -790,8 +826,13 @@ class TestCliMalformedInput:
             "spec-sidecar-truncated",
             "spec-sidecar-not-an-object",
             "spec-sidecar-missing-key",
+            "spec-sidecar-distribution-not-an-object",
+            "spec-sidecar-size-a-string",
             "compare-truncated-line",
             "cases-latin1-line",
+            "lexicon-latin1-line",
+            "template-ends-in-latin1",
+            "run-latin1-line",
         ],
     )
     def test_exits_1_with_one_error_line(self, make_case, judged, tmp_path, capsys):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -614,6 +616,19 @@ class TestSingleFlightExtraction:
         records = annotate_pairs(make_engine(judge, toy_library, parallelism=8), store, pairs)
         assert judge.calls["FE_MF"] + judge.calls["FE_LF"] == 2 * len(cases)
         assert records == annotate_pairs(make_engine(MockJudge(mock_cfg), toy_library), store, pairs)
+
+    def test_finished_engine_is_freed_without_the_cycle_collector(self, mock_cfg, toy_library, toy_corpus):
+        # An engine kept alive by a reference cycle holds its extractions until a full collection.
+        store, pools, _ = toy_corpus
+        engine = make_engine(MockJudge(mock_cfg), toy_library)
+        engine.judge_pools(store, pools[:1], top_n=2)
+        freed = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class CountingCalls:

@@ -116,6 +116,48 @@ def test_once_memo_stores_nothing_when_the_computation_raises():
     assert attempts == ["abcd", "abcd"]
 
 
+def test_once_memo_miss_on_one_key_does_not_wait_for_another():
+    a_started, release_a = threading.Event(), threading.Event()
+
+    def compute(key: str) -> str:
+        if key == "a":
+            a_started.set()
+            release_a.wait(timeout=30)
+        return key.upper()
+
+    memo = OnceMemo(compute)
+    results: dict[str, str] = {}
+
+    def read(key: str) -> None:
+        results[key] = memo[key]
+
+    slow = threading.Thread(target=read, args=("a",), daemon=True)
+    fast = threading.Thread(target=read, args=("b",), daemon=True)
+    slow.start()
+    try:
+        assert a_started.wait(timeout=10)
+        fast.start()
+        fast.join(timeout=5)
+        assert not fast.is_alive(), "a miss on 'b' waited for the computation of 'a'"
+        assert results == {"b": "B"}
+    finally:
+        release_a.set()
+    slow.join(timeout=10)
+    assert not slow.is_alive()
+    assert results == {"a": "A", "b": "B"}
+
+
+def test_once_memo_computation_may_read_another_key():
+    memo = OnceMemo(lambda key: memo["mf"] + "+lf" if key == "lf" else key)
+    results: list[str] = []
+    reader = threading.Thread(target=lambda: results.append(memo["lf"]), daemon=True)
+    reader.start()
+    reader.join(timeout=5)
+    assert not reader.is_alive(), "a computation that reads another key never finished"
+    assert results == ["mf+lf"]
+    assert memo == {"mf": "mf", "lf": "mf+lf"}
+
+
 @pytest.mark.parametrize(
     "load, wrong_top_level, message",
     [
