@@ -14,7 +14,6 @@ import math
 import random
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
@@ -32,7 +31,8 @@ from .errors import (
     ParseError,
     ScorerError,
 )
-from .retrieval import round_sig, tokenize
+from .gateway import FACTS_BEGIN, FACTS_END, VERDICT_IRRELEVANT, VERDICT_RELEVANT
+from .retrieval import build_bm25_index, rank_by_score, tokenize
 
 DATASET_MODES = ("distribution_matched", "random")
 EXPORT_FORMATS = ("label_only", "rationale")
@@ -118,22 +118,12 @@ class PairScorer(Protocol):
 
 
 def _one_document_terms(
-    tokenizer_mode: str, k1: float, b: float, idf: float, text: str
+    tokenizer_mode: str, k1: float, b: float, text: str
 ) -> tuple[list[str], dict[str, float]]:
     tokens = list(map(sys.intern, tokenize(text, tokenizer_mode)))
-    # _length_norm of a one-document index, whose avg_doc_len is doc_len / 1.
-    doc_len = len(tokens)
-    avg_doc_len = doc_len / 1
-    norm = k1 * (1.0 - b + b * doc_len / avg_doc_len) if avg_doc_len > 0 else k1
-    # Summands depend on tf alone; sharing one float per tf keeps the memo small.
-    by_tf: dict[int, float] = {}
-    summands = {}
-    for term, tf in Counter(tokens).items():
-        summand = by_tf.get(tf)
-        if summand is None:
-            summand = by_tf[tf] = idf * tf * (k1 + 1.0) / (tf + norm)
-        summands[term] = summand
-    return tokens, summands
+    # A one-document index whose doc id is the text itself.
+    weights = build_bm25_index({text: tokens}, k1=k1, b=b).weights
+    return tokens, {term: row[text] for term, row in weights.items()}
 
 
 class Bm25PairScorer:
@@ -147,9 +137,8 @@ class Bm25PairScorer:
 
     Each distinct fact text is tokenized once. The scorer's OnceMemo
     holds, per text, its interned tokens (the query role) and each term's
-    summand idf*tf*(k1+1)/(tf+norm) (the document role), computed with the
-    expressions and operation order of build_bm25_index, _length_norm and
-    bm25_score, so every score equals the one-document bm25_score exactly.
+    weight in the one-document index built over that text (the document
+    role), so every score equals the one-document bm25_score exactly.
     A text whose tokenization fails leaves no entry. The memo lives as
     long as the scorer and holds every text it has scored; the CLI builds
     one scorer per `augment prerank`, which bounds it by the cases of one
@@ -159,9 +148,7 @@ class Bm25PairScorer:
     def __init__(self, tokenizer_mode: str = "cjk_bigram", k1: float = 1.2, b: float = 0.75):
         if k1 < 0 or not 0 <= b <= 1:
             raise DomainError(f"bad BM25 parameters k1={k1} b={b}")
-        # Robertson/Sparck-Jones idf with N = 1 document and n = 1 holding the term.
-        idf = math.log(1.0 + (1 - 1 + 0.5) / (1 + 0.5))
-        self._memo = OnceMemo(partial(_one_document_terms, tokenizer_mode, k1, b, idf))
+        self._memo = OnceMemo(partial(_one_document_terms, tokenizer_mode, k1, b))
 
     def score(self, left: Case, right: Case) -> float:
         tokens = self._memo[left.fact_text][0]
@@ -187,8 +174,7 @@ def prerank_pairs(
         except Exception as exc:
             raise ScorerError(f"scorer failed on pair {pair.key()}: {exc}") from exc
         scored.append((pair, value))
-    scored.sort(key=lambda item: (-round_sig(item[1]), item[0].key()))
-    return [pair for pair, _ in scored[:top_n]]
+    return [pair for pair, _ in rank_by_score(scored, CasePair.key)[:top_n]]
 
 
 def annotate_pairs(
@@ -243,6 +229,16 @@ def annotate_pairs(
     return [done[key] for key in unique]
 
 
+def parse_distribution(raw: object) -> dict[int, float]:
+    """{int label: float share} from a parsed JSON object; DomainError on any other input."""
+    if not isinstance(raw, Mapping):
+        raise DomainError(f"distribution must be an object of label shares, got {type(raw).__name__}")
+    try:
+        return {int(label): float(share) for label, share in raw.items()}
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"bad distribution entry: {exc}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class DatasetSpec:
     """Recipe for one training set build."""
@@ -266,8 +262,8 @@ class DatasetSpec:
             for label, share in self.distribution.items():
                 if label not in LABELS:
                     raise DomainError(f"distribution label {label!r} outside {LABELS}")
-                if share < 0:
-                    raise DomainError(f"distribution share for {label} is negative")
+                if not 0 <= share <= 1:  # also false for NaN
+                    raise DomainError(f"distribution share for {label} must be in [0, 1], got {share}")
             total = sum(self.distribution.values())
             if abs(total - 1.0) > 1e-6:
                 raise DomainError(f"distribution must sum to 1, got {total}")
@@ -294,9 +290,9 @@ class DatasetSpec:
         distribution = raw.get("distribution")
         try:
             if distribution:
-                distribution = {int(k): float(v) for k, v in distribution.items()}
+                distribution = parse_distribution(distribution)
             return cls(raw["name"], raw["size"], raw["mode"], distribution or None, raw["seed"])
-        except (AttributeError, TypeError, ValueError, DomainError) as exc:
+        except DomainError as exc:
             raise ParseError(f"bad spec sidecar: {exc}", path=str(path)) from None
 
 
@@ -349,14 +345,14 @@ def _rationale_assistant_text(record: JudgmentRecord) -> str:
     mf_q, mf_c = record.mf_extractions
     lf_q, lf_c = record.lf_extractions
     parts = [
-        "Case A material facts:\n===FACTS===\n" + mf_q.text + "\n===END===",
-        "Case B material facts:\n===FACTS===\n" + mf_c.text + "\n===END===",
-        "Case A legal facts:\n===FACTS===\n" + lf_q.text + "\n===END===",
-        "Case B legal facts:\n===FACTS===\n" + lf_c.text + "\n===END===",
+        f"Case A material facts:\n{FACTS_BEGIN}\n{mf_q.text}\n{FACTS_END}",
+        f"Case B material facts:\n{FACTS_BEGIN}\n{mf_c.text}\n{FACTS_END}",
+        f"Case A legal facts:\n{FACTS_BEGIN}\n{lf_q.text}\n{FACTS_END}",
+        f"Case B legal facts:\n{FACTS_BEGIN}\n{lf_c.text}\n{FACTS_END}",
         "Material fact comparison: " + record.mf_verdict.reasoning,
-        "VERDICT: " + ("RELEVANT" if record.mf_verdict.relevant else "IRRELEVANT"),
+        VERDICT_RELEVANT if record.mf_verdict.relevant else VERDICT_IRRELEVANT,
         "Legal fact comparison: " + record.lf_verdict.reasoning,
-        "VERDICT: " + ("RELEVANT" if record.lf_verdict.relevant else "IRRELEVANT"),
+        VERDICT_RELEVANT if record.lf_verdict.relevant else VERDICT_IRRELEVANT,
         f"Overall relevance label: {record.label}",
     ]
     return "\n".join(parts)

@@ -22,6 +22,7 @@ from .augmentation import (
     build_dataset,
     export_dataset,
     load_pairs,
+    parse_distribution,
     prerank_pairs,
     sample_pairs,
     save_pairs,
@@ -35,7 +36,7 @@ from .engine import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from .errors import LexjudgeError
+from .errors import DomainError, LexjudgeError
 from .evaluation import (
     build_reliability_report,
     build_validity_report,
@@ -262,9 +263,8 @@ def _cmd_augment_build(args: argparse.Namespace, config: Config) -> int:
     distribution = None
     if args.distribution:
         try:
-            raw = json.loads(args.distribution)
-            distribution = {int(k): float(v) for k, v in raw.items()}
-        except (ValueError, AttributeError) as exc:
+            distribution = parse_distribution(json.loads(args.distribution))
+        except (ValueError, DomainError) as exc:
             raise LexjudgeError(
                 f"--distribution must be a JSON object of label fractions: {exc}"
             ) from None

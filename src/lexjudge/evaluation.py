@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._util import read_text
+from ._util import atomic_write_text, read_text
 from .corpus import Qrels, gold_fact_flags
 from .engine import JudgmentRecord
 from .errors import (
@@ -267,7 +267,7 @@ def save_run(path: str | Path, run: RunFile, tag: str = "lexjudge") -> None:
     for qid, ranking in run.entries.items():
         for rank, (cid, score) in enumerate(ranking, start=1):
             lines.append(f"{qid} Q0 {cid} {rank} {score:.6f} {tag}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,9 +1,8 @@
-"""Lexical retrieval: tokenizers and a BM25 index.
+"""Lexical retrieval: tokenizers, a BM25 index and rank_by_score, the one ranking order.
 
-The index backs both the adaptive demonstration matching and the default
-pair pre-ranker, so scoring must stay deterministic: ranking comparisons
-happen on scores rounded to 12 significant digits and ties break by
-ascending doc id.
+Demonstration matching (top_k_rank) and the default pair pre-ranker both
+rank with rank_by_score, so every ranking is deterministic: scores rounded
+to 12 significant digits, descending, ties broken by an ascending key.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, UnknownDocError
 
@@ -73,14 +72,19 @@ def round_sig(x: float, digits: int = 12) -> float:
     return float(f"{x:.{digits - 1}e}")
 
 
+def rank_by_score(scored: Iterable[tuple], tie_key: Callable) -> list[tuple]:
+    """(item, score) pairs best first: rounded score descending, then tie_key(item) ascending."""
+    return sorted(scored, key=lambda pair: (-round_sig(pair[1]), tie_key(pair[0])))
+
+
 @dataclass
 class Bm25Index:
     """Inverted index with BM25 scoring state.
 
     postings maps term -> {doc_id: term frequency}. Scores use the
     Robertson/Sparck-Jones idf ln(1 + (N - n + 0.5)/(n + 0.5)), which
-    never goes negative. The idf of each term and the length norm of each
-    document are computed once, when the index is built.
+    never goes negative. weights[term][doc_id] is that posting's summand,
+    computed once at build time; equal weights share one float object.
     """
 
     doc_count: int
@@ -89,18 +93,24 @@ class Bm25Index:
     doc_lens: dict[str, int]
     k1: float = 1.2
     b: float = 0.75
-    _idf: dict[str, float] = field(default_factory=dict, repr=False)
-    _norms: dict[str, float] = field(default_factory=dict, repr=False)
+    weights: dict[str, dict[str, float]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        k1 = self.k1
+        norms = {doc_id: _length_norm(self, doc_len) for doc_id, doc_len in self.doc_lens.items()}
+        idfs: dict[int, float] = {}  # idf depends on the term's document count alone
+        shared: dict[float, float] = {}
+        self.weights = {}
         for term, docs in self.postings.items():
-            n = len(docs)
-            self._idf[term] = math.log(1.0 + (self.doc_count - n + 0.5) / (n + 0.5))
-        for doc_id, doc_len in self.doc_lens.items():
-            self._norms[doc_id] = _length_norm(self, doc_len)
+            idf = idfs.get(len(docs)) or idfs.setdefault(len(docs), self.idf(term))
+            row = self.weights[term] = {}
+            for doc_id, tf in docs.items():
+                weight = idf * tf * (k1 + 1.0) / (tf + norms[doc_id])
+                row[doc_id] = shared.setdefault(weight, weight)
 
     def idf(self, term: str) -> float:
-        return self._idf.get(term, 0.0)
+        n = len(self.postings.get(term, ()))
+        return math.log(1.0 + (self.doc_count - n + 0.5) / (n + 0.5)) if n else 0.0
 
 
 def build_bm25_index(
@@ -136,7 +146,7 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
     """
     if doc_id not in index.doc_lens:
         raise UnknownDocError(f"doc id {doc_id!r} not in index")
-    norm = index._norms[doc_id]
+    norm = _length_norm(index, index.doc_lens[doc_id])
     score = 0.0
     for term in query_tokens:
         docs = index.postings.get(term)
@@ -152,23 +162,15 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
 def top_k_rank(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
     """Top-k documents by BM25 score, ties broken by ascending doc id.
 
-    One pass over the postings of the query terms. Each document's sum
-    adds the same terms in the same order as bm25_score, so every score
+    One pass over the weights of the query terms. Each document's sum adds
+    the same summands in the same order as bm25_score, so every score
     equals bm25_score(index, query_tokens, doc_id) exactly. Terms absent
     from the postings add nothing, so dropping them changes no score.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    k1 = index.k1
-    norms = index._norms
     scores = dict.fromkeys(index.doc_lens, 0.0)
     for term in query_tokens:
-        docs = index.postings.get(term)
-        if not docs:
-            continue
-        idf = index.idf(term)
-        for doc_id, tf in docs.items():
-            scores[doc_id] += idf * tf * (k1 + 1.0) / (tf + norms[doc_id])
-    scored = list(scores.items())
-    scored.sort(key=lambda item: (-round_sig(item[1]), item[0]))
-    return scored[: min(k, index.doc_count)]
+        for doc_id, weight in index.weights.get(term, {}).items():
+            scores[doc_id] += weight
+    return rank_by_score(scores.items(), str)[: min(k, index.doc_count)]

@@ -27,6 +27,7 @@ from lexjudge.augmentation import (
     largest_remainder_quotas,
     load_pairs,
     make_pair,
+    parse_distribution,
     prerank_pairs,
     sample_pairs,
     save_pairs,
@@ -192,6 +193,16 @@ class TestBm25PairScorer:
             expected = bm25_score(index, tokenize(query.fact_text, mode), doc.id)
             assert scorer.score(query, doc) == expected
 
+    @given(FACT_TEXT, BM25_PARAMS, st.sampled_from(["cjk_bigram", "whitespace"]))
+    @settings(max_examples=200)
+    def test_memo_entry_holds_one_float_per_distinct_tf(self, text, params, mode):
+        scorer = Bm25PairScorer(mode, *params)
+        case = Case(id="c", fact_text=text)
+        scorer.score(case, case)
+        tokens, summands = scorer._memo[text]
+        assert summands.keys() == set(tokens)
+        assert len(set(map(id, summands.values()))) <= len(set(Counter(tokens).values()))
+
     def test_bad_parameters_rejected(self):
         with pytest.raises(DomainError):
             Bm25PairScorer(k1=-0.1)
@@ -270,6 +281,23 @@ class TestPrerank:
             ),
         )
         assert prerank_pairs(pairs, toy_store_only, scorer, top_n=20) == expected
+
+    # sha256 of the `augment prerank` file and of every score's float.hex(),
+    # 200 toy pairs (seed 0), top 60. One toy case repeats a bigram; every
+    # other term has tf 1, whose one-document summand comes out the same
+    # under both settings, so both give the same bytes.
+    PRERANK_SHA256 = "d0974133a1e8718f3f841ec53473dba19be539aeda4907fcde8264da9308e7c7"
+    SCORES_SHA256 = "9dc5ed50cf264c14d862ed5b0b60ecbded94dd10c15005b29d0db8a7eea110f4"
+
+    @pytest.mark.parametrize("k1, b", [(1.2, 0.75), (0.9, 0.4)])
+    def test_toy_prerank_matches_pinned_digests(self, k1, b, toy_store_only, tmp_path):
+        store = toy_store_only
+        pairs = sample_pairs(store, 200, seed=0)
+        scorer = Bm25PairScorer("cjk_bigram", k1, b)
+        save_pairs(tmp_path / "kept.json", prerank_pairs(pairs, store, scorer, top_n=60))
+        assert hashlib.sha256((tmp_path / "kept.json").read_bytes()).hexdigest() == self.PRERANK_SHA256
+        scores = [[*p.key(), scorer.score(store.get(p.left_id), store.get(p.right_id)).hex()] for p in pairs]
+        assert hashlib.sha256(json.dumps(scores).encode()).hexdigest() == self.SCORES_SHA256
 
     def test_ties_break_on_pair_key(self):
         store = tiny_store(4)
@@ -468,11 +496,22 @@ class TestDatasetSpec:
             dict(name="d", size=5, mode="distribution_matched", distribution={0: 0.5, 1: 0.4}),
             dict(name="d", size=5, mode="distribution_matched", distribution={0: 1.5, 1: -0.5}),
             dict(name="d", size=5, mode="distribution_matched", distribution={9: 1.0}),
+            dict(name="d", size=5, mode="distribution_matched", distribution={0: float("nan")}),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(DomainError):
             DatasetSpec(**kwargs)
+
+
+class TestParseDistribution:
+    def test_json_object_becomes_int_labels_and_float_shares(self):
+        assert parse_distribution(json.loads('{"0": 0.5, "3": 1, "2": "0.25"}')) == {0: 0.5, 3: 1.0, 2: 0.25}
+
+    @pytest.mark.parametrize("raw", ['[0.5, 0.5]', 'null', '{"0": null}', '{"0": [1]}', '{"x": 0.5}', '{"0": "half"}'])
+    def test_anything_else_is_a_domain_error(self, raw):
+        with pytest.raises(DomainError):
+            parse_distribution(json.loads(raw))
 
 
 class TestQuotas:
@@ -625,6 +664,17 @@ class TestExportDataset:
         user = row["messages"][1]["content"]
         assert store.get("e0").fact_text in user
         assert store.get("e1").fact_text in user
+
+    def test_toy_rationale_export_matches_pinned_digest(self, toy_corpus, toy_library, mock_judge, tmp_path):
+        # sample -> prerank -> annotate -> build -> export, as `lexjudge augment` runs it.
+        store = toy_corpus[0]
+        kept = prerank_pairs(sample_pairs(store, 200, seed=0), store, Bm25PairScorer(), top_n=60)
+        records = annotate_pairs(make_engine(mock_judge, toy_library), store, kept)
+        spec = DatasetSpec("toy", 30, "random", seed=0)
+        out = tmp_path / "rationale.jsonl"
+        export_dataset(build_dataset(records, spec), "rationale", out, store, spec=spec)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "5654802900be2fd624651e0d1ed90815cad00fbd19849be40c1431fe0fd4ea23"
 
     def test_manifest_hash_matches_content(self, tmp_path):
         store = self.export_store()

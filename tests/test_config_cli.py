@@ -846,6 +846,20 @@ class TestCliMalformedInput:
         assert message.startswith("error: ")
         assert message.endswith(f"({bad}:{line})" if line is not None else f"({bad})")
 
+    @pytest.mark.parametrize("distribution", ['{"0": null}', '{"0": [1]}', '{"0": NaN}', '[0.5]'])
+    def test_bad_distribution_exits_1_with_one_error_line(self, distribution, judged, tmp_path, capsys):
+        toy, out = judged
+        argv = ["augment", "build", "--annotated", str(out), "--name", "x", "--size", "4",
+                "--mode", "distribution_matched", "--distribution", distribution,
+                "--out", str(tmp_path / "d.jsonl")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        [message] = err.splitlines()
+        assert message.startswith("error: ") and "distribution" in message
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_export_with_a_bad_compare_file_writes_no_dataset(self, judged, tmp_path, capsys):
         toy, out = judged
         argv, _, _ = _compare_truncated(toy, out, tmp_path)

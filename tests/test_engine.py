@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import json
 import sys
 import threading
 import time
@@ -708,6 +709,31 @@ class TestGoldenRecords:
     def test_one_library_serves_every_run(self, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
         libraries = [load_demo_library(toy.demos)] * len(GOLDEN_RUN_SHA256)
         assert self.run_digests(libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
+
+
+class RecordingJudge:
+    """Wraps a judge, keeping the user text of every request in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.user_texts: list[str] = []
+
+    def complete(self, request):
+        self.user_texts.append(request.user_text)
+        return self.inner.complete(request)
+
+
+class TestGoldenPrompts:
+    """Every prompt sent on the bundled pools, byte for byte. Mock records ignore
+    the demonstrations, so only this pins demo selection and order."""
+
+    def test_user_texts_match_pinned_digest(self, toy_library, mock_judge, toy_corpus):
+        store, pools, _ = toy_corpus
+        judge = RecordingJudge(mock_judge)
+        make_engine(judge, toy_library, parallelism=1).judge_pools(store, pools)
+        assert len(judge.user_texts) == 336
+        digest = hashlib.sha256(json.dumps(judge.user_texts, ensure_ascii=False).encode()).hexdigest()
+        assert digest == "8b1e5f2f4591688cd8c46a19fd7023156c1d194682db6592fc720f1ae9dd1126"
 
 
 class TestRetryExhaustion:

@@ -303,6 +303,13 @@ class TestRunFiles:
         loaded = load_run(path)
         assert loaded == run
 
+    def test_save_into_a_new_directory_round_trips(self, tmp_path):
+        path = tmp_path / "runs" / "new" / "run.txt"
+        run = self.make_run()
+        save_run(path, run, tag="test")
+        assert load_run(path) == run
+        assert [p.name for p in path.parent.iterdir()] == ["run.txt"]  # no temp file left
+
     def test_file_format(self, tmp_path):
         path = tmp_path / "run.txt"
         save_run(path, self.make_run(), tag="mytag")

@@ -16,6 +16,7 @@ from lexjudge.retrieval import (
     bm25_score,
     build_bm25_index,
     is_cjk,
+    rank_by_score,
     round_sig,
     tokenize,
     top_k_rank,
@@ -162,6 +163,47 @@ class TestBm25:
                 assert bm25_score(index, query, doc_id) == pytest.approx(
                     bm25_score_oracle(docs, query, doc_id, k1, b), abs=1e-12
                 )
+
+
+DOCS = st.dictionaries(
+    st.sampled_from([f"d{i}" for i in range(8)]),
+    st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=12),
+    max_size=8,
+)
+# k1 = 0 and b = 0 are the edges: no tf saturation, no length normalization.
+BM25_PARAMS = st.sampled_from([(1.2, 0.75), (0.0, 0.75), (1.2, 0.0), (0.0, 0.0), (0.9, 1.0), (1.2, 0.7)])
+
+
+class TestIndexWeights:
+    @given(DOCS, BM25_PARAMS)
+    @settings(max_examples=300)
+    def test_each_weight_is_the_summand_bm25_score_adds(self, docs, params):
+        k1, b = params
+        index = build_bm25_index(docs, k1=k1, b=b)
+        assert index.weights.keys() == index.postings.keys()
+        for term, row in index.weights.items():
+            assert row.keys() == index.postings[term].keys()
+            for doc_id, weight in row.items():
+                # 0.0 + summand is the summand, so a one-term query adds exactly the weight.
+                assert weight == bm25_score(index, [term], doc_id)
+
+    @given(DOCS, BM25_PARAMS)
+    @settings(max_examples=100)
+    def test_equal_weights_are_one_object(self, docs, params):
+        index = build_bm25_index(docs, k1=params[0], b=params[1])
+        weights = [w for row in index.weights.values() for w in row.values()]
+        assert len(set(map(id, weights))) == len(set(weights))
+
+
+class TestRankByScore:
+    def test_scores_equal_to_twelve_digits_tie_and_break_on_the_key(self):
+        scored = [("b", 1.0), ("c", 1.0 + 1e-13), ("a", 1.0 - 1e-13), ("z", 2.0), ("y", 0.0)]
+        assert [item for item, _ in rank_by_score(scored, str)] == ["z", "a", "b", "c", "y"]
+
+    def test_tie_key_decides_only_among_ties(self):
+        scored = [(("x", 2), 1.0), (("x", 1), 1.0), (("a", 9), 0.5)]
+        ranked = rank_by_score(scored, lambda item: item[1])
+        assert ranked == [(("x", 1), 1.0), (("x", 2), 1.0), (("a", 9), 0.5)]
 
 
 class TestTopK:
