@@ -32,7 +32,7 @@ from .errors import (
     ScorerError,
 )
 from .gateway import FACTS_BEGIN, FACTS_END, VERDICT_IRRELEVANT, VERDICT_RELEVANT
-from .retrieval import build_bm25_index, rank_by_score, tokenize
+from .retrieval import one_document_weights, rank_by_score, tokenize
 
 DATASET_MODES = ("distribution_matched", "random")
 EXPORT_FORMATS = ("label_only", "rationale")
@@ -121,9 +121,7 @@ def _one_document_terms(
     tokenizer_mode: str, k1: float, b: float, text: str
 ) -> tuple[list[str], dict[str, float]]:
     tokens = list(map(sys.intern, tokenize(text, tokenizer_mode)))
-    # A one-document index whose doc id is the text itself.
-    weights = build_bm25_index({text: tokens}, k1=k1, b=b).weights
-    return tokens, {term: row[text] for term, row in weights.items()}
+    return tokens, one_document_weights(tokens, k1, b)
 
 
 class Bm25PairScorer:
@@ -137,8 +135,9 @@ class Bm25PairScorer:
 
     Each distinct fact text is tokenized once. The scorer's OnceMemo
     holds, per text, its interned tokens (the query role) and each term's
-    weight in the one-document index built over that text (the document
-    role), so every score equals the one-document bm25_score exactly.
+    weight in a one-document index over that text (the document role),
+    taken from retrieval.one_document_weights with the index's own weight
+    expression, so every score equals the one-document bm25_score exactly.
     A text whose tokenization fails leaves no entry. The memo lives as
     long as the scorer and holds every text it has scored; the CLI builds
     one scorer per `augment prerank`, which bounds it by the cases of one
@@ -187,7 +186,10 @@ def annotate_pairs(
 
     With a checkpoint path, every finished pair is appended as one JSONL
     line immediately, and a rerun skips pairs already on disk, so an
-    interrupted batch resumes without re-judging. Judge-level failures
+    interrupted batch resumes without re-judging. A rerun also hands the
+    finished records to engine.reuse_extractions, so a case a finished
+    pair extracted is not extracted again; like the skipped pairs, this
+    assumes the cases file has not changed since. Judge-level failures
     become failed records; interrupts propagate after the flush.
     """
     unique: dict[tuple[str, str], CasePair] = {}
@@ -195,12 +197,15 @@ def annotate_pairs(
         unique.setdefault(pair.key(), pair)
     done: dict[tuple[str, str], JudgmentRecord] = {}
     checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
-    if checkpoint is not None and checkpoint.exists():
-        for record in read_records_jsonl(checkpoint):
-            if record.config_fingerprint != engine.config_fingerprint:
-                raise IntegrityError("checkpoint was written under a different configuration")
-            done[(record.query_id, record.candidate_id)] = record
-    todo = [pair for key, pair in unique.items() if key not in done]
+    finished = read_records_jsonl(checkpoint) if checkpoint is not None and checkpoint.exists() else []
+    for record in finished:
+        if record.config_fingerprint != engine.config_fingerprint:
+            raise IntegrityError("checkpoint was written under a different configuration")
+        done[(record.query_id, record.candidate_id)] = record
+    todo = [
+        (store.get(pair.left_id), store.get(pair.right_id)) for key, pair in unique.items() if key not in done
+    ]
+    engine.reuse_extractions(finished, [case for pair in todo for case in pair])
     write_lock = threading.Lock()
     sink = None
     if checkpoint is not None:
@@ -219,10 +224,7 @@ def annotate_pairs(
         # finish sees pairs in completion order, so a slow pair holds back no
         # finished line; after an error, pairs not yet started are dropped
         # rather than judged with nowhere to record them.
-        engine.judge_pairs(
-            [(store.get(pair.left_id), store.get(pair.right_id)) for pair in todo],
-            on_record=finish,
-        )
+        engine.judge_pairs(todo, on_record=finish)
     finally:
         if sink is not None:
             sink.close()

@@ -254,7 +254,14 @@ def _cmd_augment_annotate(args: argparse.Namespace, config: Config) -> int:
     )
     records = annotate_pairs(engine, store, pairs, checkpoint_path=args.out)
     failed = sum(1 for r in records if r.status != "ok")
-    _emit({"pairs": len(records), "failed": failed, "checkpoint": args.out})
+    _emit(
+        {
+            "pairs": len(records),
+            "failed": failed,
+            "extractions_reused": engine.extractions_reused,
+            "checkpoint": args.out,
+        }
+    )
     return 0
 
 

@@ -9,6 +9,7 @@ per call site so results do not depend on evaluation order.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import unicodedata
 from dataclasses import dataclass
@@ -64,6 +65,10 @@ class DemoLibrary:
     library; a text is tokenized at most once per set. Only those terms
     can score, so ranking them equals ranking every token. The memoized
     terms are the postings' own strings.
+
+    content_sha256 is the sha256 of every demo's fields in id order,
+    taken once at construction, so a run's fingerprint can cover the
+    library's content.
     """
 
     def __init__(
@@ -75,6 +80,8 @@ class DemoLibrary:
         b: float = 0.75,
     ):
         self.tokenizer_mode = tokenizer_mode
+        self.k1 = k1
+        self.b = b
         self._sets: dict[tuple[Stage, FactType], list[Demonstration]] = {
             (s, f): [] for s in Stage for f in FactType
         }
@@ -100,6 +107,11 @@ class DemoLibrary:
                     raise IntegrityError(
                         f"FA/{fact_type.value} set has no {polarity} demonstration"
                     )
+        fields = [
+            [d.id, d.stage.value, d.fact_type.value, d.input_text, d.exemplar_output, d.polarity]
+            for _, d in sorted(self._by_id.items())
+        ]
+        self.content_sha256 = hashlib.sha256(json.dumps(fields, ensure_ascii=False).encode("utf-8")).hexdigest()
         self._indexes: dict[tuple[Stage, FactType], Bm25Index] = {}
         self._terms: dict[tuple[Stage, FactType], OnceMemo] = {}
         for key, demo_list in self._sets.items():

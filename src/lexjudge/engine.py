@@ -330,21 +330,40 @@ def compute_fingerprint(
     *,
     model: str,
     temperature: float,
+    max_tokens: int,
     top_k_demos: int,
     fa_demos_per_polarity: int,
+    sampling_seed: int,
     flags: AblationFlags,
     templates: Mapping[str, str],
+    tokenizer_mode: str,
+    bm25_k1: float,
+    bm25_b: float,
+    demos_sha256: str,
 ) -> str:
+    """The first 16 hex digits of a sha256 over every input that changes a record.
+
+    That is the request settings (model, temperature, max_tokens), the demo
+    counts, the ablation sampling seed and flags, each template's sha256,
+    and the demo library: its tokenizer mode, BM25 k1 and b, and content
+    sha256. Case texts are not covered: a checkpoint is resumed against the
+    cases file it was started with.
+    """
     payload = {
         "model": model,
         "temperature": temperature,
+        "max_tokens": max_tokens,
         "top_k_demos": top_k_demos,
         "fa_demos_per_polarity": fa_demos_per_polarity,
+        "sampling_seed": sampling_seed,
         "ablation": flags.to_dict(),
         "templates": {
             name: hashlib.sha256(text.encode("utf-8")).hexdigest()
             for name, text in sorted(templates.items())
         },
+        "tokenizer_mode": tokenizer_mode,
+        "bm25": {"k1": float(bm25_k1), "b": float(bm25_b)},
+        "demos": demos_sha256,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -356,6 +375,8 @@ class JudgeEngine:
     Each (case, fact type) is extracted once per engine, however many pairs
     the case is in, through one OnceMemo: parallel pairs share the one
     extraction, and a failed one is not kept, so the next pair retries it.
+    A resumed annotation fills the memo from its checkpoint first
+    (reuse_extractions), so the once holds across the resumes too.
     """
 
     def __init__(
@@ -396,14 +417,21 @@ class JudgeEngine:
         self.config_fingerprint = compute_fingerprint(
             model=model,
             temperature=temperature,
+            max_tokens=max_tokens,
             top_k_demos=top_k_demos,
             fa_demos_per_polarity=fa_demos_per_polarity,
+            sampling_seed=sampling_seed,
             flags=self.flags,
             templates=self.templates,
+            tokenizer_mode=library.tokenizer_mode,
+            bm25_k1=library.k1,
+            bm25_b=library.b,
+            demos_sha256=library.content_sha256,
         )
         self.run_id = run_id if run_id is not None else "r1"
         # Weakly, so engine and memo form no cycle: a finished engine frees its extractions at once.
         self._extractions = OnceMemo(partial(JudgeEngine._extract_once, weakref.proxy(self)))
+        self.extractions_reused = 0  # cases reuse_extractions filled
 
     # -- prompting ---------------------------------------------------------
 
@@ -503,6 +531,34 @@ class JudgeEngine:
         case, fact_type = key
         prior_mf = self._extractions[case, FactType.MF] if fact_type is FactType.LF else None
         return self.extract_fact(case, fact_type, prior_mf)
+
+    def reuse_extractions(self, records: Iterable[JudgmentRecord], cases: Iterable[Case]) -> int:
+        """Fill the extraction memo for cases from finished records; return how many cases it filled.
+
+        A resumed annotation calls this before judging, so a case that a
+        finished pair extracted is not extracted again. Only ok records
+        count. A case takes its material and its legal facts from the first
+        record that holds it, so the legal facts are the ones derived from
+        those material facts. A case already in the memo, or in no ok
+        record, is left to extract as usual. The records must come from
+        this configuration (annotate_pairs checks the fingerprint first) and
+        from the cases' present text.
+        """
+        wanted = {case.id: case for case in cases if (case, FactType.MF) not in self._extractions}
+        filled = 0
+        for record in records:
+            if not wanted:
+                break
+            if record.status != "ok":
+                continue
+            for mf, lf in zip(record.mf_extractions, record.lf_extractions):
+                case = wanted.pop(mf.case_id, None)
+                if case is not None:
+                    self._extractions[case, FactType.MF] = mf
+                    self._extractions[case, FactType.LF] = lf
+                    filled += 1
+        self.extractions_reused += filled
+        return filled
 
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
         """Judge one pair through all six stages, material facts first."""

@@ -96,21 +96,36 @@ class Bm25Index:
     weights: dict[str, dict[str, float]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        k1 = self.k1
-        norms = {doc_id: _length_norm(self, doc_len) for doc_id, doc_len in self.doc_lens.items()}
+        k1, b, avg_doc_len = self.k1, self.b, self.avg_doc_len
+        norms = {doc_id: _length_norm(k1, b, doc_len, avg_doc_len) for doc_id, doc_len in self.doc_lens.items()}
         idfs: dict[int, float] = {}  # idf depends on the term's document count alone
         shared: dict[float, float] = {}
         self.weights = {}
         for term, docs in self.postings.items():
-            idf = idfs.get(len(docs)) or idfs.setdefault(len(docs), self.idf(term))
+            idf = idfs.get(len(docs)) or idfs.setdefault(len(docs), _idf(self.doc_count, len(docs)))
             row = self.weights[term] = {}
             for doc_id, tf in docs.items():
-                weight = idf * tf * (k1 + 1.0) / (tf + norms[doc_id])
+                weight = bm25_weight(idf, tf, k1, norms[doc_id])
                 row[doc_id] = shared.setdefault(weight, weight)
 
     def idf(self, term: str) -> float:
         n = len(self.postings.get(term, ()))
-        return math.log(1.0 + (self.doc_count - n + 0.5) / (n + 0.5)) if n else 0.0
+        return _idf(self.doc_count, n) if n else 0.0
+
+
+def _idf(doc_count: int, n: int) -> float:
+    return math.log(1.0 + (doc_count - n + 0.5) / (n + 0.5))
+
+
+def _length_norm(k1: float, b: float, doc_len: int, avg_doc_len: float) -> float:
+    if avg_doc_len > 0:
+        return k1 * (1.0 - b + b * doc_len / avg_doc_len)
+    return k1
+
+
+def bm25_weight(idf: float, tf: int, k1: float, norm: float) -> float:
+    """One posting's BM25 summand; the index and one_document_weights both take it from here."""
+    return idf * tf * (k1 + 1.0) / (tf + norm)
 
 
 def build_bm25_index(
@@ -132,10 +147,19 @@ def build_bm25_index(
     return Bm25Index(doc_count=count, avg_doc_len=avg_len, postings=postings, doc_lens=doc_lens, k1=k1, b=b)
 
 
-def _length_norm(index: Bm25Index, doc_len: int) -> float:
-    if index.avg_doc_len > 0:
-        return index.k1 * (1.0 - index.b + index.b * doc_len / index.avg_doc_len)
-    return index.k1
+def one_document_weights(tokens: Sequence[str], k1: float, b: float) -> dict[str, float]:
+    """{term: weight} of the one document of build_bm25_index({doc: tokens}), without the index.
+
+    With one document every term's idf is _idf(1, 1) and the document has
+    the average length, so a weight depends on its term's tf alone: each
+    distinct tf is weighed once, with the index's own expressions, and its
+    terms share that float.
+    """
+    counts = Counter(tokens)
+    idf = _idf(1, 1)
+    norm = _length_norm(k1, b, len(tokens), len(tokens) / 1)  # avg_doc_len as build_bm25_index takes it
+    by_tf = {tf: bm25_weight(idf, tf, k1, norm) for tf in set(counts.values())}
+    return {term: by_tf[tf] for term, tf in counts.items()}
 
 
 def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> float:
@@ -146,7 +170,7 @@ def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> fl
     """
     if doc_id not in index.doc_lens:
         raise UnknownDocError(f"doc id {doc_id!r} not in index")
-    norm = _length_norm(index, index.doc_lens[doc_id])
+    norm = _length_norm(index.k1, index.b, index.doc_lens[doc_id], index.avg_doc_len)
     score = 0.0
     for term in query_tokens:
         docs = index.postings.get(term)

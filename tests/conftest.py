@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -36,6 +37,17 @@ MIXED_ALPHABET = st.sampled_from(
     list("盗窃罪案件被告人abc XY12 。，") + CJK_BOUNDARIES + SPLIT_WHITESPACE
 )
 MIXED_TEXT = st.text(alphabet=MIXED_ALPHABET, max_size=40)
+
+
+@pytest.fixture()
+def short_switch_interval():
+    """Threads switch far more often than by default, so races show up in short tests."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.fixture(scope="session")

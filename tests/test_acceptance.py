@@ -444,8 +444,8 @@ def test_10_interrupted_annotation_resumes_without_rework(
     pairs = sample_pairs(store, 100, seed=11)
     checkpoint = tmp_path / "checkpoint.jsonl"
 
-    def fresh_engine():
-        return make_engine(MockJudge(MockJudgeConfig(lexicon=toy_lexicon)), toy_library)
+    def fresh_engine(judge=None):
+        return make_engine(judge or MockJudge(MockJudgeConfig(lexicon=toy_lexicon)), toy_library)
 
     interrupted = fresh_engine()
     attach_counter(interrupted, stop_after=50)
@@ -456,11 +456,16 @@ def test_10_interrupted_annotation_resumes_without_rework(
     ]
     assert len(flushed) == 50
 
-    resumed_engine = fresh_engine()
+    judge = InstrumentedJudge(MockJudge(MockJudgeConfig(lexicon=toy_lexicon)))
+    resumed_engine = fresh_engine(judge)
     calls = attach_counter(resumed_engine)
     resumed = annotate_pairs(resumed_engine, store, pairs, checkpoint)
     assert len(calls) == 50
     assert len(resumed) == 100
+    # Only cases that no finished pair extracted are extracted again, MF then LF.
+    cases = lambda chosen: {case_id for pair in chosen for case_id in pair.key()}
+    unextracted = cases(pairs[50:]) - cases(pairs[:50])
+    assert judge.count("FE") == 2 * len(unextracted) < 2 * len(cases(pairs[50:]))
 
     baseline = annotate_pairs(fresh_engine(), store, pairs)
     assert [r.to_dict() for r in resumed] == [r.to_dict() for r in baseline]
@@ -468,8 +473,8 @@ def test_10_interrupted_annotation_resumes_without_rework(
     assert elapsed < 30.0
     print(
         f"ACCEPTANCE 10 PASS: a batch interrupted after 50 of 100 pairs resumes "
-        f"with exactly 50 further judgments and matches the uninterrupted "
-        f"result in {elapsed:.1f}s."
+        f"with exactly 50 further judgments and {judge.count('FE')} extractions, "
+        f"and matches the uninterrupted result in {elapsed:.1f}s."
     )
 
 

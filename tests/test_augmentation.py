@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import itertools
 import json
 import random
+import threading
 import time
 import weakref
 from collections import Counter
@@ -33,6 +35,8 @@ from lexjudge.augmentation import (
     save_pairs,
 )
 from lexjudge.corpus import Case, CaseStore
+from lexjudge.demos import FactType
+from lexjudge.engine import FactExtraction, read_records_jsonl
 from lexjudge.errors import (
     DomainError,
     ExhaustedError,
@@ -321,6 +325,21 @@ class TestPrerank:
             prerank_pairs([pair], store, ExplodingScorer(), top_n=1)
 
 
+def interrupting(engine, stop_after: int):
+    """Shadow engine.judge_pair so that the pair after the first stop_after raises KeyboardInterrupt."""
+    calls: list[tuple[str, str]] = []
+    original = engine.judge_pair
+
+    def wrapper(query, candidate):
+        if len(calls) == stop_after:
+            raise KeyboardInterrupt
+        calls.append((query.id, candidate.id))
+        return original(query, candidate)
+
+    engine.judge_pair = wrapper
+    return calls
+
+
 class TestAnnotatePairs:
     def test_labels_match_rule_oracle(
         self, mock_judge, toy_library, toy_corpus, toy_lexicon
@@ -369,33 +388,20 @@ class TestAnnotatePairs:
         assert records[2].status == "failed"
         assert all(r.status == "ok" for i, r in enumerate(records) if i != 2)
 
-    def interrupting(self, engine, stop_after: int):
-        calls: list[tuple[str, str]] = []
-        original = engine.judge_pair
-
-        def wrapper(query, candidate):
-            if len(calls) == stop_after:
-                raise KeyboardInterrupt
-            calls.append((query.id, candidate.id))
-            return original(query, candidate)
-
-        engine.judge_pair = wrapper
-        return calls
-
     def test_interrupt_and_resume(self, mock_judge, toy_library, toy_corpus, tmp_path):
         store, _, _ = toy_corpus
         pairs = sample_pairs(store, 10, seed=6)
         checkpoint = tmp_path / "ck" / "progress.jsonl"
 
         first = make_engine(mock_judge, toy_library)
-        self.interrupting(first, stop_after=5)
+        interrupting(first, stop_after=5)
         with pytest.raises(KeyboardInterrupt):
             annotate_pairs(first, store, pairs, checkpoint_path=checkpoint)
         lines = [l for l in checkpoint.read_text(encoding="utf-8").splitlines() if l]
         assert len(lines) == 5
 
         second = make_engine(mock_judge, toy_library)
-        resumed_calls = self.interrupting(second, stop_after=99)
+        resumed_calls = interrupting(second, stop_after=99)
         records = annotate_pairs(second, store, pairs, checkpoint_path=checkpoint)
         assert len(resumed_calls) == 5  # only the unfinished half is judged
 
@@ -423,7 +429,7 @@ class TestAnnotatePairs:
         engine = make_engine(mock_judge, toy_library)
         done = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
         replay = make_engine(mock_judge, toy_library)
-        calls = self.interrupting(replay, stop_after=99)
+        calls = interrupting(replay, stop_after=99)
         assert annotate_pairs(replay, store, pairs, checkpoint_path=checkpoint) == done
         assert calls == []
 
@@ -476,6 +482,141 @@ class TestCheckpointOrder:
         assert judge.saw_others is True
         assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs)
         assert judge.lines() == len(pairs)
+
+
+class RecordingJudge:
+    """Wraps a judge, keeping the user text of every request; safe across threads."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.user_texts: list[str] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.user_texts.append(request.user_text)
+        return self.inner.complete(request)
+
+    def fe_calls(self) -> int:
+        return sum(stage_of(text).startswith("FE") for text in self.user_texts)
+
+
+class CountingStore:
+    """A case store that keeps the id of every case looked up."""
+
+    def __init__(self, store):
+        self.store = store
+        self.looked_up: list[str] = []
+
+    def get(self, case_id):
+        self.looked_up.append(case_id)
+        return self.store.get(case_id)
+
+
+def case_ids(pairs) -> set[str]:
+    return {case_id for pair in pairs for case_id in pair}
+
+
+class TestResumeReusesExtractions:
+    """A resumed annotation extracts only the cases no finished pair extracted."""
+
+    def interrupted_checkpoint(self, mock_judge, toy_library, store, pairs, path, stop_after):
+        engine = make_engine(mock_judge, toy_library)
+        interrupting(engine, stop_after)
+        with pytest.raises(KeyboardInterrupt):
+            annotate_pairs(engine, store, pairs, checkpoint_path=path)
+        return read_records_jsonl(path)
+
+    @pytest.mark.parametrize("stop_after", [1, 10, 25])
+    def test_resume_extracts_only_cases_without_an_ok_record(
+        self, stop_after, mock_judge, toy_library, toy_store_only, tmp_path
+    ):
+        store = toy_store_only
+        pairs = sample_pairs(store, 40, seed=5)
+        checkpoint = tmp_path / "resumed.jsonl"
+        finished = self.interrupted_checkpoint(mock_judge, toy_library, store, pairs, checkpoint, stop_after)
+        assert len(finished) == stop_after
+        pending = [p.key() for p in pairs[stop_after:]]
+        extracted = case_ids((r.query_id, r.candidate_id) for r in finished if r.status == "ok")
+        assert case_ids(pending) & extracted  # the run shares cases across the interrupt
+
+        judge = RecordingJudge(mock_judge)
+        engine = make_engine(judge, toy_library)
+        records = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
+        assert judge.fe_calls() == 2 * len(case_ids(pending) - extracted)
+        assert engine.extractions_reused == len(case_ids(pending) & extracted)
+
+        oneshot = tmp_path / "oneshot.jsonl"
+        assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, checkpoint_path=oneshot)
+        lines = lambda path: sorted(path.read_text(encoding="utf-8").splitlines(keepends=True))
+        assert lines(checkpoint) == lines(oneshot)
+
+    @pytest.mark.usefixtures("short_switch_interval")
+    def test_parallel_resume_makes_the_serial_calls(self, mock_judge, toy_library, toy_store_only, tmp_path):
+        store = toy_store_only
+        pairs = sample_pairs(store, 40, seed=5)
+        serial_path, parallel_path = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        self.interrupted_checkpoint(mock_judge, toy_library, store, pairs, serial_path, 10)
+        parallel_path.write_bytes(serial_path.read_bytes())
+        runs = []
+        for path, parallelism in ((serial_path, 1), (parallel_path, 8)):
+            judge = RecordingJudge(mock_judge)
+            engine = make_engine(judge, toy_library, parallelism=parallelism)
+            records = annotate_pairs(engine, store, pairs, checkpoint_path=path)
+            runs.append((Counter(judge.user_texts), engine.extractions_reused, records))
+        assert runs[0][1] > 0
+        assert runs[0] == runs[1]
+
+    def test_pending_cases_only_are_looked_up(self, mock_judge, toy_library, toy_store_only, tmp_path):
+        pairs = sample_pairs(toy_store_only, 40, seed=5)
+        checkpoint = tmp_path / "progress.jsonl"
+        self.interrupted_checkpoint(mock_judge, toy_library, toy_store_only, pairs, checkpoint, 10)
+        store = CountingStore(toy_store_only)
+        annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, checkpoint_path=checkpoint)
+        assert set(store.looked_up) == case_ids(p.key() for p in pairs[10:])
+
+    def test_failed_records_fill_nothing(self, mock_judge, toy_library):
+        ok = fabricate_record("q1", "c1", 3)
+        records = [fabricate_record("q1", "c1", 0, status="failed"), dataclasses.replace(ok, status="failed")]
+        engine = make_engine(mock_judge, toy_library)
+        cases = [Case(id="q1", fact_text="query facts"), Case(id="c1", fact_text="candidate facts")]
+        assert engine.reuse_extractions(records, cases) == 0
+        assert not engine._extractions
+        assert engine.reuse_extractions([*records, ok], cases) == 2
+        assert len(engine._extractions) == 4
+
+    def test_a_case_takes_its_facts_from_one_record(self, mock_judge, toy_library):
+        first = fabricate_record("q1", "c1", 3, query_text="盗窃 财物")
+        second = fabricate_record("c0", "q1", 1, cand_text="抢劫 财物")
+        lf_other = FactExtraction("q1", FactType.LF, "tag_other", "===FACTS===\ntag_other\n===END===")
+        second = dataclasses.replace(second, lf_extractions=(second.lf_extractions[0], lf_other))
+        case = Case(id="q1", fact_text="案情")
+        for records, source, side in (([first, second], first, 0), ([second, first], second, 1)):
+            engine = make_engine(mock_judge, toy_library)
+            assert engine.reuse_extractions(records, [case, case]) == 1
+            assert engine._extractions[case, FactType.MF] is source.mf_extractions[side]
+            assert engine._extractions[case, FactType.LF] is source.lf_extractions[side]
+            assert len(engine._extractions) == 2
+            assert engine.reuse_extractions(records, [case]) == 0  # a filled case stays as it is
+
+    def test_fingerprint_mismatch_raises_before_anything_is_filled(
+        self, mock_judge, toy_library, toy_store_only, tmp_path, monkeypatch
+    ):
+        store = toy_store_only
+        pairs = sample_pairs(store, 12, seed=5)
+        checkpoint, foreign = tmp_path / "progress.jsonl", tmp_path / "foreign.jsonl"
+        annotate_pairs(make_engine(mock_judge, toy_library, temperature=0.9), store, pairs[:4], checkpoint)
+        annotate_pairs(make_engine(mock_judge, toy_library), store, pairs[4:8], foreign)
+        with checkpoint.open("a", encoding="utf-8") as fh:  # its own records first, then foreign ones
+            fh.write(foreign.read_text(encoding="utf-8"))
+        before = checkpoint.read_bytes()
+        engine = make_engine(mock_judge, toy_library, temperature=0.9)
+        called = []
+        monkeypatch.setattr(engine, "reuse_extractions", lambda *args: called.append(args))
+        with pytest.raises(IntegrityError, match="configuration"):
+            annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
+        assert called == [] and not engine._extractions
+        assert checkpoint.read_bytes() == before
 
 
 class TestDatasetSpec:

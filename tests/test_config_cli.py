@@ -642,6 +642,26 @@ class TestCliAugment:
         )
         assert code == 0 and second["pairs"] == 6
         assert checkpoint.read_bytes() == before  # nothing re-judged or appended
+        assert first["extractions_reused"] == second["extractions_reused"] == 0  # nothing pending
+
+    def test_annotate_reports_reused_extractions(self, toy, tmp_path, capsys):
+        pairs, head = tmp_path / "pairs.json", tmp_path / "head.json"
+        run_cli(capsys, "augment", "sample", "--cases", str(toy.cases), "--n", "40", "--seed", "5",
+                "--out", str(pairs))
+        kept = json.loads(pairs.read_text(encoding="utf-8"))
+        head.write_text(json.dumps(kept[:10]), encoding="utf-8")
+        annotate = lambda path, out: run_cli(capsys, "augment", "annotate", "--cases", str(toy.cases),
+                                             "--pairs", str(path), "--out", str(out), "--mock")
+        cases = lambda chosen: {case_id for pair in chosen for case_id in pair}
+        code, first = annotate(head, tmp_path / "resumed.jsonl")
+        assert code == 0 and first["extractions_reused"] == 0
+        code, resumed = annotate(pairs, tmp_path / "resumed.jsonl")
+        assert code == 0 and resumed["pairs"] == 40
+        assert resumed["extractions_reused"] == len(cases(kept[10:]) & cases(kept[:10])) > 0
+        code, oneshot = annotate(pairs, tmp_path / "oneshot.jsonl")
+        assert code == 0 and oneshot["extractions_reused"] == 0
+        sorted_lines = lambda name: sorted((tmp_path / name).read_text(encoding="utf-8").splitlines())
+        assert sorted_lines("resumed.jsonl") == sorted_lines("oneshot.jsonl")
 
     def test_build_infeasible_distribution_exits_1(self, toy, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"

@@ -6,7 +6,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import sys
 import threading
 import time
 import weakref
@@ -556,16 +555,6 @@ class SlowExtractionJudge:
         return mock_complete(request, self.cfg)
 
 
-@pytest.fixture()
-def short_switch_interval():
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(previous)
-
-
 @pytest.mark.usefixtures("short_switch_interval")
 class TestSingleFlightExtraction:
     def test_parallel_pool_extracts_each_case_once(self, mock_cfg, toy_library, toy_corpus):
@@ -678,9 +667,9 @@ class TestComputedOnce:
 
 
 GOLDEN_RUN_SHA256 = {
-    "r1": "9bd3b264d4ec3440565b36c9cc086f1e2cdfccfecdfd7a40c0cd80c9f672e606",
-    "r2": "45037b84db67a7ed1e9a2e412c278d29711c1bb8fbb0b03fac582e5d71b04677",
-    "r3": "067f7cfc2427d8ae30b5b1969c66d85618ff7d2da47ac0c534a07b99f54bb948",
+    "r1": "28f23d42565d9d1efba790927e5e14644be25344e5d334806f4e5649b68e5b9d",
+    "r2": "2f3f048a377a44e6f0bf52d9a581e6135d5628a9ce7c3f7c77527a939de08718",
+    "r3": "38a1659c393e6e2458751041733a5fbde727315518b25ef254058ecbe081d048",
 }
 
 
@@ -979,10 +968,16 @@ class TestFingerprint:
         return dict(
             model="m",
             temperature=0.4,
+            max_tokens=1024,
             top_k_demos=2,
             fa_demos_per_polarity=2,
+            sampling_seed=0,
             flags=AblationFlags(),
             templates=load_templates(),
+            tokenizer_mode="cjk_bigram",
+            bm25_k1=1.2,
+            bm25_b=0.75,
+            demos_sha256="0" * 64,
         )
 
     def test_stable_for_identical_configuration(self):
@@ -998,6 +993,12 @@ class TestFingerprint:
             {"top_k_demos": 3},
             {"fa_demos_per_polarity": 1},
             {"flags": AblationFlags(disable_fe=True)},
+            {"max_tokens": 512},
+            {"sampling_seed": 1},
+            {"tokenizer_mode": "whitespace"},
+            {"bm25_k1": 0.9},
+            {"bm25_b": 0.4},
+            {"demos_sha256": "1" * 64},
         ],
     )
     def test_sensitive_to_each_knob(self, change):
@@ -1011,6 +1012,31 @@ class TestFingerprint:
         templates["fe_mf"] += "\nExtra instruction line."
         kwargs["templates"] = templates
         assert compute_fingerprint(**kwargs) != compute_fingerprint(**self.base_kwargs())
+
+    def test_integer_bm25_parameters_fingerprint_as_floats(self):
+        kwargs = self.base_kwargs() | {"bm25_k1": 1, "bm25_b": 1}
+        assert compute_fingerprint(**kwargs) == compute_fingerprint(**kwargs | {"bm25_k1": 1.0, "bm25_b": 1.0})
+
+    def test_engine_fingerprint_follows_the_demo_library(self, mock_judge, toy, toy_library):
+        base = make_engine(mock_judge, toy_library).config_fingerprint
+        assert make_engine(mock_judge, load_demo_library(toy.demos)).config_fingerprint == base
+        demos = [toy_library._by_id[i] for i in sorted(toy_library._by_id)]
+        edited = [dataclasses.replace(demos[0], exemplar_output=demos[0].exemplar_output + " ")] + demos[1:]
+        others = [
+            load_demo_library(toy.demos, tokenizer_mode="whitespace"),
+            load_demo_library(toy.demos, k1=0.9),
+            load_demo_library(toy.demos, b=0.4),
+            lexjudge.demos.DemoLibrary(edited),
+        ]
+        fingerprints = {make_engine(mock_judge, library).config_fingerprint for library in others}
+        assert base not in fingerprints and len(fingerprints) == len(others)
+        # The content hash takes the demos in id order, not file order.
+        assert lexjudge.demos.DemoLibrary(reversed(demos)).content_sha256 == toy_library.content_sha256
+
+    def test_engine_fingerprint_covers_max_tokens_and_sampling_seed(self, mock_judge, toy_library):
+        base = make_engine(mock_judge, toy_library).config_fingerprint
+        assert make_engine(mock_judge, toy_library, max_tokens=512).config_fingerprint != base
+        assert make_engine(mock_judge, toy_library, sampling_seed=1).config_fingerprint != base
 
     def test_engine_validates_knobs(self, mock_judge, toy_library):
         with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from lexjudge.retrieval import (
     bm25_score,
     build_bm25_index,
     is_cjk,
+    one_document_weights,
     rank_by_score,
     round_sig,
     tokenize,
@@ -186,6 +187,20 @@ class TestIndexWeights:
             for doc_id, weight in row.items():
                 # 0.0 + summand is the summand, so a one-term query adds exactly the weight.
                 assert weight == bm25_score(index, [term], doc_id)
+
+    @given(st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=30), BM25_PARAMS)
+    @settings(max_examples=300)
+    def test_one_document_weights_are_the_index_row(self, tokens, params):
+        k1, b = params
+        weights = one_document_weights(tokens, k1, b)
+        index = build_bm25_index({"d": tokens}, k1=k1, b=b)
+        assert weights == {term: row["d"] for term, row in index.weights.items()}
+        for term, weight in weights.items():
+            assert weight.hex() == index.weights[term]["d"].hex()
+        by_tf: dict[int, set[int]] = {}
+        for term, tf in index.postings.items():
+            by_tf.setdefault(tf["d"], set()).add(id(weights[term]))
+        assert all(len(ids) == 1 for ids in by_tf.values())
 
     @given(DOCS, BM25_PARAMS)
     @settings(max_examples=100)
