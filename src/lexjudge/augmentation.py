@@ -185,27 +185,41 @@ def annotate_pairs(
     """Judge each pair once, checkpointing progress per completed pair.
 
     With a checkpoint path, every finished pair is appended as one JSONL
-    line immediately, and a rerun skips pairs already on disk, so an
-    interrupted batch resumes without re-judging. A rerun also hands the
-    finished records to engine.reuse_extractions, so a case a finished
-    pair extracted is not extracted again; like the skipped pairs, this
-    assumes the cases file has not changed since. Judge-level failures
-    become failed records; interrupts propagate after the flush.
+    line immediately, and a rerun skips pairs whose line on disk is ok, so
+    an interrupted batch resumes without re-judging. A pair whose line is
+    failed is judged again: a key's ok line wins over its failed lines, and
+    a later failed line over an earlier one. A run that leaves such
+    superseded lines behind rewrites the checkpoint, atomically, to one
+    line per pair. A rerun also hands the finished records to
+    engine.reuse_extractions, so a case a finished pair extracted is not
+    extracted again; like the skipped pairs, this assumes the cases file
+    has not changed since. Judge-level failures become failed records;
+    interrupts propagate after the flush.
     """
     unique: dict[tuple[str, str], CasePair] = {}
     for pair in pairs:
         unique.setdefault(pair.key(), pair)
-    done: dict[tuple[str, str], JudgmentRecord] = {}
+    kept: dict[tuple[str, str], JudgmentRecord] = {}  # the line each key keeps, in first-seen order
     checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
     finished = read_records_jsonl(checkpoint) if checkpoint is not None and checkpoint.exists() else []
+
+    def keep(record: JudgmentRecord) -> None:
+        key = (record.query_id, record.candidate_id)
+        held = kept.get(key)
+        if held is None or held.status != "ok":
+            kept[key] = record
+
     for record in finished:
         if record.config_fingerprint != engine.config_fingerprint:
             raise IntegrityError("checkpoint was written under a different configuration")
-        done[(record.query_id, record.candidate_id)] = record
+        keep(record)
     todo = [
-        (store.get(pair.left_id), store.get(pair.right_id)) for key, pair in unique.items() if key not in done
+        (store.get(pair.left_id), store.get(pair.right_id))
+        for key, pair in unique.items()
+        if key not in kept or kept[key].status != "ok"
     ]
     engine.reuse_extractions(finished, [case for pair in todo for case in pair])
+    lines = len(finished)
     write_lock = threading.Lock()
     sink = None
     if checkpoint is not None:
@@ -213,12 +227,14 @@ def annotate_pairs(
         sink = checkpoint.open("a", encoding="utf-8")
 
     def finish(record: JudgmentRecord) -> None:
+        nonlocal lines
         if sink is not None:
             line = record_line(record)
             with write_lock:
                 sink.write(line)
                 sink.flush()
-        done[(record.query_id, record.candidate_id)] = record
+                lines += 1
+        keep(record)
 
     try:
         # finish sees pairs in completion order, so a slow pair holds back no
@@ -228,7 +244,9 @@ def annotate_pairs(
     finally:
         if sink is not None:
             sink.close()
-    return [done[key] for key in unique]
+    if sink is not None and lines > len(kept):
+        atomic_write_lines(checkpoint, map(record_line, kept.values()))
+    return [kept[key] for key in unique]
 
 
 def parse_distribution(raw: object) -> dict[int, float]:

@@ -133,16 +133,20 @@ def load_templates(templates_dir: str | Path | None = None) -> dict[str, str]:
     return templates
 
 
+def _demo_block(key: tuple[Demonstration, int]) -> str:
+    """A demo's block at a 1-based position, led by the blank line that parts it from the one before."""
+    demo, i = key
+    tag = f" ({demo.polarity} pair)" if demo.polarity else ""
+    out_word = "judgment" if demo.stage is Stage.FA else "extraction"
+    blank = "" if i == 1 else "\n\n"
+    return (
+        f"{blank}Example {i}{tag} input:\n{demo.input_text}\n"
+        f"Example {i}{tag} {out_word}:\n{demo.exemplar_output}"
+    )
+
+
 def serialize_demos(demos: Sequence[Demonstration]) -> str:
-    blocks = []
-    for i, demo in enumerate(demos, start=1):
-        tag = f" ({demo.polarity} pair)" if demo.polarity else ""
-        out_word = "judgment" if demo.stage is Stage.FA else "extraction"
-        blocks.append(
-            f"Example {i}{tag} input:\n{demo.input_text}\n"
-            f"Example {i}{tag} {out_word}:\n{demo.exemplar_output}"
-        )
-    return "\n\n".join(blocks)
+    return "".join(_demo_block((demo, i)) for i, demo in enumerate(demos, start=1))
 
 
 def assemble_prompt(
@@ -431,14 +435,56 @@ class JudgeEngine:
         self.run_id = run_id if run_id is not None else "r1"
         # Weakly, so engine and memo form no cycle: a finished engine frees its extractions at once.
         self._extractions = OnceMemo(partial(JudgeEngine._extract_once, weakref.proxy(self)))
+        self._frames = OnceMemo(partial(JudgeEngine._frame, weakref.proxy(self)))
+        self._demo_blocks = OnceMemo(_demo_block)
         self.extractions_reused = 0  # cases reuse_extractions filled
 
     # -- prompting ---------------------------------------------------------
 
+    def _frame(self, key: tuple[Stage, FactType]) -> tuple[str, tuple[tuple[str, str], ...]]:
+        """A stage's user text around its demos and target: (head, ((slot, text after it), ...)).
+
+        The template is split once by _PLACEHOLDER_RE, as assemble_prompt's
+        single pass finds its placeholders. The head starts with the stage
+        line, the task description and definitions are filled in, and the
+        target's marker lines go around each target slot. An unknown
+        placeholder raises the KeyError the single pass would.
+        """
+        stage, fact_type = key
+        values = {
+            "task_description": TASK_DESCRIPTIONS[(stage.value, fact_type.value)],
+            "definitions": DEFINITIONS[fact_type.value],
+        }
+        pieces = _PLACEHOLDER_RE.split(self.templates[f"{stage.value}_{fact_type.value}".lower()])
+        texts = [f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n{pieces[0]}"]
+        slots = []
+        for name, text in zip(pieces[1::2], pieces[2::2]):
+            if name == "demos":
+                slots.append(name)
+                texts.append(text)
+            elif name == "target":
+                slots.append(name)
+                texts[-1] += f"{TARGET_BEGIN}\n"
+                texts.append(f"\n{TARGET_END}{text}")
+            else:
+                texts[-1] += values[name] + text
+        return texts[0], tuple(zip(slots, texts[1:]))
+
     def _user_text(self, stage: Stage, fact_type: FactType, demos: Sequence[Demonstration], target: str) -> str:
-        wrapped = f"{TARGET_BEGIN}\n{target}\n{TARGET_END}"
-        body = assemble_prompt(stage, fact_type, demos, wrapped, templates=self.templates)
-        return f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n{body}"
+        """The stage marker line, then assemble_prompt's text with the target between its marker lines.
+
+        Joins the stage's frame with each demo's block, both made once per
+        engine, instead of filling the template again.
+        """
+        head, slots = self._frames[stage, fact_type]
+        parts = [head]
+        for slot, text in slots:
+            if slot == "demos":
+                parts += [self._demo_blocks[demo, i] for i, demo in enumerate(demos, start=1)]
+            else:
+                parts.append(target)
+            parts.append(text)
+        return "".join(parts)
 
     def _complete(self, user_text: str, reminder: str, parse: Callable[[str], _T]) -> tuple[_T, str]:
         """Ask until parse accepts a reply; return the parsed value and the reply.

@@ -164,54 +164,59 @@ def _jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(union)
 
 
-def _target_block(user_text: str) -> str:
-    lines = user_text.splitlines()
+def _target_lines(lines: list[str]) -> list[str]:
     try:
         start = lines.index(TARGET_BEGIN)
         end = lines.index(TARGET_END, start + 1)
     except ValueError:
         raise MalformedStageMarker("no target block between markers") from None
-    return "\n".join(lines[start + 1 : end])
+    return lines[start + 1 : end]
 
 
-def _pair_inputs(target: str) -> tuple[str, str]:
-    lines = target.splitlines()
+def _pair_inputs(target: list[str]) -> tuple[str, str]:
     try:
-        a_at = lines.index(INPUT_A)
-        b_at = lines.index(INPUT_B, a_at + 1)
+        a_at = target.index(INPUT_A)
+        b_at = target.index(INPUT_B, a_at + 1)
     except ValueError:
         raise MalformedStageMarker("pair target lacks input sections") from None
-    return "\n".join(lines[a_at + 1 : b_at]), "\n".join(lines[b_at + 1 :])
+    return "\n".join(target[a_at + 1 : b_at]), "\n".join(target[b_at + 1 :])
 
 
-def _usage_for(request: JudgeRequest, reply: str) -> TokenUsage:
-    return TokenUsage(
-        prompt_tokens=len(request.user_text.split()),
-        completion_tokens=len(reply.split()),
-    )
+def word_count(line: str) -> int:
+    """Whitespace-split words of a line: the mock's token count."""
+    return len(line.split())
 
 
 def mock_complete(
     request: JudgeRequest,
     cfg: MockJudgeConfig,
     tokens: Callable[[str], Sequence[str]] = mock_tokens,
+    count: Callable[[str], int] = word_count,
 ) -> JudgeResponse:
     """Answer a judge request by fixed rules; pure in the request content.
 
     FE_MF: the target's normalized tokens. FE_LF: the sorted intersection
     of target tokens with the lexicon. FA_MF: RELEVANT when the two input
     token sets reach the Jaccard threshold. FA_LF: RELEVANT when the two
-    whitespace-split tag sets intersect. Temperature is ignored. tokens
-    must return what mock_tokens returns; MockJudge passes its memo.
+    whitespace-split tag sets intersect. Temperature is ignored.
+
+    user_text is split into lines once. Prompt tokens are the sum of
+    count over those lines, which equals len(user_text.split()): every
+    str.splitlines boundary is whitespace to str.split, so no word spans
+    two lines. Completion tokens are the reply's whitespace-split words.
+    tokens must return what mock_tokens returns and count what word_count
+    returns; MockJudge passes its two memos.
     """
     stage = stage_of(request.user_text)
     if stage is None:
         raise MalformedStageMarker("user_text carries no recognizable stage marker")
-    target = _target_block(request.user_text)
+    lines = request.user_text.splitlines()
+    target = _target_lines(lines)
     if stage == "FE_MF":
-        reply = f"{FACTS_BEGIN}\n{' '.join(tokens(target))}\n{FACTS_END}"
+        facts = tokens("\n".join(target))
+        reply = f"{FACTS_BEGIN}\n{' '.join(facts)}\n{FACTS_END}"
     elif stage == "FE_LF":
-        tags = mock_lf_tags(tokens(target), cfg.lexicon)
+        tags = mock_lf_tags(tokens("\n".join(target)), cfg.lexicon)
         reply = f"{FACTS_BEGIN}\n{' '.join(tags)}\n{FACTS_END}"
     elif stage == "FA_MF":
         a_text, b_text = _pair_inputs(target)
@@ -228,7 +233,8 @@ def mock_complete(
         shared = sorted(a & b)
         verdict = VERDICT_RELEVANT if shared else VERDICT_IRRELEVANT
         reply = f"Shared legal tags: {' '.join(shared) if shared else '(none)'}.\n{verdict}"
-    return JudgeResponse(text=reply, usage=_usage_for(request, reply), latency_ms=0.0)
+    usage = TokenUsage(prompt_tokens=sum(map(count, lines)), completion_tokens=len(reply.split()))
+    return JudgeResponse(text=reply, usage=usage, latency_ms=0.0)
 
 
 def _interned_mock_tokens(text: str) -> tuple[str, ...]:
@@ -239,16 +245,21 @@ class MockJudge:
     """Judge backed by the mock rules; safe to share across threads.
 
     mock_tokens runs once per distinct text for the judge's lifetime: the
-    judge keeps each text's tokens as a tuple of interned strings, so a
-    token shared by many texts is stored once.
+    judge keeps each text's tokens as a tuple of interned strings in
+    _tokens, so a token shared by many texts is stored once. word_count
+    runs once per distinct prompt line: _line_counts keeps each line's
+    count, and its lookup is mock_complete's count, so the template,
+    definition and demo lines every prompt repeats are split once, not
+    once per call.
     """
 
     def __init__(self, cfg: MockJudgeConfig):
         self.cfg = cfg
         self._tokens = OnceMemo(_interned_mock_tokens)
+        self._line_counts = OnceMemo(word_count)
 
     def complete(self, request: JudgeRequest) -> JudgeResponse:
-        return mock_complete(request, self.cfg, self._tokens.__getitem__)
+        return mock_complete(request, self.cfg, self._tokens.__getitem__, self._line_counts.__getitem__)
 
 
 # ---------------------------------------------------------------------------

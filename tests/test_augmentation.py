@@ -408,6 +408,45 @@ class TestAnnotatePairs:
         fresh = make_engine(mock_judge, toy_library)
         assert records == annotate_pairs(fresh, store, pairs)
 
+    def test_resume_retries_only_the_failed_pair(self, mock_cfg, mock_judge, toy_library, toy_corpus, tmp_path):
+        store, _, _ = toy_corpus
+        pairs = sample_pairs(store, 5, seed=3)
+        checkpoint = tmp_path / "progress.jsonl"
+        victim = store.get(pairs[2].right_id)
+        faulty = FaultyOnPairJudge(mock_cfg, poisoned_fragment=" ".join(mock_tokens(victim.fact_text)))
+        first = annotate_pairs(make_engine(faulty, toy_library, retry=0), store, pairs, checkpoint_path=checkpoint)
+        assert [r.status for r in first] == ["ok", "ok", "failed", "ok", "ok"]
+
+        engine = make_engine(mock_judge, toy_library)
+        judged = interrupting(engine, stop_after=99)
+        records = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
+        assert judged == [pairs[2].key()]
+        assert [r.status for r in records] == ["ok"] * 5
+        assert records[:2] + records[3:] == first[:2] + first[3:]
+
+        oneshot = tmp_path / "oneshot.jsonl"
+        assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, checkpoint_path=oneshot)
+        lines = lambda path: sorted(path.read_text(encoding="utf-8").splitlines(keepends=True))
+        assert lines(checkpoint) == lines(oneshot)  # the failed line is gone: one line per pair
+
+    def test_ok_line_wins_over_failed_lines_on_read(self, mock_cfg, mock_judge, toy_library, toy_corpus, tmp_path):
+        store, _, _ = toy_corpus
+        pairs = sample_pairs(store, 5, seed=3)
+        checkpoint, oneshot = tmp_path / "progress.jsonl", tmp_path / "oneshot.jsonl"
+        done = annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, checkpoint_path=oneshot)
+        victim = store.get(pairs[2].right_id)
+        faulty = FaultyOnPairJudge(mock_cfg, poisoned_fragment=" ".join(mock_tokens(victim.fact_text)))
+        annotate_pairs(make_engine(faulty, toy_library, retry=0), store, pairs[2:3], checkpoint_path=checkpoint)
+        failed_line = checkpoint.read_text(encoding="utf-8")
+        # A failed line on each side of the ok lines: the ok line is kept and nothing is judged.
+        checkpoint.write_text(failed_line + oneshot.read_text(encoding="utf-8") + failed_line, encoding="utf-8")
+        engine = make_engine(mock_judge, toy_library)
+        judged = interrupting(engine, stop_after=99)
+        assert annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint) == done
+        assert judged == []
+        lines = lambda path: sorted(path.read_text(encoding="utf-8").splitlines(keepends=True))
+        assert lines(checkpoint) == lines(oneshot)
+
     def test_checkpoint_guards_configuration(
         self, mock_judge, toy_library, toy_corpus, tmp_path
     ):

@@ -665,6 +665,23 @@ class TestComputedOnce:
         assert records == serial
         assert [r.to_dict() | {"run_id": "r1"} for r in second] == [r.to_dict() for r in serial]
 
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_prompt_memos_stay_bounded(self, parallelism, mock_cfg, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        mock = MockJudge(mock_cfg)
+        judge = RecordingJudge(mock)
+        engine = make_engine(judge, toy_library, parallelism=parallelism)
+        records = engine.judge_pools(store, pools)
+        assert len(engine._frames) == 4  # one per (stage, fact type)
+        positions = max(engine.top_k_demos, 2 * engine.fa_demos_per_polarity)
+        demos = {demo for s in Stage for f in FactType for demo in toy_library.demo_set(s, f)}
+        assert {demo for demo, _ in engine._demo_blocks} <= demos
+        assert {i for _, i in engine._demo_blocks} <= set(range(1, positions + 1))
+        assert len(engine._demo_blocks) <= len(toy_library) * positions
+        # One count per distinct prompt line.
+        assert set(mock._line_counts) == {line for text in judge.user_texts for line in text.splitlines()}
+        assert records == make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
+
 
 GOLDEN_RUN_SHA256 = {
     "r1": "28f23d42565d9d1efba790927e5e14644be25344e5d334806f4e5649b68e5b9d",

@@ -6,7 +6,7 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexjudge.errors import AuthError, DomainError, MalformedStageMarker, UpstreamError
@@ -17,6 +17,7 @@ from lexjudge.gateway import (
     INPUT_A,
     INPUT_B,
     JudgeRequest,
+    MockJudge,
     MockJudgeConfig,
     STAGE_PREFIX,
     TARGET_BEGIN,
@@ -29,8 +30,11 @@ from lexjudge.gateway import (
     mock_tokens,
     request_hash,
     stage_of,
+    word_count,
 )
+from lexjudge.engine import FA_REMINDER, FE_REMINDER
 
+from conftest import make_engine
 from oracles import normalized_tokens, punctuation_to_spaces
 
 CJK_TEXT = st.text(
@@ -180,6 +184,59 @@ class TestMockRules:
         path = tmp_path / "lexicon.txt"
         path.write_text("# header\n盗窃\n\n 抢劫 \n", encoding="utf-8")
         assert load_lexicon(path) == frozenset({"盗窃", "抢劫"})
+
+
+# Every str.splitlines boundary ("\r\n" among them), and whitespace str.split honours beyond ASCII.
+LINE_BOUNDARIES = ["\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPLIT_TEXT = st.text(alphabet=st.sampled_from([*LINE_BOUNDARIES, "\u3000", "\xa0", " ", "\t", "a", "盗", "#"]))
+
+
+class TestPromptTokenCounts:
+    """The mock counts prompt tokens line by line; the sum is the whole prompt's split."""
+
+    def test_boundaries_are_every_line_boundary(self):
+        assert [chr(cp) for cp in range(0x110000) if len(f"a{chr(cp)}a".splitlines()) == 2] == LINE_BOUNDARIES
+
+    @given(SPLIT_TEXT)
+    @example("a\r\nb\r\n\r\n盗\u3000a\xa0\x85")
+    @settings(max_examples=400)
+    def test_line_counts_sum_to_the_whole_split(self, text):
+        assert sum(map(word_count, text.splitlines())) == len(text.split())
+
+    @given(SPLIT_TEXT)
+    @settings(max_examples=200)
+    def test_mock_reports_the_whole_prompt_split(self, text):
+        request = req("FE_MF", text)
+        want = len(request.user_text.split())
+        assert mock_complete(request, MockJudgeConfig()).usage.prompt_tokens == want
+        assert MockJudge(MockJudgeConfig()).complete(request).usage.prompt_tokens == want
+
+    def test_every_toy_request_with_and_without_reminder(self, mock_cfg, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        sent: list[JudgeRequest] = []
+        judge = MockJudge(mock_cfg)
+
+        class Recording:
+            def complete(self, request):
+                sent.append(request)
+                return judge.complete(request)
+
+        make_engine(Recording(), toy_library).judge_pools(store, pools)
+        assert len(sent) == 336
+        shared = MockJudge(mock_cfg)  # its line counts fill across all the requests
+        for request in sent:
+            reminder = FE_REMINDER if stage_of(request.user_text).startswith("FE") else FA_REMINDER
+            retry = JudgeRequest(
+                system_text=request.system_text,
+                user_text=f"{request.user_text}\n\n{reminder}",
+                temperature=request.temperature,
+                model=request.model,
+                max_tokens=request.max_tokens,
+            )
+            for r in (request, retry):
+                want = len(r.user_text.split())
+                assert mock_complete(r, mock_cfg).usage.prompt_tokens == want
+                assert shared.complete(r).usage.prompt_tokens == want
 
 
 # -- chat-completions backend -------------------------------------------------
