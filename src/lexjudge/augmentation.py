@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 from ._util import OnceMemo, atomic_write_lines, atomic_write_text, read_json, read_jsonl
-from .corpus import LABELS, Case, CaseStore
+from .corpus import LABELS, Case, CaseStore, _nfc
 from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord, read_records_jsonl, record_line
 from .errors import (
     DomainError,
@@ -53,12 +53,6 @@ class CasePair:
 
     def key(self) -> tuple[str, str]:
         return (self.left_id, self.right_id)
-
-
-def make_pair(a: str, b: str) -> CasePair:
-    if a == b:
-        raise DomainError(f"cannot pair case {a!r} with itself")
-    return CasePair(*sorted((a, b)))
 
 
 def _unrank_pair(r: int, n: int, total: int) -> tuple[int, int]:
@@ -109,7 +103,7 @@ def load_pairs(path: str | Path) -> list[CasePair]:
     for i, item in enumerate(raw):
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError(f"pair #{i} must be a two-item array", path=str(path))
-        pairs.append(CasePair(str(item[0]), str(item[1])))
+        pairs.append(CasePair(_nfc(str(item[0])), _nfc(str(item[1]))))
     return pairs
 
 
@@ -127,8 +121,8 @@ def _one_document_terms(
 class Bm25PairScorer:
     """Default pre-ranker: the left facts scored by BM25 against the right facts alone.
 
-    Each pair is scored as bm25_score over a one-document index that holds
-    only the right case. With one document, idf is the same constant for
+    Each pair is scored as top_k_rank scores it over a one-document index
+    that holds only the right case. With one document, idf is the same constant for
     every term and the length norm cancels to k1, so the score is a
     saturated count of left tokens that occur in the right text, not corpus
     BM25 (the ROADMAP item "Prerank as real BM25" proposes one index).
@@ -137,7 +131,7 @@ class Bm25PairScorer:
     holds, per text, its interned tokens (the query role) and each term's
     weight in a one-document index over that text (the document role),
     taken from retrieval.one_document_weights with the index's own weight
-    expression, so every score equals the one-document bm25_score exactly.
+    expression, so every score equals that one-document index's exactly.
     A text whose tokenization fails leaves no entry. The memo lives as
     long as the scorer and holds every text it has scored; the CLI builds
     one scorer per `augment prerank`, which bounds it by the cases of one
@@ -153,7 +147,7 @@ class Bm25PairScorer:
         tokens = self._memo[left.fact_text][0]
         summands = self._memo[right.fact_text][1]
         # Adds the summands left to right in query token order, skipping
-        # tokens absent from the right text, as bm25_score does.
+        # tokens absent from the right text, as top_k_rank does.
         return reduce(add, filter(None, map(summands.get, tokens)), 0.0)
 
 

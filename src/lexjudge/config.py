@@ -7,8 +7,8 @@ possible and fall back to plain strings.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -129,25 +129,37 @@ def _parse_override(raw: str) -> tuple[str, Any]:
         return key, value
 
 
+def _key_types(cls: type) -> dict[str, tuple[type, ...]]:
+    """Each field's accepted types, from its annotation: int | None gives (int, NoneType)."""
+    return {name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(cls).items()}
+
+
+_KEY_TYPES = {
+    **{key: types for key, types in _key_types(Config).items() if key in _TOP_LEVEL},
+    **{f"{section}.{attr}": types for section, cls in _SECTIONS.items() for attr, types in _key_types(cls).items()},
+}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
 def _assign(config: Config, key: str, value: Any) -> None:
-    if key in _TOP_LEVEL:
-        target, attr = config, key
-    else:
-        section, _, attr = key.partition(".")
-        if not attr or section not in _SECTIONS:
-            raise ConfigError(key, "unknown configuration key")
-        target = getattr(config, section)
-        if attr not in {f.name for f in dataclasses.fields(target)}:
-            raise ConfigError(key, "unknown configuration key")
-    current = getattr(target, attr)
-    if isinstance(current, bool) or (current is None and isinstance(value, bool)):
-        if not isinstance(value, bool):
-            raise ConfigError(key, f"expected a boolean, got {value!r}")
-    elif isinstance(current, float) and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    elif isinstance(current, int) and isinstance(value, bool):
-        raise ConfigError(key, f"expected an integer, got {value!r}")
-    setattr(target, attr, value)
+    """Set one dotted key, rejecting a value whose JSON type does not fit the key.
+
+    An integer widens to a float key; null fits only a key annotated `| None`.
+    """
+    types = _KEY_TYPES.get(key)
+    if types is None:
+        raise ConfigError(key, "unknown configuration key")
+    if float in types and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(key, "integer too large for a number") from None
+    # bool is a subclass of int, so an integer key must not take true or false.
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        expected = " or ".join(_TYPE_NAMES[t] for t in types)
+        raise ConfigError(key, f"expected {expected}, got {value!r}")
+    section, _, attr = key.rpartition(".")
+    setattr(getattr(config, section) if section else config, attr, value)
 
 
 def _validate(config: Config) -> None:

@@ -110,9 +110,6 @@ class Qrels:
     def entries(self) -> dict[str, dict[str, int]]:
         return self._entries
 
-    def queries(self) -> list[str]:
-        return list(self._entries)
-
     def label(self, query_id: str, candidate_id: str) -> int | None:
         return self._entries.get(query_id, {}).get(candidate_id)
 
@@ -157,32 +154,6 @@ def case_from_record(record: Mapping[str, object], *, path: str | None = None, l
     if problems:
         raise ParseError("invalid case: " + "; ".join(problems), path=path, line=line)
     return case
-
-
-def case_from_lecard(record: Mapping[str, object]) -> Case:
-    """Adapt a LeCaRD-style record to a Case.
-
-    Query records carry ridx/q/crime; candidate documents carry an id plus
-    ajjbqk (fact paragraph) and qw (full document). The fact paragraph maps
-    to fact_text and the full document to full_text.
-    """
-    if "ridx" in record:
-        case_id = str(record["ridx"])
-        fact = str(record.get("q", ""))
-        crime = record.get("crime", [])
-        tags = [str(c) for c in crime] if isinstance(crime, list) else [str(crime)]
-        return Case(id=_nfc(case_id), fact_text=_nfc(fact), crime_tags=tuple(_nfc(t) for t in tags))
-    case_id = str(record.get("ajId") or record.get("id") or "")
-    fact = str(record.get("ajjbqk", ""))
-    full = record.get("qw")
-    name = record.get("ajName")
-    tags = (_nfc(str(name)),) if name else ()
-    return Case(
-        id=_nfc(case_id),
-        fact_text=_nfc(fact),
-        crime_tags=tags,
-        full_text=_nfc(str(full)) if full is not None else None,
-    )
 
 
 def load_cases(path: str | Path) -> CaseStore:

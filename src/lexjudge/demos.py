@@ -52,8 +52,8 @@ class Demonstration:
     polarity: str | None = None
 
 
-def _postings_terms(vocab: dict[str, str], tokenizer_mode: str, text: str) -> tuple[str, ...]:
-    """The tokens of text that are postings terms, in order, as vocab's strings."""
+def _index_terms(vocab: dict[str, str], tokenizer_mode: str, text: str) -> tuple[str, ...]:
+    """The tokens of text that are index terms, in order, as vocab's strings."""
     return tuple(filter(None, map(vocab.get, tokenize(text, tokenizer_mode))))
 
 
@@ -61,10 +61,10 @@ class DemoLibrary:
     """Four demonstration sets, each with its own BM25 index.
 
     Each set memoizes, per distinct query text, the text's tokens that
-    occur in the set's postings, in order, for the lifetime of the
-    library; a text is tokenized at most once per set. Only those terms
-    can score, so ranking them equals ranking every token. The memoized
-    terms are the postings' own strings.
+    occur in the set's index, in order, for the lifetime of the library;
+    a text is tokenized at most once per set. Only those terms can score,
+    so ranking them equals ranking every token. The memoized terms are the
+    index's own strings.
 
     content_sha256 is the sha256 of every demo's fields in id order,
     taken once at construction, so a run's fingerprint can cover the
@@ -118,8 +118,8 @@ class DemoLibrary:
             if demo_list:
                 docs = {d.id: tokenize(d.input_text, tokenizer_mode) for d in demo_list}
                 index = self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
-                vocab = {term: term for term in index.postings}
-                self._terms[key] = OnceMemo(partial(_postings_terms, vocab, tokenizer_mode))
+                vocab = {term: term for term in index.weights}
+                self._terms[key] = OnceMemo(partial(_index_terms, vocab, tokenizer_mode))
 
     def demo_set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
         return list(self._sets[(stage, fact_type)])

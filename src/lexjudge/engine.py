@@ -695,7 +695,10 @@ class JudgeEngine:
 
         The pairs of all pools share one scheduler, so a slow pool holds
         back no other; records follow pool order, then candidate order.
+        top_n None judges every candidate.
         """
+        if top_n is not None and top_n < 1:
+            raise DomainError(f"top_n must be >= 1, got {top_n}")
         pairs = []
         for pool in pools:
             query = store.get(pool.query_id)

@@ -43,10 +43,6 @@ class EmptySetError(LexjudgeError):
     """A demonstration set that must be non-empty is empty."""
 
 
-class UnknownDocError(LexjudgeError):
-    """Requested document id is not in the index."""
-
-
 class TemplateError(LexjudgeError):
     """A prompt template is missing or contains unknown placeholders."""
 

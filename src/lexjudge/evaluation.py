@@ -99,15 +99,6 @@ def reliability_kappa(runs: Sequence[LabelSeries]) -> tuple[float, list[tuple[in
     return mean, per_pair
 
 
-@dataclass(frozen=True, slots=True)
-class ValidityResult:
-    kappa_mf: float
-    kappa_lf: float
-    kappa_4level: float
-    pairs_compared: int
-    failed_excluded: int
-
-
 def _ok_records(records: Sequence[JudgmentRecord]) -> list[JudgmentRecord]:
     ok = [r for r in records if r.status == "ok"]
     dropped = len(records) - len(ok)
@@ -122,62 +113,6 @@ _SERIES_VALUES: dict[str, Callable[[JudgmentRecord], int]] = {
     "lf": lambda r: int(r.lf_verdict.relevant),
     "label": lambda r: int(r.label),
 }
-
-
-def series_from_records(records: Sequence[JudgmentRecord], kind: str) -> LabelSeries:
-    """Build a series from successful records: kind is mf, lf, or label."""
-    if kind not in _SERIES_VALUES:
-        raise DomainError(f"unknown series kind {kind!r}")
-    ok = _ok_records(records)
-    ids = tuple((r.query_id, r.candidate_id) for r in ok)
-    return LabelSeries(ids=ids, labels=tuple(map(_SERIES_VALUES[kind], ok)))
-
-
-def validity_kappa(records: Sequence[JudgmentRecord], qrels: Qrels) -> ValidityResult:
-    """Kappa of judged labels against gold, per layer and on the full scale.
-
-    Failed records are excluded (with a logged count); every remaining pair
-    must carry a gold label.
-    """
-    return _validity(records, qrels)[0]
-
-
-def _validity(
-    records: Sequence[JudgmentRecord], qrels: Qrels
-) -> tuple[ValidityResult, dict[str, tuple[LabelSeries, LabelSeries]]]:
-    """validity_kappa's result plus the (judged, gold) series of each layer."""
-    ok = _ok_records(records)
-    if not ok:
-        raise DomainError("no successfully judged pairs to evaluate")
-    ids = []
-    gold_labels = []
-    for record in ok:
-        gold = qrels.label(record.query_id, record.candidate_id)
-        if gold is None:
-            raise MissingGoldError(
-                f"no gold label for pair ({record.query_id!r}, {record.candidate_id!r})"
-            )
-        ids.append((record.query_id, record.candidate_id))
-        gold_labels.append(gold)
-    id_tuple = tuple(ids)
-    gold_flags = [gold_fact_flags(g) for g in gold_labels]
-    gold = {
-        "mf": tuple(int(f.mf_relevant) for f in gold_flags),
-        "lf": tuple(int(f.lf_relevant) for f in gold_flags),
-        "label": tuple(gold_labels),
-    }
-    series = {
-        kind: (LabelSeries(id_tuple, tuple(map(value, ok))), LabelSeries(id_tuple, gold[kind]))
-        for kind, value in _SERIES_VALUES.items()
-    }
-    result = ValidityResult(
-        kappa_mf=cohens_kappa(*series["mf"]),
-        kappa_lf=cohens_kappa(*series["lf"]),
-        kappa_4level=cohens_kappa(*series["label"]),
-        pairs_compared=len(ok),
-        failed_excluded=len(records) - len(ok),
-    )
-    return result, series
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,9 +154,6 @@ class RunFile:
     """Per-query rankings: ordered (candidate_id, score) lists."""
 
     entries: dict[str, list[tuple[str, float]]]
-
-    def queries(self) -> list[str]:
-        return list(self.entries)
 
 
 def load_run(path: str | Path) -> RunFile:
@@ -316,14 +248,42 @@ def ndcg_at_k(run: RunFile, qrels: Qrels, k: int) -> NdcgResult:
 def build_validity_report(
     records: Sequence[JudgmentRecord], qrels: Qrels
 ) -> tuple[dict, dict[str, str]]:
-    """Validity metrics plus confusion heatmaps as CSV texts."""
-    result, series = _validity(records, qrels)
+    """Kappa of judged labels against gold, per layer and on the full scale.
+
+    Returns the report dict and the confusion heatmaps as CSV texts.
+    Failed records are excluded (with a logged count); every remaining pair
+    must carry a gold label.
+    """
+    ok = _ok_records(records)
+    if not ok:
+        raise DomainError("no successfully judged pairs to evaluate")
+    ids = []
+    gold_labels = []
+    for record in ok:
+        gold = qrels.label(record.query_id, record.candidate_id)
+        if gold is None:
+            raise MissingGoldError(
+                f"no gold label for pair ({record.query_id!r}, {record.candidate_id!r})"
+            )
+        ids.append((record.query_id, record.candidate_id))
+        gold_labels.append(gold)
+    id_tuple = tuple(ids)
+    gold_flags = [gold_fact_flags(g) for g in gold_labels]
+    gold = {
+        "mf": tuple(int(f.mf_relevant) for f in gold_flags),
+        "lf": tuple(int(f.lf_relevant) for f in gold_flags),
+        "label": tuple(gold_labels),
+    }
+    series = {
+        kind: (LabelSeries(id_tuple, tuple(map(value, ok))), LabelSeries(id_tuple, gold[kind]))
+        for kind, value in _SERIES_VALUES.items()
+    }
     report = {
-        "kappa_mf": result.kappa_mf,
-        "kappa_lf": result.kappa_lf,
-        "kappa_4level": result.kappa_4level,
-        "pairs_compared": result.pairs_compared,
-        "failed_excluded": result.failed_excluded,
+        "kappa_mf": cohens_kappa(*series["mf"]),
+        "kappa_lf": cohens_kappa(*series["lf"]),
+        "kappa_4level": cohens_kappa(*series["label"]),
+        "pairs_compared": len(ok),
+        "failed_excluded": len(records) - len(ok),
     }
     heatmaps = {
         "heatmap_4x4": confusion_matrix(*series["label"], (0, 1, 2, 3)).to_csv(),

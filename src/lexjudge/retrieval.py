@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, UnknownDocError
+from .errors import DomainError
 
 TOKENIZER_MODES = ("whitespace", "cjk_bigram")
 
@@ -23,11 +23,6 @@ _CJK_RANGES = (
     (0xF900, 0xFAFF),    # compatibility ideographs
     (0x20000, 0x2FA1F),  # extensions B and beyond
 )
-
-
-def is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
 
 
 # One character class built from _CJK_RANGES; the capturing group makes
@@ -79,38 +74,16 @@ def rank_by_score(scored: Iterable[tuple], tie_key: Callable) -> list[tuple]:
 
 @dataclass
 class Bm25Index:
-    """Inverted index with BM25 scoring state.
+    """A BM25 index reduced to what ranking reads.
 
-    postings maps term -> {doc_id: term frequency}. Scores use the
-    Robertson/Sparck-Jones idf ln(1 + (N - n + 0.5)/(n + 0.5)), which
-    never goes negative. weights[term][doc_id] is that posting's summand,
-    computed once at build time; equal weights share one float object.
+    weights[term][doc_id] is the BM25 summand of one occurrence of term in
+    a query scored against doc_id, computed once by build_bm25_index; equal
+    weights share one float object. doc_ids holds every indexed document,
+    including those no term reaches.
     """
 
-    doc_count: int
-    avg_doc_len: float
-    postings: dict[str, dict[str, int]]
-    doc_lens: dict[str, int]
-    k1: float = 1.2
-    b: float = 0.75
-    weights: dict[str, dict[str, float]] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        k1, b, avg_doc_len = self.k1, self.b, self.avg_doc_len
-        norms = {doc_id: _length_norm(k1, b, doc_len, avg_doc_len) for doc_id, doc_len in self.doc_lens.items()}
-        idfs: dict[int, float] = {}  # idf depends on the term's document count alone
-        shared: dict[float, float] = {}
-        self.weights = {}
-        for term, docs in self.postings.items():
-            idf = idfs.get(len(docs)) or idfs.setdefault(len(docs), _idf(self.doc_count, len(docs)))
-            row = self.weights[term] = {}
-            for doc_id, tf in docs.items():
-                weight = bm25_weight(idf, tf, k1, norms[doc_id])
-                row[doc_id] = shared.setdefault(weight, weight)
-
-    def idf(self, term: str) -> float:
-        n = len(self.postings.get(term, ()))
-        return _idf(self.doc_count, n) if n else 0.0
+    weights: dict[str, dict[str, float]] = field(repr=False)
+    doc_ids: tuple[str, ...]
 
 
 def _idf(doc_count: int, n: int) -> float:
@@ -124,7 +97,7 @@ def _length_norm(k1: float, b: float, doc_len: int, avg_doc_len: float) -> float
 
 
 def bm25_weight(idf: float, tf: int, k1: float, norm: float) -> float:
-    """One posting's BM25 summand; the index and one_document_weights both take it from here."""
+    """One (term, document) BM25 summand; the index and one_document_weights both take it from here."""
     return idf * tf * (k1 + 1.0) / (tf + norm)
 
 
@@ -133,18 +106,33 @@ def build_bm25_index(
     k1: float = 1.2,
     b: float = 0.75,
 ) -> Bm25Index:
-    """Index pre-tokenized documents keyed by doc id."""
+    """Index pre-tokenized documents keyed by doc id.
+
+    Scores use the Robertson/Sparck-Jones idf ln(1 + (N - n + 0.5)/(n + 0.5)),
+    which never goes negative. The term frequencies are needed only to
+    weigh each (term, document) once, so they stay local to the build.
+    """
     if k1 < 0 or not 0 <= b <= 1:
         raise DomainError(f"bad BM25 parameters k1={k1} b={b}")
-    postings: dict[str, dict[str, int]] = {}
+    tfs: dict[str, dict[str, int]] = {}
     doc_lens: dict[str, int] = {}
     for doc_id, tokens in docs.items():
         doc_lens[doc_id] = len(tokens)
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, {})[doc_id] = tf
+            tfs.setdefault(term, {})[doc_id] = tf
     count = len(doc_lens)
     avg_len = (sum(doc_lens.values()) / count) if count else 0.0
-    return Bm25Index(doc_count=count, avg_doc_len=avg_len, postings=postings, doc_lens=doc_lens, k1=k1, b=b)
+    norms = {doc_id: _length_norm(k1, b, doc_len, avg_len) for doc_id, doc_len in doc_lens.items()}
+    idfs: dict[int, float] = {}  # idf depends on the term's document count alone
+    shared: dict[float, float] = {}
+    weights: dict[str, dict[str, float]] = {}
+    for term, doc_tfs in tfs.items():
+        idf = idfs.get(len(doc_tfs)) or idfs.setdefault(len(doc_tfs), _idf(count, len(doc_tfs)))
+        row = weights[term] = {}
+        for doc_id, tf in doc_tfs.items():
+            weight = bm25_weight(idf, tf, k1, norms[doc_id])
+            row[doc_id] = shared.setdefault(weight, weight)
+    return Bm25Index(weights=weights, doc_ids=tuple(doc_lens))
 
 
 def one_document_weights(tokens: Sequence[str], k1: float, b: float) -> dict[str, float]:
@@ -162,39 +150,18 @@ def one_document_weights(tokens: Sequence[str], k1: float, b: float) -> dict[str
     return {term: by_tf[tf] for term, tf in counts.items()}
 
 
-def bm25_score(index: Bm25Index, query_tokens: Iterable[str], doc_id: str) -> float:
-    """Score one document against the query token sequence.
-
-    The sum runs over query token occurrences, so a repeated query term
-    contributes once per occurrence. Invariant under query permutation.
-    """
-    if doc_id not in index.doc_lens:
-        raise UnknownDocError(f"doc id {doc_id!r} not in index")
-    norm = _length_norm(index.k1, index.b, index.doc_lens[doc_id], index.avg_doc_len)
-    score = 0.0
-    for term in query_tokens:
-        docs = index.postings.get(term)
-        if not docs:
-            continue
-        tf = docs.get(doc_id)
-        if not tf:
-            continue
-        score += index.idf(term) * tf * (index.k1 + 1.0) / (tf + norm)
-    return score
-
-
 def top_k_rank(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
     """Top-k documents by BM25 score, ties broken by ascending doc id.
 
-    One pass over the weights of the query terms. Each document's sum adds
-    the same summands in the same order as bm25_score, so every score
-    equals bm25_score(index, query_tokens, doc_id) exactly. Terms absent
-    from the postings add nothing, so dropping them changes no score.
+    One pass over the weights of the query terms: a document's score sums,
+    in query order, the weight of each query token that occurs in it, so a
+    repeated query term counts once per occurrence. Terms absent from the
+    weights add nothing, so dropping them changes no score.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    scores = dict.fromkeys(index.doc_lens, 0.0)
+    scores = dict.fromkeys(index.doc_ids, 0.0)
     for term in query_tokens:
         for doc_id, weight in index.weights.get(term, {}).items():
             scores[doc_id] += weight
-    return rank_by_score(scores.items(), str)[: min(k, index.doc_count)]
+    return rank_by_score(scores.items(), str)[:k]

@@ -28,7 +28,6 @@ from lexjudge.augmentation import (
     export_dataset,
     largest_remainder_quotas,
     load_pairs,
-    make_pair,
     parse_distribution,
     prerank_pairs,
     sample_pairs,
@@ -46,10 +45,10 @@ from lexjudge.errors import (
     ScorerError,
 )
 from lexjudge.gateway import JudgeResponse, mock_complete, mock_tokens, stage_of
-from lexjudge.retrieval import bm25_score, build_bm25_index, tokenize
+from lexjudge.retrieval import tokenize
 
 from conftest import FaultyOnPairJudge, fabricate_record, make_engine
-from oracles import mock_label_oracle, quota_oracle, twelve_sig
+from oracles import bm25_score_oracle, mock_label_oracle, quota_oracle, twelve_sig
 
 
 def tiny_store(n=6, text=lambda i: f"case number {i} facts"):
@@ -57,19 +56,13 @@ def tiny_store(n=6, text=lambda i: f"case number {i} facts"):
 
 
 class TestCasePair:
-    def test_make_pair_canonicalizes(self):
-        pair = make_pair("zz", "aa")
-        assert pair.key() == ("aa", "zz")
-
     def test_self_pair_rejected(self):
         with pytest.raises(DomainError):
-            make_pair("aa", "aa")
+            CasePair("aa", "aa")
 
     def test_non_canonical_construction_rejected(self):
         with pytest.raises(DomainError):
             CasePair("zz", "aa")
-        with pytest.raises(DomainError):
-            CasePair("aa", "aa")
 
 
 class TestSamplePairs:
@@ -158,6 +151,15 @@ class TestPairsFileRoundtrip:
         with pytest.raises(DomainError):
             load_pairs(path)
 
+    def test_decomposed_ids_are_nfc_normalized(self, tmp_path):
+        # Cases are NFC at ingest, so a pair spelled in NFD must name the same case.
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps([["cafe\u0301", "x1"]]), encoding="utf-8")
+        [pair] = load_pairs(path)
+        assert pair == CasePair("caf\u00e9", "x1")
+        store = CaseStore([Case(id="caf\u00e9", fact_text="a"), Case(id="x1", fact_text="b")])
+        assert store.get(pair.left_id).fact_text == "a"
+
 
 class ConstantScorer:
     def score(self, left, right):
@@ -193,8 +195,8 @@ class TestBm25PairScorer:
         left, right = Case(id="l", fact_text=left_text), Case(id="r", fact_text=right_text)
         # Both orders, then the first again: memo entries serve both roles.
         for query, doc in ((left, right), (right, left), (left, right)):
-            index = build_bm25_index({doc.id: tokenize(doc.fact_text, mode)}, k1=k1, b=b)
-            expected = bm25_score(index, tokenize(query.fact_text, mode), doc.id)
+            docs = {doc.id: tokenize(doc.fact_text, mode)}
+            expected = bm25_score_oracle(docs, tokenize(query.fact_text, mode), doc.id, k1, b)
             assert scorer.score(query, doc) == expected
 
     @given(FACT_TEXT, BM25_PARAMS, st.sampled_from(["cjk_bigram", "whitespace"]))
@@ -250,13 +252,12 @@ class TestBm25PairScorer:
 
     def test_failed_tokenize_caches_nothing(self, monkeypatch):
         store = tiny_store(2, text=lambda i: ["law fact fact", "fact law"][i])
-        pair = make_pair("x0", "x1")
+        pair = CasePair("x0", "x1")
         seen = self.counting_tokenize(monkeypatch, fail_first="law fact fact")
         scorer = Bm25PairScorer()
         with pytest.raises(ScorerError, match="injected"):
             prerank_pairs([pair], store, scorer, top_n=1)
-        index = build_bm25_index({"x1": ["fact", "law"]})
-        expected = bm25_score(index, ["law", "fact", "fact"], "x1")
+        expected = bm25_score_oracle({"x1": ["fact", "law"]}, ["law", "fact", "fact"], "x1", 1.2, 0.75)
         assert scorer.score(store.get("x0"), store.get("x1")) == expected > 0
         assert seen["law fact fact"] == 2
 
@@ -265,8 +266,8 @@ class TestPrerank:
     def test_near_duplicates_beat_disjoint_pair(self, toy_corpus):
         store, pools, _ = toy_corpus
         qid = pools[0].query_id
-        near = make_pair(qid, pools[0].candidate_ids[0])
-        far = make_pair(qid, pools[5].candidate_ids[0])
+        near = CasePair(*sorted((qid, pools[0].candidate_ids[0])))
+        far = CasePair(*sorted((qid, pools[5].candidate_ids[0])))
         kept = prerank_pairs([far, near], store, Bm25PairScorer(), top_n=1)
         assert kept == [near]
 
@@ -305,7 +306,7 @@ class TestPrerank:
 
     def test_ties_break_on_pair_key(self):
         store = tiny_store(4)
-        pairs = [make_pair("x3", "x1"), make_pair("x0", "x2"), make_pair("x0", "x1")]
+        pairs = [CasePair("x1", "x3"), CasePair("x0", "x2"), CasePair("x0", "x1")]
         kept = prerank_pairs(pairs, store, ConstantScorer(), top_n=3)
         assert [p.key() for p in kept] == [("x0", "x1"), ("x0", "x2"), ("x1", "x3")]
 
@@ -320,7 +321,7 @@ class TestPrerank:
 
     def test_scorer_failure_carries_pair_context(self):
         store = tiny_store(2)
-        pair = make_pair("x0", "x1")
+        pair = CasePair("x0", "x1")
         with pytest.raises(ScorerError, match="x0"):
             prerank_pairs([pair], store, ExplodingScorer(), top_n=1)
 
@@ -361,8 +362,8 @@ class TestAnnotatePairs:
 
     def test_duplicate_pairs_judged_once(self, mock_judge, toy_library, toy_corpus):
         store, _, _ = toy_corpus
-        pair_a = make_pair("c01a", "c01b")
-        pair_b = make_pair("c02a", "c02b")
+        pair_a = CasePair("c01a", "c01b")
+        pair_b = CasePair("c02a", "c02b")
         engine = make_engine(mock_judge, toy_library)
         records = annotate_pairs(engine, store, [pair_a, pair_b, pair_a])
         assert [(r.query_id, r.candidate_id) for r in records] == [
@@ -508,7 +509,7 @@ class TestCheckpointOrder:
     ):
         store, _, _ = toy_corpus
         ids = sorted(store.ids())[:8]
-        pairs = [make_pair(a, b) for a, b in zip(ids[::2], ids[1::2])]  # no shared cases
+        pairs = [CasePair(a, b) for a, b in zip(ids[::2], ids[1::2])]  # no shared cases
         checkpoint = tmp_path / "progress.jsonl"
         judge = HoldFirstPairJudge(
             mock_cfg,

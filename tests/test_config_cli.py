@@ -103,6 +103,11 @@ class TestConfigValidation:
             "bm25.b=1.5",
             "api.rate_limit_rpm=0",
             "judge.runs=0",
+            "mock.lexicon_path=true",
+            "api.rate_limit_rpm=true",
+            "mock.lexicon_path=5",
+            "bm25.k1=null",
+            pytest.param("judge.temperature=1" + "0" * 400, id="float-key-integer-overflow"),
         ],
     )
     def test_rejected_overrides(self, override):
@@ -312,6 +317,17 @@ class TestCliJudge:
         assert code == 0
         assert payload["outputs"][0]["pairs"] == 36
 
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_top_n_below_one_exits_1(self, top_n, toy, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        code = main(["judge", "--cases", str(toy.cases), "--pools", str(toy.pools), "--out", str(out),
+                     "--runs", "1", "--top-n", top_n, "--mock"])
+        err = capsys.readouterr().err
+        assert code == 1
+        [message] = err.splitlines()
+        assert message.startswith("error: ") and "top_n" in message
+        assert not out.exists()
+
     def test_set_after_subcommand_changes_threshold(self, toy, tmp_path, capsys):
         out = tmp_path / "strict.jsonl"
         code, _ = run_cli(
@@ -490,7 +506,7 @@ class TestCliNdcg:
     def write_ideal_run(self, qrels_path, run_path):
         qrels = load_qrels(qrels_path)
         lines = []
-        for qid in qrels.queries():
+        for qid in qrels.entries:
             row = qrels.entries[qid]
             ordered = sorted(row, key=lambda cid: (-row[cid], cid))
             for rank, cid in enumerate(ordered, start=1):

@@ -13,7 +13,6 @@ from lexjudge.corpus import (
     CaseStore,
     FactFlags,
     aggregate_label,
-    case_from_lecard,
     case_from_record,
     gold_fact_flags,
     ingest_corpus,
@@ -76,21 +75,6 @@ class TestCaseValidation:
     def test_record_missing_field(self):
         with pytest.raises(ParseError):
             case_from_record({"id": "c1"})
-
-    def test_lecard_query_mapping(self):
-        case = case_from_lecard({"ridx": 77, "q": "案情描述", "crime": ["盗窃罪"]})
-        assert case.id == "77"
-        assert case.fact_text == "案情描述"
-        assert case.crime_tags == ("盗窃罪",)
-
-    def test_lecard_candidate_mapping(self):
-        case = case_from_lecard(
-            {"ajId": "X-1", "ajjbqk": "基本案情", "qw": "全文内容", "ajName": "某某盗窃案"}
-        )
-        assert case.id == "X-1"
-        assert case.fact_text == "基本案情"
-        assert case.full_text == "全文内容"
-        assert case.crime_tags == ("某某盗窃案",)
 
 
 class TestStore:

@@ -211,7 +211,7 @@ class TestRankingFromParts:
         library = load_demo_library(toy.demos, tokenizer_mode=mode)
         index = library._indexes[(Stage.FA, fact_type)]
         joined = f"{a}\n{b}"
-        want = top_k_rank(index, tokenize(joined, mode), index.doc_count)
+        want = top_k_rank(index, tokenize(joined, mode), len(index.doc_ids))
         cold = library._scored((a, b), Stage.FA, fact_type)
         warm = library._scored((a, b), Stage.FA, fact_type)
         # Lists of (demo id, score): the scores compare with ==.

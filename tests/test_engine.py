@@ -815,6 +815,13 @@ class TestJudgeQuery:
         records = engine.judge_pools(store, [two], top_n=30)
         assert len(records) == 2
 
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one_rejected(self, top_n, mock_judge, toy_library, toy_corpus):
+        # A negative slice bound would drop each pool's last candidates rather than fail.
+        store, pools, _ = toy_corpus
+        with pytest.raises(DomainError, match="top_n"):
+            make_engine(mock_judge, toy_library).judge_pools(store, pools, top_n=top_n)
+
     def test_failed_pair_does_not_abort_run(self, mock_cfg, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         pool = pools[0]

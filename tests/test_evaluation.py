@@ -32,8 +32,6 @@ from lexjudge.evaluation import (
     ndcg_at_k,
     reliability_kappa,
     save_run,
-    series_from_records,
-    validity_kappa,
 )
 
 from conftest import fabricate_record, make_engine
@@ -175,7 +173,20 @@ class TestReliabilityKappa:
             reliability_kappa([series([0, 1])])
 
 
+def heatmap_counts(csv: str) -> dict[tuple[int, int], int]:
+    """The nonzero cells of a heatmap CSV as {(judged, gold): count}."""
+    header, *rows = [line.split(",") for line in csv.strip().split("\n")]
+    return {
+        (int(row[0]), int(gold)): int(count)
+        for row in rows
+        for gold, count in zip(header[1:], row[1:])
+        if count != "0"
+    }
+
+
 class TestSeriesFromRecords:
+    """The validity report reads each layer's series off the successful records."""
+
     def records(self):
         return [
             fabricate_record("q1", "c1", 3),
@@ -185,18 +196,17 @@ class TestSeriesFromRecords:
         ]
 
     def test_label_series_excludes_failed(self):
-        s = series_from_records(self.records(), "label")
-        assert s.labels == (3, 1, 2)
-        assert s.ids == (("q1", "c1"), ("q1", "c2"), ("q1", "c4"))
+        # c3 has no gold label, so reading its failed record would raise.
+        qrels = Qrels({"q1": {"c1": 3, "c2": 1, "c4": 2}})
+        _, heatmaps = build_validity_report(self.records(), qrels)
+        assert heatmap_counts(heatmaps["heatmap_4x4"]) == {(3, 3): 1, (1, 1): 1, (2, 2): 1}
 
     def test_mf_and_lf_series(self):
-        records = self.records()
-        assert series_from_records(records, "mf").labels == (1, 1, 0)
-        assert series_from_records(records, "lf").labels == (1, 0, 1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError):
-            series_from_records(self.records(), "nope")
+        qrels = Qrels({"q1": {"c1": 0, "c2": 0, "c4": 0}})
+        _, heatmaps = build_validity_report(self.records(), qrels)
+        # Judged mf is (1, 1, 0) and lf is (1, 0, 1) over c1, c2, c4.
+        assert heatmap_counts(heatmaps["heatmap_mf"]) == {(1, 0): 2, (0, 0): 1}
+        assert heatmap_counts(heatmaps["heatmap_lf"]) == {(1, 0): 2, (0, 0): 1}
 
 
 class TestValidityKappa:
@@ -206,22 +216,22 @@ class TestValidityKappa:
             fabricate_record("q1", f"c{i}", label) for i, label in enumerate(labels)
         ]
         qrels = Qrels({"q1": {f"c{i}": label for i, label in enumerate(labels)}})
-        result = validity_kappa(records, qrels)
-        assert result.kappa_mf == 1.0
-        assert result.kappa_lf == 1.0
-        assert result.kappa_4level == 1.0
-        assert result.pairs_compared == 20
-        assert result.failed_excluded == 0
+        result, _ = build_validity_report(records, qrels)
+        assert result["kappa_mf"] == 1.0
+        assert result["kappa_lf"] == 1.0
+        assert result["kappa_4level"] == 1.0
+        assert result["pairs_compared"] == 20
+        assert result["failed_excluded"] == 0
 
     def test_mock_pipeline_matches_gold(self, mock_judge, toy_library, toy_corpus):
         store, pools, qrels = toy_corpus
         engine = make_engine(mock_judge, toy_library)
         records = engine.judge_pools(store, pools[:3])
-        result = validity_kappa(records, qrels)
-        assert result.kappa_mf == pytest.approx(1.0)
-        assert result.kappa_lf == pytest.approx(1.0)
-        assert result.kappa_4level == pytest.approx(1.0)
-        assert result.pairs_compared == 30
+        result, _ = build_validity_report(records, qrels)
+        assert result["kappa_mf"] == pytest.approx(1.0)
+        assert result["kappa_lf"] == pytest.approx(1.0)
+        assert result["kappa_4level"] == pytest.approx(1.0)
+        assert result["pairs_compared"] == 30
 
     def test_failed_records_are_excluded_and_counted(self):
         records = [
@@ -230,20 +240,20 @@ class TestValidityKappa:
             fabricate_record("q1", "c3", 1),
         ]
         qrels = Qrels({"q1": {"c1": 3, "c3": 1}})
-        result = validity_kappa(records, qrels)
-        assert result.pairs_compared == 2
-        assert result.failed_excluded == 1
+        result, _ = build_validity_report(records, qrels)
+        assert result["pairs_compared"] == 2
+        assert result["failed_excluded"] == 1
 
     def test_missing_gold_rejected(self):
         records = [fabricate_record("q1", "c1", 3)]
         qrels = Qrels({"q1": {"other": 3}})
         with pytest.raises(MissingGoldError):
-            validity_kappa(records, qrels)
+            build_validity_report(records, qrels)
 
     def test_no_successful_records_rejected(self):
         records = [fabricate_record("q1", "c1", 0, status="failed")]
         with pytest.raises(DomainError):
-            validity_kappa(records, Qrels({"q1": {"c1": 0}}))
+            build_validity_report(records, Qrels({"q1": {"c1": 0}}))
 
 
 class TestConfusionMatrix:
@@ -367,7 +377,7 @@ def run_of(qid: str, ordered_cids: list[str]) -> RunFile:
 class TestNdcg:
     def test_ideal_order_scores_one(self, toy_corpus):
         _, _, qrels = toy_corpus
-        qid = qrels.queries()[0]
+        qid = next(iter(qrels.entries))
         row = qrels.entries[qid]
         ordered = sorted(row, key=lambda cid: (-row[cid], cid))
         result = ndcg_at_k(run_of(qid, ordered), qrels, k=10)

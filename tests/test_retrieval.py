@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexjudge.errors import DomainError, UnknownDocError
+from lexjudge.errors import DomainError
 from lexjudge.retrieval import (
     TOKENIZER_MODES,
     Bm25Index,
-    bm25_score,
     build_bm25_index,
-    is_cjk,
     one_document_weights,
     rank_by_score,
     round_sig,
@@ -68,8 +67,11 @@ class TestTokenize:
             tokenize("x", "stemmed")
 
     def test_is_cjk_spans(self):
-        assert is_cjk("盗") and is_cjk("㐀") and is_cjk("\U00020000")
-        assert not is_cjk("a") and not is_cjk("。")
+        # A CJK character splits the word it sits in; any other character does not.
+        for ch in ("盗", "㐀", "\U00020000"):
+            assert tokenize(f"a{ch}b", "cjk_bigram") == ["a", ch, "b"]
+        for ch in ("a", "。"):
+            assert tokenize(f"a{ch}b", "cjk_bigram") == [f"a{ch}b"]
 
 
 class TestRoundSig:
@@ -93,6 +95,11 @@ def random_docs(rng: random.Random, max_docs: int = 32) -> dict[str, list[str]]:
     }
 
 
+def rank_score(index: Bm25Index, query: list[str], doc_id: str) -> float:
+    """doc_id's score as top_k_rank reports it when ranking every document."""
+    return dict(top_k_rank(index, query, len(index.doc_ids)))[doc_id]
+
+
 class TestBm25:
     def test_bad_params(self):
         with pytest.raises(DomainError):
@@ -100,14 +107,9 @@ class TestBm25:
         with pytest.raises(DomainError):
             build_bm25_index({"d": ["a"]}, b=1.5)
 
-    def test_unknown_doc(self):
-        index = build_bm25_index({"d1": ["a"]})
-        with pytest.raises(UnknownDocError):
-            bm25_score(index, ["a"], "nope")
-
     def test_absent_query_terms_score_zero(self):
         index = build_bm25_index({"d1": ["a", "b"], "d2": ["c"]})
-        assert bm25_score(index, ["zz", "qq"], "d1") == 0.0
+        assert rank_score(index, ["zz", "qq"], "d1") == 0.0
 
     def test_single_doc_hand_value(self):
         # One document ["law", "law", "fact"], query ["law"], k1=1.2, b=0.75.
@@ -116,12 +118,12 @@ class TestBm25:
         # score = idf * 2 * 2.2 / (2 + 1.2)
         index = build_bm25_index({"d1": ["law", "law", "fact"]})
         expected = math.log(1 + 0.5 / 1.5) * 2 * 2.2 / 3.2
-        assert bm25_score(index, ["law"], "d1") == pytest.approx(expected, abs=1e-15)
+        assert rank_score(index, ["law"], "d1") == pytest.approx(expected, abs=1e-15)
 
     def test_repeated_query_term_scores_per_occurrence(self):
         index = build_bm25_index({"d1": ["a", "b"], "d2": ["b"]})
-        single = bm25_score(index, ["a"], "d1")
-        double = bm25_score(index, ["a", "a"], "d1")
+        single = rank_score(index, ["a"], "d1")
+        double = rank_score(index, ["a", "a"], "d1")
         assert double == pytest.approx(2 * single, rel=1e-12)
 
     def test_query_permutation_invariance(self):
@@ -133,8 +135,8 @@ class TestBm25:
             shuffled = query[:]
             rng.shuffle(shuffled)
             doc_id = rng.choice(list(docs))
-            assert bm25_score(index, query, doc_id) == pytest.approx(
-                bm25_score(index, shuffled, doc_id), rel=1e-12
+            assert rank_score(index, query, doc_id) == pytest.approx(
+                rank_score(index, shuffled, doc_id), rel=1e-12
             )
 
     def test_doubling_tf_never_decreases_score(self):
@@ -144,12 +146,12 @@ class TestBm25:
             doc_id = rng.choice(list(docs))
             term = f"t{rng.randint(0, 19)}"
             query = [term]
-            base = bm25_score(build_bm25_index(docs), query, doc_id)
+            base = rank_score(build_bm25_index(docs), query, doc_id)
             boosted_docs = dict(docs)
             boosted_docs[doc_id] = docs[doc_id] + [term] * max(
                 1, docs[doc_id].count(term)
             )
-            boosted = bm25_score(build_bm25_index(boosted_docs), query, doc_id)
+            boosted = rank_score(build_bm25_index(boosted_docs), query, doc_id)
             assert boosted >= base - 1e-12
 
     def test_scores_match_oracle(self):
@@ -161,9 +163,7 @@ class TestBm25:
             index = build_bm25_index(docs, k1=k1, b=b)
             query = [f"t{rng.randint(0, 19)}" for _ in range(rng.randint(0, 6))]
             for doc_id in docs:
-                assert bm25_score(index, query, doc_id) == pytest.approx(
-                    bm25_score_oracle(docs, query, doc_id, k1, b), abs=1e-12
-                )
+                assert rank_score(index, query, doc_id) == bm25_score_oracle(docs, query, doc_id, k1, b)
 
 
 DOCS = st.dictionaries(
@@ -181,12 +181,13 @@ class TestIndexWeights:
     def test_each_weight_is_the_summand_bm25_score_adds(self, docs, params):
         k1, b = params
         index = build_bm25_index(docs, k1=k1, b=b)
-        assert index.weights.keys() == index.postings.keys()
+        assert index.doc_ids == tuple(docs)
+        assert index.weights.keys() == {term for tokens in docs.values() for term in tokens}
         for term, row in index.weights.items():
-            assert row.keys() == index.postings[term].keys()
+            assert row.keys() == {doc_id for doc_id, tokens in docs.items() if term in tokens}
             for doc_id, weight in row.items():
                 # 0.0 + summand is the summand, so a one-term query adds exactly the weight.
-                assert weight == bm25_score(index, [term], doc_id)
+                assert weight == bm25_score_oracle(docs, [term], doc_id, k1, b)
 
     @given(st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=30), BM25_PARAMS)
     @settings(max_examples=300)
@@ -198,8 +199,8 @@ class TestIndexWeights:
         for term, weight in weights.items():
             assert weight.hex() == index.weights[term]["d"].hex()
         by_tf: dict[int, set[int]] = {}
-        for term, tf in index.postings.items():
-            by_tf.setdefault(tf["d"], set()).add(id(weights[term]))
+        for term, tf in Counter(tokens).items():
+            by_tf.setdefault(tf, set()).add(id(weights[term]))
         assert all(len(ids) == 1 for ids in by_tf.values())
 
     @given(DOCS, BM25_PARAMS)
@@ -253,9 +254,7 @@ class TestTopK:
             got = top_k_rank(index, query, k)
             want = rank_oracle(docs, query, k, k1, b)
             assert [doc for doc, _ in got] == [doc for doc, _ in want]
-            for (doc, gs), (_, ws) in zip(got, want):
-                assert gs == pytest.approx(ws, abs=1e-12)
-                assert gs == bm25_score(index, query, doc)
+            assert got == want
 
 
 class TestIndexState:
@@ -265,24 +264,18 @@ class TestIndexState:
         extended = dict(docs)
         extended["d3"] = ["z"]
         rebuilt = build_bm25_index(extended)
-        # The original documents keep their tf and length under re-index.
-        assert rebuilt.doc_lens["d1"] == first.doc_lens["d1"]
-        assert rebuilt.postings["b"] == first.postings["b"]
-        # but idf moves with the corpus size
-        assert rebuilt.idf("b") != first.idf("b")
+        assert rebuilt.doc_ids == ("d1", "d2", "d3")
+        # The same documents now hold "b" in 2 of 3 rather than 2 of 2, so its idf and weights move.
+        assert rebuilt.weights["b"].keys() == first.weights["b"].keys()
+        assert rebuilt.weights["b"]["d1"] != first.weights["b"]["d1"]
+        for doc_id in docs:
+            assert rank_score(rebuilt, ["b"], doc_id) == bm25_score_oracle(extended, ["b"], doc_id, 1.2, 0.75)
 
     def test_empty_index_unscorable(self):
         index = build_bm25_index({})
-        assert index.doc_count == 0
-        with pytest.raises(UnknownDocError):
-            bm25_score(index, ["a"], "d")
+        assert index.doc_ids == () and index.weights == {}
+        assert top_k_rank(index, ["a"], 3) == []
 
     def test_index_dataclass_direct_construction(self):
-        index = Bm25Index(
-            doc_count=1,
-            avg_doc_len=2.0,
-            postings={"a": {"d": 2}},
-            doc_lens={"d": 2},
-        )
-        assert index.idf("a") == pytest.approx(math.log(1 + 0.5 / 1.5))
-        assert index.idf("missing") == 0.0
+        index = Bm25Index(weights={"a": {"d": 0.5}}, doc_ids=("d", "e"))
+        assert top_k_rank(index, ["a", "missing", "a"], 2) == [("d", 1.0), ("e", 0.0)]
