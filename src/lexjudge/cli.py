@@ -30,12 +30,7 @@ from .augmentation import (
 from .config import Config, load_config
 from .corpus import ingest_corpus, load_cases, load_qrels
 from .demos import DemoLibrary, load_demo_library
-from .engine import (
-    AblationFlags,
-    JudgeEngine,
-    read_records_jsonl,
-    write_records_jsonl,
-)
+from .engine import JudgeEngine, read_records_jsonl, write_records_jsonl
 from .errors import DomainError, LexjudgeError
 from .evaluation import (
     build_reliability_report,
@@ -92,11 +87,6 @@ def _make_engine(
     run_id: str | None = None,
     templates_dir: str | None = None,
 ) -> JudgeEngine:
-    flags = AblationFlags(
-        disable_adm=config.ablation.disable_adm,
-        disable_fe=config.ablation.disable_fe,
-        disable_fa_demos=config.ablation.disable_fa_demos,
-    )
     return JudgeEngine(
         judge,
         library,
@@ -106,7 +96,7 @@ def _make_engine(
         top_k_demos=config.judge.top_k_demos,
         fa_demos_per_polarity=config.judge.fa_demos_per_polarity,
         retry=config.judge.retry,
-        flags=flags,
+        flags=config.ablation,
         templates_dir=templates_dir,
         sampling_seed=config.mock.seed,
         parallelism=config.parallelism,

@@ -3,19 +3,30 @@
 The file may nest sections or use dotted keys; both spell the same thing.
 CLI overrides arrive as key=value strings whose values parse as JSON when
 possible and fall back to plain strings.
+
+Each setting is declared once, as a dataclass field: its type, its default,
+and through setting() the interval or the choices its value must lie in.
+Every value is checked against that declaration as it is set.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from ._util import read_json
 from .errors import ConfigError
 from .retrieval import TOKENIZER_MODES
+
+
+def setting(default: Any, interval: str | None = None, *, choices: tuple[str, ...] | None = None) -> Any:
+    """A field whose value must lie in interval, such as "[0, 2]" or "(0, inf)", or among choices."""
+    return field(default=default, metadata={"interval": interval, "choices": choices})
 
 
 @dataclass
@@ -23,44 +34,44 @@ class ApiConfig:
     base_url: str = "https://api.openai.com/v1"
     model: str = "gpt-3.5-turbo"
     key_env: str = "OPENAI_API_KEY"
-    timeout: float = 60.0
-    rate_limit_rpm: int | None = None
-    backoff_base: float = 0.5
+    timeout: float = setting(60.0, "(0, inf)")
+    rate_limit_rpm: int | None = setting(None, "[1, inf)")
+    backoff_base: float = setting(0.5, "[0, inf)")
 
 
 @dataclass
 class JudgeConfig:
-    temperature: float = 0.4
-    top_k_demos: int = 2
-    fa_demos_per_polarity: int = 2
-    runs: int = 3
-    top_n_candidates: int = 30
-    retry: int = 2
-    max_tokens: int = 1024
+    temperature: float = setting(0.4, "[0, 2]")
+    top_k_demos: int = setting(2, "[1, inf)")
+    fa_demos_per_polarity: int = setting(2, "[1, inf)")
+    runs: int = setting(3, "[1, inf)")
+    top_n_candidates: int = setting(30, "[1, inf)")
+    retry: int = setting(2, "[0, inf)")
+    max_tokens: int = setting(1024, "[1, inf)")
 
 
 @dataclass
 class AugmentConfig:
-    temperature: float = 0.5
-    pairs: int = 1000
-    prerank_top: int = 250
+    temperature: float = setting(0.5, "[0, 2]")
+    pairs: int = setting(1000, "[0, inf)")
+    prerank_top: int = setting(250, "[0, inf)")
     seed: int = 0
 
 
 @dataclass
 class Bm25Config:
-    k1: float = 1.2
-    b: float = 0.75
+    k1: float = setting(1.2, "[0, inf)")
+    b: float = setting(0.75, "[0, 1]")
 
 
 @dataclass
 class TokenizerConfig:
-    mode: str = "cjk_bigram"
+    mode: str = setting("cjk_bigram", choices=TOKENIZER_MODES)
 
 
 @dataclass
 class MockConfig:
-    mf_jaccard_threshold: float = 0.4
+    mf_jaccard_threshold: float = setting(0.4, "(0, 1]")
     lexicon_path: str | None = None
     seed: int = 0
 
@@ -71,8 +82,8 @@ class CacheConfig:
     dir: str = ".lexjudge_cache"
 
 
-@dataclass
-class AblationConfig:
+@dataclass(frozen=True, slots=True)
+class AblationFlags:
     disable_adm: bool = False
     disable_fe: bool = False
     disable_fa_demos: bool = False
@@ -87,22 +98,9 @@ class Config:
     tokenizer: TokenizerConfig = field(default_factory=TokenizerConfig)
     mock: MockConfig = field(default_factory=MockConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    ablation: AblationConfig = field(default_factory=AblationConfig)
-    parallelism: int = 1
+    ablation: AblationFlags = field(default_factory=AblationFlags)
+    parallelism: int = setting(1, "[1, inf)")
     transcript_path: str | None = None
-
-
-_SECTIONS = {
-    "api": ApiConfig,
-    "judge": JudgeConfig,
-    "augment": AugmentConfig,
-    "bm25": Bm25Config,
-    "tokenizer": TokenizerConfig,
-    "mock": MockConfig,
-    "cache": CacheConfig,
-    "ablation": AblationConfig,
-}
-_TOP_LEVEL = ("parallelism", "transcript_path")
 
 
 def _flatten(data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
@@ -129,26 +127,42 @@ def _parse_override(raw: str) -> tuple[str, Any]:
         return key, value
 
 
-def _key_types(cls: type) -> dict[str, tuple[type, ...]]:
-    """Each field's accepted types, from its annotation: int | None gives (int, NoneType)."""
-    return {name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(cls).items()}
+def _keys(cls: type, prefix: str = "") -> Iterator[tuple[str, tuple]]:
+    """Each dotted key with its accepted types, interval and choices.
+
+    The types come from the field's annotation: int | None gives (int, NoneType).
+    """
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            yield from _keys(hint, f"{f.name}.")
+        else:
+            types = typing.get_args(hint) or (hint,)
+            yield f"{prefix}{f.name}", (types, f.metadata.get("interval"), f.metadata.get("choices"))
 
 
-_KEY_TYPES = {
-    **{key: types for key, types in _key_types(Config).items() if key in _TOP_LEVEL},
-    **{f"{section}.{attr}": types for section, cls in _SECTIONS.items() for attr, types in _key_types(cls).items()},
-}
+_KEYS = dict(_keys(Config))
 _TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", type(None): "null"}
 
 
-def _assign(config: Config, key: str, value: Any) -> None:
-    """Set one dotted key, rejecting a value whose JSON type does not fit the key.
+def _within(value: float, interval: str) -> bool:
+    """Whether value lies in interval: "[low, high]", with ( or ) for an open end."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low < value if interval[0] == "(" else low <= value
+    return above and (value < high if interval[-1] == ")" else value <= high)
 
-    An integer widens to a float key; null fits only a key annotated `| None`.
+
+def _assign(config: Config, key: str, value: Any) -> None:
+    """Set one dotted key, rejecting a value that does not fit the key's type and bounds.
+
+    An integer widens to a float key; null fits only a key annotated
+    `| None`. A number must be finite, and a non-null value must lie in the
+    key's interval or among its choices.
     """
-    types = _KEY_TYPES.get(key)
-    if types is None:
+    if key not in _KEYS:
         raise ConfigError(key, "unknown configuration key")
+    types, interval, choices = _KEYS[key]
     if float in types and type(value) is int:
         try:
             value = float(value)
@@ -158,44 +172,18 @@ def _assign(config: Config, key: str, value: Any) -> None:
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         expected = " or ".join(_TYPE_NAMES[t] for t in types)
         raise ConfigError(key, f"expected {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(key, f"must be a finite number, got {value!r}")
+    if interval and value is not None and not _within(value, interval):
+        raise ConfigError(key, f"must lie in {interval}, got {value!r}")
+    if choices and value not in choices:
+        raise ConfigError(key, f"must be one of {choices}, got {value!r}")
     section, _, attr = key.rpartition(".")
-    setattr(getattr(config, section) if section else config, attr, value)
-
-
-def _validate(config: Config) -> None:
-    def check(cond: bool, key: str, message: str) -> None:
-        if not cond:
-            raise ConfigError(key, message)
-
-    for key, temp in (("judge.temperature", config.judge.temperature),
-                      ("augment.temperature", config.augment.temperature)):
-        check(isinstance(temp, (int, float)) and 0.0 <= float(temp) <= 2.0,
-              key, f"temperature must lie in [0, 2], got {temp!r}")
-    check(isinstance(config.parallelism, int) and config.parallelism >= 1,
-          "parallelism", f"must be an integer >= 1, got {config.parallelism!r}")
-    check(isinstance(config.judge.retry, int) and config.judge.retry >= 0,
-          "judge.retry", f"must be an integer >= 0, got {config.judge.retry!r}")
-    check(isinstance(config.judge.runs, int) and config.judge.runs >= 1,
-          "judge.runs", f"must be an integer >= 1, got {config.judge.runs!r}")
-    for key, value in (("judge.top_k_demos", config.judge.top_k_demos),
-                       ("judge.fa_demos_per_polarity", config.judge.fa_demos_per_polarity),
-                       ("judge.top_n_candidates", config.judge.top_n_candidates),
-                       ("judge.max_tokens", config.judge.max_tokens)):
-        check(isinstance(value, int) and value >= 1, key, f"must be an integer >= 1, got {value!r}")
-    check(config.tokenizer.mode in TOKENIZER_MODES,
-          "tokenizer.mode", f"must be one of {TOKENIZER_MODES}, got {config.tokenizer.mode!r}")
-    check(0.0 < config.mock.mf_jaccard_threshold <= 1.0,
-          "mock.mf_jaccard_threshold",
-          f"must lie in (0, 1], got {config.mock.mf_jaccard_threshold!r}")
-    check(config.bm25.k1 >= 0, "bm25.k1", f"must be >= 0, got {config.bm25.k1!r}")
-    check(0.0 <= config.bm25.b <= 1.0, "bm25.b", f"must lie in [0, 1], got {config.bm25.b!r}")
-    check(isinstance(config.augment.pairs, int) and config.augment.pairs >= 0,
-          "augment.pairs", f"must be an integer >= 0, got {config.augment.pairs!r}")
-    check(isinstance(config.augment.prerank_top, int) and config.augment.prerank_top >= 0,
-          "augment.prerank_top", f"must be an integer >= 0, got {config.augment.prerank_top!r}")
-    if config.api.rate_limit_rpm is not None:
-        check(isinstance(config.api.rate_limit_rpm, int) and config.api.rate_limit_rpm >= 1,
-              "api.rate_limit_rpm", f"must be an integer >= 1, got {config.api.rate_limit_rpm!r}")
+    if section:
+        # A new section rather than setattr: AblationFlags is frozen, as an engine keeps it.
+        setattr(config, section, dataclasses.replace(getattr(config, section), **{attr: value}))
+    else:
+        setattr(config, attr, value)
 
 
 def load_config(path: str | Path | None = None, overrides: Sequence[str] = ()) -> Config:
@@ -212,5 +200,4 @@ def load_config(path: str | Path | None = None, overrides: Sequence[str] = ()) -
     for raw_override in overrides:
         key, value = _parse_override(raw_override)
         _assign(config, key, value)
-    _validate(config)
     return config

@@ -167,8 +167,8 @@ def load_pools(path: str | Path, store: CaseStore) -> list[CandidatePool]:
     pools: list[CandidatePool] = []
     seen_queries: set[str] = set()
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "query_id" not in entry or "candidate_ids" not in entry:
-            raise ParseError(f"pool #{i} must carry query_id and candidate_ids", path=str(path))
+        if not (isinstance(entry, dict) and "query_id" in entry and isinstance(entry.get("candidate_ids"), list)):
+            raise ParseError(f"pool #{i} must carry query_id and a candidate_ids array", path=str(path))
         qid = _nfc(str(entry["query_id"]))
         cids = [_nfc(str(c)) for c in entry["candidate_ids"]]
         if qid in seen_queries:

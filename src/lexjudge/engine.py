@@ -20,13 +20,14 @@ import json
 import re
 import weakref
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ._util import OnceMemo, atomic_write_lines, read_jsonl, read_text
+from .config import AblationFlags
 from .corpus import Case, CandidatePool, CaseStore, aggregate_label
 from .demos import (
     DemoLibrary,
@@ -207,20 +208,6 @@ def _parse_nonempty_facts(raw_text: str) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class AblationFlags:
-    disable_adm: bool = False
-    disable_fe: bool = False
-    disable_fa_demos: bool = False
-
-    def to_dict(self) -> dict[str, bool]:
-        return {
-            "disable_adm": self.disable_adm,
-            "disable_fe": self.disable_fe,
-            "disable_fa_demos": self.disable_fa_demos,
-        }
-
-
-@dataclass(frozen=True, slots=True)
 class FactExtraction:
     case_id: str
     fact_type: FactType
@@ -330,49 +317,6 @@ class JudgmentRecord:
         )
 
 
-def compute_fingerprint(
-    *,
-    model: str,
-    temperature: float,
-    max_tokens: int,
-    top_k_demos: int,
-    fa_demos_per_polarity: int,
-    sampling_seed: int,
-    flags: AblationFlags,
-    templates: Mapping[str, str],
-    tokenizer_mode: str,
-    bm25_k1: float,
-    bm25_b: float,
-    demos_sha256: str,
-) -> str:
-    """The first 16 hex digits of a sha256 over every input that changes a record.
-
-    That is the request settings (model, temperature, max_tokens), the demo
-    counts, the ablation sampling seed and flags, each template's sha256,
-    and the demo library: its tokenizer mode, BM25 k1 and b, and content
-    sha256. Case texts are not covered: a checkpoint is resumed against the
-    cases file it was started with.
-    """
-    payload = {
-        "model": model,
-        "temperature": temperature,
-        "max_tokens": max_tokens,
-        "top_k_demos": top_k_demos,
-        "fa_demos_per_polarity": fa_demos_per_polarity,
-        "sampling_seed": sampling_seed,
-        "ablation": flags.to_dict(),
-        "templates": {
-            name: hashlib.sha256(text.encode("utf-8")).hexdigest()
-            for name, text in sorted(templates.items())
-        },
-        "tokenizer_mode": tokenizer_mode,
-        "bm25": {"k1": float(bm25_k1), "b": float(bm25_b)},
-        "demos": demos_sha256,
-    }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 class JudgeEngine:
     """Drives the staged workflow against any judge backend.
 
@@ -381,6 +325,13 @@ class JudgeEngine:
     extraction, and a failed one is not kept, so the next pair retries it.
     A resumed annotation fills the memo from its checkpoint first
     (reuse_extractions), so the once holds across the resumes too.
+
+    config_fingerprint is the first 16 hex digits of a sha256 over every
+    input that changes a record: the request settings (model, temperature,
+    max_tokens), the demo counts, the ablation sampling seed and flags,
+    each template's sha256, and the demo library: its tokenizer mode, BM25
+    k1 and b, and content sha256. Case texts are not covered: a checkpoint
+    is resumed against the cases file it was started with.
     """
 
     def __init__(
@@ -418,20 +369,24 @@ class JudgeEngine:
         self.templates = load_templates(templates_dir)
         self.sampling_seed = sampling_seed
         self.parallelism = parallelism
-        self.config_fingerprint = compute_fingerprint(
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            top_k_demos=top_k_demos,
-            fa_demos_per_polarity=fa_demos_per_polarity,
-            sampling_seed=sampling_seed,
-            flags=self.flags,
-            templates=self.templates,
-            tokenizer_mode=library.tokenizer_mode,
-            bm25_k1=library.k1,
-            bm25_b=library.b,
-            demos_sha256=library.content_sha256,
-        )
+        fingerprinted = {
+            "model": model,
+            "temperature": temperature,
+            "max_tokens": max_tokens,
+            "top_k_demos": top_k_demos,
+            "fa_demos_per_polarity": fa_demos_per_polarity,
+            "sampling_seed": sampling_seed,
+            "ablation": asdict(self.flags),
+            "templates": {
+                name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+                for name, text in sorted(self.templates.items())
+            },
+            "tokenizer_mode": library.tokenizer_mode,
+            "bm25": {"k1": float(library.k1), "b": float(library.b)},
+            "demos": library.content_sha256,
+        }
+        blob = json.dumps(fingerprinted, sort_keys=True, ensure_ascii=False)
+        self.config_fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         self.run_id = run_id if run_id is not None else "r1"
         # Weakly, so engine and memo form no cycle: a finished engine frees its extractions at once.
         self._extractions = OnceMemo(partial(JudgeEngine._extract_once, weakref.proxy(self)))

@@ -108,9 +108,9 @@ class MockJudgeConfig:
     """Deterministic stand-in rules for offline runs and tests.
 
     mf_jaccard_threshold drives the material-fact verdict; lexicon is the
-    closed vocabulary of legal-fact tags. seed feeds any sampling the
-    surrounding pipeline performs in ablation modes; the rules themselves
-    are pure.
+    closed vocabulary of legal-fact tags. No rule reads seed: the rules are
+    pure in the request content. The ablation sampling seed, config key
+    mock.seed, reaches the engine as its sampling_seed argument.
     """
 
     mf_jaccard_threshold: float = 0.4
@@ -287,6 +287,23 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float) 
     return resp.status_code, body
 
 
+def _reply_of(body: dict) -> tuple[str, TokenUsage]:
+    """The reply text and token usage of a 200 body.
+
+    The text must be a string and each token count, when present, an
+    integer; otherwise UpstreamError, so nothing malformed is cached.
+    """
+    try:
+        text = body["choices"][0]["message"]["content"]
+        usage = body.get("usage", {})
+        counts = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+        if isinstance(text, str) and all(type(count) is int for count in counts):
+            return text, TokenUsage(*counts)
+    except (KeyError, IndexError, TypeError, AttributeError):
+        pass
+    raise UpstreamError(f"malformed backend response: {str(body)[:200]}")
+
+
 class _TokenBucket:
     """Requests-per-minute limiter; refills continuously up to rpm tokens."""
 
@@ -449,19 +466,8 @@ class ChatCompletionsJudge:
                 continue
             if status != 200:
                 raise UpstreamError(f"backend returned HTTP {status}: {str(body)[:200]}")
-            try:
-                text = body["choices"][0]["message"]["content"]
-                usage_raw = body.get("usage", {})
-            except (KeyError, IndexError, TypeError):
-                raise UpstreamError(f"malformed backend response: {str(body)[:200]}") from None
-            response = JudgeResponse(
-                text=text,
-                usage=TokenUsage(
-                    prompt_tokens=int(usage_raw.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage_raw.get("completion_tokens", 0)),
-                ),
-                latency_ms=latency,
-            )
+            text, usage = _reply_of(body)
+            response = JudgeResponse(text=text, usage=usage, latency_ms=latency)
             self._transcribe(digest, request, response)
             self._cache_store(digest, response)
             return response

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from lexjudge.cli import main
-from lexjudge.config import Config, load_config
+from lexjudge.config import _KEYS, Config, load_config
 from lexjudge.corpus import load_qrels
 from lexjudge.engine import TEMPLATE_NAMES, read_records_jsonl
 from lexjudge.errors import ConfigError, ParseError
@@ -108,11 +108,33 @@ class TestConfigValidation:
             "mock.lexicon_path=5",
             "bm25.k1=null",
             pytest.param("judge.temperature=1" + "0" * 400, id="float-key-integer-overflow"),
+            "bm25.k1=Infinity",
+            "bm25.k1=1e999",
+            "api.timeout=-1",
+            "api.timeout=0",
+            "api.timeout=NaN",
+            "api.backoff_base=-1",
         ],
     )
     def test_rejected_overrides(self, override):
         with pytest.raises(ConfigError):
             load_config(overrides=[override])
+
+    def test_every_default_lies_in_its_bounds(self):
+        # Setting each key to its own default passes the same checks as any other value.
+        defaults = []
+        for key in _KEYS:
+            section, _, attr = key.rpartition(".")
+            value = getattr(getattr(Config(), section) if section else Config(), attr)
+            defaults.append(f"{key}={json.dumps(value)}")
+        assert len(defaults) == 30
+        assert load_config(overrides=defaults) == Config()
+
+    def test_file_value_out_of_bounds_is_refused_despite_an_override(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"judge": {"temperature": 3.0}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="judge.temperature"):
+            load_config(path, ["judge.temperature=0.5"])
 
     def test_override_without_equals(self):
         with pytest.raises(ConfigError):
@@ -189,6 +211,21 @@ class TestCliBasics:
         )
         assert code == 1
         assert "judge.bogus" in capsys.readouterr().err
+
+    def test_non_finite_config_value_exits_1(self, toy, tmp_path, capsys):
+        code = main(
+            [
+                "judge", "--mock",
+                "--cases", str(toy.cases),
+                "--pools", str(toy.pools),
+                "--out", str(tmp_path / "j.jsonl"),
+                "--set", "bm25.k1=Infinity",
+            ]
+        )
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert message.startswith("error: bm25.k1")
+        assert not list(tmp_path.iterdir())
 
     def test_ingest_reports_corpus_shape(self, toy, capsys):
         code, payload = run_cli(
@@ -827,6 +864,15 @@ def _template_ends_in_latin1(toy, out, tmp):
     return _judge_args(toy, tmp) + ["--templates", str(templates)], bad, text.count(b"\n") + 1
 
 
+def _pools_candidate_ids(value):
+    def case(toy, out, tmp):
+        bad = tmp / "pools.json"
+        bad.write_text(json.dumps([{"query_id": "q01", "candidate_ids": value}]), encoding="utf-8")
+        return ["ingest", "--cases", str(toy.cases), "--pools", str(bad)], bad, None
+
+    return case
+
+
 def _run_latin1_line(toy, out, tmp):
     bad = tmp / "run.txt"
     bad.write_bytes(b"q01 Q0 c01 1 0.9 t\n" + "q01 Q0 café 2 0.8 t\n".encode("latin-1"))
@@ -853,6 +899,8 @@ class TestCliMalformedInput:
             _lexicon_latin1,
             _template_ends_in_latin1,
             _run_latin1_line,
+            _pools_candidate_ids(5),
+            _pools_candidate_ids("c01a"),
         ],
         ids=[
             "validity-truncated-line",
@@ -869,6 +917,8 @@ class TestCliMalformedInput:
             "lexicon-latin1-line",
             "template-ends-in-latin1",
             "run-latin1-line",
+            "pools-candidate_ids-a-number",
+            "pools-candidate_ids-a-string",
         ],
     )
     def test_exits_1_with_one_error_line(self, make_case, judged, tmp_path, capsys):

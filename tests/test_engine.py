@@ -31,7 +31,6 @@ from lexjudge.engine import (
     JudgeEngine,
     JudgmentRecord,
     assemble_prompt,
-    compute_fingerprint,
     load_templates,
     parse_facts_block,
     parse_verdict,
@@ -987,27 +986,25 @@ class TestRecordFiles:
         assert read[1].mf_verdict is read[2].mf_verdict
 
 
-class TestFingerprint:
-    def base_kwargs(self):
-        return dict(
-            model="m",
-            temperature=0.4,
-            max_tokens=1024,
-            top_k_demos=2,
-            fa_demos_per_polarity=2,
-            sampling_seed=0,
-            flags=AblationFlags(),
-            templates=load_templates(),
-            tokenizer_mode="cjk_bigram",
-            bm25_k1=1.2,
-            bm25_b=0.75,
-            demos_sha256="0" * 64,
-        )
+def fingerprint(
+    judge, toy, *, tokenizer_mode="cjk_bigram", k1=1.2, b=0.75, exemplar_suffix="", **engine_kwargs
+):
+    """The fingerprint of an engine on the toy demos, loaded with these settings.
 
-    def test_stable_for_identical_configuration(self):
-        assert compute_fingerprint(**self.base_kwargs()) == compute_fingerprint(
-            **self.base_kwargs()
-        )
+    exemplar_suffix is appended to the exemplar output of the demo first in
+    id order, to change the library's content and nothing else.
+    """
+    library = load_demo_library(toy.demos, tokenizer_mode=tokenizer_mode, k1=k1, b=b)
+    if exemplar_suffix:
+        demos = [library._by_id[i] for i in sorted(library._by_id)]
+        edited = dataclasses.replace(demos[0], exemplar_output=demos[0].exemplar_output + exemplar_suffix)
+        library = lexjudge.demos.DemoLibrary([edited, *demos[1:]], tokenizer_mode=tokenizer_mode, k1=k1, b=b)
+    return make_engine(judge, library, **engine_kwargs).config_fingerprint
+
+
+class TestFingerprint:
+    def test_stable_for_identical_configuration(self, mock_judge, toy):
+        assert fingerprint(mock_judge, toy) == fingerprint(mock_judge, toy)
 
     @pytest.mark.parametrize(
         "change",
@@ -1020,47 +1017,31 @@ class TestFingerprint:
             {"max_tokens": 512},
             {"sampling_seed": 1},
             {"tokenizer_mode": "whitespace"},
-            {"bm25_k1": 0.9},
-            {"bm25_b": 0.4},
-            {"demos_sha256": "1" * 64},
+            {"k1": 0.9},
+            {"b": 0.4},
+            {"exemplar_suffix": " "},
         ],
     )
-    def test_sensitive_to_each_knob(self, change):
-        kwargs = self.base_kwargs()
-        kwargs.update(change)
-        assert compute_fingerprint(**kwargs) != compute_fingerprint(**self.base_kwargs())
+    def test_sensitive_to_each_knob(self, change, mock_judge, toy):
+        assert fingerprint(mock_judge, toy, **change) != fingerprint(mock_judge, toy)
 
-    def test_sensitive_to_template_text(self, tmp_path):
-        kwargs = self.base_kwargs()
-        templates = dict(kwargs["templates"])
-        templates["fe_mf"] += "\nExtra instruction line."
-        kwargs["templates"] = templates
-        assert compute_fingerprint(**kwargs) != compute_fingerprint(**self.base_kwargs())
+    def test_sensitive_to_template_text(self, mock_judge, toy, tmp_path):
+        templates = load_templates()
+        write_template_dir(tmp_path, templates)
+        assert fingerprint(mock_judge, toy, templates_dir=tmp_path) == fingerprint(mock_judge, toy)
+        write_template_dir(tmp_path, templates | {"fe_mf": templates["fe_mf"] + "\nExtra instruction line."})
+        assert fingerprint(mock_judge, toy, templates_dir=tmp_path) != fingerprint(mock_judge, toy)
 
-    def test_integer_bm25_parameters_fingerprint_as_floats(self):
-        kwargs = self.base_kwargs() | {"bm25_k1": 1, "bm25_b": 1}
-        assert compute_fingerprint(**kwargs) == compute_fingerprint(**kwargs | {"bm25_k1": 1.0, "bm25_b": 1.0})
+    def test_integer_bm25_parameters_fingerprint_as_floats(self, mock_judge, toy):
+        assert fingerprint(mock_judge, toy, k1=1, b=1) == fingerprint(mock_judge, toy, k1=1.0, b=1.0)
 
-    def test_engine_fingerprint_follows_the_demo_library(self, mock_judge, toy, toy_library):
-        base = make_engine(mock_judge, toy_library).config_fingerprint
-        assert make_engine(mock_judge, load_demo_library(toy.demos)).config_fingerprint == base
-        demos = [toy_library._by_id[i] for i in sorted(toy_library._by_id)]
-        edited = [dataclasses.replace(demos[0], exemplar_output=demos[0].exemplar_output + " ")] + demos[1:]
-        others = [
-            load_demo_library(toy.demos, tokenizer_mode="whitespace"),
-            load_demo_library(toy.demos, k1=0.9),
-            load_demo_library(toy.demos, b=0.4),
-            lexjudge.demos.DemoLibrary(edited),
-        ]
-        fingerprints = {make_engine(mock_judge, library).config_fingerprint for library in others}
-        assert base not in fingerprints and len(fingerprints) == len(others)
+    def test_engine_fingerprint_follows_the_demo_library(self, mock_judge, toy_library):
         # The content hash takes the demos in id order, not file order.
-        assert lexjudge.demos.DemoLibrary(reversed(demos)).content_sha256 == toy_library.content_sha256
-
-    def test_engine_fingerprint_covers_max_tokens_and_sampling_seed(self, mock_judge, toy_library):
+        demos = [toy_library._by_id[i] for i in sorted(toy_library._by_id)]
+        reordered = lexjudge.demos.DemoLibrary(reversed(demos))
+        assert reordered.content_sha256 == toy_library.content_sha256
         base = make_engine(mock_judge, toy_library).config_fingerprint
-        assert make_engine(mock_judge, toy_library, max_tokens=512).config_fingerprint != base
-        assert make_engine(mock_judge, toy_library, sampling_seed=1).config_fingerprint != base
+        assert make_engine(mock_judge, reordered).config_fingerprint == base
 
     def test_engine_validates_knobs(self, mock_judge, toy_library):
         with pytest.raises(DomainError):

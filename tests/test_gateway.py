@@ -445,3 +445,23 @@ class TestChatCompletionsJudge:
         judge, _ = make_judge(transport, tmp_path, monkeypatch)
         with pytest.raises(UpstreamError):
             judge.complete(plain_request())
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"choices": [{"message": {"content": None}}], "usage": {"prompt_tokens": 5, "completion_tokens": 0}},
+            {"choices": [{"message": {"content": "ok"}}], "usage": None},
+            {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": "5", "completion_tokens": 3}},
+            {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": 5, "completion_tokens": 2.5}},
+        ],
+        ids=["content-null", "usage-null", "token-count-a-string", "token-count-a-float"],
+    )
+    def test_malformed_reply_is_neither_cached_nor_transcribed(self, body, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        transport = FakeTransport([(200, body)])
+        judge, _ = make_judge(transport, tmp_path, monkeypatch, cache_dir=str(cache_dir))
+        with pytest.raises(UpstreamError, match="malformed backend response"):
+            judge.complete(plain_request())
+        assert list(cache_dir.iterdir()) == []
+        assert not (tmp_path / "transcript.jsonl").exists()
