@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
+import os
 import random
 import sys
 import threading
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import add
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -32,7 +33,9 @@ from .errors import (
     ScorerError,
 )
 from .gateway import FACTS_BEGIN, FACTS_END, VERDICT_IRRELEVANT, VERDICT_RELEVANT
-from .retrieval import one_document_weights, rank_by_score, tokenize
+from .retrieval import bm25_score, build_bm25_index, rank_by_score, tokenize
+
+logger = logging.getLogger(__name__)
 
 DATASET_MODES = ("distribution_matched", "random")
 EXPORT_FORMATS = ("label_only", "rationale")
@@ -111,44 +114,36 @@ class PairScorer(Protocol):
     def score(self, left: Case, right: Case) -> float: ...
 
 
-def _one_document_terms(
-    tokenizer_mode: str, k1: float, b: float, text: str
-) -> tuple[list[str], dict[str, float]]:
+def _query_and_row(tokenizer_mode: str, k1: float, b: float, text: str) -> tuple[list[str], dict[str, float]]:
     tokens = list(map(sys.intern, tokenize(text, tokenizer_mode)))
-    return tokens, one_document_weights(tokens, k1, b)
+    return tokens, build_bm25_index({text: tokens}, k1, b).rows[text]
 
 
 class Bm25PairScorer:
     """Default pre-ranker: the left facts scored by BM25 against the right facts alone.
 
-    Each pair is scored as top_k_rank scores it over a one-document index
-    that holds only the right case. With one document, idf is the same constant for
-    every term and the length norm cancels to k1, so the score is a
+    Each pair is scored with bm25_score over a one-document index that
+    holds only the right case. With one document, idf is the same constant
+    for every term and the length norm cancels to k1, so the score is a
     saturated count of left tokens that occur in the right text, not corpus
     BM25 (the ROADMAP item "Prerank as real BM25" proposes one index).
 
     Each distinct fact text is tokenized once. The scorer's OnceMemo
-    holds, per text, its interned tokens (the query role) and each term's
-    weight in a one-document index over that text (the document role),
-    taken from retrieval.one_document_weights with the index's own weight
-    expression, so every score equals that one-document index's exactly.
-    A text whose tokenization fails leaves no entry. The memo lives as
-    long as the scorer and holds every text it has scored; the CLI builds
-    one scorer per `augment prerank`, which bounds it by the cases of one
+    holds, per text, its interned tokens (the query role) and the row of
+    build_bm25_index over that text alone (the document role). A text
+    whose tokenization fails leaves no entry. The memo lives as long as
+    the scorer and holds every text it has scored; the CLI builds one
+    scorer per `augment prerank`, which bounds it by the cases of one
     pairs file.
     """
 
     def __init__(self, tokenizer_mode: str = "cjk_bigram", k1: float = 1.2, b: float = 0.75):
         if k1 < 0 or not 0 <= b <= 1:
             raise DomainError(f"bad BM25 parameters k1={k1} b={b}")
-        self._memo = OnceMemo(partial(_one_document_terms, tokenizer_mode, k1, b))
+        self._memo = OnceMemo(partial(_query_and_row, tokenizer_mode, k1, b))
 
     def score(self, left: Case, right: Case) -> float:
-        tokens = self._memo[left.fact_text][0]
-        summands = self._memo[right.fact_text][1]
-        # Adds the summands left to right in query token order, skipping
-        # tokens absent from the right text, as top_k_rank does.
-        return reduce(add, filter(None, map(summands.get, tokens)), 0.0)
+        return bm25_score(self._memo[right.fact_text][1], self._memo[left.fact_text][0])
 
 
 def prerank_pairs(
@@ -170,6 +165,37 @@ def prerank_pairs(
     return [pair for pair, _ in rank_by_score(scored, CasePair.key)[:top_n]]
 
 
+def _read_checkpoint(checkpoint: Path) -> list[JudgmentRecord]:
+    """A checkpoint's records, once a last line without its newline is mended.
+
+    Such a line that parses as a record is kept; one that does not was cut
+    short by an interrupted append, so it is logged and dropped, and its
+    pair is judged again. Either way the file is first rewritten
+    atomically to end in a newline, so the next append starts a new line.
+    """
+    with checkpoint.open("rb") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))  # the last byte, if any
+        if fh.read(1) in (b"", b"\n"):
+            return read_records_jsonl(checkpoint)
+        fh.seek(0)
+        data = fh.read()
+    cut = data.rfind(b"\n") + 1
+    try:
+        head = data[:cut].decode("utf-8")
+    except UnicodeDecodeError:
+        return read_records_jsonl(checkpoint)  # which names the line that is not UTF-8
+    try:
+        tail = data[cut:].decode("utf-8")
+        JudgmentRecord.from_dict(json.loads(tail))
+    except (ValueError, KeyError, TypeError):
+        logger.warning("%s:%d: dropping a line cut short by an interrupted write", checkpoint, head.count("\n") + 1)
+        tail = ""
+    else:
+        tail += "\n"
+    atomic_write_text(checkpoint, head + tail)
+    return read_records_jsonl(checkpoint)
+
+
 def annotate_pairs(
     engine: JudgeEngine,
     store: CaseStore,
@@ -180,22 +206,22 @@ def annotate_pairs(
 
     With a checkpoint path, every finished pair is appended as one JSONL
     line immediately, and a rerun skips pairs whose line on disk is ok, so
-    an interrupted batch resumes without re-judging. A pair whose line is
-    failed is judged again: a key's ok line wins over its failed lines, and
-    a later failed line over an earlier one. A run that leaves such
-    superseded lines behind rewrites the checkpoint, atomically, to one
-    line per pair. A rerun also hands the finished records to
-    engine.reuse_extractions, so a case a finished pair extracted is not
-    extracted again; like the skipped pairs, this assumes the cases file
-    has not changed since. Judge-level failures become failed records;
-    interrupts propagate after the flush.
+    an interrupted batch resumes without re-judging; a last line that an
+    interrupt cut short is dropped first. A pair whose line is failed is
+    judged again: a key's ok line wins over its failed lines, and a later
+    failed line over an earlier one. A run that leaves such superseded lines
+    behind rewrites the checkpoint, atomically, to one line per pair. A
+    rerun also hands the finished records to engine.reuse_extractions, so a
+    case a finished pair extracted is not extracted again; like the skipped
+    pairs, this assumes the cases file has not changed since. Judge-level
+    failures become failed records; interrupts propagate after the flush.
     """
     unique: dict[tuple[str, str], CasePair] = {}
     for pair in pairs:
         unique.setdefault(pair.key(), pair)
     kept: dict[tuple[str, str], JudgmentRecord] = {}  # the line each key keeps, in first-seen order
     checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
-    finished = read_records_jsonl(checkpoint) if checkpoint is not None and checkpoint.exists() else []
+    finished = _read_checkpoint(checkpoint) if checkpoint is not None and checkpoint.exists() else []
 
     def keep(record: JudgmentRecord) -> None:
         key = (record.query_id, record.candidate_id)

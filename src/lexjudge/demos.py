@@ -60,11 +60,12 @@ def _index_terms(vocab: dict[str, str], tokenizer_mode: str, text: str) -> tuple
 class DemoLibrary:
     """Four demonstration sets, each with its own BM25 index.
 
-    Each set memoizes, per distinct query text, the text's tokens that
-    occur in the set's index, in order, for the lifetime of the library;
-    a text is tokenized at most once per set. Only those terms can score,
-    so ranking them equals ranking every token. The memoized terms are the
-    index's own strings.
+    The library memoizes, per distinct query text, the text's tokens that
+    occur in any set's index, in order, for the lifetime of the library;
+    a text is tokenized at most once per library. Only those terms can
+    score, and a term absent from a set's rows adds nothing there, so
+    ranking them equals ranking every token. The four indexes and the
+    memoized terms share one string per term.
 
     content_sha256 is the sha256 of every demo's fields in id order,
     taken once at construction, so a run's fingerprint can cover the
@@ -112,14 +113,14 @@ class DemoLibrary:
             for _, d in sorted(self._by_id.items())
         ]
         self.content_sha256 = hashlib.sha256(json.dumps(fields, ensure_ascii=False).encode("utf-8")).hexdigest()
+        vocab: dict[str, str] = {}
         self._indexes: dict[tuple[Stage, FactType], Bm25Index] = {}
-        self._terms: dict[tuple[Stage, FactType], OnceMemo] = {}
         for key, demo_list in self._sets.items():
             if demo_list:
-                docs = {d.id: tokenize(d.input_text, tokenizer_mode) for d in demo_list}
-                index = self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
-                vocab = {term: term for term in index.weights}
-                self._terms[key] = OnceMemo(partial(_index_terms, vocab, tokenizer_mode))
+                tokens = {d.id: tokenize(d.input_text, tokenizer_mode) for d in demo_list}
+                docs = {doc_id: [vocab.setdefault(t, t) for t in doc] for doc_id, doc in tokens.items()}
+                self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
+        self._terms = OnceMemo(partial(_index_terms, vocab, tokenizer_mode))
 
     def demo_set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
         return list(self._sets[(stage, fact_type)])
@@ -136,12 +137,11 @@ class DemoLibrary:
         demo_list = self._sets[key]
         if not demo_list:
             raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
-        terms = self._terms[key]
         if isinstance(x, str):
-            query = terms[x]
+            query = self._terms[x]
         else:
             # tokenize("\n".join(parts)) is the parts' tokens concatenated.
-            query = sum((terms[part] for part in x), ())
+            query = sum((self._terms[part] for part in x), ())
         return top_k_rank(self._indexes[key], query, len(demo_list))
 
     def _ranked(self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType) -> list[Demonstration]:

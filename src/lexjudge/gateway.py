@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 from ._util import OnceMemo, atomic_write_text, read_json, read_text
-from .errors import AuthError, DomainError, MalformedStageMarker, UpstreamError
+from .errors import AuthError, DomainError, MalformedStageMarker, ParseError, UpstreamError
 from .retrieval import tokenize
 
 STAGE_PREFIX = "#STAGE:"
@@ -287,6 +287,13 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float) 
     return resp.status_code, body
 
 
+def _checked_reply(text: object, *counts: object) -> tuple[str, TokenUsage]:
+    """A reply's text and token usage; TypeError unless text is a string and each count an integer."""
+    if isinstance(text, str) and all(type(count) is int for count in counts):
+        return text, TokenUsage(*counts)
+    raise TypeError("reply text must be a string and token counts integers")
+
+
 def _reply_of(body: dict) -> tuple[str, TokenUsage]:
     """The reply text and token usage of a 200 body.
 
@@ -294,14 +301,12 @@ def _reply_of(body: dict) -> tuple[str, TokenUsage]:
     integer; otherwise UpstreamError, so nothing malformed is cached.
     """
     try:
-        text = body["choices"][0]["message"]["content"]
         usage = body.get("usage", {})
-        counts = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
-        if isinstance(text, str) and all(type(count) is int for count in counts):
-            return text, TokenUsage(*counts)
+        return _checked_reply(
+            body["choices"][0]["message"]["content"], usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+        )
     except (KeyError, IndexError, TypeError, AttributeError):
-        pass
-    raise UpstreamError(f"malformed backend response: {str(body)[:200]}")
+        raise UpstreamError(f"malformed backend response: {str(body)[:200]}") from None
 
 
 class _TokenBucket:
@@ -384,13 +389,12 @@ class ChatCompletionsJudge:
         path = self._cache_path(digest)
         if path is None or not path.exists():
             return None
-        payload = read_json(path, dict, "cache entry")
-        return JudgeResponse(
-            text=payload["text"],
-            usage=TokenUsage(payload["prompt_tokens"], payload["completion_tokens"]),
-            latency_ms=0.0,
-            cached=True,
-        )
+        try:
+            payload = read_json(path, dict, "cache entry")
+            text, usage = _checked_reply(payload["text"], payload["prompt_tokens"], payload["completion_tokens"])
+        except (ParseError, KeyError, TypeError):
+            return None  # a bad entry is a miss, and the live reply overwrites it
+        return JudgeResponse(text=text, usage=usage, latency_ms=0.0, cached=True)
 
     def _cache_store(self, digest: str, response: JudgeResponse) -> None:
         path = self._cache_path(digest)

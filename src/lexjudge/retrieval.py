@@ -1,8 +1,9 @@
-"""Lexical retrieval: tokenizers, a BM25 index and rank_by_score, the one ranking order.
+"""Lexical retrieval: tokenizers, a BM25 index, bm25_score and rank_by_score.
 
 Demonstration matching (top_k_rank) and the default pair pre-ranker both
-rank with rank_by_score, so every ranking is deterministic: scores rounded
-to 12 significant digits, descending, ties broken by an ascending key.
+score with bm25_score over an index's rows and rank with rank_by_score, so
+every ranking is deterministic: scores rounded to 12 significant digits,
+descending, ties broken by an ascending key.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -76,29 +79,13 @@ def rank_by_score(scored: Iterable[tuple], tie_key: Callable) -> list[tuple]:
 class Bm25Index:
     """A BM25 index reduced to what ranking reads.
 
-    weights[term][doc_id] is the BM25 summand of one occurrence of term in
-    a query scored against doc_id, computed once by build_bm25_index; equal
-    weights share one float object. doc_ids holds every indexed document,
-    including those no term reaches.
+    rows[doc_id][term] is the BM25 summand of one occurrence of term in a
+    query scored against doc_id, computed once by build_bm25_index; equal
+    weights share one float object. Every indexed document has a row, an
+    empty one when it has no tokens.
     """
 
-    weights: dict[str, dict[str, float]] = field(repr=False)
-    doc_ids: tuple[str, ...]
-
-
-def _idf(doc_count: int, n: int) -> float:
-    return math.log(1.0 + (doc_count - n + 0.5) / (n + 0.5))
-
-
-def _length_norm(k1: float, b: float, doc_len: int, avg_doc_len: float) -> float:
-    if avg_doc_len > 0:
-        return k1 * (1.0 - b + b * doc_len / avg_doc_len)
-    return k1
-
-
-def bm25_weight(idf: float, tf: int, k1: float, norm: float) -> float:
-    """One (term, document) BM25 summand; the index and one_document_weights both take it from here."""
-    return idf * tf * (k1 + 1.0) / (tf + norm)
+    rows: dict[str, dict[str, float]] = field(repr=False)
 
 
 def build_bm25_index(
@@ -114,54 +101,36 @@ def build_bm25_index(
     """
     if k1 < 0 or not 0 <= b <= 1:
         raise DomainError(f"bad BM25 parameters k1={k1} b={b}")
-    tfs: dict[str, dict[str, int]] = {}
-    doc_lens: dict[str, int] = {}
-    for doc_id, tokens in docs.items():
-        doc_lens[doc_id] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            tfs.setdefault(term, {})[doc_id] = tf
-    count = len(doc_lens)
-    avg_len = (sum(doc_lens.values()) / count) if count else 0.0
-    norms = {doc_id: _length_norm(k1, b, doc_len, avg_len) for doc_id, doc_len in doc_lens.items()}
+    tfs = {doc_id: Counter(tokens) for doc_id, tokens in docs.items()}
+    doc_counts = Counter(term for doc_tfs in tfs.values() for term in doc_tfs)
+    count = len(tfs)
+    avg_len = (sum(map(len, docs.values())) / count) if count else 0.0
     idfs: dict[int, float] = {}  # idf depends on the term's document count alone
     shared: dict[float, float] = {}
-    weights: dict[str, dict[str, float]] = {}
-    for term, doc_tfs in tfs.items():
-        idf = idfs.get(len(doc_tfs)) or idfs.setdefault(len(doc_tfs), _idf(count, len(doc_tfs)))
-        row = weights[term] = {}
-        for doc_id, tf in doc_tfs.items():
-            weight = bm25_weight(idf, tf, k1, norms[doc_id])
-            row[doc_id] = shared.setdefault(weight, weight)
-    return Bm25Index(weights=weights, doc_ids=tuple(doc_lens))
+    rows: dict[str, dict[str, float]] = {}
+    for doc_id, doc_tfs in tfs.items():
+        norm = k1 * (1.0 - b + b * len(docs[doc_id]) / avg_len) if avg_len > 0 else k1
+        row = rows[doc_id] = {}
+        for term, tf in doc_tfs.items():
+            n = doc_counts[term]
+            idf = idfs.get(n) or idfs.setdefault(n, math.log(1.0 + (count - n + 0.5) / (n + 0.5)))
+            weight = idf * tf * (k1 + 1.0) / (tf + norm)
+            row[term] = shared.setdefault(weight, weight)
+    return Bm25Index(rows=rows)
 
 
-def one_document_weights(tokens: Sequence[str], k1: float, b: float) -> dict[str, float]:
-    """{term: weight} of the one document of build_bm25_index({doc: tokens}), without the index.
+def bm25_score(row: Mapping[str, float], query_tokens: Iterable[str]) -> float:
+    """A document's BM25 score: its row's weight of each query token, added left to right in query order.
 
-    With one document every term's idf is _idf(1, 1) and the document has
-    the average length, so a weight depends on its term's tf alone: each
-    distinct tf is weighed once, with the index's own expressions, and its
-    terms share that float.
+    A repeated query term counts once per occurrence; a term absent from
+    the row adds nothing. Every BM25 score in the package is this sum.
     """
-    counts = Counter(tokens)
-    idf = _idf(1, 1)
-    norm = _length_norm(k1, b, len(tokens), len(tokens) / 1)  # avg_doc_len as build_bm25_index takes it
-    by_tf = {tf: bm25_weight(idf, tf, k1, norm) for tf in set(counts.values())}
-    return {term: by_tf[tf] for term, tf in counts.items()}
+    return reduce(add, filter(None, map(row.get, query_tokens)), 0.0)
 
 
 def top_k_rank(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
-    """Top-k documents by BM25 score, ties broken by ascending doc id.
-
-    One pass over the weights of the query terms: a document's score sums,
-    in query order, the weight of each query token that occurs in it, so a
-    repeated query term counts once per occurrence. Terms absent from the
-    weights add nothing, so dropping them changes no score.
-    """
+    """Top-k documents by BM25 score, ties broken by ascending doc id."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    scores = dict.fromkeys(index.doc_ids, 0.0)
-    for term in query_tokens:
-        for doc_id, weight in index.weights.get(term, {}).items():
-            scores[doc_id] += weight
-    return rank_by_score(scores.items(), str)[:k]
+    scored = ((doc_id, bm25_score(row, query_tokens)) for doc_id, row in index.rows.items())
+    return rank_by_score(scored, str)[:k]

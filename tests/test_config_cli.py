@@ -10,7 +10,7 @@ import pytest
 from lexjudge.cli import main
 from lexjudge.config import _KEYS, Config, load_config
 from lexjudge.corpus import load_qrels
-from lexjudge.engine import TEMPLATE_NAMES, read_records_jsonl
+from lexjudge.engine import TEMPLATE_NAMES, JudgeEngine, read_records_jsonl
 from lexjudge.errors import ConfigError, ParseError
 
 
@@ -697,6 +697,42 @@ class TestCliAugment:
         assert checkpoint.read_bytes() == before  # nothing re-judged or appended
         assert first["extractions_reused"] == second["extractions_reused"] == 0  # nothing pending
 
+    @pytest.mark.parametrize("cut", ["mid-utf8", "mid-ascii", "before-newline"])
+    def test_annotate_resumes_past_a_torn_last_line(self, cut, toy, tmp_path, capsys, monkeypatch, caplog):
+        pairs, oneshot, checkpoint = tmp_path / "pairs.json", tmp_path / "oneshot.jsonl", tmp_path / "ck.jsonl"
+        run_cli(capsys, "augment", "sample", "--cases", str(toy.cases), "--n", "20", "--seed", "0",
+                "--out", str(pairs))
+        annotate = lambda out: run_cli(capsys, "augment", "annotate", "--cases", str(toy.cases),
+                                       "--pairs", str(pairs), "--out", str(out), "--mock")
+        assert annotate(oneshot)[0] == 0
+        # A run interrupted while appending its 10th line: the checkpoint ends inside that line.
+        lines = oneshot.read_bytes().splitlines(keepends=True)
+        tenth = lines[9]
+        end = {
+            "mid-utf8": next(i for i, byte in enumerate(tenth) if byte & 0xC0 == 0x80),
+            "mid-ascii": tenth.index(b"query_id"),
+            "before-newline": len(tenth) - 1,
+        }[cut]
+        checkpoint.write_bytes(b"".join(lines[:9]) + tenth[:end])
+        judged = []
+        judge_pairs = JudgeEngine.judge_pairs
+
+        def counting(engine, todo, **kwargs):
+            judged.extend((query.id, candidate.id) for query, candidate in todo)
+            return judge_pairs(engine, todo, **kwargs)
+
+        monkeypatch.setattr(JudgeEngine, "judge_pairs", counting)
+        code, summary = annotate(checkpoint)
+        assert code == 0 and summary["pairs"] == 20 and summary["failed"] == 0
+        kept = 10 if cut == "before-newline" else 9  # a whole 10th line is kept, a cut one dropped
+        keys = [(row["query_id"], row["candidate_id"]) for row in map(json.loads, lines[kept:])]
+        assert sorted(judged) == sorted(keys)
+        dropped = [r.getMessage() for r in caplog.records if "cut short" in r.getMessage()]
+        warning = f"{checkpoint}:10: dropping a line cut short by an interrupted write"
+        assert dropped == ([] if kept == 10 else [warning])
+        # The appended lines start lines of their own.
+        assert sorted(checkpoint.read_bytes().splitlines(keepends=True)) == sorted(lines)
+
     def test_annotate_reports_reused_extractions(self, toy, tmp_path, capsys):
         pairs, head = tmp_path / "pairs.json", tmp_path / "head.json"
         run_cli(capsys, "augment", "sample", "--cases", str(toy.cases), "--n", "40", "--seed", "5",
@@ -805,6 +841,15 @@ def _checkpoint_without_candidate_id(toy, out, tmp):
             "--out", str(bad), "--mock"], bad, 2
 
 
+def _checkpoint_truncated_last_line(toy, out, tmp):
+    """A malformed last line that ends in a newline is no interrupted append."""
+    bad = _records_file(tmp / "ck.jsonl", out, 3, _truncated(out, 3))
+    pairs = tmp / "pairs.json"
+    pairs.write_text('[["q01", "q02"]]', encoding="utf-8")
+    return ["augment", "annotate", "--cases", str(toy.cases), "--pairs", str(pairs),
+            "--out", str(bad), "--mock"], bad, 3
+
+
 def _annotated_non_object(toy, out, tmp):
     bad = _records_file(tmp / "annotated.jsonl", out, 2, "[1, 2]")
     return ["augment", "build", "--annotated", str(bad), "--name", "x", "--size", "1",
@@ -888,6 +933,7 @@ class TestCliMalformedInput:
             _validity_truncated,
             _heatmap_truncated,
             _checkpoint_without_candidate_id,
+            _checkpoint_truncated_last_line,
             _annotated_non_object,
             _sidecar('{"name": "x", "size": '),
             _sidecar('["x"]'),
@@ -906,6 +952,7 @@ class TestCliMalformedInput:
             "validity-truncated-line",
             "heatmap-truncated-line",
             "checkpoint-line-without-candidate_id",
+            "checkpoint-truncated-last-line",
             "annotated-non-object-line",
             "spec-sidecar-truncated",
             "spec-sidecar-not-an-object",

@@ -211,7 +211,7 @@ class TestRankingFromParts:
         library = load_demo_library(toy.demos, tokenizer_mode=mode)
         index = library._indexes[(Stage.FA, fact_type)]
         joined = f"{a}\n{b}"
-        want = top_k_rank(index, tokenize(joined, mode), len(index.doc_ids))
+        want = top_k_rank(index, tokenize(joined, mode), len(index.rows))
         cold = library._scored((a, b), Stage.FA, fact_type)
         warm = library._scored((a, b), Stage.FA, fact_type)
         # Lists of (demo id, score): the scores compare with ==.
@@ -223,8 +223,15 @@ class TestRankingFromParts:
     def test_memo_holds_only_postings_terms(self, toy):
         library = load_demo_library(toy.demos)
         library._scored(("被告人某某抢夺 zz", "赌博"), Stage.FA, FactType.LF)
-        memo = library._terms[(Stage.FA, FactType.LF)]
-        assert memo == {"被告人某某抢夺 zz": ("抢夺",), "赌博": ("赌博",)}
+        # One memo for the library, over the terms of all four indexes.
+        postings = {term for index in library._indexes.values() for row in index.rows.values() for term in row}
+        assert library._terms == {
+            text: tuple(t for t in tokenize(text) if t in postings) for text in ("被告人某某抢夺 zz", "赌博")
+        }
+        assert library._terms["被告人某某抢夺 zz"] == ("被告", "告人", "抢夺")
+        rows = [row for index in library._indexes.values() for row in index.rows.values()]
+        for term in library._terms["被告人某某抢夺 zz"]:  # the indexes' own strings
+            assert all(next(key for key in row if key == term) is term for row in rows if term in row)
 
 
 class TestRandomSelect:

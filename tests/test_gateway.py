@@ -409,6 +409,30 @@ class TestChatCompletionsJudge:
         assert fresh_judge.complete(plain_request()).text == "persisted"
         assert fresh_transport.calls == []
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            b'{"text": null, "prompt_tokens": 1, "completion_tokens": 0}',
+            b"\xff not json",
+            b'["ok", 1, 0]',
+            b'{"text": "ok", "prompt_tokens": 1}',
+        ],
+        ids=["text-null", "not-json", "json-array", "missing-key"],
+    )
+    def test_bad_cache_entry_is_a_miss_and_is_rewritten(self, entry, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / f"{request_hash(plain_request())}.json").write_bytes(entry)
+        transport = FakeTransport([ok_payload("live")])
+        judge, _ = make_judge(transport, tmp_path, monkeypatch, cache_dir=str(cache_dir))
+        first = judge.complete(plain_request())
+        assert (first.text, first.cached) == ("live", False)
+        assert len(transport.calls) == 1
+        # The live reply replaced the bad entry, so a fresh judge is served from the cache.
+        fresh, _ = make_judge(FakeTransport([]), tmp_path, monkeypatch, cache_dir=str(cache_dir))
+        again = fresh.complete(plain_request())
+        assert (again.text, again.usage, again.cached) == ("live", first.usage, True)
+
     def test_transcript_one_line_per_backend_call(self, tmp_path, monkeypatch):
         transcript = tmp_path / "transcript.jsonl"
         transport = FakeTransport([ok_payload("x"), ok_payload("y")])

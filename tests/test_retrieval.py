@@ -4,18 +4,17 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexjudge.errors import DomainError
 from lexjudge.retrieval import (
     TOKENIZER_MODES,
     Bm25Index,
+    bm25_score,
     build_bm25_index,
-    one_document_weights,
     rank_by_score,
     round_sig,
     tokenize,
@@ -97,7 +96,7 @@ def random_docs(rng: random.Random, max_docs: int = 32) -> dict[str, list[str]]:
 
 def rank_score(index: Bm25Index, query: list[str], doc_id: str) -> float:
     """doc_id's score as top_k_rank reports it when ranking every document."""
-    return dict(top_k_rank(index, query, len(index.doc_ids)))[doc_id]
+    return dict(top_k_rank(index, query, len(index.rows)))[doc_id]
 
 
 class TestBm25:
@@ -177,38 +176,34 @@ BM25_PARAMS = st.sampled_from([(1.2, 0.75), (0.0, 0.75), (1.2, 0.0), (0.0, 0.0),
 
 class TestIndexWeights:
     @given(DOCS, BM25_PARAMS)
+    @example({"d0": [], "d1": ["t0"]}, (1.2, 0.75))
     @settings(max_examples=300)
     def test_each_weight_is_the_summand_bm25_score_adds(self, docs, params):
         k1, b = params
         index = build_bm25_index(docs, k1=k1, b=b)
-        assert index.doc_ids == tuple(docs)
-        assert index.weights.keys() == {term for tokens in docs.values() for term in tokens}
-        for term, row in index.weights.items():
-            assert row.keys() == {doc_id for doc_id, tokens in docs.items() if term in tokens}
-            for doc_id, weight in row.items():
+        assert list(index.rows) == list(docs)  # a document with no tokens has an empty row
+        for doc_id, row in index.rows.items():
+            assert row.keys() == set(docs[doc_id])
+            for term, weight in row.items():
                 # 0.0 + summand is the summand, so a one-term query adds exactly the weight.
                 assert weight == bm25_score_oracle(docs, [term], doc_id, k1, b)
-
-    @given(st.lists(st.sampled_from([f"t{i}" for i in range(6)]), max_size=30), BM25_PARAMS)
-    @settings(max_examples=300)
-    def test_one_document_weights_are_the_index_row(self, tokens, params):
-        k1, b = params
-        weights = one_document_weights(tokens, k1, b)
-        index = build_bm25_index({"d": tokens}, k1=k1, b=b)
-        assert weights == {term: row["d"] for term, row in index.weights.items()}
-        for term, weight in weights.items():
-            assert weight.hex() == index.weights[term]["d"].hex()
-        by_tf: dict[int, set[int]] = {}
-        for term, tf in Counter(tokens).items():
-            by_tf.setdefault(tf, set()).add(id(weights[term]))
-        assert all(len(ids) == 1 for ids in by_tf.values())
 
     @given(DOCS, BM25_PARAMS)
     @settings(max_examples=100)
     def test_equal_weights_are_one_object(self, docs, params):
         index = build_bm25_index(docs, k1=params[0], b=params[1])
-        weights = [w for row in index.weights.values() for w in row.values()]
+        weights = [w for row in index.rows.values() for w in row.values()]
         assert len(set(map(id, weights))) == len(set(weights))
+
+
+class TestBm25Score:
+    def test_adds_left_to_right_in_query_order(self):
+        # 1e16 + 1.0 rounds back to 1e16, so adding left to right keeps 1e16. Adding the
+        # two 1.0s first, or a compensated sum such as Python 3.12's sum(), gives 1e16 + 2.
+        index = Bm25Index(rows={"d": {"a": 1e16, "b": 1.0}})
+        assert bm25_score(index.rows["d"], ["a", "b", "b"]) == 1e16
+        assert top_k_rank(index, ["a", "b", "b"], 1) == [("d", 1e16)]
+        assert bm25_score(index.rows["d"], ["b", "b", "a"]) == 1e16 + 2
 
 
 class TestRankByScore:
@@ -264,18 +259,18 @@ class TestIndexState:
         extended = dict(docs)
         extended["d3"] = ["z"]
         rebuilt = build_bm25_index(extended)
-        assert rebuilt.doc_ids == ("d1", "d2", "d3")
+        assert list(rebuilt.rows) == ["d1", "d2", "d3"]
         # The same documents now hold "b" in 2 of 3 rather than 2 of 2, so its idf and weights move.
-        assert rebuilt.weights["b"].keys() == first.weights["b"].keys()
-        assert rebuilt.weights["b"]["d1"] != first.weights["b"]["d1"]
+        assert rebuilt.rows["d1"].keys() == first.rows["d1"].keys()
+        assert rebuilt.rows["d1"]["b"] != first.rows["d1"]["b"]
         for doc_id in docs:
             assert rank_score(rebuilt, ["b"], doc_id) == bm25_score_oracle(extended, ["b"], doc_id, 1.2, 0.75)
 
     def test_empty_index_unscorable(self):
         index = build_bm25_index({})
-        assert index.doc_ids == () and index.weights == {}
+        assert index.rows == {}
         assert top_k_rank(index, ["a"], 3) == []
 
     def test_index_dataclass_direct_construction(self):
-        index = Bm25Index(weights={"a": {"d": 0.5}}, doc_ids=("d", "e"))
+        index = Bm25Index(rows={"d": {"a": 0.5}, "e": {}})
         assert top_k_rank(index, ["a", "missing", "a"], 2) == [("d", 1.0), ("e", 0.0)]
