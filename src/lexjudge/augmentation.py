@@ -152,7 +152,11 @@ def prerank_pairs(
     scorer: PairScorer,
     top_n: int,
 ) -> list[CasePair]:
-    """Keep the top_n highest-scoring pairs; ties break on the pair key."""
+    """Keep the top_n highest-scoring pairs; ties break on the pair key.
+
+    When pairs must be cut and every score is 0.0, the kept pairs are
+    simply the first by pair key, so a warning is logged.
+    """
     if top_n < 0:
         raise DomainError("top_n must be >= 0")
     scored = []
@@ -162,6 +166,13 @@ def prerank_pairs(
         except Exception as exc:
             raise ScorerError(f"scorer failed on pair {pair.key()}: {exc}") from exc
         scored.append((pair, value))
+    if 0 < top_n < len(scored) and not any(value for _, value in scored):
+        logger.warning(
+            "all %d pairs scored 0.0, so the %d kept are the first by pair key; "
+            "a tokenizer mode that does not split the fact texts scores nothing",
+            len(scored),
+            top_n,
+        )
     return [pair for pair, _ in rank_by_score(scored, CasePair.key)[:top_n]]
 
 

@@ -67,6 +67,11 @@ class DemoLibrary:
     ranking them equals ranking every token. The four indexes and the
     memoized terms share one string per term.
 
+    It also memoizes each set's ranking per (stage, fact type, query
+    terms), the terms being what top_k_rank is given, so queries with one
+    term sequence are ranked once per library. A ranking is a tuple of
+    (demonstration, score) pairs, best first, which no caller can change.
+
     content_sha256 is the sha256 of every demo's fields in id order,
     taken once at construction, so a run's fingerprint can cover the
     library's content.
@@ -121,6 +126,8 @@ class DemoLibrary:
                 docs = {doc_id: [vocab.setdefault(t, t) for t in doc] for doc_id, doc in tokens.items()}
                 self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
         self._terms = OnceMemo(partial(_index_terms, vocab, tokenizer_mode))
+        # Over the indexes, not self, so that library and memo form no reference cycle.
+        self._rankings = OnceMemo(partial(_rank, self._indexes, self._by_id))
 
     def demo_set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
         return list(self._sets[(stage, fact_type)])
@@ -131,21 +138,29 @@ class DemoLibrary:
     def __len__(self) -> int:
         return sum(len(v) for v in self._sets.values())
 
-    def _scored(self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType) -> list[tuple[str, float]]:
-        """Every demo id of the set with its BM25 score against x, best first."""
-        key = (stage, fact_type)
-        demo_list = self._sets[key]
-        if not demo_list:
+    def _ranked(
+        self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType
+    ) -> tuple[tuple[Demonstration, float], ...]:
+        """Every demo of the set with its BM25 score against x, best first."""
+        if not self._sets[(stage, fact_type)]:
             raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
         if isinstance(x, str):
             query = self._terms[x]
         else:
             # tokenize("\n".join(parts)) is the parts' tokens concatenated.
             query = sum((self._terms[part] for part in x), ())
-        return top_k_rank(self._indexes[key], query, len(demo_list))
+        return self._rankings[stage, fact_type, query]
 
-    def _ranked(self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType) -> list[Demonstration]:
-        return [self._by_id[doc_id] for doc_id, _ in self._scored(x, stage, fact_type)]
+
+def _rank(
+    indexes: dict[tuple[Stage, FactType], Bm25Index],
+    by_id: dict[str, Demonstration],
+    key: tuple[Stage, FactType, tuple[str, ...]],
+) -> tuple[tuple[Demonstration, float], ...]:
+    """A whole set ranked by top_k_rank against one query term sequence."""
+    stage, fact_type, query = key
+    index = indexes[stage, fact_type]
+    return tuple((by_id[doc_id], score) for doc_id, score in top_k_rank(index, query, len(index.rows)))
 
 
 def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, k: int) -> list[Demonstration]:
@@ -154,7 +169,7 @@ def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, 
     Ordered by descending BM25 score, ties by ascending demo id; returns
     min(k, set size) items.
     """
-    return library._ranked(x, stage, fact_type)[:k]
+    return [demo for demo, _ in library._ranked(x, stage, fact_type)[:k]]
 
 
 def adm_select_fa(
@@ -166,8 +181,8 @@ def adm_select_fa(
     as the parts joined by newlines.
     """
     ranked = library._ranked(x, Stage.FA, fact_type)
-    relevant = [d for d in ranked if d.polarity == "relevant"][:k_per_polarity]
-    irrelevant = [d for d in ranked if d.polarity == "irrelevant"][:k_per_polarity]
+    relevant = [d for d, _ in ranked if d.polarity == "relevant"][:k_per_polarity]
+    irrelevant = [d for d, _ in ranked if d.polarity == "irrelevant"][:k_per_polarity]
     return relevant, irrelevant
 
 

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import itertools
 import json
+import logging
 import random
 import threading
 import time
@@ -303,6 +304,21 @@ class TestPrerank:
         assert hashlib.sha256((tmp_path / "kept.json").read_bytes()).hexdigest() == self.PRERANK_SHA256
         scores = [[*p.key(), scorer.score(store.get(p.left_id), store.get(p.right_id)).hex()] for p in pairs]
         assert hashlib.sha256(json.dumps(scores).encode()).hexdigest() == self.SCORES_SHA256
+
+    @pytest.mark.parametrize("mode, top_n, warned", [
+        ("whitespace", 60, True),  # unspaced CJK facts: every pair scores 0.0
+        ("whitespace", 200, False),  # nothing is cut
+        ("cjk_bigram", 60, False),
+    ])
+    def test_cut_on_all_zero_scores_warns(self, mode, top_n, warned, toy_store_only, caplog):
+        pairs = sample_pairs(toy_store_only, 200, seed=0)
+        with caplog.at_level(logging.WARNING, logger="lexjudge.augmentation"):
+            kept = prerank_pairs(pairs, toy_store_only, Bm25PairScorer(mode), top_n=top_n)
+        warnings = [m for m in caplog.messages if "scored 0.0" in m]
+        assert warnings == (["all 200 pairs scored 0.0, so the 60 kept are the first by pair key; "
+                             "a tokenizer mode that does not split the fact texts scores nothing"] if warned else [])
+        if warned:
+            assert kept == sorted(pairs, key=CasePair.key)[:top_n]
 
     def test_ties_break_on_pair_key(self):
         store = tiny_store(4)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexjudge.demos
 from lexjudge.demos import (
+    POLARITIES,
     DemoLibrary,
     Demonstration,
     FactType,
@@ -145,6 +149,7 @@ class TestAdmSelect:
         library = self.build({"d1": "a"})
         with pytest.raises(EmptySetError):
             adm_select(library, "a", Stage.FE, FactType.LF, 1)
+        assert not library._terms and not library._rankings  # checked before any lookup
 
     def test_never_crosses_sets(self):
         demos = [
@@ -201,6 +206,11 @@ class TestAdmSelectFa:
         assert [d.id for d in relevant] == ["rel-near"]
 
 
+def scored(ranking) -> list[tuple[str, float]]:
+    """A ranking as top_k_rank returns it: (demo id, score) pairs."""
+    return [(demo.id, score) for demo, score in ranking]
+
+
 class TestRankingFromParts:
     """FA matching ranks a pair from its two fact texts, not their join."""
 
@@ -212,17 +222,17 @@ class TestRankingFromParts:
         index = library._indexes[(Stage.FA, fact_type)]
         joined = f"{a}\n{b}"
         want = top_k_rank(index, tokenize(joined, mode), len(index.rows))
-        cold = library._scored((a, b), Stage.FA, fact_type)
-        warm = library._scored((a, b), Stage.FA, fact_type)
+        cold = library._ranked((a, b), Stage.FA, fact_type)
+        warm = library._ranked((a, b), Stage.FA, fact_type)
         # Lists of (demo id, score): the scores compare with ==.
-        assert cold == want
-        assert warm == want
-        assert library._scored(joined, Stage.FA, fact_type) == want
+        assert scored(cold) == want
+        assert scored(warm) == want
+        assert scored(library._ranked(joined, Stage.FA, fact_type)) == want
         assert adm_select_fa(library, (a, b), fact_type, 2) == adm_select_fa(library, joined, fact_type, 2)
 
     def test_memo_holds_only_postings_terms(self, toy):
         library = load_demo_library(toy.demos)
-        library._scored(("被告人某某抢夺 zz", "赌博"), Stage.FA, FactType.LF)
+        library._ranked(("被告人某某抢夺 zz", "赌博"), Stage.FA, FactType.LF)
         # One memo for the library, over the terms of all four indexes.
         postings = {term for index in library._indexes.values() for row in index.rows.values() for term in row}
         assert library._terms == {
@@ -232,6 +242,79 @@ class TestRankingFromParts:
         rows = [row for index in library._indexes.values() for row in index.rows.values()]
         for term in library._terms["被告人某某抢夺 zz"]:  # the indexes' own strings
             assert all(next(key for key in row if key == term) is term for row in rows if term in row)
+
+
+STAGE_SETS = [(stage, fact_type) for stage in Stage for fact_type in FactType]
+
+
+class TestRankingMemo:
+    """Each (stage, fact type, query term sequence) is ranked once per library, exactly as afresh."""
+
+    @pytest.mark.parametrize("mode", TOKENIZER_MODES)
+    @given(
+        queries=st.lists(st.tuples(FACT_TEXT, FACT_TEXT), min_size=1, max_size=4),
+        stage_set=st.sampled_from(STAGE_SETS),
+        k=st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_rankings_equal_a_fresh_library(self, toy, mode, queries, stage_set, k):
+        stage, fact_type = stage_set
+        library = load_demo_library(toy.demos, tokenizer_mode=mode)
+        fresh = load_demo_library(toy.demos, tokenizer_mode=mode)
+        index = fresh._indexes[stage_set]
+        polarity = {demo.id: demo.polarity for demo in fresh.demo_set(stage, fact_type)}
+        for a, b in queries * 2:  # the second pass is warm throughout
+            joined = f"{a}\n{b}"
+            want = top_k_rank(index, tokenize(joined, mode), len(index.rows))
+            assert scored(library._ranked((a, b), stage, fact_type)) == want
+            assert scored(library._ranked(joined, stage, fact_type)) == want
+            picked = adm_select(library, joined, stage, fact_type, k)
+            assert [demo.id for demo in picked] == [doc_id for doc_id, _ in want[:k]]
+            picked.clear()  # a caller's list is its own: the memo is not changed through it
+            if stage is Stage.FA:
+                by_polarity = [[doc_id for doc_id, _ in want if polarity[doc_id] == p][:k] for p in POLARITIES]
+                for x in ((a, b), joined):
+                    chosen = adm_select_fa(library, x, fact_type, k)
+                    assert [[demo.id for demo in demos] for demos in chosen] == by_polarity
+                    for demos in chosen:
+                        demos.clear()
+            assert scored(library._ranked(joined, stage, fact_type)) == want
+
+    def test_texts_with_one_term_sequence_share_an_entry(self, toy):
+        library = load_demo_library(toy.demos)
+        first = library._ranked("被告人某某抢夺 zz", Stage.FE, FactType.MF)
+        second = library._ranked("被告人 抢夺 yy", Stage.FE, FactType.MF)
+        assert library._terms["被告人某某抢夺 zz"] == library._terms["被告人 抢夺 yy"] == ("被告", "告人", "抢夺")
+        assert second is first
+        assert list(library._rankings) == [(Stage.FE, FactType.MF, ("被告", "告人", "抢夺"))]
+
+    def test_one_entry_per_distinct_stage_and_term_sequence(self, toy, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            lexjudge.demos, "top_k_rank", lambda index, query, k: calls.append(query) or top_k_rank(index, query, k)
+        )
+        library = load_demo_library(toy.demos)
+        texts = ["被告人某某抢夺 zz", "被告人 抢夺 yy", "赌博", "no index terms", "", "赌博", "被告人盗窃"]
+        for stage, fact_type in STAGE_SETS:
+            for text in texts:
+                adm_select(library, text, stage, fact_type, 2)
+            adm_select_fa(library, ("赌博", "被告人"), FactType.MF, 2)
+        want = {
+            (stage, fact_type, library._terms[text]) for stage, fact_type in STAGE_SETS for text in texts
+        } | {(Stage.FA, FactType.MF, library._terms["赌博"] + library._terms["被告人"])}
+        assert set(library._rankings) == want
+        assert len(calls) == len(want)  # each computed once
+
+    def test_library_is_freed_without_the_cycle_collector(self, toy):
+        library = load_demo_library(toy.demos)
+        adm_select_fa(library, ("赌博", "被告人"), FactType.MF, 2)
+        freed = weakref.ref(library)
+        gc.disable()
+        try:
+            del library
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestRandomSelect:

@@ -57,6 +57,7 @@ from lexjudge.gateway import (
     mock_tokens,
     stage_of,
 )
+from lexjudge.retrieval import top_k_rank
 
 from conftest import FaultyOnPairJudge, ScriptedJudge, fabricate_record, make_engine
 from oracles import jaccard_oracle, normalized_tokens
@@ -645,12 +646,18 @@ class TestComputedOnce:
         mock_tokens_calls = CountingCalls(lexjudge.gateway.mock_tokens)
         monkeypatch.setattr(lexjudge.demos, "tokenize", demo_tokenize)
         monkeypatch.setattr(lexjudge.gateway, "mock_tokens", mock_tokens_calls)
+        rankings = []
+        monkeypatch.setattr(
+            lexjudge.demos, "top_k_rank", lambda index, query, k: rankings.append(query) or top_k_rank(index, query, k)
+        )
         judge = MockJudge(mock_cfg)
         records = make_engine(judge, library, parallelism=parallelism).judge_pairs(pairs)
         # Each call filled one entry of the library's one memo, and no entry twice, though an
         # MF extraction feeds both FE_LF and FA_MF.
         assert demo_tokenize.counts.keys() == library._terms.keys()
         assert set(demo_tokenize.counts.values()) == {1}
+        # Likewise one ranking per distinct (stage, fact type, term sequence), fewer than the selections.
+        assert len(rankings) == len(library._rankings) < 2 * len(pairs)  # two FA selections per pair
         assert set(mock_tokens_calls.counts.values()) == {1}
         mock_calls = sum(mock_tokens_calls.counts.values())
         # A second run on the same judge: a fresh library tokenizes again, the judge does not.
@@ -663,18 +670,30 @@ class TestComputedOnce:
         assert [r.to_dict() | {"run_id": "r1"} for r in second] == [r.to_dict() for r in serial]
 
     @pytest.mark.parametrize("parallelism", [1, 8])
-    def test_prompt_memos_stay_bounded(self, parallelism, mock_cfg, toy_library, toy_corpus):
+    def test_prompt_memos_stay_bounded(self, parallelism, monkeypatch, mock_cfg, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         mock = MockJudge(mock_cfg)
         judge = RecordingJudge(mock)
         engine = make_engine(judge, toy_library, parallelism=parallelism)
+        calls = []  # (stage, fact type, demos, target, user text) of every prompt the engine made
+        user_text = engine._user_text
+
+        def recorded(stage, fact_type, demos, target):
+            text = user_text(stage, fact_type, demos, target)
+            calls.append((stage, fact_type, tuple(demos), target, text))
+            return text
+
+        monkeypatch.setattr(engine, "_user_text", recorded)
         records = engine.judge_pools(store, pools)
-        assert len(engine._frames) == 4  # one per (stage, fact type)
-        positions = max(engine.top_k_demos, 2 * engine.fa_demos_per_polarity)
-        demos = {demo for s in Stage for f in FactType for demo in toy_library.demo_set(s, f)}
-        assert {demo for demo, _ in engine._demo_blocks} <= demos
-        assert {i for _, i in engine._demo_blocks} <= set(range(1, positions + 1))
-        assert len(engine._demo_blocks) <= len(toy_library) * positions
+        # One entry per distinct demo selection of the run, and no other.
+        selections = {(stage, fact_type, demos) for stage, fact_type, demos, _, _ in calls}
+        assert set(engine._prompts) == selections
+        assert len(selections) < len(calls)  # selections repeat, so entries are shared
+        for stage, fact_type, demos, target, text in calls:
+            wrapped = f"{TARGET_BEGIN}\n{target}\n{TARGET_END}"
+            reference = assemble_prompt(stage, fact_type, demos, wrapped, templates=engine.templates)
+            assert text == f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n{reference}"
+        assert Counter(judge.user_texts) == Counter(text for *_, text in calls)
         # One count per distinct prompt line.
         assert set(mock._line_counts) == {line for text in judge.user_texts for line in text.splitlines()}
         assert records == make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
