@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -112,12 +113,17 @@ class OnceMemo(dict):
     miss on another key, or a computation reading another key, goes ahead.
     A computation that raises stores nothing, and its waiters retry one at
     a time. A computation must not read its own key.
+
+    The memo keeps at most limit entries: once it is full, a miss is
+    computed and returned but not kept, and waiters on that key compute
+    it again, one at a time.
     """
 
-    def __init__(self, compute: Callable):
+    def __init__(self, compute: Callable, limit: float = math.inf):
         super().__init__()
         self._compute = compute
-        self._lock = threading.Lock()  # guards _running
+        self._limit = limit
+        self._lock = threading.Lock()  # guards _running, and the memo's size while storing
         self._running: dict = {}
 
     def __missing__(self, key):
@@ -132,10 +138,13 @@ class OnceMemo(dict):
                     break
             with running:  # held by the computing thread until it ends; then look again
                 pass
+        value = failed = object()
         try:
-            value = self[key] = self._compute(key)
+            value = self._compute(key)
         finally:
             with self._lock:
+                if value is not failed and len(self) < self._limit:
+                    self[key] = value
                 del self._running[key]
             running.release()
         return value

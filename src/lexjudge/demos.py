@@ -52,6 +52,11 @@ class Demonstration:
     polarity: str | None = None
 
 
+# The ranking memo's bound, in ranked demonstrations over all its entries:
+# a few MiB, however many distinct queries a library serves.
+RANKED_DEMOS_LIMIT = 1 << 15
+
+
 def _index_terms(vocab: dict[str, str], tokenizer_mode: str, text: str) -> tuple[str, ...]:
     """The tokens of text that are index terms, in order, as vocab's strings."""
     return tuple(filter(None, map(vocab.get, tokenize(text, tokenizer_mode))))
@@ -69,8 +74,12 @@ class DemoLibrary:
 
     It also memoizes each set's ranking per (stage, fact type, query
     terms), the terms being what top_k_rank is given, so queries with one
-    term sequence are ranked once per library. A ranking is a tuple of
-    (demonstration, score) pairs, best first, which no caller can change.
+    term sequence are ranked once per library. A ranking is two tuples,
+    the set's demonstrations best first and their scores, which no caller
+    can change; kept as two tuples rather than one pair per demo, an
+    entry adds a few objects for the cycle collector to scan, not one per
+    demo. The memo keeps at most RANKED_DEMOS_LIMIT ranked demos over all
+    its rankings; past that, rankings are computed afresh and not kept.
 
     content_sha256 is the sha256 of every demo's fields in id order,
     taken once at construction, so a run's fingerprint can cover the
@@ -127,7 +136,8 @@ class DemoLibrary:
                 self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
         self._terms = OnceMemo(partial(_index_terms, vocab, tokenizer_mode))
         # Over the indexes, not self, so that library and memo form no reference cycle.
-        self._rankings = OnceMemo(partial(_rank, self._indexes, self._by_id))
+        largest = max(1, *map(len, self._sets.values()))
+        self._rankings = OnceMemo(partial(_rank, self._indexes, self._by_id), limit=RANKED_DEMOS_LIMIT // largest)
 
     def demo_set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
         return list(self._sets[(stage, fact_type)])
@@ -140,8 +150,8 @@ class DemoLibrary:
 
     def _ranked(
         self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType
-    ) -> tuple[tuple[Demonstration, float], ...]:
-        """Every demo of the set with its BM25 score against x, best first."""
+    ) -> tuple[tuple[Demonstration, ...], tuple[float, ...]]:
+        """Every demo of the set, best first, and its BM25 score against x."""
         if not self._sets[(stage, fact_type)]:
             raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
         if isinstance(x, str):
@@ -156,11 +166,12 @@ def _rank(
     indexes: dict[tuple[Stage, FactType], Bm25Index],
     by_id: dict[str, Demonstration],
     key: tuple[Stage, FactType, tuple[str, ...]],
-) -> tuple[tuple[Demonstration, float], ...]:
+) -> tuple[tuple[Demonstration, ...], tuple[float, ...]]:
     """A whole set ranked by top_k_rank against one query term sequence."""
     stage, fact_type, query = key
     index = indexes[stage, fact_type]
-    return tuple((by_id[doc_id], score) for doc_id, score in top_k_rank(index, query, len(index.rows)))
+    ranked = top_k_rank(index, query, len(index.rows))
+    return tuple(by_id[doc_id] for doc_id, _ in ranked), tuple(score for _, score in ranked)
 
 
 def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, k: int) -> list[Demonstration]:
@@ -169,7 +180,7 @@ def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, 
     Ordered by descending BM25 score, ties by ascending demo id; returns
     min(k, set size) items.
     """
-    return [demo for demo, _ in library._ranked(x, stage, fact_type)[:k]]
+    return list(library._ranked(x, stage, fact_type)[0][:k])
 
 
 def adm_select_fa(
@@ -180,9 +191,9 @@ def adm_select_fa(
     x is a text, or a pair's fact texts as a tuple of parts, which ranks
     as the parts joined by newlines.
     """
-    ranked = library._ranked(x, Stage.FA, fact_type)
-    relevant = [d for d, _ in ranked if d.polarity == "relevant"][:k_per_polarity]
-    irrelevant = [d for d, _ in ranked if d.polarity == "irrelevant"][:k_per_polarity]
+    ranked, _ = library._ranked(x, Stage.FA, fact_type)
+    relevant = [d for d in ranked if d.polarity == "relevant"][:k_per_polarity]
+    irrelevant = [d for d in ranked if d.polarity == "irrelevant"][:k_per_polarity]
     return relevant, irrelevant
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -53,6 +55,16 @@ def short_switch_interval():
 @pytest.fixture(scope="session")
 def toy():
     return toy_paths()
+
+
+@pytest.fixture(scope="session")
+def large_library_path(tmp_path_factory) -> Path:
+    """A library of 24 demos per set, as scripts/make_demo_library.py writes it."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_library.py"
+    path = tmp_path_factory.mktemp("library") / "demos-24.json"
+    command = [sys.executable, str(script), "--per-set", "24", "--out", str(path)]
+    subprocess.run(command, check=True, capture_output=True)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -208,7 +208,8 @@ class TestAdmSelectFa:
 
 def scored(ranking) -> list[tuple[str, float]]:
     """A ranking as top_k_rank returns it: (demo id, score) pairs."""
-    return [(demo.id, score) for demo, score in ranking]
+    demos, scores = ranking
+    return [(demo.id, score) for demo, score in zip(demos, scores, strict=True)]
 
 
 class TestRankingFromParts:
@@ -304,6 +305,26 @@ class TestRankingMemo:
         } | {(Stage.FA, FactType.MF, library._terms["赌博"] + library._terms["被告人"])}
         assert set(library._rankings) == want
         assert len(calls) == len(want)  # each computed once
+
+    def test_memo_keeps_at_most_its_ranked_demos_limit(self, toy, monkeypatch):
+        roomy = load_demo_library(toy.demos)
+        monkeypatch.setattr(lexjudge.demos, "RANKED_DEMOS_LIMIT", 9)  # the largest set holds 4: two rankings
+        library = load_demo_library(toy.demos)
+        texts = ["被告人某某抢夺 zz", "赌博", "被告人盗窃", "爆炸", "拐卖"]
+        for text in texts * 2:
+            for stage, fact_type in STAGE_SETS:
+                assert library._ranked(text, stage, fact_type) == roomy._ranked(text, stage, fact_type)
+        assert list(library._rankings) == [(*stage_set, library._terms[texts[0]]) for stage_set in STAGE_SETS[:2]]
+        assert len(roomy._rankings) == len(STAGE_SETS) * len(texts)
+
+    def test_an_entry_gives_the_cycle_collector_a_few_objects_not_one_per_demo(self, large_library_path):
+        library = load_demo_library(large_library_path)
+        adm_select_fa(library, ("被告人王某盗窃", "被告人许某盗窃"), FactType.MF, 2)
+        gc.collect()  # untracks every tuple that holds no tracked object, such as the scores
+        ((key, value),) = library._rankings.items()
+        demos, scores = value
+        assert len(demos) == len(scores) == 24
+        assert sum(map(gc.is_tracked, (key, key[2], value, demos, scores))) == 3
 
     def test_library_is_freed_without_the_cycle_collector(self, toy):
         library = load_demo_library(toy.demos)

@@ -19,7 +19,7 @@ import lexjudge.demos
 import lexjudge.gateway
 from lexjudge.augmentation import annotate_pairs, sample_pairs
 from lexjudge.corpus import CandidatePool, Case, aggregate_label, gold_fact_flags
-from lexjudge.demos import Demonstration, FactType, Stage, load_demo_library
+from lexjudge.demos import Demonstration, FactType, Stage, _rank, load_demo_library
 from lexjudge.engine import (
     _PLACEHOLDER_RE,
     DEFINITIONS,
@@ -670,33 +670,58 @@ class TestComputedOnce:
         assert [r.to_dict() | {"run_id": "r1"} for r in second] == [r.to_dict() for r in serial]
 
     @pytest.mark.parametrize("parallelism", [1, 8])
-    def test_prompt_memos_stay_bounded(self, parallelism, monkeypatch, mock_cfg, toy_library, toy_corpus):
+    def test_prompt_memos_stay_bounded(self, parallelism, mock_cfg, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         mock = MockJudge(mock_cfg)
         judge = RecordingJudge(mock)
         engine = make_engine(judge, toy_library, parallelism=parallelism)
-        calls = []  # (stage, fact type, demos, target, user text) of every prompt the engine made
-        user_text = engine._user_text
-
-        def recorded(stage, fact_type, demos, target):
-            text = user_text(stage, fact_type, demos, target)
-            calls.append((stage, fact_type, tuple(demos), target, text))
-            return text
-
-        monkeypatch.setattr(engine, "_user_text", recorded)
         records = engine.judge_pools(store, pools)
-        # One entry per distinct demo selection of the run, and no other.
-        selections = {(stage, fact_type, demos) for stage, fact_type, demos, _, _ in calls}
-        assert set(engine._prompts) == selections
-        assert len(selections) < len(calls)  # selections repeat, so entries are shared
-        for stage, fact_type, demos, target, text in calls:
-            wrapped = f"{TARGET_BEGIN}\n{target}\n{TARGET_END}"
-            reference = assemble_prompt(stage, fact_type, demos, wrapped, templates=engine.templates)
-            assert text == f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n{reference}"
-        assert Counter(judge.user_texts) == Counter(text for *_, text in calls)
+        assert len(engine._frames) == 4  # one per (stage, fact type)
+        positions = max(engine.top_k_demos, 2 * engine.fa_demos_per_polarity)
+        demos = {demo for s in Stage for f in FactType for demo in toy_library.demo_set(s, f)}
+        assert {demo for demo, _ in engine._demo_blocks} <= demos
+        assert {i for _, i in engine._demo_blocks} <= set(range(1, positions + 1))
+        assert len(engine._demo_blocks) <= len(toy_library) * positions
         # One count per distinct prompt line.
         assert set(mock._line_counts) == {line for text in judge.user_texts for line in text.splitlines()}
         assert records == make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
+
+    @pytest.mark.parametrize("disable_adm", [False, True])
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_memos_stay_bounded_on_a_larger_library(
+        self, parallelism, disable_adm, monkeypatch, mock_cfg, toy_library, toy_corpus, large_library_path
+    ):
+        store, pools, _ = toy_corpus
+        ranked = []
+        monkeypatch.setattr(lexjudge.demos, "_rank", lambda *args: ranked.append(args[-1]) or _rank(*args))
+        # Room for five whole-set rankings of 24 demos, fewer than the run's distinct queries.
+        monkeypatch.setattr(lexjudge.demos, "RANKED_DEMOS_LIMIT", 5 * 24)
+        library = load_demo_library(large_library_path)
+        assert set(library.counts().values()) == {24}
+        flags = AblationFlags(disable_adm=disable_adm)
+        judge = RecordingJudge(MockJudge(mock_cfg))
+        runs = []
+        for run_id in ("r1", "r2"):  # two runs on one library, as judge --runs 2 makes them
+            engine = make_engine(judge, library, parallelism=parallelism, flags=flags, run_id=run_id)
+            runs.append(engine.judge_pools(store, pools))
+            assert len(engine._frames) == 4
+            positions = max(engine.top_k_demos, 2 * engine.fa_demos_per_polarity)
+            assert len(engine._demo_blocks) <= len(library) * positions
+            assert len(library._rankings) <= 5
+        if disable_adm:
+            assert not ranked and not library._rankings
+        else:
+            assert len(library._rankings) == 5 < len(set(ranked))
+            assert set(library._rankings) <= set(ranked)
+        monkeypatch.undo()
+        # Rankings computed past the bound equal kept ones: the prompts equal a run with room for all.
+        unbounded = RecordingJudge(MockJudge(mock_cfg))
+        make_engine(unbounded, load_demo_library(large_library_path), flags=flags).judge_pools(store, pools)
+        assert Counter(judge.user_texts) == Counter(unbounded.user_texts * 2)
+        # Mock records do not depend on the library: only the fingerprint, which covers it, differs.
+        bundled = make_engine(MockJudge(mock_cfg), toy_library, flags=flags).judge_pools(store, pools)
+        unfingerprinted = [[r.to_dict() | {"config_fingerprint": "", "run_id": ""} for r in run] for run in runs]
+        assert unfingerprinted == [[r.to_dict() | {"config_fingerprint": "", "run_id": ""} for r in bundled]] * 2
 
 
 GOLDEN_RUN_SHA256 = {

@@ -222,3 +222,39 @@ def test_jsonl_lines_may_end_in_crlf(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_bytes(b'{"a": 1}\r\n\r\n{"b": "\xe6\xa1\x88"}\r\n')
     assert list(read_jsonl(path)) == [(1, {"a": 1}), (3, {"b": "案"})]
+
+
+def test_once_memo_keeps_at_most_limit_entries():
+    calls: list[str] = []
+    memo = OnceMemo(lambda key: calls.append(key) or key.upper(), limit=2)
+    assert [memo[key] for key in "abcab"] == list("ABCAB")
+    assert memo == {"a": "A", "b": "B"}
+    # A miss on a full memo is computed each time and never kept.
+    assert memo["c"] == "C"
+    assert calls == ["a", "b", "c", "c"]
+    assert memo == {"a": "A", "b": "B"}
+
+
+def test_once_memo_at_its_limit_across_threads():
+    memo = OnceMemo(lambda key: (time.sleep(0.001), key * 2)[1], limit=5)
+    results: dict[int, list[int]] = {}
+    start = threading.Barrier(8)
+
+    def read(offset: int) -> None:
+        start.wait(timeout=10)
+        results[offset] = [memo[(offset + i) % 20] for i in range(40)]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(offset,)) for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {offset: [(offset + i) % 20 * 2 for i in range(40)] for offset in range(8)}
+    assert len(memo) == 5
+    assert all(value == key * 2 for key, value in memo.items())
