@@ -94,7 +94,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(_not_utf8(exc), path=str(path), line=line_no) from None
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 record = json.loads(line)

@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from functools import partial
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -276,45 +277,52 @@ class JudgmentRecord:
         """
         table = {} if shared is None else shared
         same = table.setdefault
-
-        def one(kind, *fields):
-            key = (kind, *fields)
-            found = table.get(key)
-            if found is None:
-                found = table[key] = kind(*fields)
-            return found
-
-        def ex(block: Mapping | None, fact_type: FactType, qid: str, cid: str):
-            if block is None:
-                return None
-            q, c = block["query"], block["candidate"]
-            return (
-                one(FactExtraction, qid, fact_type, q["text"], q["raw_response"]),
-                one(FactExtraction, cid, fact_type, c["text"], c["raw_response"]),
-            )
-
-        def ve(block: Mapping | None, fact_type: FactType):
-            if block is None:
-                return None
-            return one(FactVerdict, fact_type, bool(block["relevant"]), block["reasoning"], block["raw_response"])
-
         qid = data["query_id"]
         cid = data["candidate_id"]
         qid, cid = same(qid, qid), same(cid, cid)
         status, run_id, fingerprint = data["status"], data["run_id"], data["config_fingerprint"]
+        # Positional, in field order; the arguments are read in the order the errors of a bad row rely on.
         return cls(
-            query_id=qid,
-            candidate_id=cid,
-            status=same(status, status),
-            label=data["label"],
-            mf_extractions=ex(data["mf"]["extractions"], FactType.MF, qid, cid),
-            lf_extractions=ex(data["lf"]["extractions"], FactType.LF, qid, cid),
-            mf_verdict=ve(data["mf"]["verdict"], FactType.MF),
-            lf_verdict=ve(data["lf"]["verdict"], FactType.LF),
-            run_id=same(run_id, run_id),
-            config_fingerprint=same(fingerprint, fingerprint),
-            error=data.get("error"),
+            qid,
+            cid,
+            same(status, status),
+            data["label"],
+            _shared_extractions(table, data["mf"]["extractions"], FactType.MF, qid, cid),
+            _shared_extractions(table, data["lf"]["extractions"], FactType.LF, qid, cid),
+            _shared_verdict(table, data["mf"]["verdict"], FactType.MF),
+            _shared_verdict(table, data["lf"]["verdict"], FactType.LF),
+            same(run_id, run_id),
+            same(fingerprint, fingerprint),
+            data.get("error"),
         )
+
+
+def _shared_extraction(table: dict, case_id, fact_type: FactType, block: Mapping) -> FactExtraction:
+    text, raw = block["text"], block["raw_response"]
+    key = (FactExtraction, case_id, fact_type, text, raw)
+    found = table.get(key)
+    if found is None:
+        found = table[key] = FactExtraction(case_id, fact_type, text, raw)
+    return found
+
+
+def _shared_extractions(table: dict, block: Mapping | None, fact_type: FactType, qid, cid):
+    """The (query, candidate) extraction pair of a to_dict block, each looked up in table."""
+    if block is None:
+        return None
+    q, c = block["query"], block["candidate"]
+    return _shared_extraction(table, qid, fact_type, q), _shared_extraction(table, cid, fact_type, c)
+
+
+def _shared_verdict(table: dict, block: Mapping | None, fact_type: FactType) -> FactVerdict | None:
+    if block is None:
+        return None
+    relevant, reasoning, raw = bool(block["relevant"]), block["reasoning"], block["raw_response"]
+    key = (FactVerdict, fact_type, relevant, reasoning, raw)
+    found = table.get(key)
+    if found is None:
+        found = table[key] = FactVerdict(fact_type, relevant, reasoning, raw)
+    return found
 
 
 class JudgeEngine:
@@ -661,9 +669,57 @@ class JudgeEngine:
         return self.judge_pairs(pairs)
 
 
+def _json_value(value) -> str:
+    """value as json.dumps(value, ensure_ascii=False) writes it."""
+    if type(value) is str:
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, ensure_ascii=False)
+
+
+def _json_extractions(pair: tuple[FactExtraction, FactExtraction] | None) -> str:
+    if pair is None:
+        return "null"
+    q, c = pair
+    return (
+        f'{{"query": {{"text": {_json_value(q.text)}, "raw_response": {_json_value(q.raw_response)}}}, '
+        f'"candidate": {{"text": {_json_value(c.text)}, "raw_response": {_json_value(c.raw_response)}}}}}'
+    )
+
+
+def _json_verdict(v: FactVerdict | None) -> str:
+    if v is None:
+        return "null"
+    return (
+        f'{{"relevant": {_json_value(v.relevant)}, "reasoning": {_json_value(v.reasoning)}, '
+        f'"raw_response": {_json_value(v.raw_response)}}}'
+    )
+
+
 def record_line(record: JudgmentRecord) -> str:
-    """One JSON-lines line of a records file, newline included."""
-    return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+    """One JSON-lines line of a records file, newline included.
+
+    The line is json.dumps(record.to_dict(), ensure_ascii=False) + "\\n",
+    byte for byte, built field by field: each string goes through json's C
+    string encoder, without the dict and the generic encoder around it.
+    """
+    return (
+        f'{{"query_id": {_json_value(record.query_id)}, "candidate_id": {_json_value(record.candidate_id)}, '
+        f'"status": {_json_value(record.status)}, "label": {_json_value(record.label)}, '
+        f'"mf": {{"extractions": {_json_extractions(record.mf_extractions)}, '
+        f'"verdict": {_json_verdict(record.mf_verdict)}}}, '
+        f'"lf": {{"extractions": {_json_extractions(record.lf_extractions)}, '
+        f'"verdict": {_json_verdict(record.lf_verdict)}}}, '
+        f'"run_id": {_json_value(record.run_id)}, "config_fingerprint": {_json_value(record.config_fingerprint)}, '
+        f'"error": {_json_value(record.error)}}}\n'
+    )
 
 
 def write_records_jsonl(path: str | Path, records: Iterable[JudgmentRecord]) -> None:

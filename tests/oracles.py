@@ -7,6 +7,7 @@ meaningful evidence rather than a tautology.
 
 from __future__ import annotations
 
+import json
 import math
 import unicodedata
 from itertools import permutations
@@ -194,3 +195,11 @@ def quota_oracle(size: int, fractions: dict[int, float]) -> dict[int, int]:
     for _, label in remainders[:short]:
         floors[label] += 1
     return floors
+
+
+# -- record lines -------------------------------------------------------------
+
+
+def record_line_oracle(record) -> str:
+    """A records-file line as the generic encoder writes the record's dict view."""
+    return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import sys
 import threading
 import time
 import weakref
@@ -28,6 +29,7 @@ from lexjudge.engine import (
     TASK_DESCRIPTIONS,
     AblationFlags,
     FactExtraction,
+    FactVerdict,
     JudgeEngine,
     JudgmentRecord,
     assemble_prompt,
@@ -35,12 +37,14 @@ from lexjudge.engine import (
     parse_facts_block,
     parse_verdict,
     read_records_jsonl,
+    record_line,
     serialize_demos,
     write_records_jsonl,
 )
 from lexjudge.errors import (
     DomainError,
     JudgeResponseUnparseable,
+    ParseError,
     StageFailure,
     TemplateError,
     UpstreamError,
@@ -60,7 +64,7 @@ from lexjudge.gateway import (
 from lexjudge.retrieval import top_k_rank
 
 from conftest import FaultyOnPairJudge, ScriptedJudge, fabricate_record, make_engine
-from oracles import jaccard_oracle, normalized_tokens
+from oracles import jaccard_oracle, normalized_tokens, record_line_oracle
 
 GOOD_FE = "===FACTS===\nfacts ok\n===END==="
 GOOD_FA = "because the facts align\nVERDICT: RELEVANT"
@@ -923,6 +927,71 @@ class TestDeterminismAndParallelism:
             assert record.label == qrels.label(record.query_id, record.candidate_id)
 
 
+# Characters a string encoder escapes, or must pass through as they are: quote,
+# backslash, C0 controls, DEL, the JSON-legal line separators, a non-BMP
+# character and lone surrogates (which only a line never written to a UTF-8
+# file can hold).
+AWKWARD_CHARS = '"\\\x00\x08\t\n\x0c\r\x1b\x1f\x7f\u2028\u2029\U0001f600盗'
+LONE_SURROGATES = "\ud800\udbff\udc00\udfff"
+
+
+def json_texts(surrogates: bool):
+    chars = st.characters(exclude_categories=() if surrogates else ("Cs",))
+    awkward = AWKWARD_CHARS + LONE_SURROGATES if surrogates else AWKWARD_CHARS
+    return st.text(st.one_of(st.sampled_from(awkward), chars), max_size=12)
+
+
+def json_values(surrogates: bool = True, nan: bool = True):
+    """Strings, and the other JSON scalars from_dict carries in from a hand-edited file."""
+    floats = st.floats(allow_nan=nan)
+    return st.one_of(json_texts(surrogates), st.none(), st.booleans(), st.integers(), floats)
+
+
+@st.composite
+def judgment_records(draw, values, ids):
+    """An ok or failed record whose ids, label, texts, reasoning and error take any of values."""
+    qid, cid = draw(ids), draw(ids)
+    run_id, fingerprint = draw(values), draw(values)
+    if draw(st.booleans()):
+        return JudgmentRecord(qid, cid, "failed", None, None, None, None, None, run_id, fingerprint, draw(values))
+
+    def extractions(fact_type):
+        return (
+            FactExtraction(qid, fact_type, draw(values), draw(values)),
+            FactExtraction(cid, fact_type, draw(values), draw(values)),
+        )
+
+    def verdict(fact_type):
+        return FactVerdict(fact_type, draw(st.booleans()), draw(values), draw(values))
+
+    label = draw(st.one_of(st.integers(0, 3), st.none(), st.booleans(), st.floats(allow_nan=False)))
+    return JudgmentRecord(
+        qid, cid, "ok", label,
+        extractions(FactType.MF), extractions(FactType.LF), verdict(FactType.MF), verdict(FactType.LF),
+        run_id, fingerprint, draw(values),
+    )
+
+
+@st.composite
+def records_with_repeats(draw):
+    """Records that draw every value from a few, so ids, texts and verdicts repeat."""
+    few = draw(st.lists(json_values(surrogates=False, nan=False), min_size=1, max_size=3))
+    some = st.sampled_from(few)
+    ids = st.one_of(st.sampled_from(["q1", "c1", "c2"]), some)
+    return draw(st.lists(judgment_records(some, ids), min_size=1, max_size=8))
+
+
+def parts(record):
+    """(kind, part) for each part that one read shares between records."""
+    for kind in ("query_id", "candidate_id", "status", "run_id", "config_fingerprint"):
+        yield "value", getattr(record, kind)
+    for extraction in (*(record.mf_extractions or ()), *(record.lf_extractions or ())):
+        yield "extraction", extraction
+    for verdict in (record.mf_verdict, record.lf_verdict):
+        if verdict is not None:
+            yield "verdict", verdict
+
+
 class TestRecordSerialization:
     def make_records(self, mock_cfg, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
@@ -944,6 +1013,23 @@ class TestRecordSerialization:
         path = tmp_path / "records.jsonl"
         write_records_jsonl(path, records)
         assert read_records_jsonl(path) == records
+
+    @settings(max_examples=400, deadline=None)
+    @given(judgment_records(json_values(), st.one_of(json_texts(True), st.integers(), st.floats())))
+    def test_line_matches_the_generic_encoder(self, record):
+        assert record_line(record) == record_line_oracle(record)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=records_with_repeats())
+    def test_file_reads_back_equal_with_one_object_per_repeated_part(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("records") / "run.jsonl"
+        write_records_jsonl(path, records)
+        read = read_records_jsonl(path)
+        assert read == records
+        first: dict = {}
+        for record in read:
+            for kind, part in parts(record):
+                assert first.setdefault((kind, part), part) is part
 
     def test_stable_field_order(self, tmp_path, mock_judge, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
@@ -1026,6 +1112,69 @@ class TestRecordFiles:
         assert queries[3].raw_response == "another reply"
         assert len({id(q) for q in queries}) == 3
         assert read[1].mf_verdict is read[2].mf_verdict
+
+
+def _type_error(container, key) -> str:
+    """The message of the TypeError that container[key] raises."""
+    try:
+        container[key]
+    except TypeError as exc:
+        return str(exc)
+    raise AssertionError("no TypeError")
+
+
+def _edited(edit) -> dict:
+    row = fabricate_record("q1", "c1", 3).to_dict()
+    edit(row)
+    return row
+
+
+class TestRecordReadErrors:
+    """A malformed record line keeps its ParseError message and line number."""
+
+    # Each TypeError message is taken from the subscript or lookup that fails
+    # on that line, since its wording varies across Python versions; the
+    # last test pins the wording on 3.11.
+    CASES = {
+        "mf-missing": (lambda row: row.pop("mf"), "record missing key 'mf'"),
+        "mf-a-list": (
+            lambda row: row.update(mf=[1, 2]),
+            "malformed record: " + _type_error([1, 2], "extractions"),
+        ),
+        "verdict-a-string": (
+            lambda row: row["mf"].update(verdict="RELEVANT"),
+            "malformed record: " + _type_error("RELEVANT", "relevant"),
+        ),
+        "text-an-array": (
+            lambda row: row["lf"]["extractions"]["candidate"].update(text=["a", "b"]),
+            "malformed record: " + _type_error({}, (FactExtraction, "c1", FactType.LF, ["a", "b"], "raw")),
+        ),
+        "lf-null": (
+            lambda row: row.update(lf=None),
+            "malformed record: " + _type_error(None, "extractions"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_message_and_line(self, case, tmp_path):
+        edit, message = self.CASES[case]
+        good = record_line(fabricate_record("q1", "c1", 3))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + " \t\n" + json.dumps(_edited(edit), ensure_ascii=False) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_records_jsonl(path)
+        assert (str(info.value), info.value.line) == (f"{message} ({path}:3)", 3)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the messages were recorded on Python 3.11")
+    def test_messages_as_recorded_on_python_3_11(self):
+        messages = {case: message for case, (_, message) in self.CASES.items()}
+        assert messages == {
+            "mf-missing": "record missing key 'mf'",
+            "mf-a-list": "malformed record: list indices must be integers or slices, not str",
+            "verdict-a-string": "malformed record: string indices must be integers, not 'str'",
+            "text-an-array": "malformed record: unhashable type: 'list'",
+            "lf-null": "malformed record: 'NoneType' object is not subscriptable",
+        }
 
 
 def fingerprint(
