@@ -38,7 +38,7 @@ from .evaluation import (
     load_run,
     ndcg_at_k,
 )
-from .gateway import ChatCompletionsJudge, Judge, MockJudge, MockJudgeConfig, load_lexicon
+from .gateway import CachedJudge, ChatCompletionsJudge, Judge, MockJudge, MockJudgeConfig, TranscribedJudge, load_lexicon
 from .toydata import materialize, toy_paths
 
 
@@ -47,26 +47,32 @@ def _emit(payload: dict) -> None:
 
 
 def _make_judge(config: Config, mock: bool) -> Judge:
+    judge: Judge
     if mock:
         lexicon_path = config.mock.lexicon_path or str(toy_paths().lexicon)
-        return MockJudge(
+        judge = MockJudge(
             MockJudgeConfig(
                 mf_jaccard_threshold=config.mock.mf_jaccard_threshold,
                 lexicon=load_lexicon(lexicon_path),
                 seed=config.mock.seed,
             )
         )
-    return ChatCompletionsJudge(
-        base_url=config.api.base_url,
-        model=config.api.model,
-        key_env=config.api.key_env,
-        timeout=config.api.timeout,
-        retry=config.judge.retry,
-        backoff_base=config.api.backoff_base,
-        rate_limit_rpm=config.api.rate_limit_rpm,
-        cache_dir=config.cache.dir if config.cache.enabled else None,
-        transcript_path=config.transcript_path,
-    )
+    else:
+        judge = ChatCompletionsJudge(
+            base_url=config.api.base_url,
+            model=config.api.model,
+            key_env=config.api.key_env,
+            timeout=config.api.timeout,
+            retry=config.judge.retry,
+            backoff_base=config.api.backoff_base,
+            rate_limit_rpm=config.api.rate_limit_rpm,
+        )
+    # The transcript sits inside the cache, so a cache hit writes no transcript line.
+    if config.transcript_path:
+        judge = TranscribedJudge(judge, config.transcript_path)
+    if config.cache.enabled:
+        judge = CachedJudge(judge, config.cache.dir)
+    return judge
 
 
 def _load_library(config: Config, demos_path: str | None) -> DemoLibrary:

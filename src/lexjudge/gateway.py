@@ -1,4 +1,4 @@
-"""Judge backends: a chat-completions HTTP client and a deterministic mock.
+"""Judge backends (chat-completions HTTP and a deterministic mock), plus a cache and a transcript for any judge.
 
 Prompts carry a small machine-readable protocol so that either backend can
 serve them: the first line is a stage marker (#STAGE:FE_MF etc.) and the
@@ -18,7 +18,7 @@ import sys
 import threading
 import time
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -339,8 +339,8 @@ class ChatCompletionsJudge:
     """HTTP judge speaking the chat-completions wire format.
 
     Credentials come only from the environment variable named at
-    construction. Responses are cached content-addressed by the request
-    hash; every non-cached call appends one transcript line.
+    construction. It holds only the transport, the rate limit and the retry
+    loop; CachedJudge and TranscribedJudge wrap it as they wrap any judge.
     """
 
     def __init__(
@@ -353,12 +353,15 @@ class ChatCompletionsJudge:
         retry: int = 2,
         backoff_base: float = 0.5,
         rate_limit_rpm: int | None = None,
-        cache_dir: str | Path | None = None,
-        transcript_path: str | Path | None = None,
+        cache_dir: None = None,
+        transcript_path: None = None,
         transport: Transport | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        # benchmarks/setup_phase.py still passes cache_dir=None, transcript_path=None.
+        if cache_dir is not None or transcript_path is not None:
+            raise DomainError("wrap the judge in CachedJudge or TranscribedJudge to cache or transcribe")
         if retry < 0:
             raise DomainError("retry budget must be >= 0")
         self.base_url = base_url.rstrip("/")
@@ -367,12 +370,9 @@ class ChatCompletionsJudge:
         self.timeout = timeout
         self.retry = retry
         self.backoff_base = backoff_base
-        self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.transcript_path = Path(transcript_path) if transcript_path else None
         self._transport = transport or _requests_transport
         self._sleep = sleep
         self._bucket = _TokenBucket(rate_limit_rpm, clock, sleep) if rate_limit_rpm else None
-        self._transcript_lock = threading.Lock()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.key_env)
@@ -380,65 +380,7 @@ class ChatCompletionsJudge:
             raise AuthError(f"environment variable {self.key_env} is not set")
         return key
 
-    def _cache_path(self, digest: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{digest}.json"
-
-    def _cache_load(self, digest: str) -> JudgeResponse | None:
-        path = self._cache_path(digest)
-        if path is None or not path.exists():
-            return None
-        try:
-            payload = read_json(path, dict, "cache entry")
-            text, usage = _checked_reply(payload["text"], payload["prompt_tokens"], payload["completion_tokens"])
-        except (ParseError, KeyError, TypeError):
-            return None  # a bad entry is a miss, and the live reply overwrites it
-        return JudgeResponse(text=text, usage=usage, latency_ms=0.0, cached=True)
-
-    def _cache_store(self, digest: str, response: JudgeResponse) -> None:
-        path = self._cache_path(digest)
-        if path is None:
-            return
-        atomic_write_text(
-            path,
-            json.dumps(
-                {
-                    "text": response.text,
-                    "prompt_tokens": response.usage.prompt_tokens,
-                    "completion_tokens": response.usage.completion_tokens,
-                },
-                ensure_ascii=False,
-            ),
-        )
-
-    def _transcribe(self, digest: str, request: JudgeRequest, response: JudgeResponse) -> None:
-        if self.transcript_path is None:
-            return
-        line = json.dumps(
-            {
-                "ts": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                "request_hash": digest,
-                "stage": stage_of(request.user_text) or "",
-                "model": request.model,
-                "latency_ms": round(response.latency_ms, 3),
-                "usage": {
-                    "prompt_tokens": response.usage.prompt_tokens,
-                    "completion_tokens": response.usage.completion_tokens,
-                },
-            },
-            ensure_ascii=False,
-        )
-        with self._transcript_lock:
-            self.transcript_path.parent.mkdir(parents=True, exist_ok=True)
-            with self.transcript_path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
     def complete(self, request: JudgeRequest) -> JudgeResponse:
-        digest = request_hash(request)
-        cached = self._cache_load(digest)
-        if cached is not None:
-            return cached
         headers = {"Authorization": f"Bearer {self._api_key()}"}
         payload = {
             "model": request.model,
@@ -471,8 +413,79 @@ class ChatCompletionsJudge:
             if status != 200:
                 raise UpstreamError(f"backend returned HTTP {status}: {str(body)[:200]}")
             text, usage = _reply_of(body)
-            response = JudgeResponse(text=text, usage=usage, latency_ms=latency)
-            self._transcribe(digest, request, response)
-            self._cache_store(digest, response)
-            return response
+            return JudgeResponse(text=text, usage=usage, latency_ms=latency)
         raise UpstreamError(f"gave up after {self.retry + 1} attempts; last error: {last_error}")
+
+
+# ---------------------------------------------------------------------------
+# response cache and transcript, around any judge
+
+
+class CachedJudge:
+    """On-disk response cache in front of any judge, content-addressed by request_hash.
+
+    A hit returns cached=True and never reaches inner. An entry is checked as _reply_of
+    checks a live body; a bad one is a miss that the live reply rewrites.
+    """
+
+    def __init__(self, inner: Judge, cache_dir: str | Path):
+        self.inner = inner
+        self.cache_dir = Path(cache_dir)
+
+    def _cache_load(self, path: Path) -> JudgeResponse | None:
+        if not path.exists():
+            return None
+        try:
+            payload = read_json(path, dict, "cache entry")
+            text, usage = _checked_reply(payload["text"], payload["prompt_tokens"], payload["completion_tokens"])
+        except (ParseError, KeyError, TypeError):
+            return None  # a bad entry is a miss, and the live reply overwrites it
+        return JudgeResponse(text=text, usage=usage, latency_ms=0.0, cached=True)
+
+    def _cache_store(self, path: Path, response: JudgeResponse) -> None:
+        entry = {"text": response.text, **asdict(response.usage)}
+        atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
+
+    def complete(self, request: JudgeRequest) -> JudgeResponse:
+        path = self.cache_dir / f"{request_hash(request)}.json"
+        cached = self._cache_load(path)
+        if cached is not None:
+            return cached
+        response = self.inner.complete(request)
+        self._cache_store(path, response)
+        return response
+
+
+class TranscribedJudge:
+    """Appends one JSONL line per reply of any judge; safe to share across threads.
+
+    A line holds ts, request_hash, stage, model, latency_ms (0.0 from the mock) and usage.
+    A call that raises writes none; so does a hit of a CachedJudge around this judge.
+    """
+
+    def __init__(self, inner: Judge, transcript_path: str | Path):
+        self.inner = inner
+        self.transcript_path = Path(transcript_path)
+        self._transcript_lock = threading.Lock()
+
+    def _transcribe(self, request: JudgeRequest, response: JudgeResponse) -> None:
+        line = json.dumps(
+            {
+                "ts": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                "request_hash": request_hash(request),
+                "stage": stage_of(request.user_text) or "",
+                "model": request.model,
+                "latency_ms": round(response.latency_ms, 3),
+                "usage": asdict(response.usage),
+            },
+            ensure_ascii=False,
+        )
+        with self._transcript_lock:
+            self.transcript_path.parent.mkdir(parents=True, exist_ok=True)
+            with self.transcript_path.open("a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+
+    def complete(self, request: JudgeRequest) -> JudgeResponse:
+        response = self.inner.complete(request)
+        self._transcribe(request, response)
+        return response

@@ -7,11 +7,13 @@ from importlib import resources
 
 import pytest
 
-from lexjudge.cli import main
+from lexjudge import cli
+from lexjudge.cli import _make_judge, main
 from lexjudge.config import _KEYS, Config, load_config
 from lexjudge.corpus import load_qrels
 from lexjudge.engine import TEMPLATE_NAMES, JudgeEngine, read_records_jsonl
 from lexjudge.errors import ConfigError, ParseError
+from lexjudge.gateway import CachedJudge, ChatCompletionsJudge, MockJudge, TranscribedJudge
 
 
 class TestConfigDefaults:
@@ -443,6 +445,69 @@ class TestCliJudge:
             assert code == 0 and payload["runs"] == runs
             counts[runs] = len(calls)
         assert counts[3] == counts[1] > 0
+
+    @pytest.mark.parametrize("transcript", [True, False], ids=["transcript-on", "transcript-off"])
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache-on", "cache-off"])
+    @pytest.mark.parametrize("mock", [True, False], ids=["mock", "chat"])
+    def test_make_judge_layers_cache_over_transcript_over_backend(self, mock, cache, transcript, tmp_path):
+        overrides = [f"cache.enabled={str(cache).lower()}", f"cache.dir={tmp_path / 'cache'}"]
+        if transcript:
+            overrides.append(f"transcript_path={tmp_path / 't.jsonl'}")
+        judge = _make_judge(load_config(None, overrides), mock)
+        if cache:
+            assert type(judge) is CachedJudge and judge.cache_dir == tmp_path / "cache"
+            judge = judge.inner
+        if transcript:
+            assert type(judge) is TranscribedJudge and judge.transcript_path == tmp_path / "t.jsonl"
+            judge = judge.inner
+        # With both off the bare backend comes back, so the default path has no wrapper.
+        assert type(judge) is (MockJudge if mock else ChatCompletionsJudge)
+
+    def test_cache_serves_run_two_from_run_one(self, toy, tmp_path, monkeypatch, capsys):
+        transcript = tmp_path / "t.jsonl"
+        mock_calls, at_write = [], []
+        complete, write = MockJudge.complete, cli.write_records_jsonl
+
+        def counting_complete(self, request):
+            mock_calls.append(request)
+            return complete(self, request)
+
+        def snapshot_then_write(path, records):
+            lines = len(transcript.read_text(encoding="utf-8").splitlines()) if transcript.exists() else 0
+            at_write.append((len(mock_calls), lines))
+            write(path, records)
+
+        monkeypatch.setattr(MockJudge, "complete", counting_complete)
+        monkeypatch.setattr(cli, "write_records_jsonl", snapshot_then_write)
+        judge = ["judge", "--cases", str(toy.cases), "--pools", str(toy.pools), "--runs", "2", "--mock"]
+        assert run_cli(capsys, *judge, "--out", str(tmp_path / "plain" / "j.jsonl"))[0] == 0
+        # Each run issues 336 calls, of which 300 are distinct: equal pairs repeat.
+        assert at_write == [(336, 0), (672, 0)]
+        mock_calls.clear()
+        at_write.clear()
+        cached = [
+            "--set", "cache.enabled=true",
+            "--set", f"cache.dir={tmp_path / 'cache'}",
+            "--set", f"transcript_path={transcript}",
+        ]
+        assert run_cli(capsys, *judge, "--out", str(tmp_path / "cached" / "j.jsonl"), *cached)[0] == 0
+        # Run 1 reaches the mock once per distinct request and writes one line for each;
+        # run 2 is served wholly from run 1's entries, so it reaches nothing and writes nothing.
+        assert at_write == [(300, 300), (300, 300)]
+        assert len(list((tmp_path / "cache").iterdir())) == 300
+        for name in ("j.run1.jsonl", "j.run2.jsonl"):
+            assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        code, payload = run_cli(
+            capsys,
+            "evaluate", "reliability",
+            "--in", str(tmp_path / "cached" / "j.run1.jsonl"), str(tmp_path / "cached" / "j.run2.jsonl"),
+            "--report-dir", str(tmp_path / "rep"),
+        )
+        assert code == 0
+        # Kappa 1.0 by construction: run 2 repeats run 1's replies. The ROADMAP item
+        # "Reliability and validity that can fail" puts a sample index in the request
+        # hash, so run 2 misses the cache and this assertion turns around.
+        assert (payload["kappa_mf_mean"], payload["kappa_lf_mean"], payload["kappa_label_mean"]) == (1.0, 1.0, 1.0)
 
 
 class TestCliEvaluate:

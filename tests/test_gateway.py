@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lexjudge.errors import AuthError, DomainError, MalformedStageMarker, UpstreamError
 from lexjudge.gateway import (
+    CachedJudge,
     ChatCompletionsJudge,
     FACTS_BEGIN,
     FACTS_END,
@@ -22,6 +23,7 @@ from lexjudge.gateway import (
     STAGE_PREFIX,
     TARGET_BEGIN,
     TARGET_END,
+    TranscribedJudge,
     TransportError,
     _PUNCTUATION_TO_SPACE,
     load_lexicon,
@@ -34,7 +36,7 @@ from lexjudge.gateway import (
 )
 from lexjudge.engine import FA_REMINDER, FE_REMINDER
 
-from conftest import make_engine
+from conftest import InstrumentedJudge, make_engine
 from oracles import normalized_tokens, punctuation_to_spaces
 
 CJK_TEXT = st.text(
@@ -284,7 +286,17 @@ class FakeTime:
         self.now += seconds
 
 
-def make_judge(transport, tmp_path, monkeypatch, **kwargs):
+def wrapped(judge, cache_dir=None, transcript_path=None):
+    """judge inside a TranscribedJudge, then a CachedJudge, each when its argument is given."""
+    if transcript_path is not None:
+        judge = TranscribedJudge(judge, transcript_path)
+    if cache_dir is not None:
+        judge = CachedJudge(judge, cache_dir)
+    return judge
+
+
+def make_judge(transport, tmp_path, monkeypatch, cache_dir=None, transcript_path=None, **kwargs):
+    """A ChatCompletionsJudge on transport with a fake clock, wrapped as wrapped() wraps."""
     monkeypatch.setenv("TEST_JUDGE_KEY", "secret-key")
     defaults = dict(
         base_url="https://backend.example/v1",
@@ -294,14 +306,12 @@ def make_judge(transport, tmp_path, monkeypatch, **kwargs):
         retry=2,
         backoff_base=1.0,
         rate_limit_rpm=None,
-        cache_dir=None,
-        transcript_path=str(tmp_path / "transcript.jsonl"),
         transport=transport,
     )
     defaults.update(kwargs)
     fake = FakeTime()
     judge = ChatCompletionsJudge(**defaults, sleep=fake.sleep, clock=fake.clock)
-    return judge, fake.sleeps
+    return wrapped(judge, cache_dir, transcript_path), fake.sleeps
 
 
 def plain_request(text="hello") -> JudgeRequest:
@@ -312,6 +322,18 @@ def plain_request(text="hello") -> JudgeRequest:
         model="m",
         max_tokens=64,
     )
+
+
+BAD_CACHE_ENTRIES = pytest.mark.parametrize(
+    "entry",
+    [
+        b'{"text": null, "prompt_tokens": 1, "completion_tokens": 0}',
+        b"\xff not json",
+        b'["ok", 1, 0]',
+        b'{"text": "ok", "prompt_tokens": 1}',
+    ],
+    ids=["text-null", "not-json", "json-array", "missing-key"],
+)
 
 
 class TestChatCompletionsJudge:
@@ -409,16 +431,7 @@ class TestChatCompletionsJudge:
         assert fresh_judge.complete(plain_request()).text == "persisted"
         assert fresh_transport.calls == []
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            b'{"text": null, "prompt_tokens": 1, "completion_tokens": 0}',
-            b"\xff not json",
-            b'["ok", 1, 0]',
-            b'{"text": "ok", "prompt_tokens": 1}',
-        ],
-        ids=["text-null", "not-json", "json-array", "missing-key"],
-    )
+    @BAD_CACHE_ENTRIES
     def test_bad_cache_entry_is_a_miss_and_is_rewritten(self, entry, tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
@@ -484,8 +497,63 @@ class TestChatCompletionsJudge:
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         transport = FakeTransport([(200, body)])
-        judge, _ = make_judge(transport, tmp_path, monkeypatch, cache_dir=str(cache_dir))
+        judge, _ = make_judge(
+            transport,
+            tmp_path,
+            monkeypatch,
+            cache_dir=str(cache_dir),
+            transcript_path=str(tmp_path / "transcript.jsonl"),
+        )
         with pytest.raises(UpstreamError, match="malformed backend response"):
             judge.complete(plain_request())
         assert list(cache_dir.iterdir()) == []
         assert not (tmp_path / "transcript.jsonl").exists()
+
+    @pytest.mark.parametrize("keyword", ["cache_dir", "transcript_path"])
+    def test_caching_and_transcribing_are_left_to_the_wrappers(self, keyword, tmp_path):
+        with pytest.raises(DomainError, match="CachedJudge or TranscribedJudge"):
+            ChatCompletionsJudge("https://backend.example/v1", "m", "K", **{keyword: str(tmp_path / "x")})
+        judge = ChatCompletionsJudge("https://backend.example/v1", "m", "K", **{keyword: None})
+        assert not any(name.startswith(("_cache", "_transcri", "cache", "transcript")) for name in vars(judge))
+
+
+class TestWrappersAroundMock:
+    """The cache and the transcript work around the mock as around the chat backend."""
+
+    def test_cache_hit_never_reaches_the_mock(self, mock_judge, tmp_path):
+        inner = InstrumentedJudge(mock_judge)
+        judge = wrapped(inner, cache_dir=tmp_path / "cache", transcript_path=tmp_path / "t.jsonl")
+        first = judge.complete(req("FE_MF", "被告人盗窃"))
+        second = judge.complete(req("FE_MF", "被告人盗窃"))
+        assert (first.cached, second.cached) == (False, True)
+        assert (second.text, second.usage) == (first.text, first.usage)
+        assert inner.stages == ["FE_MF"]
+        [line] = [json.loads(l) for l in (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert line["latency_ms"] == 0.0
+        assert line["usage"] == {
+            "prompt_tokens": first.usage.prompt_tokens,
+            "completion_tokens": first.usage.completion_tokens,
+        }
+
+    def test_distinct_requests_miss(self, mock_judge, tmp_path):
+        inner = InstrumentedJudge(mock_judge)
+        judge = wrapped(inner, cache_dir=tmp_path / "cache")
+        replies = [judge.complete(req("FE_MF", text)) for text in ("盗窃", "抢劫")]
+        assert [r.cached for r in replies] == [False, False]
+        assert replies[0].text != replies[1].text
+        assert len(inner.stages) == 2
+        assert len(list((tmp_path / "cache").iterdir())) == 2
+
+    @BAD_CACHE_ENTRIES
+    def test_bad_cache_entry_is_a_miss_and_is_rewritten(self, entry, mock_judge, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        request = req("FE_MF", "被告人盗窃")
+        (cache_dir / f"{request_hash(request)}.json").write_bytes(entry)
+        inner = InstrumentedJudge(mock_judge)
+        live = wrapped(inner, cache_dir=cache_dir).complete(request)
+        assert live.cached is False and len(inner.stages) == 1
+        fresh = InstrumentedJudge(mock_judge)
+        again = wrapped(fresh, cache_dir=cache_dir).complete(request)
+        assert (again.text, again.usage, again.cached) == (live.text, live.usage, True)
+        assert fresh.stages == []
