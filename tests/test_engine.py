@@ -774,17 +774,36 @@ class RecordingJudge:
         return self.inner.complete(request)
 
 
+# (library, ablation flag) -> (prompts sent, sha256 of their user texts as a JSON list).
+GOLDEN_PROMPTS = {
+    ("bundled", None): (336, "8b1e5f2f4591688cd8c46a19fd7023156c1d194682db6592fc720f1ae9dd1126"),
+    ("bundled", "disable_adm"): (336, "0b525377a227cc7c5c5623a4c5f4e1fdd063cb486e39214e99264fac4a80d356"),
+    ("bundled", "disable_fa_demos"): (336, "4808cca2bec87df6e42015a273c6c849b1c091e5d3b471f6b9a62406ba234d4f"),
+    ("bundled", "disable_fe"): (240, "9395aa2ed95569542957745c957022729dfeea8031333f8e1e677d8d72a2562e"),
+    ("large", None): (336, "18d535c6dd61e32d15854b4c2796461408dacd3be6b857c845e054abcd20e4be"),
+    ("large", "disable_adm"): (336, "b3d4e366120ad107429178b8c216daa4d8b20cc8462b19a469399119c779f8d4"),
+    ("large", "disable_fa_demos"): (336, "f861a7b5c65c4904b4b50fa1db1cc5f037712918adf1ce58547937b944d52b7c"),
+    ("large", "disable_fe"): (240, "ffd23e4802eda2cc7ee0a00da88d05dd4cfc2c8202ec8ff9bb91cd6e97e35e4a"),
+}
+
+
 class TestGoldenPrompts:
     """Every prompt sent on the bundled pools, byte for byte. Mock records ignore
-    the demonstrations, so only this pins demo selection and order."""
+    the demonstrations, so only this pins demo selection and order: BM25 matching
+    and the seeded draw of disable_adm, on the bundled library and on one of 24
+    demos per set."""
 
-    def test_user_texts_match_pinned_digest(self, toy_library, mock_judge, toy_corpus):
+    @pytest.mark.parametrize("library_name, flag", list(GOLDEN_PROMPTS))
+    def test_user_texts_match_pinned_digest(
+        self, library_name, flag, toy, large_library_path, mock_judge, toy_corpus
+    ):
         store, pools, _ = toy_corpus
+        library = load_demo_library(toy.demos if library_name == "bundled" else large_library_path)
+        flags = AblationFlags(**({flag: True} if flag else {}))
         judge = RecordingJudge(mock_judge)
-        make_engine(judge, toy_library, parallelism=1).judge_pools(store, pools)
-        assert len(judge.user_texts) == 336
+        make_engine(judge, library, parallelism=1, flags=flags).judge_pools(store, pools)
         digest = hashlib.sha256(json.dumps(judge.user_texts, ensure_ascii=False).encode()).hexdigest()
-        assert digest == "8b1e5f2f4591688cd8c46a19fd7023156c1d194682db6592fc720f1ae9dd1126"
+        assert (len(judge.user_texts), digest) == GOLDEN_PROMPTS[library_name, flag]
 
 
 class TestRetryExhaustion:
