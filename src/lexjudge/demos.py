@@ -1,7 +1,7 @@
 """Expert demonstration store with adaptive matching.
 
-Demonstrations live in four sets keyed by (stage, fact type). Selection
-selects the top-k lexically closest demonstrations to the stage input by
+Demonstrations live in four sets keyed by (stage, fact type). select
+picks the top-k lexically closest demonstrations to the stage input by
 BM25 over each set; the ablated variant samples uniformly instead, seeded
 per call site so results do not depend on evaluation order.
 """
@@ -15,6 +15,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -139,21 +140,23 @@ class DemoLibrary:
         largest = max(1, *map(len, self._sets.values()))
         self._rankings = OnceMemo(partial(_rank, self._indexes, self._by_id), limit=RANKED_DEMOS_LIMIT // largest)
 
-    def demo_set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
-        return list(self._sets[(stage, fact_type)])
-
     def counts(self) -> dict[str, int]:
         return {f"{s.value}_{f.value}": len(v) for (s, f), v in self._sets.items()}
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._sets.values())
 
+    def _set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
+        demos = self._sets[stage, fact_type]
+        if not demos:
+            raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
+        return demos
+
     def _ranked(
         self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType
     ) -> tuple[tuple[Demonstration, ...], tuple[float, ...]]:
         """Every demo of the set, best first, and its BM25 score against x."""
-        if not self._sets[(stage, fact_type)]:
-            raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
+        self._set(stage, fact_type)
         if isinstance(x, str):
             query = self._terms[x]
         else:
@@ -174,73 +177,51 @@ def _rank(
     return tuple(by_id[doc_id] for doc_id, _ in ranked), tuple(score for _, score in ranked)
 
 
-def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, k: int) -> list[Demonstration]:
-    """Top-k demonstrations whose input text is lexically closest to x.
+def select(
+    library: DemoLibrary, stage: Stage, fact_type: FactType, k: int,
+    x: str | tuple[str, ...] | None = None, *, seed: int = 0, call_key: str = "",
+) -> list[Demonstration]:
+    """The demonstrations of one stage call: k for an FE set, k of each polarity for an FA set.
 
-    Ordered by descending BM25 score, ties by ascending demo id; returns
-    min(k, set size) items.
+    An FA selection lists its relevant demos, then its irrelevant ones. A
+    group smaller than k gives all its demos.
+
+    Given x, a text or a pair's fact texts as a tuple of parts (which ranks
+    as the parts joined by newlines), each group is cut from the library's
+    memoized BM25 ranking against x: descending score, ties by ascending
+    demo id. Without x, each group, in id order, is sampled uniformly by an
+    RNG derived from (seed, call_key, stage, fact type[, polarity]), so a
+    draw is reproducible per call site and independent of scheduling.
     """
+    if x is None:
+        demos = sorted(library._set(stage, fact_type), key=attrgetter("id"))
+    else:
+        demos = library._ranked(x, stage, fact_type)[0]
+    if stage is Stage.FE:
+        groups = [((), demos)]
+    else:
+        groups = [((p,), [d for d in demos if d.polarity == p]) for p in POLARITIES]
+    picked: list[Demonstration] = []
+    for polarity_part, group in groups:
+        if x is None:
+            key = "\x1f".join([call_key, stage.value, fact_type.value, *polarity_part]) + f"|{seed}"
+            digest = hashlib.sha256(key.encode("utf-8")).digest()
+            group = random.Random(int.from_bytes(digest[:8], "big")).sample(group, min(k, len(group)))
+        picked += group[:k]
+    return picked
+
+
+def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, k: int) -> list[Demonstration]:
+    """The first k demonstrations of a set's BM25 ranking against x, of either polarity (see select)."""
     return list(library._ranked(x, stage, fact_type)[0][:k])
 
 
 def adm_select_fa(
     library: DemoLibrary, x: str | tuple[str, ...], fact_type: FactType, k_per_polarity: int
 ) -> tuple[list[Demonstration], list[Demonstration]]:
-    """Top-k relevant and top-k irrelevant annotation demos closest to x.
-
-    x is a text, or a pair's fact texts as a tuple of parts, which ranks
-    as the parts joined by newlines.
-    """
-    ranked, _ = library._ranked(x, Stage.FA, fact_type)
-    relevant = [d for d in ranked if d.polarity == "relevant"][:k_per_polarity]
-    irrelevant = [d for d in ranked if d.polarity == "irrelevant"][:k_per_polarity]
-    return relevant, irrelevant
-
-
-def _call_rng(seed: int, *key_parts: str) -> random.Random:
-    digest = hashlib.sha256(("\x1f".join(key_parts) + f"|{seed}").encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def random_select(
-    library: DemoLibrary,
-    stage: Stage,
-    fact_type: FactType,
-    k: int,
-    *,
-    seed: int,
-    call_key: str,
-) -> list[Demonstration]:
-    """Uniform demo sampling for the matching ablation.
-
-    The RNG is derived from (seed, call_key, stage, fact type) so the
-    draw is reproducible per call site and independent of scheduling.
-    """
-    demo_list = library.demo_set(stage, fact_type)
-    if not demo_list:
-        raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
-    rng = _call_rng(seed, call_key, stage.value, fact_type.value)
-    demo_list.sort(key=lambda d: d.id)
-    return rng.sample(demo_list, min(k, len(demo_list)))
-
-
-def random_select_fa(
-    library: DemoLibrary,
-    fact_type: FactType,
-    k_per_polarity: int,
-    *,
-    seed: int,
-    call_key: str,
-) -> tuple[list[Demonstration], list[Demonstration]]:
-    fa_set = library.demo_set(Stage.FA, fact_type)
-    if not fa_set:
-        raise EmptySetError(f"no demonstrations for FA/{fact_type.value}")
-    out: dict[str, list[Demonstration]] = {}
-    for polarity in POLARITIES:
-        pool = sorted((d for d in fa_set if d.polarity == polarity), key=lambda d: d.id)
-        rng = _call_rng(seed, call_key, "FA", fact_type.value, polarity)
-        out[polarity] = rng.sample(pool, min(k_per_polarity, len(pool)))
-    return out["relevant"], out["irrelevant"]
+    """select's BM25 matching of an FA set, split into its relevant and its irrelevant demos."""
+    demos = select(library, Stage.FA, fact_type, k_per_polarity, x)
+    return tuple([d for d in demos if d.polarity == p] for p in POLARITIES)
 
 
 def _demo_from_record(record: dict, *, path: str, index: int) -> Demonstration:

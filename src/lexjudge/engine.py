@@ -30,16 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 from ._util import OnceMemo, atomic_write_lines, read_jsonl, read_text
 from .config import AblationFlags
 from .corpus import Case, CandidatePool, CaseStore, aggregate_label
-from .demos import (
-    DemoLibrary,
-    Demonstration,
-    FactType,
-    Stage,
-    adm_select,
-    adm_select_fa,
-    random_select,
-    random_select_fa,
-)
+from .demos import DemoLibrary, Demonstration, FactType, Stage, select
 from .errors import (
     DomainError,
     JudgeResponseUnparseable,
@@ -449,12 +440,28 @@ class JudgeEngine:
             parts.append(text)
         return "".join(parts)
 
-    def _complete(self, user_text: str, reminder: str, parse: Callable[[str], _T]) -> tuple[_T, str]:
-        """Ask until parse accepts a reply; return the parsed value and the reply.
+    def _call_stage(
+        self, stage: Stage, fact_type: FactType, target: str, query: str | tuple[str, ...], call_key: str,
+        parse: Callable[[str], _T],
+    ) -> tuple[_T, str]:
+        """One stage call: pick its demos, fill its prompt, and ask until parse accepts a reply.
 
-        Attempts after the first append the reminder. Only an unparseable
-        reply earns another attempt; the last parse error is reported.
+        The demos are matched to query by BM25. This is the one place that
+        reads the demo ablations: disable_adm draws them with the sampling
+        seed under call_key instead, and disable_fa_demos leaves annotation
+        prompts without any. Attempts after the first append the stage's
+        reminder. Only an unparseable reply earns another attempt; the last
+        parse error is reported. Returns the parsed value and the reply.
         """
+        k = self.top_k_demos if stage is Stage.FE else self.fa_demos_per_polarity
+        if stage is Stage.FA and self.flags.disable_fa_demos:
+            demos: list[Demonstration] = []
+        elif self.flags.disable_adm:
+            demos = select(self.library, stage, fact_type, k, seed=self.sampling_seed, call_key=call_key)
+        else:
+            demos = select(self.library, stage, fact_type, k, query)
+        user_text = self._user_text(stage, fact_type, demos, target)
+        reminder = FE_REMINDER if stage is Stage.FE else FA_REMINDER
         for attempt in range(self.retry + 1):
             request = JudgeRequest(
                 system_text=SYSTEM_TEXT,
@@ -491,19 +498,8 @@ class JudgeEngine:
             target = prior_mf.text
         else:
             target = case.fact_text
-        if self.flags.disable_adm:
-            demos = random_select(
-                self.library,
-                Stage.FE,
-                fact_type,
-                self.top_k_demos,
-                seed=self.sampling_seed,
-                call_key=f"FE:{fact_type.value}:{case.id}",
-            )
-        else:
-            demos = adm_select(self.library, target, Stage.FE, fact_type, self.top_k_demos)
-        user_text = self._user_text(Stage.FE, fact_type, demos, target)
-        text, raw = self._complete(user_text, FE_REMINDER, _parse_nonempty_facts)
+        call_key = f"FE:{fact_type.value}:{case.id}"
+        text, raw = self._call_stage(Stage.FE, fact_type, target, target, call_key, _parse_nonempty_facts)
         return FactExtraction(case.id, fact_type, text, raw)
 
     def judge_fact_pair(
@@ -514,25 +510,11 @@ class JudgeEngine:
     ) -> FactVerdict:
         """Annotate one fact layer of a pair of extractions."""
         target = f"{INPUT_A}\n{a.text}\n{INPUT_B}\n{b.text}"
-        if self.flags.disable_fa_demos:
-            demos: list[Demonstration] = []
-        elif self.flags.disable_adm:
-            relevant, irrelevant = random_select_fa(
-                self.library,
-                fact_type,
-                self.fa_demos_per_polarity,
-                seed=self.sampling_seed,
-                call_key=f"FA:{fact_type.value}:{a.case_id}|{b.case_id}",
-            )
-            demos = relevant + irrelevant
-        else:
-            relevant, irrelevant = adm_select_fa(
-                self.library, (a.text, b.text), fact_type, self.fa_demos_per_polarity
-            )
-            demos = relevant + irrelevant
-        user_text = self._user_text(Stage.FA, fact_type, demos, target)
-        (relevant_flag, reasoning), raw = self._complete(user_text, FA_REMINDER, parse_verdict)
-        return FactVerdict(fact_type, relevant_flag, reasoning, raw)
+        call_key = f"FA:{fact_type.value}:{a.case_id}|{b.case_id}"
+        (relevant, reasoning), raw = self._call_stage(
+            Stage.FA, fact_type, target, (a.text, b.text), call_key, parse_verdict
+        )
+        return FactVerdict(fact_type, relevant, reasoning, raw)
 
     # -- pair and pool drivers ----------------------------------------------
 

@@ -425,12 +425,16 @@ class CachedJudge:
     """On-disk response cache in front of any judge, content-addressed by request_hash.
 
     A hit returns cached=True and never reaches inner. An entry is checked as _reply_of
-    checks a live body; a bad one is a miss that the live reply rewrites.
+    checks a live body; a bad one is a miss that the live reply rewrites. The cache is
+    single-flight: a request equal to one already in flight waits for it, then finds its
+    entry on disk, so inner is asked once. Nothing is held in memory.
     """
 
     def __init__(self, inner: Judge, cache_dir: str | Path):
         self.inner = inner
         self.cache_dir = Path(cache_dir)
+        # Keeps no entry: what it gives is one computation per request in flight.
+        self._flights = OnceMemo(self._complete, limit=0)
 
     def _cache_load(self, path: Path) -> JudgeResponse | None:
         if not path.exists():
@@ -447,6 +451,9 @@ class CachedJudge:
         atomic_write_text(path, json.dumps(entry, ensure_ascii=False))
 
     def complete(self, request: JudgeRequest) -> JudgeResponse:
+        return self._flights[request]
+
+    def _complete(self, request: JudgeRequest) -> JudgeResponse:
         path = self.cache_dir / f"{request_hash(request)}.json"
         cached = self._cache_load(path)
         if cached is not None:

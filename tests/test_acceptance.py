@@ -40,8 +40,7 @@ from lexjudge.demos import (
     Demonstration,
     FactType,
     Stage,
-    adm_select,
-    random_select,
+    select,
 )
 from lexjudge.engine import AblationFlags
 from lexjudge.evaluation import (
@@ -294,7 +293,7 @@ def test_06_retrieval_matches_brute_force_ranking():
             )
             for doc_id, text in texts.items()
         )
-        got_ids = [d.id for d in adm_select(library, query, Stage.FE, FactType.MF, k)]
+        got_ids = [d.id for d in select(library, Stage.FE, FactType.MF, k, query)]
         expected = rank_oracle(
             {doc_id: bigram_tokens(text) for doc_id, text in texts.items()},
             bigram_tokens(query),
@@ -367,17 +366,10 @@ def test_08_ablation_switches_change_the_wiring(toy_corpus, toy_lexicon, toy_lib
             Demonstration("d6", Stage.FE, FactType.MF, "unrelated four", "out"),
         ]
     )
-    bm25_pick = [
-        d.id for d in adm_select(library, "alpha beta gamma", Stage.FE, FactType.MF, 2)
-    ]
+    bm25_pick = [d.id for d in select(library, Stage.FE, FactType.MF, 2, "alpha beta gamma")]
     assert bm25_pick == ["d1", "d2"]
     random_picks = [
-        [
-            d.id
-            for d in random_select(
-                library, Stage.FE, FactType.MF, 2, seed=0, call_key=f"pair-{i}"
-            )
-        ]
+        [d.id for d in select(library, Stage.FE, FactType.MF, 2, seed=0, call_key=f"pair-{i}")]
         for i in range(6)
     ]
     assert any(pick != bm25_pick for pick in random_picks)

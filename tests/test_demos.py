@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -21,8 +22,7 @@ from lexjudge.demos import (
     adm_select,
     adm_select_fa,
     load_demo_library,
-    random_select,
-    random_select_fa,
+    select,
 )
 from lexjudge.errors import EmptySetError, IntegrityError
 from lexjudge.retrieval import TOKENIZER_MODES, tokenize, top_k_rank
@@ -195,6 +195,16 @@ class TestAdmSelectFa:
         relevant, irrelevant = adm_select_fa(toy_library, "text", FactType.LF, 1)
         assert len(relevant) == 1 and len(irrelevant) == 1
 
+    @given(x=FACT_TEXT, fact_type=st.sampled_from(FactType), k=st.integers(1, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_is_select_split_by_polarity(self, large_library_path, x, fact_type, k):
+        library = load_demo_library(large_library_path)
+        selected = select(library, Stage.FA, fact_type, k, x)
+        relevant, irrelevant = adm_select_fa(library, x, fact_type, k)
+        assert selected == relevant + irrelevant
+        assert {d.polarity for d in relevant} == {"relevant"}
+        assert {d.polarity for d in irrelevant} == {"irrelevant"}
+
     def test_class_ranking_respects_whole_set_order(self):
         demos = [
             demo("rel-far", Stage.FA, FactType.MF, "totally different words", polarity="relevant"),
@@ -263,7 +273,7 @@ class TestRankingMemo:
         library = load_demo_library(toy.demos, tokenizer_mode=mode)
         fresh = load_demo_library(toy.demos, tokenizer_mode=mode)
         index = fresh._indexes[stage_set]
-        polarity = {demo.id: demo.polarity for demo in fresh.demo_set(stage, fact_type)}
+        polarity = {demo_id: demo.polarity for demo_id, demo in fresh._by_id.items()}
         for a, b in queries * 2:  # the second pass is warm throughout
             joined = f"{a}\n{b}"
             want = top_k_rank(index, tokenize(joined, mode), len(index.rows))
@@ -279,6 +289,13 @@ class TestRankingMemo:
                     assert [[demo.id for demo in demos] for demos in chosen] == by_polarity
                     for demos in chosen:
                         demos.clear()
+                    selected = select(library, stage, fact_type, k, x)
+                    assert [demo.id for demo in selected] == by_polarity[0] + by_polarity[1]
+                    selected.clear()
+            else:
+                selected = select(library, stage, fact_type, k, joined)
+                assert [demo.id for demo in selected] == [doc_id for doc_id, _ in want[:k]]
+                selected.clear()
             assert scored(library._ranked(joined, stage, fact_type)) == want
 
     def test_texts_with_one_term_sequence_share_an_entry(self, toy):
@@ -338,17 +355,24 @@ class TestRankingMemo:
             gc.enable()
 
 
+def sampled(library, stage, fact_type, k, seed, call_key) -> list[str]:
+    """The ids select draws without a query."""
+    return [d.id for d in select(library, stage, fact_type, k, seed=seed, call_key=call_key)]
+
+
 class TestRandomSelect:
+    """select without a query: the seeded uniform draw of the disable_adm ablation."""
+
     def test_deterministic_per_call_key(self, toy_library):
-        a = random_select(toy_library, Stage.FE, FactType.MF, 2, seed=0, call_key="FE:MF:c1")
-        b = random_select(toy_library, Stage.FE, FactType.MF, 2, seed=0, call_key="FE:MF:c1")
-        assert [d.id for d in a] == [d.id for d in b]
+        a = sampled(toy_library, Stage.FE, FactType.MF, 2, 0, "FE:MF:c1")
+        b = sampled(toy_library, Stage.FE, FactType.MF, 2, 0, "FE:MF:c1")
+        assert a == b
 
     def test_independent_of_call_order(self, toy_library):
-        first = random_select(toy_library, Stage.FE, FactType.MF, 2, seed=0, call_key="k1")
-        random_select(toy_library, Stage.FE, FactType.MF, 2, seed=0, call_key="other")
-        again = random_select(toy_library, Stage.FE, FactType.MF, 2, seed=0, call_key="k1")
-        assert [d.id for d in first] == [d.id for d in again]
+        first = sampled(toy_library, Stage.FE, FactType.MF, 2, 0, "k1")
+        sampled(toy_library, Stage.FE, FactType.MF, 2, 0, "other")
+        again = sampled(toy_library, Stage.FE, FactType.MF, 2, 0, "k1")
+        assert first == again
 
     def test_seed_changes_selection_somewhere(self):
         demos = [demo(f"d{i:02d}", input_text=f"text {i}") for i in range(8)]
@@ -356,24 +380,41 @@ class TestRandomSelect:
         differing = [
             key
             for key in (f"case-{i}" for i in range(12))
-            if [
-                d.id
-                for d in random_select(library, Stage.FE, FactType.MF, 2, seed=0, call_key=key)
-            ]
-            != [
-                d.id
-                for d in random_select(library, Stage.FE, FactType.MF, 2, seed=1, call_key=key)
-            ]
+            if sampled(library, Stage.FE, FactType.MF, 2, 0, key) != sampled(library, Stage.FE, FactType.MF, 2, 1, key)
         ]
         assert differing, "changing the seed never changed any selection"
 
     def test_fa_split_sizes(self, toy_library):
-        relevant, irrelevant = random_select_fa(
-            toy_library, FactType.MF, 2, seed=3, call_key="FA:MF:a|b"
-        )
+        demos = select(toy_library, Stage.FA, FactType.MF, 2, seed=3, call_key="FA:MF:a|b")
+        relevant, irrelevant = demos[:2], demos[2:]
         assert len(relevant) == 2 and len(irrelevant) == 2
         assert {d.polarity for d in relevant} == {"relevant"}
         assert {d.polarity for d in irrelevant} == {"irrelevant"}
+
+    def test_empty_set(self):
+        library = DemoLibrary([demo("d1")])
+        with pytest.raises(EmptySetError, match="FE/LF"):
+            select(library, Stage.FE, FactType.LF, 1, seed=0, call_key="k")
+
+    @pytest.mark.parametrize("stage_set", STAGE_SETS)
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
+    def test_draw_is_the_seeded_sample_of_each_group_in_id_order(self, large_library_path, stage_set, k):
+        # Groups of 12 and 24 demos: sample(group, n)[:k] would draw differently from sample(group, k)
+        # once a group holds more than 21.
+        stage, fact_type = stage_set
+        library = load_demo_library(large_library_path)
+        demos = sorted(
+            (d for d in json.loads(large_library_path.read_text(encoding="utf-8")) if d["stage"] == stage.value),
+            key=lambda d: d["id"],
+        )
+        for seed, call_key in [(0, "FE:MF:c1"), (7, "FA:LF:q|c")]:
+            want = []
+            for polarity in (None,) if stage is Stage.FE else POLARITIES:
+                group = [d["id"] for d in demos if d["fact_type"] == fact_type.value and d.get("polarity") == polarity]
+                parts = [call_key, stage.value, fact_type.value] + ([polarity] if polarity else [])
+                digest = hashlib.sha256(("\x1f".join(parts) + f"|{seed}").encode("utf-8")).digest()
+                want += random.Random(int.from_bytes(digest[:8], "big")).sample(group, min(k, len(group)))
+            assert sampled(library, stage, fact_type, k, seed, call_key) == want
 
     def test_diverges_from_bm25_on_forcing_fixture(self):
         # d1/d2 dominate the BM25 ranking for this query by construction;
@@ -388,15 +429,7 @@ class TestRandomSelect:
         ]
         library = DemoLibrary(demos)
         query = "alpha beta gamma"
-        bm25_pick = [d.id for d in adm_select(library, query, Stage.FE, FactType.MF, 2)]
+        bm25_pick = [d.id for d in select(library, Stage.FE, FactType.MF, 2, query)]
         assert bm25_pick == ["d1", "d2"]
-        random_picks = [
-            [
-                d.id
-                for d in random_select(
-                    library, Stage.FE, FactType.MF, 2, seed=0, call_key=f"pair-{i}"
-                )
-            ]
-            for i in range(6)
-        ]
+        random_picks = [sampled(library, Stage.FE, FactType.MF, 2, 0, f"pair-{i}") for i in range(6)]
         assert any(pick != bm25_pick for pick in random_picks)

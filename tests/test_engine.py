@@ -682,7 +682,7 @@ class TestComputedOnce:
         records = engine.judge_pools(store, pools)
         assert len(engine._frames) == 4  # one per (stage, fact type)
         positions = max(engine.top_k_demos, 2 * engine.fa_demos_per_polarity)
-        demos = {demo for s in Stage for f in FactType for demo in toy_library.demo_set(s, f)}
+        demos = set(toy_library._by_id.values())  # every demo of the library
         assert {demo for demo, _ in engine._demo_blocks} <= demos
         assert {i for _, i in engine._demo_blocks} <= set(range(1, positions + 1))
         assert len(engine._demo_blocks) <= len(toy_library) * positions

@@ -557,3 +557,54 @@ class TestWrappersAroundMock:
         again = wrapped(fresh, cache_dir=cache_dir).complete(request)
         assert (again.text, again.usage, again.cached) == (live.text, live.usage, True)
         assert fresh.stages == []
+
+    def test_an_equal_request_in_flight_reaches_the_inner_judge_once(self, mock_judge, tmp_path):
+        entered, release, waiting = threading.Event(), threading.Event(), threading.Event()
+        calls = []
+
+        class GatedJudge:
+            """Holds its first call until released."""
+
+            def complete(self, request):
+                calls.append(request)
+                if len(calls) == 1:
+                    entered.set()
+                    release.wait(timeout=30)
+                return mock_judge.complete(request)
+
+        judge = wrapped(GatedJudge(), cache_dir=tmp_path / "cache", transcript_path=tmp_path / "t.jsonl")
+        request = req("FE_MF", "被告人盗窃")
+        replies = {}
+
+        def ask(name):
+            replies[name] = judge.complete(request)
+
+        first = threading.Thread(target=ask, args=("first",), daemon=True)
+        first.start()
+        assert entered.wait(timeout=10)
+        # The first call holds its flight's lock; a spy around it says when the second caller waits on it.
+        flight = judge._flights._running[request]
+
+        class Spy:
+            def __enter__(self):
+                waiting.set()
+                flight.acquire()
+
+            def __exit__(self, *exc):
+                flight.release()
+
+        judge._flights._running[request] = Spy()
+        second = threading.Thread(target=ask, args=("second",), daemon=True)
+        second.start()
+        try:
+            assert waiting.wait(timeout=10), "the second caller did not wait for the request in flight"
+        finally:
+            release.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        assert calls == [request]
+        assert (replies["first"].cached, replies["second"].cached) == (False, True)
+        assert replies["second"].text == replies["first"].text
+        assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 1
+        assert judge._flights == {}  # nothing is kept in memory
