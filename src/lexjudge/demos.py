@@ -17,7 +17,7 @@ from enum import Enum
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._util import OnceMemo, read_json
 from .errors import EmptySetError, IntegrityError, ParseError
@@ -53,6 +53,10 @@ class Demonstration:
     polarity: str | None = None
 
 
+# A set's demos best first, their scores, and its groups (see _groups) in that order.
+Ranking = tuple[tuple[Demonstration, ...], tuple[float, ...], tuple[tuple[Demonstration, ...], ...]]
+
+
 # The ranking memo's bound, in ranked demonstrations over all its entries:
 # a few MiB, however many distinct queries a library serves.
 RANKED_DEMOS_LIMIT = 1 << 15
@@ -75,12 +79,14 @@ class DemoLibrary:
 
     It also memoizes each set's ranking per (stage, fact type, query
     terms), the terms being what top_k_rank is given, so queries with one
-    term sequence are ranked once per library. A ranking is two tuples,
-    the set's demonstrations best first and their scores, which no caller
-    can change; kept as two tuples rather than one pair per demo, an
-    entry adds a few objects for the cycle collector to scan, not one per
-    demo. The memo keeps at most RANKED_DEMOS_LIMIT ranked demos over all
-    its rankings; past that, rankings are computed afresh and not kept.
+    term sequence are ranked once per library. An entry is three tuples,
+    which no caller can change: the set's demonstrations best first, their
+    scores, and the groups select cuts from (see _groups) in ranked order.
+    Kept as tuples rather than one pair per demo, an entry adds a few
+    objects for the cycle collector to scan, not one per demo. The memo
+    keeps at most RANKED_DEMOS_LIMIT ranked demos over all its rankings;
+    past that, rankings are computed afresh and not kept. The groups in id
+    order, which select draws from without a query, are made once.
 
     content_sha256 is the sha256 of every demo's fields in id order,
     taken once at construction, so a run's fingerprint can cover the
@@ -135,6 +141,9 @@ class DemoLibrary:
                 tokens = {d.id: tokenize(d.input_text, tokenizer_mode) for d in demo_list}
                 docs = {doc_id: [vocab.setdefault(t, t) for t in doc] for doc_id, doc in tokens.items()}
                 self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
+        self._id_groups = {
+            key: _groups(key[0], sorted(demo_list, key=attrgetter("id"))) for key, demo_list in self._sets.items()
+        }
         self._terms = OnceMemo(partial(_index_terms, vocab, tokenizer_mode))
         # Over the indexes, not self, so that library and memo form no reference cycle.
         largest = max(1, *map(len, self._sets.values()))
@@ -152,62 +161,61 @@ class DemoLibrary:
             raise EmptySetError(f"no demonstrations for {stage.value}/{fact_type.value}")
         return demos
 
-    def _ranked(
-        self, x: str | tuple[str, ...], stage: Stage, fact_type: FactType
-    ) -> tuple[tuple[Demonstration, ...], tuple[float, ...]]:
-        """Every demo of the set, best first, and its BM25 score against x."""
+    def _ranked(self, x: str | tuple[str, str], stage: Stage, fact_type: FactType) -> Ranking:
+        """Every demo of the set, best first, its BM25 score against x, and the set's groups so ranked."""
         self._set(stage, fact_type)
-        if isinstance(x, str):
-            query = self._terms[x]
-        else:
-            # tokenize("\n".join(parts)) is the parts' tokens concatenated.
-            query = sum((self._terms[part] for part in x), ())
+        # tokenize(f"{a}\n{b}") is a's tokens, then b's.
+        query = self._terms[x] if isinstance(x, str) else self._terms[x[0]] + self._terms[x[1]]
         return self._rankings[stage, fact_type, query]
+
+
+def _groups(stage: Stage, demos: Sequence[Demonstration]) -> tuple[tuple[Demonstration, ...], ...]:
+    """What select cuts from, in demos' order: all of an FE set; an FA set's relevant, then irrelevant demos."""
+    if stage is Stage.FE:
+        return (tuple(demos),)
+    return tuple(tuple(d for d in demos if d.polarity == p) for p in POLARITIES)
 
 
 def _rank(
     indexes: dict[tuple[Stage, FactType], Bm25Index],
     by_id: dict[str, Demonstration],
     key: tuple[Stage, FactType, tuple[str, ...]],
-) -> tuple[tuple[Demonstration, ...], tuple[float, ...]]:
-    """A whole set ranked by top_k_rank against one query term sequence."""
+) -> Ranking:
+    """A whole set ranked by top_k_rank against one query term sequence, and its groups."""
     stage, fact_type, query = key
     index = indexes[stage, fact_type]
     ranked = top_k_rank(index, query, len(index.rows))
-    return tuple(by_id[doc_id] for doc_id, _ in ranked), tuple(score for _, score in ranked)
+    demos = tuple(by_id[doc_id] for doc_id, _ in ranked)
+    return demos, tuple(score for _, score in ranked), _groups(stage, demos)
 
 
 def select(
     library: DemoLibrary, stage: Stage, fact_type: FactType, k: int,
-    x: str | tuple[str, ...] | None = None, *, seed: int = 0, call_key: str = "",
+    x: str | tuple[str, str] | None = None, *, seed: int = 0, call_key: str = "",
 ) -> list[Demonstration]:
     """The demonstrations of one stage call: k for an FE set, k of each polarity for an FA set.
 
     An FA selection lists its relevant demos, then its irrelevant ones. A
     group smaller than k gives all its demos.
 
-    Given x, a text or a pair's fact texts as a tuple of parts (which ranks
-    as the parts joined by newlines), each group is cut from the library's
+    Given x, a text or a pair's two fact texts (which rank as the texts
+    joined by a newline), each group is the first k of the library's
     memoized BM25 ranking against x: descending score, ties by ascending
     demo id. Without x, each group, in id order, is sampled uniformly by an
     RNG derived from (seed, call_key, stage, fact type[, polarity]), so a
     draw is reproducible per call site and independent of scheduling.
     """
-    if x is None:
-        demos = sorted(library._set(stage, fact_type), key=attrgetter("id"))
-    else:
-        demos = library._ranked(x, stage, fact_type)[0]
-    if stage is Stage.FE:
-        groups = [((), demos)]
-    else:
-        groups = [((p,), [d for d in demos if d.polarity == p]) for p in POLARITIES]
     picked: list[Demonstration] = []
-    for polarity_part, group in groups:
-        if x is None:
-            key = "\x1f".join([call_key, stage.value, fact_type.value, *polarity_part]) + f"|{seed}"
-            digest = hashlib.sha256(key.encode("utf-8")).digest()
-            group = random.Random(int.from_bytes(digest[:8], "big")).sample(group, min(k, len(group)))
-        picked += group[:k]
+    if x is not None:
+        for group in library._ranked(x, stage, fact_type)[2]:
+            picked += group[:k]
+        return picked
+    library._set(stage, fact_type)
+    polarity_parts = [()] if stage is Stage.FE else [(p,) for p in POLARITIES]
+    for polarity_part, group in zip(polarity_parts, library._id_groups[stage, fact_type]):
+        key = "\x1f".join([call_key, stage.value, fact_type.value, *polarity_part]) + f"|{seed}"
+        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        picked += random.Random(int.from_bytes(digest[:8], "big")).sample(group, min(k, len(group)))
     return picked
 
 
@@ -217,11 +225,10 @@ def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, 
 
 
 def adm_select_fa(
-    library: DemoLibrary, x: str | tuple[str, ...], fact_type: FactType, k_per_polarity: int
+    library: DemoLibrary, x: str | tuple[str, str], fact_type: FactType, k_per_polarity: int
 ) -> tuple[list[Demonstration], list[Demonstration]]:
-    """select's BM25 matching of an FA set, split into its relevant and its irrelevant demos."""
-    demos = select(library, Stage.FA, fact_type, k_per_polarity, x)
-    return tuple([d for d in demos if d.polarity == p] for p in POLARITIES)
+    """select's BM25 matching of an FA set, as its relevant and its irrelevant demos."""
+    return tuple(list(group[:k_per_polarity]) for group in library._ranked(x, Stage.FA, fact_type)[2])
 
 
 def _demo_from_record(record: dict, *, path: str, index: int) -> Demonstration:

@@ -441,22 +441,24 @@ class JudgeEngine:
         return "".join(parts)
 
     def _call_stage(
-        self, stage: Stage, fact_type: FactType, target: str, query: str | tuple[str, ...], call_key: str,
-        parse: Callable[[str], _T],
+        self, stage: Stage, fact_type: FactType, target: str, query: str | tuple[str, str],
+        case_ids: tuple[str, ...], parse: Callable[[str], _T],
     ) -> tuple[_T, str]:
         """One stage call: pick its demos, fill its prompt, and ask until parse accepts a reply.
 
         The demos are matched to query by BM25. This is the one place that
         reads the demo ablations: disable_adm draws them with the sampling
-        seed under call_key instead, and disable_fa_demos leaves annotation
-        prompts without any. Attempts after the first append the stage's
-        reminder. Only an unparseable reply earns another attempt; the last
-        parse error is reported. Returns the parsed value and the reply.
+        seed under the call key "stage:fact type:case ids joined by |"
+        instead, and disable_fa_demos leaves annotation prompts without
+        any. Attempts after the first append the stage's reminder. Only an
+        unparseable reply earns another attempt; the last parse error is
+        reported. Returns the parsed value and the reply.
         """
         k = self.top_k_demos if stage is Stage.FE else self.fa_demos_per_polarity
         if stage is Stage.FA and self.flags.disable_fa_demos:
             demos: list[Demonstration] = []
         elif self.flags.disable_adm:
+            call_key = f"{stage.value}:{fact_type.value}:{'|'.join(case_ids)}"
             demos = select(self.library, stage, fact_type, k, seed=self.sampling_seed, call_key=call_key)
         else:
             demos = select(self.library, stage, fact_type, k, query)
@@ -498,8 +500,7 @@ class JudgeEngine:
             target = prior_mf.text
         else:
             target = case.fact_text
-        call_key = f"FE:{fact_type.value}:{case.id}"
-        text, raw = self._call_stage(Stage.FE, fact_type, target, target, call_key, _parse_nonempty_facts)
+        text, raw = self._call_stage(Stage.FE, fact_type, target, target, (case.id,), _parse_nonempty_facts)
         return FactExtraction(case.id, fact_type, text, raw)
 
     def judge_fact_pair(
@@ -510,9 +511,8 @@ class JudgeEngine:
     ) -> FactVerdict:
         """Annotate one fact layer of a pair of extractions."""
         target = f"{INPUT_A}\n{a.text}\n{INPUT_B}\n{b.text}"
-        call_key = f"FA:{fact_type.value}:{a.case_id}|{b.case_id}"
         (relevant, reasoning), raw = self._call_stage(
-            Stage.FA, fact_type, target, (a.text, b.text), call_key, parse_verdict
+            Stage.FA, fact_type, target, (a.text, b.text), (a.case_id, b.case_id), parse_verdict
         )
         return FactVerdict(fact_type, relevant, reasoning, raw)
 
@@ -552,22 +552,26 @@ class JudgeEngine:
         return filled
 
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
-        """Judge one pair through all six stages, material facts first."""
+        """Judge one pair through all six stages, material facts first.
 
-        def run(stage: Stage, fact_type: FactType, fn):
-            try:
-                return fn()
-            except StageFailure:
-                raise
-            except Exception as exc:
-                raise StageFailure(stage.value, fact_type.value, str(exc)) from exc
-
-        mf_q = run(Stage.FE, FactType.MF, lambda: self._extractions[query, FactType.MF])
-        mf_c = run(Stage.FE, FactType.MF, lambda: self._extractions[candidate, FactType.MF])
-        lf_q = run(Stage.FE, FactType.LF, lambda: self._extractions[query, FactType.LF])
-        lf_c = run(Stage.FE, FactType.LF, lambda: self._extractions[candidate, FactType.LF])
-        mf_verdict = run(Stage.FA, FactType.MF, lambda: self.judge_fact_pair(mf_q, mf_c, FactType.MF))
-        lf_verdict = run(Stage.FA, FactType.LF, lambda: self.judge_fact_pair(lf_q, lf_c, FactType.LF))
+        An error in a stage becomes a StageFailure naming it; stage and
+        fact_type track the stage running.
+        """
+        stage, fact_type = Stage.FE, FactType.MF
+        try:
+            mf_q = self._extractions[query, fact_type]
+            mf_c = self._extractions[candidate, fact_type]
+            fact_type = FactType.LF
+            lf_q = self._extractions[query, fact_type]
+            lf_c = self._extractions[candidate, fact_type]
+            stage, fact_type = Stage.FA, FactType.MF
+            mf_verdict = self.judge_fact_pair(mf_q, mf_c, fact_type)
+            fact_type = FactType.LF
+            lf_verdict = self.judge_fact_pair(lf_q, lf_c, fact_type)
+        except StageFailure:
+            raise
+        except Exception as exc:
+            raise StageFailure(stage.value, fact_type.value, str(exc)) from exc
         return JudgmentRecord(
             query_id=query.id,
             candidate_id=candidate.id,

@@ -92,6 +92,17 @@ def rank_oracle(
     return scored[: min(k, len(scored))]
 
 
+def selection_oracle(ranked: list, stage: str, k: int) -> list:
+    """The demos one stage call takes from a set's ranking (best first).
+
+    An FE call takes the first k. An FA call filters the whole ranking by
+    polarity and takes the first k relevant, then the first k irrelevant.
+    """
+    if stage == "FE":
+        return ranked[:k]
+    return [d for d in ranked if d.polarity == "relevant"][:k] + [d for d in ranked if d.polarity == "irrelevant"][:k]
+
+
 # -- Cohen's kappa ------------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from lexjudge.retrieval import TOKENIZER_MODES, tokenize, top_k_rank
 from lexjudge.toydata import toy_paths
 
 from conftest import MIXED_ALPHABET
-from oracles import rank_oracle
+from oracles import rank_oracle, selection_oracle
 
 # Words of the bundled annotation demos mixed with the CJK-boundary
 # alphabet, so that fact texts share terms with the demo sets.
@@ -217,8 +217,14 @@ class TestAdmSelectFa:
 
 
 def scored(ranking) -> list[tuple[str, float]]:
-    """A ranking as top_k_rank returns it: (demo id, score) pairs."""
-    demos, scores = ranking
+    """A ranking entry as top_k_rank returns it, (demo id, score) pairs, once its groups are checked.
+
+    The groups must be the ranked demos as select cuts them with k = the set's size.
+    """
+    demos, scores, groups = ranking
+    stage = demos[0].stage.value
+    assert [d for group in groups for d in group] == selection_oracle(list(demos), stage, len(demos))
+    assert len(groups) == (1 if stage == "FE" else 2)
     return [(demo.id, score) for demo, score in zip(demos, scores, strict=True)]
 
 
@@ -256,6 +262,30 @@ class TestRankingFromParts:
 
 
 STAGE_SETS = [(stage, fact_type) for stage in Stage for fact_type in FactType]
+
+
+class TestSelectionGroups:
+    """select's slices of the groups kept with a ranking are the ranking filtered by polarity per call."""
+
+    @pytest.mark.parametrize("mode", TOKENIZER_MODES)
+    @pytest.mark.parametrize("library_name", ["bundled", "24-per-set"])
+    @given(data=st.data(), stage_set=st.sampled_from(STAGE_SETS))
+    @settings(max_examples=50, deadline=None)
+    def test_select_is_the_oracles_cut_of_the_ranking(
+        self, toy, large_library_path, library_name, mode, data, stage_set
+    ):
+        stage, fact_type = stage_set
+        library = load_demo_library(toy.demos if library_name == "bundled" else large_library_path, tokenizer_mode=mode)
+        index = library._indexes[stage_set]
+        words = sorted({word for d in library._by_id.values() for word in d.input_text.split()})
+        text = st.lists(st.one_of(MIXED_ALPHABET, st.sampled_from(words).map(lambda w: w + " ")), max_size=12)
+        text = text.map("".join)
+        queries = data.draw(st.lists(st.one_of(text, st.tuples(text, text)), min_size=1, max_size=3))
+        for x in queries * 2:  # each query cold, then warm
+            joined = x if isinstance(x, str) else "\n".join(x)
+            ranked = [library._by_id[doc_id] for doc_id, _ in top_k_rank(index, tokenize(joined, mode), len(index.rows))]
+            k = data.draw(st.integers(1, len(ranked)))
+            assert select(library, stage, fact_type, k, x) == selection_oracle(ranked, stage.value, k)
 
 
 class TestRankingMemo:
@@ -334,14 +364,21 @@ class TestRankingMemo:
         assert list(library._rankings) == [(*stage_set, library._terms[texts[0]]) for stage_set in STAGE_SETS[:2]]
         assert len(roomy._rankings) == len(STAGE_SETS) * len(texts)
 
-    def test_an_entry_gives_the_cycle_collector_a_few_objects_not_one_per_demo(self, large_library_path):
-        library = load_demo_library(large_library_path)
-        adm_select_fa(library, ("被告人王某盗窃", "被告人许某盗窃"), FactType.MF, 2)
-        gc.collect()  # untracks every tuple that holds no tracked object, such as the scores
-        ((key, value),) = library._rankings.items()
-        demos, scores = value
-        assert len(demos) == len(scores) == 24
-        assert sum(map(gc.is_tracked, (key, key[2], value, demos, scores))) == 3
+    def test_an_entry_gives_the_cycle_collector_a_few_objects_not_one_per_demo(self, toy, large_library_path):
+        for path, fa_size, fe_size in [(toy.demos, 4, 2), (large_library_path, 24, 24)]:
+            library = load_demo_library(path)
+            adm_select_fa(library, ("被告人王某盗窃", "被告人许某盗窃"), FactType.MF, 2)
+            adm_select(library, "被告人王某盗窃", Stage.FE, FactType.MF, 2)
+            gc.collect()  # untracks every tuple that holds no tracked object, such as the scores
+            (fa_key, fa_entry), (fe_key, fe_entry) = library._rankings.items()
+            demos, scores, (relevant, irrelevant) = fa_entry
+            assert len(demos) == len(scores) == len(relevant) * 2 == len(irrelevant) * 2 == fa_size
+            tracked = (fa_key, fa_key[2], fa_entry, demos, scores, fa_entry[2], relevant, irrelevant)
+            assert sum(map(gc.is_tracked, tracked)) == 6
+            # An FE entry's one group is its ranking, not a copy.
+            demos, scores, (group,) = fe_entry
+            assert group is demos and len(demos) == fe_size
+            assert sum(map(gc.is_tracked, (fe_key, fe_key[2], fe_entry, demos, scores, fe_entry[2]))) == 4
 
     def test_library_is_freed_without_the_cycle_collector(self, toy):
         library = load_demo_library(toy.demos)

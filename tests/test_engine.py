@@ -57,6 +57,7 @@ from lexjudge.gateway import (
     JudgeResponse,
     MockJudge,
     MockJudgeConfig,
+    TokenUsage,
     mock_complete,
     mock_tokens,
     stage_of,
@@ -449,6 +450,52 @@ class TestJudgePair:
             engine.judge_pair(query, cand)
         message = str(excinfo.value)
         assert "FA" in message and "MF" in message
+
+    # (stage garbled, the case whose replies are garbled, or None for the pair; the failed
+    # record's error; the calls made). The stages run FE_MF(q), FE_MF(c), FE_LF(q), FE_LF(c),
+    # FA_MF, FA_LF, and the failing one is asked three times.
+    @pytest.mark.parametrize(
+        ("stage", "case_id", "error", "calls"),
+        [
+            ("FE_MF", "q", "FE_MF: empty facts block after 3 attempt(s)", 3),
+            ("FE_MF", "c", "FE_MF: empty facts block after 3 attempt(s)", 4),
+            ("FE_LF", "q", "FE_LF: empty facts block after 3 attempt(s)", 5),
+            ("FE_LF", "c", "FE_LF: empty facts block after 3 attempt(s)", 6),
+            ("FA_MF", None, "FA_MF: reply does not end with a verdict line after 3 attempt(s)", 7),
+            ("FA_LF", None, "FA_LF: reply does not end with a verdict line after 3 attempt(s)", 8),
+        ],
+    )
+    def test_a_failed_stage_names_itself_in_the_record(self, toy_library, stage, case_id, error, calls):
+        query = Case(id="q", fact_text="被告人甲盗窃财物")
+        cand = Case(id="c", fact_text="被告人乙诈骗财物")
+        judge = GarbledStageJudge(stage, {"q": "甲", "c": "乙", None: ""}[case_id])
+        (record,) = make_engine(judge, toy_library).judge_pairs([(query, cand)])
+        assert (record.status, record.error, record.label) == ("failed", error, None)
+        assert judge.calls == calls
+
+
+class GarbledStageJudge:
+    """Replies well at every stage but one, whose replies are garbled when the target holds marker.
+
+    An FE reply's facts are the stage name and the target, so a case's
+    legal-fact target still holds its marker.
+    """
+
+    def __init__(self, stage: str, marker: str):
+        self.stage = stage
+        self.marker = marker
+        self.calls = 0
+
+    def complete(self, request: JudgeRequest) -> JudgeResponse:
+        self.calls += 1
+        stage = stage_of(request.user_text)
+        target = request.user_text.split(f"{TARGET_BEGIN}\n", 1)[1].split(f"\n{TARGET_END}", 1)[0]
+        garbled = stage == self.stage and self.marker in target
+        if stage.startswith("FE"):
+            text = f"===FACTS===\n{'' if garbled else f'{stage} {target}'}\n===END==="
+        else:
+            text = "no verdict provided" if garbled else GOOD_FA
+        return JudgeResponse(text=text, usage=TokenUsage(1, 1), latency_ms=0.0)
 
 
 # Template and text pieces that stress single-pass substitution: repeated
