@@ -14,7 +14,7 @@ import random
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -86,7 +86,7 @@ class DemoLibrary:
     objects for the cycle collector to scan, not one per demo. The memo
     keeps at most RANKED_DEMOS_LIMIT ranked demos over all its rankings;
     past that, rankings are computed afresh and not kept. The groups in id
-    order, which select draws from without a query, are made once.
+    order, which select draws from without a query, are made on first use.
 
     content_sha256 is the sha256 of every demo's fields in id order,
     taken once at construction, so a run's fingerprint can cover the
@@ -141,9 +141,6 @@ class DemoLibrary:
                 tokens = {d.id: tokenize(d.input_text, tokenizer_mode) for d in demo_list}
                 docs = {doc_id: [vocab.setdefault(t, t) for t in doc] for doc_id, doc in tokens.items()}
                 self._indexes[key] = build_bm25_index(docs, k1=k1, b=b)
-        self._id_groups = {
-            key: _groups(key[0], sorted(demo_list, key=attrgetter("id"))) for key, demo_list in self._sets.items()
-        }
         self._terms = OnceMemo(partial(_index_terms, vocab, tokenizer_mode))
         # Over the indexes, not self, so that library and memo form no reference cycle.
         largest = max(1, *map(len, self._sets.values()))
@@ -154,6 +151,11 @@ class DemoLibrary:
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._sets.values())
+
+    @cached_property
+    def _id_groups(self) -> dict[tuple[Stage, FactType], tuple[tuple[Demonstration, ...], ...]]:
+        """Each set's groups (see _groups) in id order, which select draws from without a query."""
+        return {key: _groups(key[0], sorted(demos, key=attrgetter("id"))) for key, demos in self._sets.items()}
 
     def _set(self, stage: Stage, fact_type: FactType) -> list[Demonstration]:
         demos = self._sets[stage, fact_type]
@@ -227,8 +229,9 @@ def adm_select(library: DemoLibrary, x: str, stage: Stage, fact_type: FactType, 
 def adm_select_fa(
     library: DemoLibrary, x: str | tuple[str, str], fact_type: FactType, k_per_polarity: int
 ) -> tuple[list[Demonstration], list[Demonstration]]:
-    """select's BM25 matching of an FA set, as its relevant and its irrelevant demos."""
-    return tuple(list(group[:k_per_polarity]) for group in library._ranked(x, Stage.FA, fact_type)[2])
+    """select's BM25 matching of an FA set, split into its relevant and its irrelevant demos."""
+    demos = select(library, Stage.FA, fact_type, k_per_polarity, x)
+    return tuple([d for d in demos if d.polarity == p] for p in POLARITIES)
 
 
 def _demo_from_record(record: dict, *, path: str, index: int) -> Demonstration:

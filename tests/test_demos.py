@@ -264,68 +264,46 @@ class TestRankingFromParts:
 STAGE_SETS = [(stage, fact_type) for stage in Stage for fact_type in FactType]
 
 
-class TestSelectionGroups:
-    """select's slices of the groups kept with a ranking are the ranking filtered by polarity per call."""
-
-    @pytest.mark.parametrize("mode", TOKENIZER_MODES)
-    @pytest.mark.parametrize("library_name", ["bundled", "24-per-set"])
-    @given(data=st.data(), stage_set=st.sampled_from(STAGE_SETS))
-    @settings(max_examples=50, deadline=None)
-    def test_select_is_the_oracles_cut_of_the_ranking(
-        self, toy, large_library_path, library_name, mode, data, stage_set
-    ):
-        stage, fact_type = stage_set
-        library = load_demo_library(toy.demos if library_name == "bundled" else large_library_path, tokenizer_mode=mode)
-        index = library._indexes[stage_set]
-        words = sorted({word for d in library._by_id.values() for word in d.input_text.split()})
-        text = st.lists(st.one_of(MIXED_ALPHABET, st.sampled_from(words).map(lambda w: w + " ")), max_size=12)
-        text = text.map("".join)
-        queries = data.draw(st.lists(st.one_of(text, st.tuples(text, text)), min_size=1, max_size=3))
-        for x in queries * 2:  # each query cold, then warm
-            joined = x if isinstance(x, str) else "\n".join(x)
-            ranked = [library._by_id[doc_id] for doc_id, _ in top_k_rank(index, tokenize(joined, mode), len(index.rows))]
-            k = data.draw(st.integers(1, len(ranked)))
-            assert select(library, stage, fact_type, k, x) == selection_oracle(ranked, stage.value, k)
-
-
 class TestRankingMemo:
     """Each (stage, fact type, query term sequence) is ranked once per library, exactly as afresh."""
 
     @pytest.mark.parametrize("mode", TOKENIZER_MODES)
+    @pytest.mark.parametrize("library_name", ["bundled", "24-per-set"])
     @given(
+        data=st.data(),
         queries=st.lists(st.tuples(FACT_TEXT, FACT_TEXT), min_size=1, max_size=4),
         stage_set=st.sampled_from(STAGE_SETS),
-        k=st.integers(1, 5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_memoized_rankings_equal_a_fresh_library(self, toy, mode, queries, stage_set, k):
+    def test_memoized_rankings_equal_a_fresh_library(
+        self, toy, large_library_path, library_name, mode, data, queries, stage_set
+    ):
         stage, fact_type = stage_set
-        library = load_demo_library(toy.demos, tokenizer_mode=mode)
-        fresh = load_demo_library(toy.demos, tokenizer_mode=mode)
+        path = toy.demos if library_name == "bundled" else large_library_path
+        library = load_demo_library(path, tokenizer_mode=mode)
+        fresh = load_demo_library(path, tokenizer_mode=mode)
         index = fresh._indexes[stage_set]
         polarity = {demo_id: demo.polarity for demo_id, demo in fresh._by_id.items()}
         for a, b in queries * 2:  # the second pass is warm throughout
             joined = f"{a}\n{b}"
             want = top_k_rank(index, tokenize(joined, mode), len(index.rows))
+            ranked = [fresh._by_id[doc_id] for doc_id, _ in want]
+            k = data.draw(st.integers(1, len(ranked)), label="k")
             assert scored(library._ranked((a, b), stage, fact_type)) == want
             assert scored(library._ranked(joined, stage, fact_type)) == want
             picked = adm_select(library, joined, stage, fact_type, k)
             assert [demo.id for demo in picked] == [doc_id for doc_id, _ in want[:k]]
             picked.clear()  # a caller's list is its own: the memo is not changed through it
-            if stage is Stage.FA:
-                by_polarity = [[doc_id for doc_id, _ in want if polarity[doc_id] == p][:k] for p in POLARITIES]
-                for x in ((a, b), joined):
+            for x in ((a, b), joined):
+                selected = select(library, stage, fact_type, k, x)
+                assert selected == selection_oracle(ranked, stage.value, k)
+                selected.clear()
+                if stage is Stage.FA:
+                    by_polarity = [[doc_id for doc_id, _ in want if polarity[doc_id] == p][:k] for p in POLARITIES]
                     chosen = adm_select_fa(library, x, fact_type, k)
                     assert [[demo.id for demo in demos] for demos in chosen] == by_polarity
                     for demos in chosen:
                         demos.clear()
-                    selected = select(library, stage, fact_type, k, x)
-                    assert [demo.id for demo in selected] == by_polarity[0] + by_polarity[1]
-                    selected.clear()
-            else:
-                selected = select(library, stage, fact_type, k, joined)
-                assert [demo.id for demo in selected] == [doc_id for doc_id, _ in want[:k]]
-                selected.clear()
             assert scored(library._ranked(joined, stage, fact_type)) == want
 
     def test_texts_with_one_term_sequence_share_an_entry(self, toy):
