@@ -12,10 +12,8 @@ import hashlib
 import json
 import logging
 import math
-import os
 import random
 import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -23,7 +21,7 @@ from typing import Mapping, Protocol, Sequence
 
 from ._util import OnceMemo, atomic_write_lines, atomic_write_text, read_json, read_jsonl
 from .corpus import LABELS, Case, CaseStore, _nfc
-from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord, read_records_jsonl, record_line
+from .engine import SYSTEM_TEXT, JudgeEngine, JudgmentRecord, judge_to_file
 from .errors import (
     DomainError,
     ExhaustedError,
@@ -176,108 +174,14 @@ def prerank_pairs(
     return [pair for pair, _ in rank_by_score(scored, CasePair.key)[:top_n]]
 
 
-def _read_checkpoint(checkpoint: Path) -> list[JudgmentRecord]:
-    """A checkpoint's records, once a last line without its newline is mended.
-
-    Such a line that parses as a record is kept; one that does not was cut
-    short by an interrupted append, so it is logged and dropped, and its
-    pair is judged again. Either way the file is first rewritten
-    atomically to end in a newline, so the next append starts a new line.
-    """
-    with checkpoint.open("rb") as fh:
-        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))  # the last byte, if any
-        if fh.read(1) in (b"", b"\n"):
-            return read_records_jsonl(checkpoint)
-        fh.seek(0)
-        data = fh.read()
-    cut = data.rfind(b"\n") + 1
-    try:
-        head = data[:cut].decode("utf-8")
-    except UnicodeDecodeError:
-        return read_records_jsonl(checkpoint)  # which names the line that is not UTF-8
-    try:
-        tail = data[cut:].decode("utf-8")
-        JudgmentRecord.from_dict(json.loads(tail))
-    except (ValueError, KeyError, TypeError):
-        logger.warning("%s:%d: dropping a line cut short by an interrupted write", checkpoint, head.count("\n") + 1)
-        tail = ""
-    else:
-        tail += "\n"
-    atomic_write_text(checkpoint, head + tail)
-    return read_records_jsonl(checkpoint)
-
-
 def annotate_pairs(
     engine: JudgeEngine,
     store: CaseStore,
     pairs: Sequence[CasePair],
     checkpoint_path: str | Path | None = None,
 ) -> list[JudgmentRecord]:
-    """Judge each pair once, checkpointing progress per completed pair.
-
-    With a checkpoint path, every finished pair is appended as one JSONL
-    line immediately, and a rerun skips pairs whose line on disk is ok, so
-    an interrupted batch resumes without re-judging; a last line that an
-    interrupt cut short is dropped first. A pair whose line is failed is
-    judged again: a key's ok line wins over its failed lines, and a later
-    failed line over an earlier one. A run that leaves such superseded lines
-    behind rewrites the checkpoint, atomically, to one line per pair. A
-    rerun also hands the finished records to engine.reuse_extractions, so a
-    case a finished pair extracted is not extracted again; like the skipped
-    pairs, this assumes the cases file has not changed since. Judge-level
-    failures become failed records; interrupts propagate after the flush.
-    """
-    unique: dict[tuple[str, str], CasePair] = {}
-    for pair in pairs:
-        unique.setdefault(pair.key(), pair)
-    kept: dict[tuple[str, str], JudgmentRecord] = {}  # the line each key keeps, in first-seen order
-    checkpoint = Path(checkpoint_path) if checkpoint_path is not None else None
-    finished = _read_checkpoint(checkpoint) if checkpoint is not None and checkpoint.exists() else []
-
-    def keep(record: JudgmentRecord) -> None:
-        key = (record.query_id, record.candidate_id)
-        held = kept.get(key)
-        if held is None or held.status != "ok":
-            kept[key] = record
-
-    for record in finished:
-        if record.config_fingerprint != engine.config_fingerprint:
-            raise IntegrityError("checkpoint was written under a different configuration")
-        keep(record)
-    todo = [
-        (store.get(pair.left_id), store.get(pair.right_id))
-        for key, pair in unique.items()
-        if key not in kept or kept[key].status != "ok"
-    ]
-    engine.reuse_extractions(finished, [case for pair in todo for case in pair])
-    lines = len(finished)
-    write_lock = threading.Lock()
-    sink = None
-    if checkpoint is not None:
-        checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        sink = checkpoint.open("a", encoding="utf-8")
-
-    def finish(record: JudgmentRecord) -> None:
-        nonlocal lines
-        if sink is not None:
-            line = record_line(record)
-            with write_lock:
-                sink.write(line)
-                sink.flush()
-                lines += 1
-        keep(record)
-
-    try:
-        # finish sees pairs in completion order, so a slow pair holds back no
-        # finished line; after an error, pairs not yet started are dropped
-        # rather than judged with nowhere to record them.
-        engine.judge_pairs(todo, on_record=finish)
-    finally:
-        if sink is not None:
-            sink.close()
-    if sink is not None and lines > len(kept):
-        atomic_write_lines(checkpoint, map(record_line, kept.values()))
-    return [kept[key] for key in unique]
+    """Judge each pair once, checkpointing progress per finished pair (see engine.judge_to_file)."""
+    return judge_to_file(engine, store, [pair.key() for pair in pairs], checkpoint_path)
 
 
 def parse_distribution(raw: object) -> dict[int, float]:

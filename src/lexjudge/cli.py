@@ -30,7 +30,7 @@ from .augmentation import (
 from .config import Config, load_config
 from .corpus import ingest_corpus, load_cases, load_qrels
 from .demos import DemoLibrary, load_demo_library
-from .engine import JudgeEngine, read_records_jsonl, write_records_jsonl
+from .engine import JudgeEngine, judge_to_file, pool_pairs, read_records_jsonl, write_records_jsonl
 from .errors import DomainError, LexjudgeError
 from .evaluation import (
     build_reliability_report,
@@ -144,23 +144,18 @@ def _cmd_judge(args: argparse.Namespace, config: Config) -> int:
     if runs < 1:
         raise LexjudgeError(f"runs must be >= 1, got {runs}")
     top_n = args.top_n if args.top_n is not None else config.judge.top_n_candidates
-    out_paths = _run_paths(Path(args.out), runs)
+    pairs = pool_pairs(pools, top_n)
     # One library serves every run; each run gets its own engine, so runs
-    # share no extraction memo.
+    # share no extraction memo. Each run file is a checkpoint, so a rerun
+    # skips a finished run and resumes a partial one.
     library = _load_library(config, args.demos)
     written = []
-    for index, out_path in enumerate(out_paths, start=1):
-        engine = _make_engine(
-            config,
-            judge,
-            library,
-            run_id=f"r{index}",
-            templates_dir=args.templates,
-        )
-        records = engine.judge_pools(store, pools, top_n)
-        write_records_jsonl(out_path, records)
+    for index, out_path in enumerate(_run_paths(Path(args.out), runs), start=1):
+        engine = _make_engine(config, judge, library, run_id=f"r{index}", templates_dir=args.templates)
+        records = judge_to_file(engine, store, pairs, out_path)
         failed = sum(1 for r in records if r.status != "ok")
-        written.append({"path": str(out_path), "pairs": len(records), "failed": failed})
+        written.append({"path": str(out_path), "pairs": len(records), "failed": failed,
+                        "resumed": engine.pairs_resumed, "extractions_reused": engine.extractions_reused})
     _emit({"runs": runs, "outputs": written})
     return 0
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
+import os
 import re
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
@@ -33,6 +36,7 @@ from .corpus import Case, CandidatePool, CaseStore, aggregate_label
 from .demos import DemoLibrary, Demonstration, FactType, Stage, select
 from .errors import (
     DomainError,
+    IntegrityError,
     JudgeResponseUnparseable,
     ParseError,
     StageFailure,
@@ -100,6 +104,8 @@ _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 _KNOWN_PLACEHOLDERS = {"task_description", "definitions", "demos", "target"}
 _VERDICT_RE = re.compile(r"^\s*VERDICT:\s*(RELEVANT|IRRELEVANT)\s*$", re.IGNORECASE)
 _T = TypeVar("_T")
+
+logger = logging.getLogger(__name__)
 
 
 def load_templates(templates_dir: str | Path | None = None) -> dict[str, str]:
@@ -322,7 +328,7 @@ class JudgeEngine:
     Each (case, fact type) is extracted once per engine, however many pairs
     the case is in, through one OnceMemo: parallel pairs share the one
     extraction, and a failed one is not kept, so the next pair retries it.
-    A resumed annotation fills the memo from its checkpoint first
+    A resumed run or annotation fills the memo from its checkpoint first
     (reuse_extractions), so the once holds across the resumes too.
 
     config_fingerprint is the first 16 hex digits of a sha256 over every
@@ -392,6 +398,7 @@ class JudgeEngine:
         self._frames = OnceMemo(partial(JudgeEngine._frame, weakref.proxy(self)))
         self._demo_blocks = OnceMemo(_demo_block)
         self.extractions_reused = 0  # cases reuse_extractions filled
+        self.pairs_resumed = 0  # pairs judge_to_file read back as finished
 
     # -- prompting ---------------------------------------------------------
 
@@ -526,13 +533,13 @@ class JudgeEngine:
     def reuse_extractions(self, records: Iterable[JudgmentRecord], cases: Iterable[Case]) -> int:
         """Fill the extraction memo for cases from finished records; return how many cases it filled.
 
-        A resumed annotation calls this before judging, so a case that a
+        judge_to_file calls this before judging, so a case that a
         finished pair extracted is not extracted again. Only ok records
         count. A case takes its material and its legal facts from the first
         record that holds it, so the legal facts are the ones derived from
         those material facts. A case already in the memo, or in no ok
         record, is left to extract as usual. The records must come from
-        this configuration (annotate_pairs checks the fingerprint first) and
+        this configuration (judge_to_file checks the fingerprint first) and
         from the cases' present text.
         """
         wanted = {case.id: case for case in cases if (case, FactType.MF) not in self._extractions}
@@ -640,19 +647,18 @@ class JudgeEngine:
         pools: Sequence[CandidatePool],
         top_n: int | None = None,
     ) -> list[JudgmentRecord]:
-        """Judge each pool's query against its first top_n candidates.
+        """Judge the pairs of pool_pairs(pools, top_n) in one scheduler, so a slow pool holds back no other."""
+        return self.judge_pairs([(store.get(q), store.get(c)) for q, c in pool_pairs(pools, top_n)])
 
-        The pairs of all pools share one scheduler, so a slow pool holds
-        back no other; records follow pool order, then candidate order.
-        top_n None judges every candidate.
-        """
-        if top_n is not None and top_n < 1:
-            raise DomainError(f"top_n must be >= 1, got {top_n}")
-        pairs = []
-        for pool in pools:
-            query = store.get(pool.query_id)
-            pairs.extend((query, store.get(cid)) for cid in pool.candidate_ids[:top_n])
-        return self.judge_pairs(pairs)
+
+def pool_pairs(pools: Sequence[CandidatePool], top_n: int | None = None) -> list[tuple[str, str]]:
+    """(query id, candidate id) of each pool's first top_n candidates, in pool then candidate order.
+
+    top_n None takes every candidate.
+    """
+    if top_n is not None and top_n < 1:
+        raise DomainError(f"top_n must be >= 1, got {top_n}")
+    return [(pool.query_id, cid) for pool in pools for cid in pool.candidate_ids[:top_n]]
 
 
 def _json_value(value) -> str:
@@ -724,4 +730,118 @@ def read_records_jsonl(path: str | Path) -> list[JudgmentRecord]:
             raise ParseError(f"record missing key {exc}", path=str(path), line=line_no) from None
         except TypeError as exc:
             raise ParseError(f"malformed record: {exc}", path=str(path), line=line_no) from None
+    return records
+
+
+_MEND_CHUNK = 1 << 16  # bytes _mend_torn_line reads at a time
+
+
+def _read_checkpoint(checkpoint: Path) -> list[JudgmentRecord]:
+    """A checkpoint's records, once a last line without its newline is mended."""
+    with checkpoint.open("rb") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))  # the last byte, if any
+        torn = fh.read(1) not in (b"", b"\n")
+    if torn:
+        _mend_torn_line(checkpoint)
+    return read_records_jsonl(checkpoint)
+
+
+def _mend_torn_line(checkpoint: Path) -> None:
+    """Rewrite a checkpoint whose last line lacks its newline, atomically, to end in one.
+
+    Such a line that parses as a record is kept; one that does not was cut
+    short by an interrupted append, so it is logged and dropped, and its
+    pair is judged again. The lines before it are copied _MEND_CHUNK bytes
+    at a time, each piece decoded up to its last newline, so one chunk and
+    the last line are all that is held. A byte there that is not UTF-8
+    leaves the file as it was, for read_records_jsonl to report by line.
+    """
+    newlines, tail = 0, b""
+
+    def lines() -> Iterable[str]:
+        nonlocal newlines, tail
+        with checkpoint.open("rb") as fh:
+            for chunk in iter(partial(fh.read, _MEND_CHUNK), b""):
+                chunk = tail + chunk
+                cut = chunk.rfind(b"\n") + 1
+                newlines += chunk.count(b"\n", 0, cut)
+                tail = chunk[cut:]
+                yield chunk[:cut].decode("utf-8")
+        try:
+            text = tail.decode("utf-8")
+            JudgmentRecord.from_dict(json.loads(text))
+        except (ValueError, KeyError, TypeError):
+            logger.warning("%s:%d: dropping a line cut short by an interrupted write", checkpoint, newlines + 1)
+        else:
+            yield text + "\n"
+
+    try:
+        atomic_write_lines(checkpoint, lines())
+    except UnicodeDecodeError:
+        pass  # the lines before the last one are not UTF-8
+
+
+def judge_to_file(
+    engine: JudgeEngine,
+    store: CaseStore,
+    pairs: Iterable[tuple[str, str]],
+    path: str | Path | None,
+) -> list[JudgmentRecord]:
+    """Judge each (query id, candidate id) pair once, appending each finished pair to path at once.
+
+    A rerun skips pairs whose line is ok and judges failed ones again (a
+    key's ok line wins, then its last failed line); it refuses a file from
+    another configuration, drops a last line an interrupt cut short, and
+    hands the finished records to engine.reuse_extractions, assuming the
+    cases have not changed since. Only pending pairs' cases are looked up.
+    The file ends as the requested pairs in input order, then any others in
+    file order, and is rewritten atomically only if its lines differ from
+    that (after a parallel run or a superseded line). Returns one record per
+    distinct pair in input order; with path None, no file is read or written.
+    """
+    unique = dict.fromkeys(pairs)
+    kept: dict[tuple[str, str], JudgmentRecord] = {}  # the line each key keeps, in first-seen order
+    path = Path(path) if path is not None else None
+    written = _read_checkpoint(path) if path is not None and path.exists() else []  # the file's lines
+
+    def keep(record: JudgmentRecord) -> None:
+        key = (record.query_id, record.candidate_id)
+        held = kept.get(key)
+        if held is None or held.status != "ok":
+            kept[key] = record
+
+    for record in written:
+        if record.config_fingerprint != engine.config_fingerprint:
+            raise IntegrityError(f"{path} was written under a different configuration")
+        keep(record)
+    todo = [(store.get(q), store.get(c)) for q, c in unique if (q, c) not in kept or kept[q, c].status != "ok"]
+    engine.reuse_extractions(written, [case for pair in todo for case in pair])
+    engine.pairs_resumed += len(unique) - len(todo)
+    write_lock = threading.Lock()
+    sink = None
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        sink = path.open("a", encoding="utf-8")
+
+    def finish(record: JudgmentRecord) -> None:
+        if sink is not None:
+            line = record_line(record)
+            with write_lock:
+                sink.write(line)
+                sink.flush()
+                written.append(record)
+        keep(record)
+
+    try:
+        # finish sees pairs in completion order, so a slow pair holds back no
+        # finished line; after an error or interrupt, pairs not yet started
+        # are dropped rather than judged with nowhere to record them.
+        engine.judge_pairs(todo, on_record=finish)
+    finally:
+        if sink is not None:
+            sink.close()
+    records = [kept[key] for key in unique]
+    lines = records + [record for key, record in kept.items() if key not in unique]
+    if sink is not None and written != lines:
+        atomic_write_lines(path, map(record_line, lines))
     return records

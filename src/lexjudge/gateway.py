@@ -273,18 +273,32 @@ class TransportError(Exception):
 Transport = Callable[[str, dict, dict, float], tuple[int, dict]]
 
 
-def _requests_transport(url: str, headers: dict, payload: dict, timeout: float) -> tuple[int, dict]:
-    import requests
+class _SessionTransport:
+    """The default Transport: POSTs through one requests.Session, made on first use.
 
-    try:
-        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
-    try:
-        body = resp.json()
-    except ValueError:
-        body = {}
-    return resp.status_code, body
+    Every thread shares the session, so calls reuse its connections. A body
+    that is not JSON reads as {}.
+    """
+
+    def __init__(self):
+        self._session = None
+        self._lock = threading.Lock()
+
+    def __call__(self, url: str, headers: dict, payload: dict, timeout: float) -> tuple[int, dict]:
+        import requests
+
+        with self._lock:
+            if self._session is None:
+                self._session = requests.Session()
+        try:
+            resp = self._session.post(url, headers=headers, json=payload, timeout=timeout)
+        except requests.RequestException as exc:
+            raise TransportError(str(exc)) from exc
+        try:
+            body = resp.json()
+        except ValueError:
+            body = {}
+        return resp.status_code, body
 
 
 def _checked_reply(text: object, *counts: object) -> tuple[str, TokenUsage]:
@@ -341,6 +355,8 @@ class ChatCompletionsJudge:
     Credentials come only from the environment variable named at
     construction. It holds only the transport, the rate limit and the retry
     loop; CachedJudge and TranscribedJudge wrap it as they wrap any judge.
+    Built without a transport, it posts through one requests.Session
+    (_SessionTransport), so its calls reuse connections.
     """
 
     def __init__(
@@ -370,7 +386,7 @@ class ChatCompletionsJudge:
         self.timeout = timeout
         self.retry = retry
         self.backoff_base = backoff_base
-        self._transport = transport or _requests_transport
+        self._transport = transport or _SessionTransport()
         self._sleep = sleep
         self._bucket = _TokenBucket(rate_limit_rpm, clock, sleep) if rate_limit_rpm else None
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -13,7 +15,7 @@ from lexjudge.config import _KEYS, Config, load_config
 from lexjudge.corpus import load_qrels
 from lexjudge.engine import TEMPLATE_NAMES, JudgeEngine, read_records_jsonl
 from lexjudge.errors import ConfigError, ParseError
-from lexjudge.gateway import CachedJudge, ChatCompletionsJudge, MockJudge, TranscribedJudge
+from lexjudge.gateway import CachedJudge, ChatCompletionsJudge, MockJudge, TranscribedJudge, stage_of
 
 
 class TestConfigDefaults:
@@ -466,19 +468,20 @@ class TestCliJudge:
     def test_cache_serves_run_two_from_run_one(self, toy, tmp_path, monkeypatch, capsys):
         transcript = tmp_path / "t.jsonl"
         mock_calls, at_write = [], []
-        complete, write = MockJudge.complete, cli.write_records_jsonl
+        complete, judge_to_file = MockJudge.complete, cli.judge_to_file
 
         def counting_complete(self, request):
             mock_calls.append(request)
             return complete(self, request)
 
-        def snapshot_then_write(path, records):
+        def write_then_snapshot(*args):
+            records = judge_to_file(*args)
             lines = len(transcript.read_text(encoding="utf-8").splitlines()) if transcript.exists() else 0
             at_write.append((len(mock_calls), lines))
-            write(path, records)
+            return records
 
         monkeypatch.setattr(MockJudge, "complete", counting_complete)
-        monkeypatch.setattr(cli, "write_records_jsonl", snapshot_then_write)
+        monkeypatch.setattr(cli, "judge_to_file", write_then_snapshot)
         judge = ["judge", "--cases", str(toy.cases), "--pools", str(toy.pools), "--runs", "2", "--mock"]
         assert run_cli(capsys, *judge, "--out", str(tmp_path / "plain" / "j.jsonl"))[0] == 0
         # Each run issues 336 calls, of which 300 are distinct: equal pairs repeat.
@@ -508,6 +511,105 @@ class TestCliJudge:
         # "Reliability and validity that can fail" puts a sample index in the request
         # hash, so run 2 misses the cache and this assertion turns around.
         assert (payload["kappa_mf_mean"], payload["kappa_lf_mean"], payload["kappa_label_mean"]) == (1.0, 1.0, 1.0)
+
+
+class StageCounter:
+    """Counts MockJudge calls per stage, across threads; the call after stop_after calls raises KeyboardInterrupt."""
+
+    def __init__(self, monkeypatch, stop_after: int | None = None):
+        self.calls: Counter[str] = Counter()
+        lock = threading.Lock()
+
+        def counting(judge, request):
+            with lock:
+                if sum(self.calls.values()) == stop_after:
+                    raise KeyboardInterrupt
+                self.calls[stage_of(request.user_text)] += 1
+            return _MOCK_COMPLETE(judge, request)
+
+        monkeypatch.setattr(MockJudge, "complete", counting)
+
+
+_MOCK_COMPLETE = MockJudge.complete  # what a StageCounter wraps, however many are made
+RUN_FILES = [f"j.run{i}.jsonl" for i in (1, 2, 3)]
+
+
+def _judge_three_runs(toy, out, *extra: str) -> list[str]:
+    return ["judge", "--cases", str(toy.cases), "--pools", str(toy.pools), "--out", str(out), "--runs", "3",
+            "--mock", *extra]
+
+
+def _pair_cases(pairs) -> set[str]:
+    return {case_id for pair in pairs for case_id in pair}
+
+
+class TestCliJudgeResume:
+    """Each run file of `judge` is a checkpoint: a rerun keeps every finished pair."""
+
+    @pytest.fixture(scope="class")
+    def oneshot(self, tmp_path_factory):
+        """The bytes of each run file of one uninterrupted `judge --runs 3`."""
+        from lexjudge.toydata import toy_paths
+
+        out = tmp_path_factory.mktemp("oneshot") / "j.jsonl"
+        assert main(_judge_three_runs(toy_paths(), out)) == 0
+        return {name: (out.parent / name).read_bytes() for name in RUN_FILES}
+
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_interrupted_run_resumes_to_the_one_shot_bytes(
+        self, parallelism, oneshot, toy, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "j.jsonl"
+        run_calls = 336  # one toy run: 240 comparisons and 96 extractions of 48 cases
+        StageCounter(monkeypatch, stop_after=run_calls + 150)
+        with pytest.raises(KeyboardInterrupt):
+            main(_judge_three_runs(toy, out))
+        assert (tmp_path / "j.run1.jsonl").read_bytes() == oneshot["j.run1.jsonl"]
+        assert not (tmp_path / "j.run3.jsonl").exists()
+        pairs = [(r.query_id, r.candidate_id) for r in read_records_jsonl(tmp_path / "j.run1.jsonl")]
+        done = [(r.query_id, r.candidate_id) for r in read_records_jsonl(tmp_path / "j.run2.jsonl")]
+        assert 0 < len(done) < len(pairs) and done == pairs[: len(done)]
+        pending = pairs[len(done) :]
+
+        counter = StageCounter(monkeypatch)
+        code, summary = run_cli(capsys, *_judge_three_runs(toy, out, "--set", f"parallelism={parallelism}"))
+        assert code == 0
+        for name in RUN_FILES:
+            assert (tmp_path / name).read_bytes() == oneshot[name]
+        # Run 1 calls nothing. Run 2 compares its pending pairs and extracts the cases no
+        # finished pair extracted; run 3 makes every call.
+        fe = len(_pair_cases(pending) - _pair_cases(done)) + len(_pair_cases(pairs))
+        fa = len(pending) + len(pairs)
+        assert counter.calls == {"FE_MF": fe, "FE_LF": fe, "FA_MF": fa, "FA_LF": fa}
+        reused = len(_pair_cases(pending) & _pair_cases(done))
+        assert [(o["pairs"], o["failed"], o["resumed"], o["extractions_reused"]) for o in summary["outputs"]] == [
+            (120, 0, 120, 0),
+            (120, 0, len(done), reused),
+            (120, 0, 0, 0),
+        ]
+
+    def test_rerun_over_finished_run_files_calls_nothing(self, oneshot, toy, tmp_path, monkeypatch, capsys):
+        for name, data in oneshot.items():
+            (tmp_path / name).write_bytes(data)
+        stamps = [(tmp_path / name).stat().st_mtime_ns for name in RUN_FILES]
+        counter = StageCounter(monkeypatch)
+        code, summary = run_cli(capsys, *_judge_three_runs(toy, tmp_path / "j.jsonl", "--set", "parallelism=8"))
+        assert code == 0 and counter.calls == {}
+        assert [(tmp_path / name).read_bytes() for name in RUN_FILES] == list(oneshot.values())
+        assert [(tmp_path / name).stat().st_mtime_ns for name in RUN_FILES] == stamps  # not rewritten
+        assert [(o["resumed"], o["extractions_reused"]) for o in summary["outputs"]] == [(120, 0)] * 3
+
+    def test_a_run_file_from_another_configuration_is_refused(self, toy, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "j.jsonl"
+        assert main(_judge_three_runs(toy, out, "--set", "judge.temperature=0.9")) == 0
+        before = [(tmp_path / name).read_bytes() for name in RUN_FILES]
+        capsys.readouterr()
+        counter = StageCounter(monkeypatch)
+        code = main(_judge_three_runs(toy, out))
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1 and counter.calls == {}
+        assert message == f"error: {tmp_path / 'j.run1.jsonl'} was written under a different configuration"
+        assert [(tmp_path / name).read_bytes() for name in RUN_FILES] == before
 
 
 class TestCliEvaluate:
@@ -915,6 +1017,17 @@ def _checkpoint_truncated_last_line(toy, out, tmp):
             "--out", str(bad), "--mock"], bad, 3
 
 
+def _checkpoint_latin1_before_a_torn_line(toy, out, tmp):
+    """A line that is not UTF-8 before a torn last line is reported, not mended away."""
+    lines = out.read_bytes().splitlines(keepends=True)[:3]
+    bad = tmp / "ck.jsonl"
+    bad.write_bytes(lines[0] + lines[1].replace(b"status", "café".encode("latin-1"), 1) + lines[2][:40])
+    pairs = tmp / "pairs.json"
+    pairs.write_text('[["q01", "q02"]]', encoding="utf-8")
+    return ["augment", "annotate", "--cases", str(toy.cases), "--pairs", str(pairs),
+            "--out", str(bad), "--mock"], bad, 2
+
+
 def _annotated_non_object(toy, out, tmp):
     bad = _records_file(tmp / "annotated.jsonl", out, 2, "[1, 2]")
     return ["augment", "build", "--annotated", str(bad), "--name", "x", "--size", "1",
@@ -999,6 +1112,7 @@ class TestCliMalformedInput:
             _heatmap_truncated,
             _checkpoint_without_candidate_id,
             _checkpoint_truncated_last_line,
+            _checkpoint_latin1_before_a_torn_line,
             _annotated_non_object,
             _sidecar('{"name": "x", "size": '),
             _sidecar('["x"]'),
@@ -1018,6 +1132,7 @@ class TestCliMalformedInput:
             "heatmap-truncated-line",
             "checkpoint-line-without-candidate_id",
             "checkpoint-truncated-last-line",
+            "checkpoint-latin1-line-before-a-torn-one",
             "annotated-non-object-line",
             "spec-sidecar-truncated",
             "spec-sidecar-not-an-object",

@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lexjudge.demos
+import lexjudge.engine
 import lexjudge.gateway
 from lexjudge.augmentation import annotate_pairs, sample_pairs
 from lexjudge.corpus import CandidatePool, Case, aggregate_label, gold_fact_flags
@@ -32,10 +34,13 @@ from lexjudge.engine import (
     FactVerdict,
     JudgeEngine,
     JudgmentRecord,
+    _mend_torn_line,
     assemble_prompt,
+    judge_to_file,
     load_templates,
     parse_facts_block,
     parse_verdict,
+    pool_pairs,
     read_records_jsonl,
     record_line,
     serialize_demos,
@@ -782,11 +787,23 @@ GOLDEN_RUN_SHA256 = {
 }
 
 
+def _write_pools(engine, store, pools, path):
+    write_records_jsonl(path, engine.judge_pools(store, pools))
+
+
+def _judge_pools_to_file(engine, store, pools, path):
+    judge_to_file(engine, store, pool_pairs(pools), path)
+
+
+# The collect-then-write path and the checkpointed one that `lexjudge judge` takes.
+RUN_WRITERS = pytest.mark.parametrize("write", [_write_pools, _judge_pools_to_file], ids=["collected", "checkpointed"])
+
+
 class TestGoldenRecords:
     """Run files of the bundled pools, byte for byte, as `lexjudge judge --mock` writes them."""
 
     @staticmethod
-    def run_digests(libraries, parallelism, tmp_path, mock_cfg, toy_corpus) -> dict[str, str]:
+    def run_digests(write, libraries, parallelism, tmp_path, mock_cfg, toy_corpus) -> dict[str, str]:
         """One engine per run on a shared judge, run i on the i-th library."""
         store, pools, _ = toy_corpus
         judge = MockJudge(mock_cfg)
@@ -794,19 +811,21 @@ class TestGoldenRecords:
         for run_id, library in zip(GOLDEN_RUN_SHA256, libraries):
             engine = make_engine(judge, library, parallelism=parallelism, run_id=run_id)
             path = tmp_path / f"judge.{run_id}.jsonl"
-            write_records_jsonl(path, engine.judge_pools(store, pools))
+            write(engine, store, pools, path)
             digests[run_id] = hashlib.sha256(path.read_bytes()).hexdigest()
         return digests
 
+    @RUN_WRITERS
     @pytest.mark.parametrize("parallelism", [1, 8])
-    def test_run_files_match_pinned_digests(self, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
+    def test_run_files_match_pinned_digests(self, write, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
         libraries = (load_demo_library(toy.demos) for _ in GOLDEN_RUN_SHA256)
-        assert self.run_digests(libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
+        assert self.run_digests(write, libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
 
+    @RUN_WRITERS
     @pytest.mark.parametrize("parallelism", [1, 8])
-    def test_one_library_serves_every_run(self, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
+    def test_one_library_serves_every_run(self, write, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
         libraries = [load_demo_library(toy.demos)] * len(GOLDEN_RUN_SHA256)
-        assert self.run_digests(libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
+        assert self.run_digests(write, libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
 
 
 class RecordingJudge:
@@ -1178,6 +1197,36 @@ class TestRecordFiles:
         assert queries[3].raw_response == "another reply"
         assert len({id(q) for q in queries}) == 3
         assert read[1].mf_verdict is read[2].mf_verdict
+
+
+class TestTornCheckpoint:
+    """A checkpoint whose last line an interrupted append cut short is mended before it is read."""
+
+    LINE = record_line(fabricate_record("q1", "c1", 3, query_text="盗窃 财物 value " * 100)).encode()
+
+    def test_mend_holds_a_chunk_not_the_file(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        lines = 4 * 2**20 // len(self.LINE) + 1
+        path.write_bytes(self.LINE * lines + self.LINE[: len(self.LINE) // 2])
+        tracemalloc.start()
+        try:
+            _mend_torn_line(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == self.LINE * lines  # the cut line is dropped
+        assert peak < 8 * lexjudge.engine._MEND_CHUNK < 2**20
+
+    def test_a_head_that_is_not_utf8_is_reported_and_left_alone(self, tmp_path, mock_judge, toy_library):
+        path = tmp_path / "torn.jsonl"
+        second = self.LINE.replace("财物".encode(), "café".encode("latin-1"), 1)
+        path.write_bytes(self.LINE + second + self.LINE + self.LINE[:50])
+        before = path.read_bytes()
+        with pytest.raises(ParseError, match="not UTF-8") as excinfo:
+            judge_to_file(make_engine(mock_judge, toy_library), None, [], path)
+        assert excinfo.value.line == 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["torn.jsonl"]  # no temp file is left
 
 
 def _type_error(container, key) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -515,6 +516,69 @@ class TestChatCompletionsJudge:
             ChatCompletionsJudge("https://backend.example/v1", "m", "K", **{keyword: str(tmp_path / "x")})
         judge = ChatCompletionsJudge("https://backend.example/v1", "m", "K", **{keyword: None})
         assert not any(name.startswith(("_cache", "_transcri", "cache", "transcript")) for name in vars(judge))
+
+
+class FakeResponse:
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, str):
+            raise ValueError("not JSON")  # as requests' JSONDecodeError is
+        return self._body
+
+
+class TestRequestsTransport:
+    """Built without a transport, the chat judge posts through one requests.Session."""
+
+    @pytest.fixture()
+    def sessions(self, monkeypatch):
+        """requests.Session swapped for a fake: (sessions made, the steps their posts pop in turn)."""
+        import requests
+
+        made, script = [], []
+
+        class FakeSession:
+            def __init__(self):
+                made.append(self)
+
+            def post(self, url, headers, json, timeout):
+                step = script.pop(0)
+                if isinstance(step, Exception):
+                    raise step
+                return FakeResponse(*step)
+
+        monkeypatch.setattr(requests, "Session", FakeSession)
+        return made, script
+
+    def test_calls_from_several_threads_share_one_session(self, sessions, tmp_path, monkeypatch):
+        made, script = sessions
+        script.extend([ok_payload()] * 3)
+        judge, _ = make_judge(None, tmp_path, monkeypatch)
+        assert made == []  # made on first use
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            replies = list(pool.map(lambda _: judge.complete(plain_request()).text, range(3)))
+        assert replies == ["ok"] * 3
+        assert len(made) == 1 and script == []
+
+    def test_a_request_exception_is_a_transport_error(self, sessions, tmp_path, monkeypatch):
+        import requests
+
+        made, script = sessions
+        script.append(requests.ConnectionError("connection refused"))
+        judge, _ = make_judge(None, tmp_path, monkeypatch, retry=0)
+        with pytest.raises(TransportError, match="connection refused"):
+            judge._transport("https://backend.example/v1/chat/completions", {}, {}, 1.0)
+
+    def test_a_body_that_is_not_json_reads_as_empty_with_its_status(self, sessions, tmp_path, monkeypatch):
+        made, script = sessions
+        script.extend([(502, "<html>bad gateway</html>"), (200, "not json")])
+        judge, _ = make_judge(None, tmp_path, monkeypatch, retry=0)
+        assert judge._transport("https://backend.example/v1/chat/completions", {}, {}, 1.0) == (502, {})
+        with pytest.raises(UpstreamError, match="malformed backend response"):
+            judge.complete(plain_request())
+        assert len(made) == 1
 
 
 class TestWrappersAroundMock:
