@@ -42,7 +42,8 @@ class Demonstration:
     """One worked example: stage input paired with its exemplar output.
 
     polarity is required for annotation demos (relevant or irrelevant
-    pair) and must be absent for extraction demos.
+    pair) and must be absent for extraction demos. A demo hashes by its
+    id, which is unique within a library; equality compares every field.
     """
 
     id: str
@@ -51,6 +52,9 @@ class Demonstration:
     input_text: str
     exemplar_output: str
     polarity: str | None = None
+
+    def __hash__(self) -> int:
+        return hash(self.id)
 
 
 # A set's demos best first, their scores, and its groups (see _groups) in that order.

@@ -144,34 +144,62 @@ def _demo_block(key: tuple[Demonstration, int]) -> str:
     )
 
 
-def serialize_demos(demos: Sequence[Demonstration]) -> str:
-    return "".join(_demo_block((demo, i)) for i, demo in enumerate(demos, start=1))
+Frame = tuple[str, tuple[tuple[str, str], ...]]
+
+
+def _frame(templates: Mapping[str, str], marked: bool, key: tuple[Stage, FactType]) -> Frame:
+    """A stage's template split once by _PLACEHOLDER_RE: (text before the first slot, ((slot, text after it), ...)).
+
+    The task description and definitions are filled in; the demo and target
+    slots are left open. Marked, the text starts with the stage line and
+    each target slot sits between the target marker lines. An unknown
+    placeholder raises the KeyError a single re.sub over the template would.
+    """
+    stage, fact_type = key
+    name = f"{stage.value}_{fact_type.value}"
+    values = {"task_description": TASK_DESCRIPTIONS[stage.value, fact_type.value],
+              "definitions": DEFINITIONS[fact_type.value]}
+    head, before, after = (f"{STAGE_PREFIX}{name}\n", f"{TARGET_BEGIN}\n", f"\n{TARGET_END}") if marked else ("",) * 3
+    pieces = _PLACEHOLDER_RE.split(templates[name.lower()])
+    texts = [head + pieces[0]]
+    slots = []
+    for slot, text in zip(pieces[1::2], pieces[2::2]):
+        if slot == "demos":
+            slots.append(slot)
+            texts.append(text)
+        elif slot == "target":
+            slots.append(slot)
+            texts[-1] += before
+            texts.append(after + text)
+        else:
+            texts[-1] += values[slot] + text
+    return texts[0], tuple(zip(slots, texts[1:]))
+
+
+def _fill(frame: Frame, blocks: Sequence[str], target: str) -> str:
+    """The frame with blocks in each demo slot and target in each target slot, in one join."""
+    head, slots = frame
+    parts = [head]
+    for slot, text in slots:
+        if slot == "demos":
+            parts += blocks
+        else:
+            parts.append(target)
+        parts.append(text)
+    return "".join(parts)
 
 
 def assemble_prompt(
-    stage: Stage,
-    fact_type: FactType,
-    demos: Sequence[Demonstration],
-    target: str,
-    *,
+    stage: Stage, fact_type: FactType, demos: Sequence[Demonstration], target: str, *,
     templates: Mapping[str, str] | None = None,
 ) -> str:
-    """Fill a stage template; the target always lands after the demos.
+    """Fill a stage template as the engine does, without its stage line and target marker lines.
 
-    Substitution is single-pass, so braces inside case text or
-    demonstrations are never re-expanded.
+    The target always lands after the demos, and braces inside case text
+    or demonstrations are never expanded.
     """
-    if templates is None:
-        templates = load_templates()
-    name = f"{stage.value}_{fact_type.value}".lower()
-    template = templates[name]
-    values = {
-        "task_description": TASK_DESCRIPTIONS[(stage.value, fact_type.value)],
-        "definitions": DEFINITIONS[fact_type.value],
-        "demos": serialize_demos(demos),
-        "target": target,
-    }
-    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
+    frame = _frame(load_templates() if templates is None else templates, False, (stage, fact_type))
+    return _fill(frame, [_demo_block((demo, i)) for i, demo in enumerate(demos, start=1)], target)
 
 
 def parse_facts_block(raw_text: str) -> str:
@@ -395,57 +423,20 @@ class JudgeEngine:
         self.run_id = run_id if run_id is not None else "r1"
         # Weakly, so engine and memo form no cycle: a finished engine frees its extractions at once.
         self._extractions = OnceMemo(partial(JudgeEngine._extract_once, weakref.proxy(self)))
-        self._frames = OnceMemo(partial(JudgeEngine._frame, weakref.proxy(self)))
+        self._frames = OnceMemo(partial(_frame, self.templates, True))
         self._demo_blocks = OnceMemo(_demo_block)
         self.extractions_reused = 0  # cases reuse_extractions filled
         self.pairs_resumed = 0  # pairs judge_to_file read back as finished
 
     # -- prompting ---------------------------------------------------------
 
-    def _frame(self, key: tuple[Stage, FactType]) -> tuple[str, tuple[tuple[str, str], ...]]:
-        """A stage's user text around its demos and target: (head, ((slot, text after it), ...)).
-
-        The template is split once by _PLACEHOLDER_RE, as assemble_prompt's
-        single pass finds its placeholders. The head starts with the stage
-        line, the task description and definitions are filled in, and the
-        target's marker lines go around each target slot. An unknown
-        placeholder raises the KeyError the single pass would.
-        """
-        stage, fact_type = key
-        values = {
-            "task_description": TASK_DESCRIPTIONS[(stage.value, fact_type.value)],
-            "definitions": DEFINITIONS[fact_type.value],
-        }
-        pieces = _PLACEHOLDER_RE.split(self.templates[f"{stage.value}_{fact_type.value}".lower()])
-        texts = [f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n{pieces[0]}"]
-        slots = []
-        for name, text in zip(pieces[1::2], pieces[2::2]):
-            if name == "demos":
-                slots.append(name)
-                texts.append(text)
-            elif name == "target":
-                slots.append(name)
-                texts[-1] += f"{TARGET_BEGIN}\n"
-                texts.append(f"\n{TARGET_END}{text}")
-            else:
-                texts[-1] += values[name] + text
-        return texts[0], tuple(zip(slots, texts[1:]))
-
     def _user_text(self, stage: Stage, fact_type: FactType, demos: Sequence[Demonstration], target: str) -> str:
-        """The stage marker line, then assemble_prompt's text with the target between its marker lines.
+        """The stage line, then assemble_prompt's text with the target between its marker lines.
 
-        Joins the stage's frame with each demo's block, both made once per
-        engine, instead of filling the template again.
+        Fills the stage's frame with each demo's block, both made once per engine.
         """
-        head, slots = self._frames[stage, fact_type]
-        parts = [head]
-        for slot, text in slots:
-            if slot == "demos":
-                parts += [self._demo_blocks[demo, i] for i, demo in enumerate(demos, start=1)]
-            else:
-                parts.append(target)
-            parts.append(text)
-        return "".join(parts)
+        blocks = [self._demo_blocks[demo, i] for i, demo in enumerate(demos, start=1)]
+        return _fill(self._frames[stage, fact_type], blocks, target)
 
     def _call_stage(
         self, stage: Stage, fact_type: FactType, target: str, query: str | tuple[str, str],

@@ -111,6 +111,18 @@ class InstrumentedJudge:
         return sum(1 for s in self.stages if s.startswith(prefix))
 
 
+class RecordingJudge:
+    """Wraps a judge, keeping the user text of every request in call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.user_texts: list[str] = []
+
+    def complete(self, request):
+        self.user_texts.append(request.user_text)  # list.append is atomic, so parallel calls lose none
+        return self.inner.complete(request)
+
+
 @pytest.fixture()
 def instrumented(mock_judge):
     return InstrumentedJudge(mock_judge)

@@ -2,15 +2,37 @@
 
 Everything here is written directly from the contracted formulas and rules,
 without importing package internals, so agreement between the two is
-meaningful evidence rather than a tautology.
+meaningful evidence rather than a tautology. The prompt filler and the
+reference pipeline take from lexjudge only its data types, templates,
+parsers and mock judge.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import random
+import re
 import unicodedata
+from dataclasses import asdict
 from itertools import permutations
+
+from lexjudge.demos import FactType, Stage
+from lexjudge.engine import (
+    DEFINITIONS,
+    FA_REMINDER,
+    FE_REMINDER,
+    SYSTEM_TEXT,
+    TASK_DESCRIPTIONS,
+    FactExtraction,
+    FactVerdict,
+    JudgmentRecord,
+    parse_facts_block,
+    parse_verdict,
+)
+from lexjudge.errors import JudgeResponseUnparseable
+from lexjudge.gateway import INPUT_A, INPUT_B, STAGE_PREFIX, TARGET_BEGIN, TARGET_END, JudgeRequest, mock_complete
 
 
 # -- tokenization -------------------------------------------------------------
@@ -214,3 +236,173 @@ def quota_oracle(size: int, fractions: dict[int, float]) -> dict[int, int]:
 def record_line_oracle(record) -> str:
     """A records-file line as the generic encoder writes the record's dict view."""
     return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+
+
+# -- prompts ------------------------------------------------------------------
+
+PLACEHOLDER = re.compile(r"\{\{([a-z_]+)\}\}")
+
+
+def serialize_demos_oracle(demos) -> str:
+    """Each demo's input and exemplar output, numbered from 1, blocks parted by a blank line."""
+    blocks = []
+    for i, demo in enumerate(demos, start=1):
+        tag = f" ({demo.polarity} pair)" if demo.polarity else ""
+        out_word = "judgment" if demo.stage is Stage.FA else "extraction"
+        blocks.append(
+            f"Example {i}{tag} input:\n{demo.input_text}\nExample {i}{tag} {out_word}:\n{demo.exemplar_output}"
+        )
+    return "\n\n".join(blocks)
+
+
+def prompt_oracle(templates, stage, fact_type, demos, target: str) -> str:
+    """A stage template filled by one re.sub over it, so no filled-in text is scanned again.
+
+    An unknown placeholder raises KeyError with its name.
+    """
+    values = {
+        "task_description": TASK_DESCRIPTIONS[stage.value, fact_type.value],
+        "definitions": DEFINITIONS[fact_type.value],
+        "demos": serialize_demos_oracle(demos),
+        "target": target,
+    }
+    template = templates[f"{stage.value}_{fact_type.value}".lower()]
+    return PLACEHOLDER.sub(lambda m: values[m.group(1)], template)
+
+
+def user_text_oracle(templates, stage, fact_type, demos, target: str) -> str:
+    """A stage call's user text: the stage line, then the prompt with the target between its marker lines."""
+    wrapped = f"{TARGET_BEGIN}\n{target}\n{TARGET_END}"
+    stage_line = f"{STAGE_PREFIX}{stage.value}_{fact_type.value}\n"
+    return stage_line + prompt_oracle(templates, stage, fact_type, demos, wrapped)
+
+
+# -- the staged pipeline --------------------------------------------------------
+
+
+def fingerprint_oracle(settings: dict, flags, templates, demos, k1: float, b: float) -> str:
+    """A run's config fingerprint: the first 16 hex digits of a sha256 over every input that changes a record.
+
+    The library is taken as tokenized by the default cjk_bigram mode.
+    """
+    fields = [[d.id, d.stage.value, d.fact_type.value, d.input_text, d.exemplar_output, d.polarity]
+              for d in sorted(demos, key=lambda d: d.id)]
+    payload = {
+        **settings,
+        "ablation": asdict(flags),
+        "templates": {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in templates.items()},
+        "tokenizer_mode": "cjk_bigram",
+        "bm25": {"k1": float(k1), "b": float(b)},
+        "demos": hashlib.sha256(json.dumps(fields, ensure_ascii=False).encode("utf-8")).hexdigest(),
+    }
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def random_demos_oracle(demo_set, stage: str, fact_type: str, k: int, seed: int, call_key: str) -> list:
+    """disable_adm's draw: each group in id order, sampled by an RNG seeded from the call site."""
+    ordered = sorted(demo_set, key=lambda d: d.id)
+    if stage == "FE":
+        groups = [((), ordered)]
+    else:
+        groups = [((p,), [d for d in ordered if d.polarity == p]) for p in ("relevant", "irrelevant")]
+    picked = []
+    for polarity_part, group in groups:
+        key = "\x1f".join([call_key, stage, fact_type, *polarity_part]) + f"|{seed}"
+        rng = random.Random(int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big"))
+        picked += rng.sample(group, min(k, len(group)))
+    return picked
+
+
+def reference_judge_pools(
+    store, pools, top_n, demos, templates, mock_cfg, flags, *, sampling_seed: int = 0, top_k_demos: int = 2,
+    fa_demos_per_polarity: int = 2, model: str = "gpt-3.5-turbo", temperature: float = 0.4, max_tokens: int = 1024,
+    retry: int = 2, k1: float = 1.2, b: float = 0.75, run_id: str = "r1",
+) -> tuple[str, list[str]]:
+    """The run file a serial judge of the pools' first top_n candidates writes, and the user texts it sends.
+
+    Every stage call ranks its whole demo set with rank_oracle, and only a
+    (case, layer)'s extraction is kept, in a plain dict.
+    """
+    settings = {
+        "model": model, "temperature": temperature, "max_tokens": max_tokens, "top_k_demos": top_k_demos,
+        "fa_demos_per_polarity": fa_demos_per_polarity, "sampling_seed": sampling_seed,
+    }
+    fingerprint = fingerprint_oracle(settings, flags, templates, demos, k1, b)
+    sets = {}
+    for demo in demos:
+        sets.setdefault((demo.stage.value, demo.fact_type.value), []).append(demo)
+    sent: list[str] = []
+    extractions: dict[tuple[str, str], FactExtraction] = {}
+
+    def call(stage, fact_type, target: str, query: str, call_key: str, parse):
+        demo_set = sets[stage.value, fact_type.value]
+        k = top_k_demos if stage is Stage.FE else fa_demos_per_polarity
+        if stage is Stage.FA and flags.disable_fa_demos:
+            picked = []
+        elif flags.disable_adm:
+            picked = random_demos_oracle(demo_set, stage.value, fact_type.value, k, sampling_seed, call_key)
+        else:
+            docs = {d.id: bigram_tokens(d.input_text) for d in demo_set}
+            by_id = {d.id: d for d in demo_set}
+            ranked = [by_id[doc_id] for doc_id, _ in rank_oracle(docs, bigram_tokens(query), len(docs), k1, b)]
+            picked = selection_oracle(ranked, stage.value, k)
+        user_text = user_text_oracle(templates, stage, fact_type, picked, target)
+        reminder = FE_REMINDER if stage is Stage.FE else FA_REMINDER
+        for attempt in range(retry + 1):
+            text = user_text if attempt == 0 else f"{user_text}\n\n{reminder}"
+            sent.append(text)
+            request = JudgeRequest(system_text=SYSTEM_TEXT, user_text=text, temperature=temperature, model=model,
+                                   max_tokens=max_tokens)
+            reply = mock_complete(request, mock_cfg).text
+            try:
+                return parse(reply), reply
+            except JudgeResponseUnparseable as exc:
+                error = exc
+        raise JudgeResponseUnparseable(f"{error} after {retry + 1} attempt(s)")
+
+    def facts(reply: str) -> str:
+        text = parse_facts_block(reply)
+        if not text:
+            raise JudgeResponseUnparseable("empty facts block")
+        return text
+
+    def extract(case, fact_type) -> FactExtraction:
+        key = (case.id, fact_type.value)
+        if key not in extractions:
+            if flags.disable_fe:
+                extractions[key] = FactExtraction(case.id, fact_type, case.fact_text, "")
+            else:
+                target = case.fact_text if fact_type.value == "MF" else extractions[case.id, "MF"].text
+                text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{case.id}", facts)
+                extractions[key] = FactExtraction(case.id, fact_type, text, reply)
+        return extractions[key]
+
+    def annotate(a: FactExtraction, b: FactExtraction, fact_type) -> FactVerdict:
+        target = f"{INPUT_A}\n{a.text}\n{INPUT_B}\n{b.text}"
+        call_key = f"FA:{fact_type.value}:{a.case_id}|{b.case_id}"
+        (relevant, reasoning), reply = call(Stage.FA, fact_type, target, f"{a.text}\n{b.text}", call_key, parse_verdict)
+        return FactVerdict(fact_type, relevant, reasoning, reply)
+
+    lines = []
+    pairs = dict.fromkeys((pool.query_id, cid) for pool in pools for cid in pool.candidate_ids[:top_n])
+    for query_id, candidate_id in pairs:
+        query, candidate = store.get(query_id), store.get(candidate_id)
+        stage, fact_type = Stage.FE, FactType.MF
+        try:
+            mf_pair = extract(query, FactType.MF), extract(candidate, FactType.MF)
+            fact_type = FactType.LF
+            lf_pair = extract(query, FactType.LF), extract(candidate, FactType.LF)
+            stage, fact_type = Stage.FA, FactType.MF
+            mf_verdict = annotate(*mf_pair, FactType.MF)
+            fact_type = FactType.LF
+            lf_verdict = annotate(*lf_pair, FactType.LF)
+            outcome = dict(status="ok", label=int(mf_verdict.relevant) + 2 * int(lf_verdict.relevant),
+                           mf_extractions=mf_pair, lf_extractions=lf_pair, mf_verdict=mf_verdict, lf_verdict=lf_verdict)
+        except Exception as exc:
+            outcome = dict(status="failed", label=None, mf_extractions=None, lf_extractions=None, mf_verdict=None,
+                           lf_verdict=None, error=f"{stage.value}_{fact_type.value}: {exc}")
+        record = JudgmentRecord(query_id=query_id, candidate_id=candidate_id, run_id=run_id,
+                                config_fingerprint=fingerprint, **outcome)
+        lines.append(record_line_oracle(record))
+    return "".join(lines), sent

@@ -24,11 +24,8 @@ from lexjudge.augmentation import annotate_pairs, sample_pairs
 from lexjudge.corpus import CandidatePool, Case, aggregate_label, gold_fact_flags
 from lexjudge.demos import Demonstration, FactType, Stage, _rank, load_demo_library
 from lexjudge.engine import (
-    _PLACEHOLDER_RE,
-    DEFINITIONS,
     FA_REMINDER,
     FE_REMINDER,
-    TASK_DESCRIPTIONS,
     AblationFlags,
     FactExtraction,
     FactVerdict,
@@ -43,7 +40,6 @@ from lexjudge.engine import (
     pool_pairs,
     read_records_jsonl,
     record_line,
-    serialize_demos,
     write_records_jsonl,
 )
 from lexjudge.errors import (
@@ -69,8 +65,8 @@ from lexjudge.gateway import (
 )
 from lexjudge.retrieval import top_k_rank
 
-from conftest import FaultyOnPairJudge, ScriptedJudge, fabricate_record, make_engine
-from oracles import jaccard_oracle, normalized_tokens, record_line_oracle
+from conftest import FaultyOnPairJudge, RecordingJudge, ScriptedJudge, fabricate_record, make_engine
+from oracles import jaccard_oracle, normalized_tokens, prompt_oracle, record_line_oracle, user_text_oracle
 
 GOOD_FE = "===FACTS===\nfacts ok\n===END==="
 GOOD_FA = "because the facts align\nVERDICT: RELEVANT"
@@ -129,46 +125,59 @@ class TestTemplates:
 
 
 class TestAssemblePrompt:
+    """assemble_prompt's text; each is also checked, with the engine's user text, against the single-pass reference."""
+
     def demos(self):
         return [
             Demonstration("d1", Stage.FE, FactType.MF, "input one", "output ONE"),
             Demonstration("d2", Stage.FE, FactType.MF, "input two", "output TWO"),
         ]
 
-    def test_demos_in_order_target_last(self):
-        prompt = assemble_prompt(Stage.FE, FactType.MF, self.demos(), "THE TARGET")
+    @staticmethod
+    def prompt(library, stage, fact_type, demos, target):
+        templates = load_templates()
+        prompt = assemble_prompt(stage, fact_type, demos, target)
+        assert prompt == prompt_oracle(templates, stage, fact_type, demos, target)
+        engine = make_engine(MockJudge(MockJudgeConfig()), library)
+        assert engine._user_text(stage, fact_type, demos, target) == user_text_oracle(
+            templates, stage, fact_type, demos, target
+        )
+        return prompt
+
+    def test_demos_in_order_target_last(self, toy_library):
+        prompt = self.prompt(toy_library, Stage.FE, FactType.MF, self.demos(), "THE TARGET")
         first = prompt.index("output ONE")
         second = prompt.index("output TWO")
         target = prompt.index("THE TARGET")
         assert first < second < target
         assert "input one" in prompt and "input two" in prompt
 
-    def test_no_unreplaced_placeholders(self):
+    def test_no_unreplaced_placeholders(self, toy_library):
         for stage, fact_type in (
             (Stage.FE, FactType.MF),
             (Stage.FE, FactType.LF),
             (Stage.FA, FactType.MF),
             (Stage.FA, FactType.LF),
         ):
-            prompt = assemble_prompt(stage, fact_type, [], "plain target")
+            prompt = self.prompt(toy_library, stage, fact_type, [], "plain target")
             assert "{{" not in prompt
 
-    def test_empty_demo_list_is_valid(self):
-        prompt = assemble_prompt(Stage.FA, FactType.MF, [], "pair body")
+    def test_empty_demo_list_is_valid(self, toy_library):
+        prompt = self.prompt(toy_library, Stage.FA, FactType.MF, [], "pair body")
         assert "Example 1" not in prompt
         assert "pair body" in prompt
 
-    def test_braces_in_target_not_reexpanded(self):
+    def test_braces_in_target_not_reexpanded(self, toy_library):
         sneaky = "case text mentioning {{demos}} literally"
-        prompt = assemble_prompt(Stage.FE, FactType.MF, [], sneaky)
+        prompt = self.prompt(toy_library, Stage.FE, FactType.MF, [], sneaky)
         assert sneaky in prompt
 
-    def test_fa_demos_tagged_with_polarity(self):
+    def test_fa_demos_tagged_with_polarity(self, toy_library):
         demos = [
             Demonstration("p", Stage.FA, FactType.MF, "in", "out", polarity="relevant"),
             Demonstration("n", Stage.FA, FactType.MF, "in", "out", polarity="irrelevant"),
         ]
-        prompt = assemble_prompt(Stage.FA, FactType.MF, demos, "pair")
+        prompt = self.prompt(toy_library, Stage.FA, FactType.MF, demos, "pair")
         assert "(relevant pair)" in prompt
         assert "(irrelevant pair)" in prompt
 
@@ -513,16 +522,17 @@ PROMPT_TEMPLATE = st.lists(st.sampled_from(PROMPT_PIECES), max_size=14).map("".j
 PROMPT_TEXT = st.lists(st.sampled_from(PROMPT_PIECES), max_size=6).map("".join)
 
 
-def single_pass(template: str, values: dict[str, str]) -> str:
-    """The reference: one _PLACEHOLDER_RE.sub over the whole template."""
-    return _PLACEHOLDER_RE.sub(lambda m: values[m.group(1)], template)
-
-
 def outcome(fill):
     try:
         return fill()
     except KeyError as exc:  # a placeholder name no template may use
         return ("KeyError", exc.args)
+
+
+# Case and demo text that looks like template syntax or like the engine's marker lines.
+TRICKY_TEXT = st.lists(
+    st.sampled_from(PROMPT_PIECES + [f"{STAGE_PREFIX}FE_MF", TARGET_BEGIN, TARGET_END, "{{{", "}}}"]), max_size=8
+).map("".join)
 
 
 class TestPromptAssembly:
@@ -535,20 +545,38 @@ class TestPromptAssembly:
     def test_equals_single_pass_substitution(self, toy_library, template, target, demo_in, demo_out):
         demos = [Demonstration("d1", Stage.FA, FactType.LF, demo_in, demo_out, polarity="relevant")]
         templates = {"fa_lf": template}
-        values = {
-            "task_description": TASK_DESCRIPTIONS[("FA", "LF")],
-            "definitions": DEFINITIONS["LF"],
-            "demos": serialize_demos(demos),
-        }
-        want = outcome(lambda: single_pass(template, {**values, "target": target}))
+        want = outcome(lambda: prompt_oracle(templates, Stage.FA, FactType.LF, demos, target))
         got = outcome(lambda: assemble_prompt(Stage.FA, FactType.LF, demos, target, templates=templates))
         assert got == want
-        # The engine's user text adds the stage marker and wraps each target.
+        # The engine's user text adds the stage line and wraps each target in its marker lines.
         engine = make_engine(MockJudge(MockJudgeConfig()), toy_library)
-        engine.templates = templates
-        wrapped = f"{TARGET_BEGIN}\n{target}\n{TARGET_END}"
-        want_user = outcome(lambda: f"{STAGE_PREFIX}FA_LF\n" + single_pass(template, {**values, "target": wrapped}))
+        engine.templates.update(templates)  # the engine's frames read the dict it was built with
+        want_user = outcome(lambda: user_text_oracle(templates, Stage.FA, FactType.LF, demos, target))
         assert outcome(lambda: engine._user_text(Stage.FA, FactType.LF, demos, target)) == want_user
+
+    @given(
+        stage=st.sampled_from(Stage),
+        fact_type=st.sampled_from(FactType),
+        target=TRICKY_TEXT,
+        texts=st.lists(st.tuples(TRICKY_TEXT, TRICKY_TEXT), max_size=4),
+    )
+    @example(stage=Stage.FE, fact_type=FactType.MF, target=f"{{{{target}}}}\n{TARGET_END}", texts=[("{{demos}}", "}")])
+    @settings(max_examples=200, deadline=None)
+    def test_case_and_demo_text_come_out_verbatim_in_place(self, toy_library, stage, fact_type, target, texts):
+        polarities = ["relevant", "irrelevant"] if stage is Stage.FA else [None]
+        demos = [
+            Demonstration(f"d{i}", stage, fact_type, demo_in, demo_out, polarity=polarities[i % len(polarities)])
+            for i, (demo_in, demo_out) in enumerate(texts)
+        ]
+        templates = load_templates()
+        prompt = assemble_prompt(stage, fact_type, demos, target)
+        assert prompt == prompt_oracle(templates, stage, fact_type, demos, target)
+        user_text = make_engine(MockJudge(MockJudgeConfig()), toy_library)._user_text(stage, fact_type, demos, target)
+        assert user_text == user_text_oracle(templates, stage, fact_type, demos, target)
+        # Each bundled template ends with a line that is its target slot.
+        assert prompt.endswith(f"\n{target}\n") and user_text.endswith(f"\n{TARGET_BEGIN}\n{target}\n{TARGET_END}\n")
+        for demo in demos:
+            assert f"input:\n{demo.input_text}\n" in prompt and f":\n{demo.exemplar_output}" in prompt
 
 
 class TestFactExtractionCache:
@@ -826,18 +854,6 @@ class TestGoldenRecords:
     def test_one_library_serves_every_run(self, write, parallelism, tmp_path, toy, mock_cfg, toy_corpus):
         libraries = [load_demo_library(toy.demos)] * len(GOLDEN_RUN_SHA256)
         assert self.run_digests(write, libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
-
-
-class RecordingJudge:
-    """Wraps a judge, keeping the user text of every request in call order."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.user_texts: list[str] = []
-
-    def complete(self, request):
-        self.user_texts.append(request.user_text)
-        return self.inner.complete(request)
 
 
 # (library, ablation flag) -> (prompts sent, sha256 of their user texts as a JSON list).
