@@ -114,7 +114,7 @@ class PairScorer(Protocol):
 
 def _query_and_row(tokenizer_mode: str, k1: float, b: float, text: str) -> tuple[list[str], dict[str, float]]:
     tokens = list(map(sys.intern, tokenize(text, tokenizer_mode)))
-    return tokens, build_bm25_index({text: tokens}, k1, b).rows[text]
+    return tokens, build_bm25_index({text: tokens}, k1, b)[text]
 
 
 class Bm25PairScorer:
@@ -178,7 +178,7 @@ def annotate_pairs(
     engine: JudgeEngine,
     store: CaseStore,
     pairs: Sequence[CasePair],
-    checkpoint_path: str | Path | None = None,
+    checkpoint_path: str | Path,
 ) -> list[JudgmentRecord]:
     """Judge each pair once, checkpointing progress per finished pair (see engine.judge_to_file)."""
     return judge_to_file(engine, store, [pair.key() for pair in pairs], checkpoint_path)

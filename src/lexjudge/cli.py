@@ -173,6 +173,8 @@ def _cmd_evaluate(args: argparse.Namespace, config: Config) -> int:
                "kappa_lf_mean": report["kappa_lf"]["mean"],
                "kappa_label_mean": report["kappa_label"]["mean"]})
         return 0
+    if len(args.infile) != 1:
+        raise LexjudgeError(f"validity reads one run file, got {len(args.infile)}")
     if args.qrels is None:
         raise LexjudgeError("validity needs --qrels")
     records = read_records_jsonl(args.infile[0])
@@ -198,20 +200,6 @@ def _cmd_ndcg(args: argparse.Namespace, config: Config) -> int:
             "per_query": result.per_query,
         }
     )
-    return 0
-
-
-def _cmd_report_heatmap(args: argparse.Namespace, config: Config) -> int:
-    records = read_records_jsonl(args.infile)
-    qrels = load_qrels(args.qrels)
-    _, heatmaps = build_validity_report(records, qrels)
-    out_dir = Path(args.out_dir)
-    written = []
-    for name, csv_text in heatmaps.items():
-        path = out_dir / f"{name}.csv"
-        atomic_write_text(path, csv_text)
-        written.append(str(path))
-    _emit({"written": written})
     return 0
 
 
@@ -370,14 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", required=True)
     p.add_argument("--k", type=int, default=30)
     p.set_defaults(handler=_cmd_ndcg)
-
-    p = sub.add_parser("report", help="reports from judged records")
-    report_sub = p.add_subparsers(dest="report_command", required=True)
-    h = report_sub.add_parser("heatmap", help="confusion heatmaps against gold", parents=parents)
-    h.add_argument("--in", dest="infile", required=True)
-    h.add_argument("--qrels", required=True)
-    h.add_argument("--out-dir", required=True)
-    h.set_defaults(handler=_cmd_report_heatmap)
 
     p = sub.add_parser("augment", help="synthetic dataset construction")
     aug = p.add_subparsers(dest="augment_command", required=True)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from ._util import OnceMemo, read_json
 from .errors import EmptySetError, IntegrityError, ParseError
-from .retrieval import Bm25Index, build_bm25_index, tokenize, top_k_rank
+from .retrieval import build_bm25_index, tokenize, top_k_rank
 
 
 class Stage(str, Enum):
@@ -139,7 +139,7 @@ class DemoLibrary:
         ]
         self.content_sha256 = hashlib.sha256(json.dumps(fields, ensure_ascii=False).encode("utf-8")).hexdigest()
         vocab: dict[str, str] = {}
-        self._indexes: dict[tuple[Stage, FactType], Bm25Index] = {}
+        self._indexes: dict[tuple[Stage, FactType], dict[str, dict[str, float]]] = {}
         for key, demo_list in self._sets.items():
             if demo_list:
                 tokens = {d.id: tokenize(d.input_text, tokenizer_mode) for d in demo_list}
@@ -183,14 +183,14 @@ def _groups(stage: Stage, demos: Sequence[Demonstration]) -> tuple[tuple[Demonst
 
 
 def _rank(
-    indexes: dict[tuple[Stage, FactType], Bm25Index],
+    indexes: dict[tuple[Stage, FactType], dict[str, dict[str, float]]],
     by_id: dict[str, Demonstration],
     key: tuple[Stage, FactType, tuple[str, ...]],
 ) -> Ranking:
     """A whole set ranked by top_k_rank against one query term sequence, and its groups."""
     stage, fact_type, query = key
-    index = indexes[stage, fact_type]
-    ranked = top_k_rank(index, query, len(index.rows))
+    rows = indexes[stage, fact_type]
+    ranked = top_k_rank(rows, query, len(rows))
     demos = tuple(by_id[doc_id] for doc_id, _ in ranked)
     return demos, tuple(score for _, score in ranked), _groups(stage, demos)
 

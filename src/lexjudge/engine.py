@@ -50,6 +50,8 @@ from .gateway import (
     STAGE_PREFIX,
     TARGET_BEGIN,
     TARGET_END,
+    VERDICT_IRRELEVANT,
+    VERDICT_RELEVANT,
     Judge,
     JudgeRequest,
 )
@@ -91,13 +93,8 @@ DEFINITIONS = {
     ),
 }
 
-FE_REMINDER = (
-    "Reminder: output the facts between a line ===FACTS=== and a line ===END===."
-)
-FA_REMINDER = (
-    "Reminder: end with one line reading exactly VERDICT: RELEVANT or "
-    "VERDICT: IRRELEVANT."
-)
+FE_REMINDER = f"Reminder: output the facts between a line {FACTS_BEGIN} and a line {FACTS_END}."
+FA_REMINDER = f"Reminder: end with one line reading exactly {VERDICT_RELEVANT} or {VERDICT_IRRELEVANT}."
 
 TEMPLATE_NAMES = ("fe_mf", "fe_lf", "fa_mf", "fa_lf")
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
@@ -314,20 +311,22 @@ class JudgmentRecord:
             data["label"],
             _shared_extractions(table, data["mf"]["extractions"], FactType.MF, qid, cid),
             _shared_extractions(table, data["lf"]["extractions"], FactType.LF, qid, cid),
-            _shared_verdict(table, data["mf"]["verdict"], FactType.MF),
-            _shared_verdict(table, data["lf"]["verdict"], FactType.LF),
+            None if (v := data["mf"]["verdict"]) is None
+            else _shared(table, FactVerdict, FactType.MF, bool(v["relevant"]), v["reasoning"], v["raw_response"]),
+            None if (v := data["lf"]["verdict"]) is None
+            else _shared(table, FactVerdict, FactType.LF, bool(v["relevant"]), v["reasoning"], v["raw_response"]),
             same(run_id, run_id),
             same(fingerprint, fingerprint),
             data.get("error"),
         )
 
 
-def _shared_extraction(table: dict, case_id, fact_type: FactType, block: Mapping) -> FactExtraction:
-    text, raw = block["text"], block["raw_response"]
-    key = (FactExtraction, case_id, fact_type, text, raw)
+def _shared(table: dict, cls: type[_T], *fields) -> _T:
+    """The one cls(*fields) that table holds, made and kept on first request."""
+    key = (cls, *fields)
     found = table.get(key)
     if found is None:
-        found = table[key] = FactExtraction(case_id, fact_type, text, raw)
+        found = table[key] = cls(*fields)
     return found
 
 
@@ -336,18 +335,10 @@ def _shared_extractions(table: dict, block: Mapping | None, fact_type: FactType,
     if block is None:
         return None
     q, c = block["query"], block["candidate"]
-    return _shared_extraction(table, qid, fact_type, q), _shared_extraction(table, cid, fact_type, c)
-
-
-def _shared_verdict(table: dict, block: Mapping | None, fact_type: FactType) -> FactVerdict | None:
-    if block is None:
-        return None
-    relevant, reasoning, raw = bool(block["relevant"]), block["reasoning"], block["raw_response"]
-    key = (FactVerdict, fact_type, relevant, reasoning, raw)
-    found = table.get(key)
-    if found is None:
-        found = table[key] = FactVerdict(fact_type, relevant, reasoning, raw)
-    return found
+    return (
+        _shared(table, FactExtraction, qid, fact_type, q["text"], q["raw_response"]),
+        _shared(table, FactExtraction, cid, fact_type, c["text"], c["raw_response"]),
+    )
 
 
 class JudgeEngine:
@@ -566,8 +557,6 @@ class JudgeEngine:
             mf_verdict = self.judge_fact_pair(mf_q, mf_c, fact_type)
             fact_type = FactType.LF
             lf_verdict = self.judge_fact_pair(lf_q, lf_c, fact_type)
-        except StageFailure:
-            raise
         except Exception as exc:
             raise StageFailure(stage.value, fact_type.value, str(exc)) from exc
         return JudgmentRecord(
@@ -776,7 +765,7 @@ def judge_to_file(
     engine: JudgeEngine,
     store: CaseStore,
     pairs: Iterable[tuple[str, str]],
-    path: str | Path | None,
+    path: str | Path,
 ) -> list[JudgmentRecord]:
     """Judge each (query id, candidate id) pair once, appending each finished pair to path at once.
 
@@ -788,12 +777,12 @@ def judge_to_file(
     The file ends as the requested pairs in input order, then any others in
     file order, and is rewritten atomically only if its lines differ from
     that (after a parallel run or a superseded line). Returns one record per
-    distinct pair in input order; with path None, no file is read or written.
+    distinct pair in input order.
     """
     unique = dict.fromkeys(pairs)
     kept: dict[tuple[str, str], JudgmentRecord] = {}  # the line each key keeps, in first-seen order
-    path = Path(path) if path is not None else None
-    written = _read_checkpoint(path) if path is not None and path.exists() else []  # the file's lines
+    path = Path(path)
+    written = _read_checkpoint(path) if path.exists() else []  # the file's lines
 
     def keep(record: JudgmentRecord) -> None:
         key = (record.query_id, record.candidate_id)
@@ -809,30 +798,23 @@ def judge_to_file(
     engine.reuse_extractions(written, [case for pair in todo for case in pair])
     engine.pairs_resumed += len(unique) - len(todo)
     write_lock = threading.Lock()
-    sink = None
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        sink = path.open("a", encoding="utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a", encoding="utf-8") as sink:
 
-    def finish(record: JudgmentRecord) -> None:
-        if sink is not None:
+        def finish(record: JudgmentRecord) -> None:
             line = record_line(record)
             with write_lock:
                 sink.write(line)
                 sink.flush()
                 written.append(record)
-        keep(record)
+            keep(record)
 
-    try:
         # finish sees pairs in completion order, so a slow pair holds back no
         # finished line; after an error or interrupt, pairs not yet started
         # are dropped rather than judged with nowhere to record them.
         engine.judge_pairs(todo, on_record=finish)
-    finally:
-        if sink is not None:
-            sink.close()
     records = [kept[key] for key in unique]
     lines = records + [record for key, record in kept.items() if key not in unique]
-    if sink is not None and written != lines:
+    if written != lines:
         atomic_write_lines(path, map(record_line, lines))
     return records

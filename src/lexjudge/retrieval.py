@@ -1,4 +1,4 @@
-"""Lexical retrieval: tokenizers, a BM25 index, bm25_score and rank_by_score.
+"""Lexical retrieval: tokenizers, BM25 index rows, bm25_score and rank_by_score.
 
 Demonstration matching (top_k_rank) and the default pair pre-ranker both
 score with bm25_score over an index's rows and rank with rank_by_score, so
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
@@ -75,29 +74,20 @@ def rank_by_score(scored: Iterable[tuple], tie_key: Callable) -> list[tuple]:
     return sorted(scored, key=lambda pair: (-round_sig(pair[1]), tie_key(pair[0])))
 
 
-@dataclass
-class Bm25Index:
-    """A BM25 index reduced to what ranking reads.
-
-    rows[doc_id][term] is the BM25 summand of one occurrence of term in a
-    query scored against doc_id, computed once by build_bm25_index; equal
-    weights share one float object. Every indexed document has a row, an
-    empty one when it has no tokens.
-    """
-
-    rows: dict[str, dict[str, float]] = field(repr=False)
-
-
 def build_bm25_index(
     docs: Mapping[str, Sequence[str]],
     k1: float = 1.2,
     b: float = 0.75,
-) -> Bm25Index:
-    """Index pre-tokenized documents keyed by doc id.
+) -> dict[str, dict[str, float]]:
+    """Index pre-tokenized documents keyed by doc id: the BM25 index's rows.
 
-    Scores use the Robertson/Sparck-Jones idf ln(1 + (N - n + 0.5)/(n + 0.5)),
-    which never goes negative. The term frequencies are needed only to
-    weigh each (term, document) once, so they stay local to the build.
+    rows[doc_id][term] is the BM25 summand of one occurrence of term in a
+    query scored against doc_id, computed once here; equal weights share one
+    float object. Every indexed document has a row, an empty one when it has
+    no tokens. Scores use the Robertson/Sparck-Jones idf
+    ln(1 + (N - n + 0.5)/(n + 0.5)), which never goes negative. The term
+    frequencies are needed only to weigh each (term, document) once, so they
+    stay local to the build.
     """
     if k1 < 0 or not 0 <= b <= 1:
         raise DomainError(f"bad BM25 parameters k1={k1} b={b}")
@@ -116,7 +106,7 @@ def build_bm25_index(
             idf = idfs.get(n) or idfs.setdefault(n, math.log(1.0 + (count - n + 0.5) / (n + 0.5)))
             weight = idf * tf * (k1 + 1.0) / (tf + norm)
             row[term] = shared.setdefault(weight, weight)
-    return Bm25Index(rows=rows)
+    return rows
 
 
 def bm25_score(row: Mapping[str, float], query_tokens: Iterable[str]) -> float:
@@ -128,9 +118,11 @@ def bm25_score(row: Mapping[str, float], query_tokens: Iterable[str]) -> float:
     return reduce(add, filter(None, map(row.get, query_tokens)), 0.0)
 
 
-def top_k_rank(index: Bm25Index, query_tokens: Sequence[str], k: int) -> list[tuple[str, float]]:
-    """Top-k documents by BM25 score, ties broken by ascending doc id."""
+def top_k_rank(
+    rows: Mapping[str, Mapping[str, float]], query_tokens: Sequence[str], k: int
+) -> list[tuple[str, float]]:
+    """Top-k of build_bm25_index's rows by BM25 score, ties broken by ascending doc id."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    scored = ((doc_id, bm25_score(row, query_tokens)) for doc_id, row in index.rows.items())
+    scored = ((doc_id, bm25_score(row, query_tokens)) for doc_id, row in rows.items())
     return rank_by_score(scored, str)[:k]

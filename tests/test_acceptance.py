@@ -459,7 +459,7 @@ def test_10_interrupted_annotation_resumes_without_rework(
     unextracted = cases(pairs[50:]) - cases(pairs[:50])
     assert judge.count("FE") == 2 * len(unextracted) < 2 * len(cases(pairs[50:]))
 
-    baseline = annotate_pairs(fresh_engine(), store, pairs)
+    baseline = annotate_pairs(fresh_engine(), store, pairs, tmp_path / "baseline.jsonl")
     assert [r.to_dict() for r in resumed] == [r.to_dict() for r in baseline]
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
@@ -470,7 +470,7 @@ def test_10_interrupted_annotation_resumes_without_rework(
     )
 
 
-def test_11_parallel_and_serial_judging_agree(toy_store_only, toy_lexicon, toy_library):
+def test_11_parallel_and_serial_judging_agree(toy_store_only, toy_lexicon, toy_library, tmp_path):
     start = time.monotonic()
     store = toy_store_only
     pairs = sample_pairs(store, 100, seed=23)
@@ -481,7 +481,7 @@ def test_11_parallel_and_serial_judging_agree(toy_store_only, toy_lexicon, toy_l
             toy_library,
             parallelism=parallelism,
         )
-        return annotate_pairs(engine, store, pairs)
+        return annotate_pairs(engine, store, pairs, tmp_path / f"p{parallelism}.jsonl")
 
     key = lambda record: (record.query_id, record.candidate_id)
     parallel = [r.to_dict() for r in sorted(records_with(8), key=key)]

@@ -359,12 +359,12 @@ def interrupting(engine, stop_after: int):
 
 class TestAnnotatePairs:
     def test_labels_match_rule_oracle(
-        self, mock_judge, toy_library, toy_corpus, toy_lexicon
+        self, mock_judge, toy_library, toy_corpus, toy_lexicon, tmp_path
     ):
         store, _, _ = toy_corpus
         pairs = sample_pairs(store, 10, seed=4)
         engine = make_engine(mock_judge, toy_library)
-        records = annotate_pairs(engine, store, pairs)
+        records = annotate_pairs(engine, store, pairs, tmp_path / "annotated.jsonl")
         assert len(records) == 10
         for pair, record in zip(pairs, records):
             assert (record.query_id, record.candidate_id) == pair.key()
@@ -376,23 +376,23 @@ class TestAnnotatePairs:
             )
             assert record.label == expected
 
-    def test_duplicate_pairs_judged_once(self, mock_judge, toy_library, toy_corpus):
+    def test_duplicate_pairs_judged_once(self, mock_judge, toy_library, toy_corpus, tmp_path):
         store, _, _ = toy_corpus
         pair_a = CasePair("c01a", "c01b")
         pair_b = CasePair("c02a", "c02b")
         engine = make_engine(mock_judge, toy_library)
-        records = annotate_pairs(engine, store, [pair_a, pair_b, pair_a])
+        records = annotate_pairs(engine, store, [pair_a, pair_b, pair_a], tmp_path / "annotated.jsonl")
         assert [(r.query_id, r.candidate_id) for r in records] == [
             pair_a.key(),
             pair_b.key(),
         ]
 
-    def test_empty_input(self, mock_judge, toy_library, toy_corpus):
+    def test_empty_input(self, mock_judge, toy_library, toy_corpus, tmp_path):
         store, _, _ = toy_corpus
         engine = make_engine(mock_judge, toy_library)
-        assert annotate_pairs(engine, store, []) == []
+        assert annotate_pairs(engine, store, [], tmp_path / "annotated.jsonl") == []
 
-    def test_failed_pair_recorded_not_fatal(self, mock_cfg, toy_library, toy_corpus):
+    def test_failed_pair_recorded_not_fatal(self, mock_cfg, toy_library, toy_corpus, tmp_path):
         store, _, _ = toy_corpus
         pairs = sample_pairs(store, 5, seed=8)
         victim = store.get(pairs[2].right_id)
@@ -400,7 +400,7 @@ class TestAnnotatePairs:
             mock_cfg, poisoned_fragment=" ".join(mock_tokens(victim.fact_text))
         )
         engine = make_engine(judge, toy_library, retry=0)
-        records = annotate_pairs(engine, store, pairs)
+        records = annotate_pairs(engine, store, pairs, tmp_path / "annotated.jsonl")
         assert len(records) == 5
         assert records[2].status == "failed"
         assert all(r.status == "ok" for i, r in enumerate(records) if i != 2)
@@ -423,7 +423,7 @@ class TestAnnotatePairs:
         assert len(resumed_calls) == 5  # only the unfinished half is judged
 
         fresh = make_engine(mock_judge, toy_library)
-        assert records == annotate_pairs(fresh, store, pairs)
+        assert records == annotate_pairs(fresh, store, pairs, tmp_path / "fresh.jsonl")
 
     def test_resume_retries_only_the_failed_pair(self, mock_cfg, mock_judge, toy_library, toy_corpus, tmp_path):
         store, _, _ = toy_corpus
@@ -536,7 +536,7 @@ class TestCheckpointOrder:
         engine = make_engine(judge, toy_library, parallelism=2)
         records = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
         assert judge.saw_others is True
-        assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs)
+        assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, tmp_path / "serial.jsonl")
         assert judge.lines() == len(pairs)
 
 
@@ -866,7 +866,7 @@ class TestExportDataset:
         # sample -> prerank -> annotate -> build -> export, as `lexjudge augment` runs it.
         store = toy_corpus[0]
         kept = prerank_pairs(sample_pairs(store, 200, seed=0), store, Bm25PairScorer(), top_n=60)
-        records = annotate_pairs(make_engine(mock_judge, toy_library), store, kept)
+        records = annotate_pairs(make_engine(mock_judge, toy_library), store, kept, tmp_path / "annotated.jsonl")
         spec = DatasetSpec("toy", 30, "random", seed=0)
         out = tmp_path / "rationale.jsonl"
         export_dataset(build_dataset(records, spec), "rationale", out, store, spec=spec)

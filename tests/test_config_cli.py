@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
+import shlex
 import threading
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +276,49 @@ class TestCliBasics:
             "--qrels", str(out_dir / "qrels.json"),
         )
         assert code2 == 0 and shape["cases"] == 48
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _leaf_commands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()) -> dict:
+    """{handler: (command, subcommand...)} for every subcommand the parser runs."""
+    leaves = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                leaves.update(_leaf_commands(sub, path + (name,)))
+    handler = parser.get_default("handler")
+    if handler is not None:
+        leaves[handler] = path
+    return leaves
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each `lexjudge` command line in the README's bash blocks, continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("lexjudge ")]
+
+
+class TestReadmeCommands:
+    """The README documents the CLI as the parser builds it, and every subcommand it runs."""
+
+    def test_each_readme_command_parses(self):
+        commands = _readme_commands()
+        assert len(commands) >= 10
+        for argv in commands:
+            try:
+                cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: lexjudge {shlex.join(argv)}")
+
+    def test_each_subcommand_is_in_the_readme(self):
+        parser = cli.build_parser()
+        leaves = _leaf_commands(parser)
+        documented = {leaves[parser.parse_args(argv).handler] for argv in _readme_commands()}
+        assert sorted(set(leaves.values()) - documented) == []
 
 
 @pytest.fixture(scope="module")
@@ -633,6 +680,26 @@ class TestCliEvaluate:
         assert report["kappa_4level"] == 1.0
         for name in ("heatmap_4x4", "heatmap_mf", "heatmap_lf"):
             assert (report_dir / f"{name}.csv").is_file()
+        grid = (report_dir / "heatmap_4x4.csv").read_text(encoding="utf-8").strip().split("\n")
+        assert grid[0] == ",0,1,2,3"
+
+    def test_validity_refuses_more_than_one_run_file(self, judged, tmp_path, capsys):
+        toy, out = judged
+        other = tmp_path / "other.jsonl"
+        other.write_bytes(out.read_bytes())
+        report_dir = tmp_path / "rep"
+        code = main(
+            [
+                "evaluate", "validity",
+                "--in", str(out), str(other), str(tmp_path / "missing.jsonl"),
+                "--qrels", str(toy.qrels),
+                "--report-dir", str(report_dir),
+            ]
+        )
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert message == "error: validity reads one run file, got 3"
+        assert not report_dir.exists()
 
     def test_validity_requires_qrels(self, judged, tmp_path, capsys):
         _, out = judged
@@ -689,21 +756,6 @@ class TestCliEvaluate:
         report = json.loads((report_dir / "report.json").read_text(encoding="utf-8"))
         assert report["pairs_compared"] == 120
         assert report["runs"] == 2
-
-    def test_report_heatmap_writes_three_csvs(self, judged, tmp_path, capsys):
-        toy, out = judged
-        out_dir = tmp_path / "maps"
-        code, payload = run_cli(
-            capsys,
-            "report", "heatmap",
-            "--in", str(out),
-            "--qrels", str(toy.qrels),
-            "--out-dir", str(out_dir),
-        )
-        assert code == 0
-        assert len(payload["written"]) == 3
-        grid = (out_dir / "heatmap_4x4.csv").read_text(encoding="utf-8").strip().split("\n")
-        assert grid[0] == ",0,1,2,3"
 
 
 class TestCliNdcg:
@@ -988,16 +1040,13 @@ def _without_candidate_id(source, line_no: int) -> str:
     return json.dumps(row, ensure_ascii=False)
 
 
-def _validity_truncated(toy, out, tmp):
-    bad = _records_file(tmp / "in.jsonl", out, 2, _truncated(out, 2))
-    return ["evaluate", "validity", "--in", str(bad), "--qrels", str(toy.qrels),
-            "--report-dir", str(tmp / "rep")], bad, 2
+def _validity_truncated(line_no: int):
+    def case(toy, out, tmp):
+        bad = _records_file(tmp / "in.jsonl", out, line_no, _truncated(out, line_no))
+        return ["evaluate", "validity", "--in", str(bad), "--qrels", str(toy.qrels),
+                "--report-dir", str(tmp / "rep")], bad, line_no
 
-
-def _heatmap_truncated(toy, out, tmp):
-    bad = _records_file(tmp / "in.jsonl", out, 3, _truncated(out, 3))
-    return ["report", "heatmap", "--in", str(bad), "--qrels", str(toy.qrels),
-            "--out-dir", str(tmp / "maps")], bad, 3
+    return case
 
 
 def _checkpoint_without_candidate_id(toy, out, tmp):
@@ -1108,8 +1157,8 @@ class TestCliMalformedInput:
     @pytest.mark.parametrize(
         "make_case",
         [
-            _validity_truncated,
-            _heatmap_truncated,
+            _validity_truncated(2),
+            _validity_truncated(3),
             _checkpoint_without_candidate_id,
             _checkpoint_truncated_last_line,
             _checkpoint_latin1_before_a_torn_line,
@@ -1129,7 +1178,7 @@ class TestCliMalformedInput:
         ],
         ids=[
             "validity-truncated-line",
-            "heatmap-truncated-line",
+            "validity-truncated-line-3",
             "checkpoint-line-without-candidate_id",
             "checkpoint-truncated-last-line",
             "checkpoint-latin1-line-before-a-torn-one",

@@ -236,9 +236,9 @@ class TestRankingFromParts:
     @settings(max_examples=150, deadline=None)
     def test_parts_rank_as_the_joined_text(self, toy, mode, a, b, fact_type):
         library = load_demo_library(toy.demos, tokenizer_mode=mode)
-        index = library._indexes[(Stage.FA, fact_type)]
+        rows = library._indexes[(Stage.FA, fact_type)]
         joined = f"{a}\n{b}"
-        want = top_k_rank(index, tokenize(joined, mode), len(index.rows))
+        want = top_k_rank(rows, tokenize(joined, mode), len(rows))
         cold = library._ranked((a, b), Stage.FA, fact_type)
         warm = library._ranked((a, b), Stage.FA, fact_type)
         # Lists of (demo id, score): the scores compare with ==.
@@ -251,12 +251,12 @@ class TestRankingFromParts:
         library = load_demo_library(toy.demos)
         library._ranked(("被告人某某抢夺 zz", "赌博"), Stage.FA, FactType.LF)
         # One memo for the library, over the terms of all four indexes.
-        postings = {term for index in library._indexes.values() for row in index.rows.values() for term in row}
+        postings = {term for rows in library._indexes.values() for row in rows.values() for term in row}
         assert library._terms == {
             text: tuple(t for t in tokenize(text) if t in postings) for text in ("被告人某某抢夺 zz", "赌博")
         }
         assert library._terms["被告人某某抢夺 zz"] == ("被告", "告人", "抢夺")
-        rows = [row for index in library._indexes.values() for row in index.rows.values()]
+        rows = [row for index in library._indexes.values() for row in index.values()]
         for term in library._terms["被告人某某抢夺 zz"]:  # the indexes' own strings
             assert all(next(key for key in row if key == term) is term for row in rows if term in row)
 
@@ -282,11 +282,11 @@ class TestRankingMemo:
         path = toy.demos if library_name == "bundled" else large_library_path
         library = load_demo_library(path, tokenizer_mode=mode)
         fresh = load_demo_library(path, tokenizer_mode=mode)
-        index = fresh._indexes[stage_set]
+        rows = fresh._indexes[stage_set]
         polarity = {demo_id: demo.polarity for demo_id, demo in fresh._by_id.items()}
         for a, b in queries * 2:  # the second pass is warm throughout
             joined = f"{a}\n{b}"
-            want = top_k_rank(index, tokenize(joined, mode), len(index.rows))
+            want = top_k_rank(rows, tokenize(joined, mode), len(rows))
             ranked = [fresh._by_id[doc_id] for doc_id, _ in want]
             k = data.draw(st.integers(1, len(ranked)), label="k")
             assert scored(library._ranked((a, b), stage, fact_type)) == want

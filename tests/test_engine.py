@@ -221,6 +221,11 @@ class TestResponseParsing:
         with pytest.raises(JudgeResponseUnparseable):
             parse_verdict("VERDICT: RELEVANT\nafterthought text")
 
+    def test_reminders_spell_the_reply_protocol(self):
+        # A retried prompt ends in its stage's reminder, built from the markers the parsers read.
+        assert FE_REMINDER == "Reminder: output the facts between a line ===FACTS=== and a line ===END===."
+        assert FA_REMINDER == "Reminder: end with one line reading exactly VERDICT: RELEVANT or VERDICT: IRRELEVANT."
+
 
 class TestExtractFact:
     def test_mf_matches_mock_rule(self, mock_judge, toy_library, toy_corpus):
@@ -682,14 +687,14 @@ class TestSingleFlightExtraction:
         assert sum(judge.calls.values()) == 2 * len(cases) + 2 * pairs == 336
         assert records == make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
 
-    def test_parallel_annotation_extracts_each_case_once(self, mock_cfg, toy_library, toy_corpus):
+    def test_parallel_annotation_extracts_each_case_once(self, mock_cfg, toy_library, toy_corpus, tmp_path):
         store = toy_corpus[0]
         pairs = sample_pairs(store, 100, seed=5)
         cases = {case_id for pair in pairs for case_id in (pair.left_id, pair.right_id)}
         judge = SlowExtractionJudge(mock_cfg)
-        records = annotate_pairs(make_engine(judge, toy_library, parallelism=8), store, pairs)
+        records = annotate_pairs(make_engine(judge, toy_library, parallelism=8), store, pairs, tmp_path / "p8.jsonl")
         assert judge.calls["FE_MF"] + judge.calls["FE_LF"] == 2 * len(cases)
-        assert records == annotate_pairs(make_engine(MockJudge(mock_cfg), toy_library), store, pairs)
+        assert records == annotate_pairs(make_engine(MockJudge(mock_cfg), toy_library), store, pairs, tmp_path / "p1.jsonl")
 
     def test_finished_engine_is_freed_without_the_cycle_collector(self, mock_cfg, toy_library, toy_corpus):
         # An engine kept alive by a reference cycle holds its extractions until a full collection.

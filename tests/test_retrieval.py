@@ -1,4 +1,4 @@
-"""Tokenizer, BM25 index, and ranking behavior against the reference oracle."""
+"""Tokenizer, BM25 index rows, and ranking behavior against the reference oracle."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lexjudge.errors import DomainError
 from lexjudge.retrieval import (
     TOKENIZER_MODES,
-    Bm25Index,
     bm25_score,
     build_bm25_index,
     rank_by_score,
@@ -94,9 +93,9 @@ def random_docs(rng: random.Random, max_docs: int = 32) -> dict[str, list[str]]:
     }
 
 
-def rank_score(index: Bm25Index, query: list[str], doc_id: str) -> float:
+def rank_score(rows: dict[str, dict[str, float]], query: list[str], doc_id: str) -> float:
     """doc_id's score as top_k_rank reports it when ranking every document."""
-    return dict(top_k_rank(index, query, len(index.rows)))[doc_id]
+    return dict(top_k_rank(rows, query, len(rows)))[doc_id]
 
 
 class TestBm25:
@@ -107,35 +106,35 @@ class TestBm25:
             build_bm25_index({"d": ["a"]}, b=1.5)
 
     def test_absent_query_terms_score_zero(self):
-        index = build_bm25_index({"d1": ["a", "b"], "d2": ["c"]})
-        assert rank_score(index, ["zz", "qq"], "d1") == 0.0
+        rows = build_bm25_index({"d1": ["a", "b"], "d2": ["c"]})
+        assert rank_score(rows, ["zz", "qq"], "d1") == 0.0
 
     def test_single_doc_hand_value(self):
         # One document ["law", "law", "fact"], query ["law"], k1=1.2, b=0.75.
         # idf = ln(1 + (1 - 1 + 0.5) / (1 + 0.5)) = ln(4/3)
         # tf = 2, len = avglen = 3 so the length norm collapses to k1.
         # score = idf * 2 * 2.2 / (2 + 1.2)
-        index = build_bm25_index({"d1": ["law", "law", "fact"]})
+        rows = build_bm25_index({"d1": ["law", "law", "fact"]})
         expected = math.log(1 + 0.5 / 1.5) * 2 * 2.2 / 3.2
-        assert rank_score(index, ["law"], "d1") == pytest.approx(expected, abs=1e-15)
+        assert rank_score(rows, ["law"], "d1") == pytest.approx(expected, abs=1e-15)
 
     def test_repeated_query_term_scores_per_occurrence(self):
-        index = build_bm25_index({"d1": ["a", "b"], "d2": ["b"]})
-        single = rank_score(index, ["a"], "d1")
-        double = rank_score(index, ["a", "a"], "d1")
+        rows = build_bm25_index({"d1": ["a", "b"], "d2": ["b"]})
+        single = rank_score(rows, ["a"], "d1")
+        double = rank_score(rows, ["a", "a"], "d1")
         assert double == pytest.approx(2 * single, rel=1e-12)
 
     def test_query_permutation_invariance(self):
         rng = random.Random(11)
         for _ in range(50):
             docs = random_docs(rng, max_docs=8)
-            index = build_bm25_index(docs)
+            rows = build_bm25_index(docs)
             query = [f"t{rng.randint(0, 19)}" for _ in range(5)]
             shuffled = query[:]
             rng.shuffle(shuffled)
             doc_id = rng.choice(list(docs))
-            assert rank_score(index, query, doc_id) == pytest.approx(
-                rank_score(index, shuffled, doc_id), rel=1e-12
+            assert rank_score(rows, query, doc_id) == pytest.approx(
+                rank_score(rows, shuffled, doc_id), rel=1e-12
             )
 
     def test_doubling_tf_never_decreases_score(self):
@@ -159,10 +158,10 @@ class TestBm25:
             docs = random_docs(rng, max_docs=10)
             k1 = rng.choice([0.8, 1.2, 2.0])
             b = rng.choice([0.0, 0.4, 0.75, 1.0])
-            index = build_bm25_index(docs, k1=k1, b=b)
+            rows = build_bm25_index(docs, k1=k1, b=b)
             query = [f"t{rng.randint(0, 19)}" for _ in range(rng.randint(0, 6))]
             for doc_id in docs:
-                assert rank_score(index, query, doc_id) == bm25_score_oracle(docs, query, doc_id, k1, b)
+                assert rank_score(rows, query, doc_id) == bm25_score_oracle(docs, query, doc_id, k1, b)
 
 
 DOCS = st.dictionaries(
@@ -180,9 +179,9 @@ class TestIndexWeights:
     @settings(max_examples=300)
     def test_each_weight_is_the_summand_bm25_score_adds(self, docs, params):
         k1, b = params
-        index = build_bm25_index(docs, k1=k1, b=b)
-        assert list(index.rows) == list(docs)  # a document with no tokens has an empty row
-        for doc_id, row in index.rows.items():
+        rows = build_bm25_index(docs, k1=k1, b=b)
+        assert list(rows) == list(docs)  # a document with no tokens has an empty row
+        for doc_id, row in rows.items():
             assert row.keys() == set(docs[doc_id])
             for term, weight in row.items():
                 # 0.0 + summand is the summand, so a one-term query adds exactly the weight.
@@ -191,8 +190,8 @@ class TestIndexWeights:
     @given(DOCS, BM25_PARAMS)
     @settings(max_examples=100)
     def test_equal_weights_are_one_object(self, docs, params):
-        index = build_bm25_index(docs, k1=params[0], b=params[1])
-        weights = [w for row in index.rows.values() for w in row.values()]
+        rows = build_bm25_index(docs, k1=params[0], b=params[1])
+        weights = [w for row in rows.values() for w in row.values()]
         assert len(set(map(id, weights))) == len(set(weights))
 
 
@@ -200,10 +199,10 @@ class TestBm25Score:
     def test_adds_left_to_right_in_query_order(self):
         # 1e16 + 1.0 rounds back to 1e16, so adding left to right keeps 1e16. Adding the
         # two 1.0s first, or a compensated sum such as Python 3.12's sum(), gives 1e16 + 2.
-        index = Bm25Index(rows={"d": {"a": 1e16, "b": 1.0}})
-        assert bm25_score(index.rows["d"], ["a", "b", "b"]) == 1e16
-        assert top_k_rank(index, ["a", "b", "b"], 1) == [("d", 1e16)]
-        assert bm25_score(index.rows["d"], ["b", "b", "a"]) == 1e16 + 2
+        rows = {"d": {"a": 1e16, "b": 1.0}}
+        assert bm25_score(rows["d"], ["a", "b", "b"]) == 1e16
+        assert top_k_rank(rows, ["a", "b", "b"], 1) == [("d", 1e16)]
+        assert bm25_score(rows["d"], ["b", "b", "a"]) == 1e16 + 2
 
 
 class TestRankByScore:
@@ -219,22 +218,22 @@ class TestRankByScore:
 
 class TestTopK:
     def test_dominant_doc_first(self):
-        index = build_bm25_index({"d1": ["theft"], "d2": ["arson"]})
-        ranked = top_k_rank(index, ["theft"], 2)
+        rows = build_bm25_index({"d1": ["theft"], "d2": ["arson"]})
+        ranked = top_k_rank(rows, ["theft"], 2)
         assert ranked[0][0] == "d1"
 
     def test_k_exceeding_doc_count(self):
-        index = build_bm25_index({f"d{i}": ["x"] for i in range(3)})
-        assert len(top_k_rank(index, ["x"], 10)) == 3
+        rows = build_bm25_index({f"d{i}": ["x"] for i in range(3)})
+        assert len(top_k_rank(rows, ["x"], 10)) == 3
 
     def test_k_below_one(self):
-        index = build_bm25_index({"d": ["x"]})
+        rows = build_bm25_index({"d": ["x"]})
         with pytest.raises(DomainError):
-            top_k_rank(index, ["x"], 0)
+            top_k_rank(rows, ["x"], 0)
 
     def test_zero_score_ties_break_by_doc_id(self):
-        index = build_bm25_index({"b": ["x"], "a": ["y"], "c": ["z"]})
-        ranked = top_k_rank(index, ["absent"], 3)
+        rows = build_bm25_index({"b": ["x"], "a": ["y"], "c": ["z"]})
+        ranked = top_k_rank(rows, ["absent"], 3)
         assert [doc for doc, _ in ranked] == ["a", "b", "c"]
 
     def test_matches_brute_force_oracle(self):
@@ -243,10 +242,10 @@ class TestTopK:
             docs = random_docs(rng)
             k1 = rng.choice([0.8, 1.2, 2.0])
             b = rng.choice([0.0, 0.4, 0.75, 1.0])
-            index = build_bm25_index(docs, k1=k1, b=b)
+            rows = build_bm25_index(docs, k1=k1, b=b)
             query = [f"t{rng.randint(0, 19)}" for _ in range(rng.randint(0, 8))]
             k = rng.randint(1, 10)
-            got = top_k_rank(index, query, k)
+            got = top_k_rank(rows, query, k)
             want = rank_oracle(docs, query, k, k1, b)
             assert [doc for doc, _ in got] == [doc for doc, _ in want]
             assert got == want
@@ -259,18 +258,18 @@ class TestIndexState:
         extended = dict(docs)
         extended["d3"] = ["z"]
         rebuilt = build_bm25_index(extended)
-        assert list(rebuilt.rows) == ["d1", "d2", "d3"]
+        assert list(rebuilt) == ["d1", "d2", "d3"]
         # The same documents now hold "b" in 2 of 3 rather than 2 of 2, so its idf and weights move.
-        assert rebuilt.rows["d1"].keys() == first.rows["d1"].keys()
-        assert rebuilt.rows["d1"]["b"] != first.rows["d1"]["b"]
+        assert rebuilt["d1"].keys() == first["d1"].keys()
+        assert rebuilt["d1"]["b"] != first["d1"]["b"]
         for doc_id in docs:
             assert rank_score(rebuilt, ["b"], doc_id) == bm25_score_oracle(extended, ["b"], doc_id, 1.2, 0.75)
 
     def test_empty_index_unscorable(self):
-        index = build_bm25_index({})
-        assert index.rows == {}
-        assert top_k_rank(index, ["a"], 3) == []
+        rows = build_bm25_index({})
+        assert rows == {}
+        assert top_k_rank(rows, ["a"], 3) == []
 
-    def test_index_dataclass_direct_construction(self):
-        index = Bm25Index(rows={"d": {"a": 0.5}, "e": {}})
-        assert top_k_rank(index, ["a", "missing", "a"], 2) == [("d", 1.0), ("e", 0.0)]
+    def test_hand_built_rows_rank(self):
+        rows = {"d": {"a": 0.5}, "e": {}}
+        assert top_k_rank(rows, ["a", "missing", "a"], 2) == [("d", 1.0), ("e", 0.0)]
