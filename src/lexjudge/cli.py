@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -165,6 +166,11 @@ def _cmd_evaluate(args: argparse.Namespace, config: Config) -> int:
     if args.mode == "reliability":
         if len(args.infile) < 2:
             raise LexjudgeError("reliability needs at least two run files (--in a b ...)")
+        if args.qrels is not None:
+            raise LexjudgeError("reliability takes no --qrels")
+        for i, path in enumerate(args.infile):
+            if any(os.path.samefile(path, earlier) for earlier in args.infile[:i]):
+                raise LexjudgeError(f"reliability needs distinct run files, but {path} is given twice")
         records_per_run = [read_records_jsonl(p) for p in args.infile]
         report = build_reliability_report(records_per_run)
         atomic_write_json(report_dir / "report.json", report)

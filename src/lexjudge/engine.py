@@ -713,52 +713,38 @@ def read_records_jsonl(path: str | Path) -> list[JudgmentRecord]:
     return records
 
 
-_MEND_CHUNK = 1 << 16  # bytes _mend_torn_line reads at a time
-
-
 def _read_checkpoint(checkpoint: Path) -> list[JudgmentRecord]:
-    """A checkpoint's records, once a last line without its newline is mended."""
+    """A checkpoint's records, once a last line without its newline is repaired in place.
+
+    Such a line that parses as a record is kept and given its newline; any
+    other was cut short by an interrupted append, so it is logged and cut
+    off, and its pair is judged again. An error on an earlier line is
+    raised with the file as it was. Nothing is copied: a repair writes at
+    most one byte, so it needs no free disk.
+    """
+    try:
+        records, error = read_records_jsonl(checkpoint), None
+    except ParseError as exc:
+        records, error = [], exc
     with checkpoint.open("rb") as fh:
         fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))  # the last byte, if any
         torn = fh.read(1) not in (b"", b"\n")
-    if torn:
-        _mend_torn_line(checkpoint)
+        if torn:
+            fh.seek(0)
+            for line_no, last in enumerate(fh, start=1):
+                pass
+            start = fh.tell() - len(last)
+    if error is not None and (not torn or error.line != line_no):
+        raise error
+    if not torn:
+        return records
+    if error is None and not last.isspace():
+        with checkpoint.open("ab") as fh:
+            fh.write(b"\n")
+        return records
+    logger.warning("%s:%d: dropping a line cut short by an interrupted write", checkpoint, line_no)
+    os.truncate(checkpoint, start)
     return read_records_jsonl(checkpoint)
-
-
-def _mend_torn_line(checkpoint: Path) -> None:
-    """Rewrite a checkpoint whose last line lacks its newline, atomically, to end in one.
-
-    Such a line that parses as a record is kept; one that does not was cut
-    short by an interrupted append, so it is logged and dropped, and its
-    pair is judged again. The lines before it are copied _MEND_CHUNK bytes
-    at a time, each piece decoded up to its last newline, so one chunk and
-    the last line are all that is held. A byte there that is not UTF-8
-    leaves the file as it was, for read_records_jsonl to report by line.
-    """
-    newlines, tail = 0, b""
-
-    def lines() -> Iterable[str]:
-        nonlocal newlines, tail
-        with checkpoint.open("rb") as fh:
-            for chunk in iter(partial(fh.read, _MEND_CHUNK), b""):
-                chunk = tail + chunk
-                cut = chunk.rfind(b"\n") + 1
-                newlines += chunk.count(b"\n", 0, cut)
-                tail = chunk[cut:]
-                yield chunk[:cut].decode("utf-8")
-        try:
-            text = tail.decode("utf-8")
-            JudgmentRecord.from_dict(json.loads(text))
-        except (ValueError, KeyError, TypeError):
-            logger.warning("%s:%d: dropping a line cut short by an interrupted write", checkpoint, newlines + 1)
-        else:
-            yield text + "\n"
-
-    try:
-        atomic_write_lines(checkpoint, lines())
-    except UnicodeDecodeError:
-        pass  # the lines before the last one are not UTF-8
 
 
 def judge_to_file(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
 import threading
@@ -646,6 +647,37 @@ class TestCliJudgeResume:
         assert [(tmp_path / name).stat().st_mtime_ns for name in RUN_FILES] == stamps  # not rewritten
         assert [(o["resumed"], o["extractions_reused"]) for o in summary["outputs"]] == [(120, 0)] * 3
 
+    @pytest.mark.parametrize("cut", ["mid-utf8", "mid-ascii", "before-newline"])
+    def test_a_run_file_torn_mid_line_resumes(self, cut, oneshot, toy, tmp_path, monkeypatch, capsys, caplog):
+        for name, data in oneshot.items():
+            (tmp_path / name).write_bytes(data)
+        # Run 2 was interrupted while appending its 10th line: the file ends inside that line.
+        lines = oneshot["j.run2.jsonl"].splitlines(keepends=True)
+        tenth = lines[9]
+        end = {
+            "mid-utf8": next(i for i, byte in enumerate(tenth) if byte & 0xC0 == 0x80),
+            "mid-ascii": tenth.index(b"query_id"),
+            "before-newline": len(tenth) - 1,
+        }[cut]
+        torn = tmp_path / "j.run2.jsonl"
+        torn.write_bytes(b"".join(lines[:9]) + tenth[:end])
+        judged = []
+        judge_pairs = JudgeEngine.judge_pairs
+
+        def counting(engine, todo, **kwargs):
+            judged.extend((query.id, candidate.id) for query, candidate in todo)
+            return judge_pairs(engine, todo, **kwargs)
+
+        monkeypatch.setattr(JudgeEngine, "judge_pairs", counting)
+        code, summary = run_cli(capsys, *_judge_three_runs(toy, tmp_path / "j.jsonl"))
+        assert code == 0
+        assert [(tmp_path / name).read_bytes() for name in RUN_FILES] == list(oneshot.values())
+        kept = 10 if cut == "before-newline" else 9  # a whole 10th line is kept, a cut one dropped
+        assert judged == [(row["query_id"], row["candidate_id"]) for row in map(json.loads, lines[kept:])]
+        assert [o["resumed"] for o in summary["outputs"]] == [120, kept, 120]
+        dropped = [r.getMessage() for r in caplog.records if "cut short" in r.getMessage()]
+        assert dropped == ([] if kept == 10 else [f"{torn}:10: dropping a line cut short by an interrupted write"])
+
     def test_a_run_file_from_another_configuration_is_refused(self, toy, tmp_path, monkeypatch, capsys):
         out = tmp_path / "j.jsonl"
         assert main(_judge_three_runs(toy, out, "--set", "judge.temperature=0.9")) == 0
@@ -724,6 +756,32 @@ class TestCliEvaluate:
         )
         assert code == 1
         assert "two run files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alias", ["same-path", "relative-path", "hard-link"])
+    def test_reliability_refuses_one_file_given_twice(self, alias, judged, tmp_path, capsys):
+        _, out = judged
+        again = out
+        if alias == "relative-path":
+            again = os.path.relpath(out)
+        elif alias == "hard-link":
+            again = tmp_path / "link.jsonl"
+            os.link(out, again)
+        code = main(["evaluate", "reliability", "--in", str(out), str(again), "--report-dir", str(tmp_path / "rep")])
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert message == f"error: reliability needs distinct run files, but {again} is given twice"
+        assert not (tmp_path / "rep").exists()
+
+    def test_reliability_refuses_qrels(self, judged, tmp_path, capsys):
+        toy, out = judged
+        other = tmp_path / "other.jsonl"
+        other.write_bytes(out.read_bytes())
+        code = main(["evaluate", "reliability", "--in", str(out), str(other), "--qrels", str(toy.qrels),
+                     "--report-dir", str(tmp_path / "rep")])
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert message == "error: reliability takes no --qrels"
+        assert not (tmp_path / "rep").exists()
 
     def test_reliability_across_repeat_runs(self, judged, tmp_path, capsys):
         toy, out = judged

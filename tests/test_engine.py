@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
+import os
 import sys
+import tempfile
 import threading
 import time
-import tracemalloc
 import weakref
 from collections import Counter
 
@@ -31,7 +33,7 @@ from lexjudge.engine import (
     FactVerdict,
     JudgeEngine,
     JudgmentRecord,
-    _mend_torn_line,
+    _read_checkpoint,
     assemble_prompt,
     judge_to_file,
     load_templates,
@@ -1221,22 +1223,41 @@ class TestRecordFiles:
 
 
 class TestTornCheckpoint:
-    """A checkpoint whose last line an interrupted append cut short is mended before it is read."""
+    """A checkpoint whose last line lacks its newline is repaired in place before it is read."""
 
     LINE = record_line(fabricate_record("q1", "c1", 3, query_text="盗窃 财物 value " * 100)).encode()
 
-    def test_mend_holds_a_chunk_not_the_file(self, tmp_path):
+    @pytest.mark.parametrize("tail", [b" \t", b"\r", LINE[:-1]], ids=["spaces", "carriage-return", "whole-record"])
+    def test_a_last_line_without_its_newline_is_repaired_in_place(self, tail, tmp_path, caplog):
         path = tmp_path / "torn.jsonl"
-        lines = 4 * 2**20 // len(self.LINE) + 1
-        path.write_bytes(self.LINE * lines + self.LINE[: len(self.LINE) // 2])
-        tracemalloc.start()
-        try:
-            _mend_torn_line(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert path.read_bytes() == self.LINE * lines  # the cut line is dropped
-        assert peak < 8 * lexjudge.engine._MEND_CHUNK < 2**20
+        path.write_bytes(self.LINE * 2 + tail)
+        inode = path.stat().st_ino
+        whole = not tail.isspace()  # a whole record gets its newline; a whitespace-only tail is cut off
+        assert len(_read_checkpoint(path)) == 2 + whole
+        assert path.read_bytes() == self.LINE * (2 + whole) and path.stat().st_ino == inode
+        warnings = [] if whole else [f"{path}:3: dropping a line cut short by an interrupted write"]
+        assert [r.getMessage() for r in caplog.records] == warnings
+
+    @pytest.mark.parametrize("cut", ["mid-line", "before-newline"])
+    def test_a_resume_needs_no_room_on_disk(self, cut, tmp_path, monkeypatch, mock_judge, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        pairs = pool_pairs(pools)[:12]
+        oneshot, path = tmp_path / "oneshot.jsonl", tmp_path / "ck" / "run.jsonl"
+        judge_to_file(make_engine(mock_judge, toy_library), store, pairs, oneshot)
+        lines = oneshot.read_bytes().splitlines(keepends=True)
+        end = {"mid-line": len(lines[5]) // 2, "before-newline": len(lines[5]) - 1}[cut]
+        path.parent.mkdir()
+        path.write_bytes(b"".join(lines[:5]) + lines[5][:end])
+        inode = path.stat().st_ino
+
+        def no_room(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_room)
+        judge_to_file(make_engine(mock_judge, toy_library), store, pairs, path)
+        assert path.read_bytes() == oneshot.read_bytes()
+        assert path.stat().st_ino == inode
+        assert [p.name for p in path.parent.iterdir()] == ["run.jsonl"]  # no temp file was made
 
     def test_a_head_that_is_not_utf8_is_reported_and_left_alone(self, tmp_path, mock_judge, toy_library):
         path = tmp_path / "torn.jsonl"
