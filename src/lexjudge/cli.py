@@ -243,6 +243,7 @@ def _cmd_augment_annotate(args: argparse.Namespace, config: Config) -> int:
         {
             "pairs": len(records),
             "failed": failed,
+            "resumed": engine.pairs_resumed,
             "extractions_reused": engine.extractions_reused,
             "checkpoint": args.out,
         }

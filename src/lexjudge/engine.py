@@ -39,7 +39,6 @@ from .errors import (
     IntegrityError,
     JudgeResponseUnparseable,
     ParseError,
-    StageFailure,
     TemplateError,
 )
 from .gateway import (
@@ -346,7 +345,10 @@ class JudgeEngine:
 
     Each (case, fact type) is extracted once per engine, however many pairs
     the case is in, through one OnceMemo: parallel pairs share the one
-    extraction, and a failed one is not kept, so the next pair retries it.
+    extraction. A failed one is kept too, so every pair of that case fails
+    with its one error until a rerun on a new engine (as each CLI command
+    builds) tries it again; with a sampling backend, a pair that might
+    have succeeded waits for that rerun.
     A resumed run or annotation fills the memo from its checkpoint first
     (reuse_extractions), so the once holds across the resumes too.
 
@@ -465,31 +467,36 @@ class JudgeEngine:
             try:
                 return parse(text), text
             except JudgeResponseUnparseable as exc:
-                error = exc
+                error = str(exc)  # the text, not the exception, whose traceback would hold this frame
         raise JudgeResponseUnparseable(f"{error} after {self.retry + 1} attempt(s)")
 
     # -- stages ------------------------------------------------------------
 
-    def extract_fact(
-        self,
-        case: Case,
-        fact_type: FactType,
-        prior_mf: FactExtraction | None = None,
-    ) -> FactExtraction:
-        """Run one extraction stage for a case.
+    def extract_fact(self, case: Case, fact_type: FactType) -> FactExtraction:
+        """A case's extraction of one fact type, from the engine's memo; a kept failure is raised.
 
         Legal-fact extraction consumes the case's extracted material facts,
         never the raw text, unless extraction is ablated entirely.
         """
+        extraction = self._extractions[case, fact_type]
+        if isinstance(extraction, Exception):
+            raise extraction
+        return extraction
+
+    def _extract_once(self, key: tuple[Case, FactType]) -> FactExtraction | Exception:
+        """The memo's computation: a case's extraction, or the exception that ended it.
+
+        Returned, not raised, so the memo keeps it; its traceback, which
+        would hold the engine's frames in a cycle through the memo, is cleared.
+        """
+        case, fact_type = key
         if self.flags.disable_fe:
             return FactExtraction(case.id, fact_type, case.fact_text, "")
-        if fact_type is FactType.LF:
-            if prior_mf is None:
-                raise DomainError("legal-fact extraction requires the material-fact extraction")
-            target = prior_mf.text
-        else:
-            target = case.fact_text
-        text, raw = self._call_stage(Stage.FE, fact_type, target, target, (case.id,), _parse_nonempty_facts)
+        try:
+            target = case.fact_text if fact_type is FactType.MF else self.extract_fact(case, FactType.MF).text
+            text, raw = self._call_stage(Stage.FE, fact_type, target, target, (case.id,), _parse_nonempty_facts)
+        except Exception as exc:
+            return exc.with_traceback(None)
         return FactExtraction(case.id, fact_type, text, raw)
 
     def judge_fact_pair(
@@ -506,11 +513,6 @@ class JudgeEngine:
         return FactVerdict(fact_type, relevant, reasoning, raw)
 
     # -- pair and pool drivers ----------------------------------------------
-
-    def _extract_once(self, key: tuple[Case, FactType]) -> FactExtraction:
-        case, fact_type = key
-        prior_mf = self._extractions[case, FactType.MF] if fact_type is FactType.LF else None
-        return self.extract_fact(case, fact_type, prior_mf)
 
     def reuse_extractions(self, records: Iterable[JudgmentRecord], cases: Iterable[Case]) -> int:
         """Fill the extraction memo for cases from finished records; return how many cases it filled.
@@ -543,52 +545,33 @@ class JudgeEngine:
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
         """Judge one pair through all six stages, material facts first.
 
-        An error in a stage becomes a StageFailure naming it; stage and
-        fact_type track the stage running.
+        The first stage that fails ends the pair in a failed record whose
+        error names it: "<stage>_<fact type>: <message>". A failed
+        extraction is the one the memo keeps for that case.
         """
-        stage, fact_type = Stage.FE, FactType.MF
+
+        def failed(stage: Stage, fact_type: FactType, exc: Exception) -> JudgmentRecord:
+            return JudgmentRecord(query.id, candidate.id, "failed", None, None, None, None, None, self.run_id,
+                                  self.config_fingerprint, f"{stage.value}_{fact_type.value}: {exc}")
+
+        extractions = []
+        for fact_type in (FactType.MF, FactType.LF):
+            for case in (query, candidate):
+                extraction = self._extractions[case, fact_type]
+                if isinstance(extraction, Exception):
+                    return failed(Stage.FE, fact_type, extraction)
+                extractions.append(extraction)
+        mf_q, mf_c, lf_q, lf_c = extractions
+        fact_type = FactType.MF
         try:
-            mf_q = self._extractions[query, fact_type]
-            mf_c = self._extractions[candidate, fact_type]
-            fact_type = FactType.LF
-            lf_q = self._extractions[query, fact_type]
-            lf_c = self._extractions[candidate, fact_type]
-            stage, fact_type = Stage.FA, FactType.MF
             mf_verdict = self.judge_fact_pair(mf_q, mf_c, fact_type)
             fact_type = FactType.LF
             lf_verdict = self.judge_fact_pair(lf_q, lf_c, fact_type)
         except Exception as exc:
-            raise StageFailure(stage.value, fact_type.value, str(exc)) from exc
-        return JudgmentRecord(
-            query_id=query.id,
-            candidate_id=candidate.id,
-            status="ok",
-            label=aggregate_label(mf_verdict.relevant, lf_verdict.relevant),
-            mf_extractions=(mf_q, mf_c),
-            lf_extractions=(lf_q, lf_c),
-            mf_verdict=mf_verdict,
-            lf_verdict=lf_verdict,
-            run_id=self.run_id,
-            config_fingerprint=self.config_fingerprint,
-        )
-
-    def _judge_pair_or_fail(self, query: Case, candidate: Case) -> JudgmentRecord:
-        try:
-            return self.judge_pair(query, candidate)
-        except Exception as exc:
-            return JudgmentRecord(
-                query_id=query.id,
-                candidate_id=candidate.id,
-                status="failed",
-                label=None,
-                mf_extractions=None,
-                lf_extractions=None,
-                mf_verdict=None,
-                lf_verdict=None,
-                run_id=self.run_id,
-                config_fingerprint=self.config_fingerprint,
-                error=str(exc),
-            )
+            return failed(Stage.FA, fact_type, exc)
+        label = aggregate_label(mf_verdict.relevant, lf_verdict.relevant)
+        return JudgmentRecord(query.id, candidate.id, "ok", label, (mf_q, mf_c), (lf_q, lf_c), mf_verdict, lf_verdict,
+                              self.run_id, self.config_fingerprint)
 
     def judge_pairs(
         self,
@@ -605,13 +588,13 @@ class JudgeEngine:
         if self.parallelism == 1 or len(pairs) < 2:
             records = []
             for query, candidate in pairs:
-                record = self._judge_pair_or_fail(query, candidate)
+                record = self.judge_pair(query, candidate)
                 if on_record is not None:
                     on_record(record)
                 records.append(record)
             return records
         with ThreadPoolExecutor(max_workers=self.parallelism) as executor:
-            futures = [executor.submit(self._judge_pair_or_fail, q, c) for q, c in pairs]
+            futures = [executor.submit(self.judge_pair, q, c) for q, c in pairs]
             try:
                 for future in as_completed(futures):
                     if on_record is not None:

@@ -63,15 +63,6 @@ class MalformedStageMarker(LexjudgeError):
     """The mock judge found no recognizable stage marker in the request."""
 
 
-class StageFailure(LexjudgeError):
-    """A judging stage failed; carries which stage and fact type."""
-
-    def __init__(self, stage: str, fact_type: str, message: str):
-        self.stage = stage
-        self.fact_type = fact_type
-        super().__init__(f"{stage}_{fact_type}: {message}")
-
-
 class AlignmentError(LexjudgeError):
     """Two label series do not cover the same items."""
 

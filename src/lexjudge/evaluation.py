@@ -297,10 +297,16 @@ def build_reliability_report(records_per_run: Sequence[Sequence[JudgmentRecord]]
     """Mean pairwise Kappa across runs for each series kind.
 
     Runs are restricted to the pairs every run judged successfully, so a
-    failure in one run drops that pair everywhere.
+    failure in one run drops that pair everywhere. Runs must come from one
+    configuration: records carrying more than one config_fingerprint raise
+    IntegrityError naming them, since their agreement measures the change
+    of configuration, not the judge's reliability.
     """
     if len(records_per_run) < 2:
         raise DomainError("reliability needs at least two runs")
+    fingerprints = sorted({r.config_fingerprint for records in records_per_run for r in records})
+    if len(fingerprints) > 1:
+        raise IntegrityError(f"reliability needs runs of one configuration, got fingerprints {', '.join(fingerprints)}")
     ok_maps = []
     for records in records_per_run:
         ok = _ok_records(records)

@@ -322,7 +322,8 @@ def reference_judge_pools(
     """The run file a serial judge of the pools' first top_n candidates writes, and the user texts it sends.
 
     Every stage call ranks its whole demo set with rank_oracle, and only a
-    (case, layer)'s extraction is kept, in a plain dict.
+    (case, layer)'s extraction is kept, in a plain dict: the extraction, or
+    the exception that ended it, which every later pair of the case raises.
     """
     settings = {
         "model": model, "temperature": temperature, "max_tokens": max_tokens, "top_k_demos": top_k_demos,
@@ -333,7 +334,7 @@ def reference_judge_pools(
     for demo in demos:
         sets.setdefault((demo.stage.value, demo.fact_type.value), []).append(demo)
     sent: list[str] = []
-    extractions: dict[tuple[str, str], FactExtraction] = {}
+    extractions: dict[tuple[str, str], FactExtraction | Exception] = {}
 
     def call(stage, fact_type, target: str, query: str, call_key: str, parse):
         demo_set = sets[stage.value, fact_type.value]
@@ -373,9 +374,14 @@ def reference_judge_pools(
             if flags.disable_fe:
                 extractions[key] = FactExtraction(case.id, fact_type, case.fact_text, "")
             else:
-                target = case.fact_text if fact_type.value == "MF" else extractions[case.id, "MF"].text
-                text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{case.id}", facts)
-                extractions[key] = FactExtraction(case.id, fact_type, text, reply)
+                try:
+                    target = case.fact_text if fact_type.value == "MF" else extract(case, FactType.MF).text
+                    text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{case.id}", facts)
+                    extractions[key] = FactExtraction(case.id, fact_type, text, reply)
+                except Exception as exc:
+                    extractions[key] = exc
+        if isinstance(extractions[key], Exception):
+            raise extractions[key]
         return extractions[key]
 
     def annotate(a: FactExtraction, b: FactExtraction, fact_type) -> FactVerdict:

@@ -43,6 +43,7 @@ from lexjudge.demos import (
     select,
 )
 from lexjudge.engine import AblationFlags
+from lexjudge.errors import IntegrityError
 from lexjudge.evaluation import (
     DegenerateSeriesWarning,
     LabelSeries,
@@ -313,16 +314,22 @@ def test_06_retrieval_matches_brute_force_ranking():
 
 def test_07_repeat_runs_agree_perfectly(toy_corpus, toy_lexicon, toy_library):
     store, pools, _ = toy_corpus
-    runs = []
-    for run_id, temperature in (("r1", 0.0), ("r2", 0.7), ("r3", 1.3)):
-        engine = make_engine(
-            MockJudge(MockJudgeConfig(lexicon=toy_lexicon)),
-            toy_library,
-            temperature=temperature,
-            run_id=run_id,
-        )
-        runs.append(engine.judge_pools(store, pools[:4]))
-    report = build_reliability_report(runs)
+
+    def runs(*temperatures):
+        return [
+            make_engine(
+                MockJudge(MockJudgeConfig(lexicon=toy_lexicon)), toy_library, temperature=t, run_id=f"r{i}"
+            ).judge_pools(store, pools[:4])
+            for i, t in enumerate(temperatures, start=1)
+        ]
+
+    # The mock's labels do not follow the temperature, but runs at three temperatures are
+    # three configurations, and reliability compares repeats of one.
+    mixed = runs(0.0, 0.7, 1.3)
+    assert [r.label for r in mixed[0]] == [r.label for r in mixed[1]] == [r.label for r in mixed[2]]
+    with pytest.raises(IntegrityError, match="one configuration"):
+        build_reliability_report(mixed)
+    report = build_reliability_report(runs(0.7, 0.7, 0.7))
     assert report["runs"] == 3
     assert report["pairs_compared"] == sum(len(p.candidate_ids) for p in pools[:4])
     for kind in ("kappa_mf", "kappa_lf", "kappa_label"):

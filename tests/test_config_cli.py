@@ -815,6 +815,25 @@ class TestCliEvaluate:
         assert report["pairs_compared"] == 120
         assert report["runs"] == 2
 
+    def test_reliability_refuses_runs_of_different_configurations(self, judged, tmp_path, capsys):
+        # Kappa over these three would read 1.0 (MF), 0.33 (LF) and 0.68 (label): the
+        # disagreement comes from the configurations, not from repeating one judge.
+        toy, out = judged
+        paths = [out]
+        for name, setting in (("warm", "judge.temperature=0.9"), ("raw", "ablation.disable_fe=true")):
+            paths.append(tmp_path / f"{name}.jsonl")
+            code = main(["judge", "--mock", "--cases", str(toy.cases), "--pools", str(toy.pools),
+                         "--out", str(paths[-1]), "--runs", "1", "--set", setting])
+            assert code == 0
+        capsys.readouterr()
+        fingerprints = sorted({read_records_jsonl(path)[0].config_fingerprint for path in paths})
+        assert len(fingerprints) == 3
+        code = main(["evaluate", "reliability", "--in", *map(str, paths), "--report-dir", str(tmp_path / "rep")])
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert message == f"error: reliability needs runs of one configuration, got fingerprints {', '.join(fingerprints)}"
+        assert not (tmp_path / "rep").exists()
+
 
 class TestCliNdcg:
     def write_ideal_run(self, qrels_path, run_path):
@@ -973,6 +992,7 @@ class TestCliAugment:
         assert code == 0 and second["pairs"] == 6
         assert checkpoint.read_bytes() == before  # nothing re-judged or appended
         assert first["extractions_reused"] == second["extractions_reused"] == 0  # nothing pending
+        assert (first["resumed"], second["resumed"]) == (0, 6)
 
     @pytest.mark.parametrize("cut", ["mid-utf8", "mid-ascii", "before-newline"])
     def test_annotate_resumes_past_a_torn_last_line(self, cut, toy, tmp_path, capsys, monkeypatch, caplog):
@@ -1020,12 +1040,13 @@ class TestCliAugment:
                                              "--pairs", str(path), "--out", str(out), "--mock")
         cases = lambda chosen: {case_id for pair in chosen for case_id in pair}
         code, first = annotate(head, tmp_path / "resumed.jsonl")
-        assert code == 0 and first["extractions_reused"] == 0
+        assert code == 0 and (first["resumed"], first["extractions_reused"]) == (0, 0)
         code, resumed = annotate(pairs, tmp_path / "resumed.jsonl")
         assert code == 0 and resumed["pairs"] == 40
+        assert resumed["resumed"] == 10  # the pairs the first annotation finished
         assert resumed["extractions_reused"] == len(cases(kept[10:]) & cases(kept[:10])) > 0
         code, oneshot = annotate(pairs, tmp_path / "oneshot.jsonl")
-        assert code == 0 and oneshot["extractions_reused"] == 0
+        assert code == 0 and (oneshot["resumed"], oneshot["extractions_reused"]) == (0, 0)
         sorted_lines = lambda name: sorted((tmp_path / name).read_text(encoding="utf-8").splitlines())
         assert sorted_lines("resumed.jsonl") == sorted_lines("oneshot.jsonl")
 

@@ -48,7 +48,6 @@ from lexjudge.errors import (
     DomainError,
     JudgeResponseUnparseable,
     ParseError,
-    StageFailure,
     TemplateError,
     UpstreamError,
 )
@@ -240,18 +239,21 @@ class TestExtractFact:
         assert extraction.fact_type is FactType.MF
         assert "===FACTS===" in extraction.raw_response
 
-    def test_lf_requires_prior_mf(self, mock_judge, toy_library, toy_corpus):
+    def test_lf_extracts_the_material_facts_first(self, instrumented, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         case = store.get(pools[0].query_id)
-        engine = make_engine(mock_judge, toy_library)
-        with pytest.raises(DomainError):
-            engine.extract_fact(case, FactType.LF)
+        engine = make_engine(instrumented, toy_library)
+        lf = engine.extract_fact(case, FactType.LF)
+        assert instrumented.stages == ["FE_MF", "FE_LF"]
+        assert engine.extract_fact(case, FactType.MF).text == " ".join(normalized_tokens(case.fact_text))
+        assert engine.extract_fact(case, FactType.LF) is lf
+        assert instrumented.stages == ["FE_MF", "FE_LF"]  # both read from the memo
 
     def test_lf_consumes_prior_extraction_not_raw_text(self, toy_library):
         engine = ascii_engine(toy_library)
         case = Case(id="x1", fact_text="fraud fraud fraud")
-        prior = FactExtraction("x1", FactType.MF, "alpha theft beta", GOOD_FE)
-        extraction = engine.extract_fact(case, FactType.LF, prior_mf=prior)
+        engine._extractions[case, FactType.MF] = FactExtraction("x1", FactType.MF, "alpha theft beta", GOOD_FE)
+        extraction = engine.extract_fact(case, FactType.LF)
         assert extraction.text == "theft"  # from the prior text, not the case
 
     def test_disable_fe_forwards_raw_text(self, instrumented, toy_library, toy_corpus):
@@ -466,11 +468,9 @@ class TestJudgePair:
         cand = store.get(pools[0].candidate_ids[0])
         fragment = " ".join(mock_tokens(cand.fact_text))
         judge = FaultyOnPairJudge(mock_cfg, poisoned_fragment=fragment)
-        engine = make_engine(judge, toy_library, retry=1)
-        with pytest.raises(StageFailure) as excinfo:
-            engine.judge_pair(query, cand)
-        message = str(excinfo.value)
-        assert "FA" in message and "MF" in message
+        record = make_engine(judge, toy_library, retry=1).judge_pair(query, cand)
+        assert (record.status, record.label) == ("failed", None)
+        assert record.error == "FA_MF: reply does not end with a verdict line after 2 attempt(s)"
 
     # (stage garbled, the case whose replies are garbled, or None for the pair; the failed
     # record's error; the calls made). The stages run FE_MF(q), FE_MF(c), FE_LF(q), FE_LF(c),
@@ -620,13 +620,15 @@ class SlowExtractionJudge:
     """Mock judge that sleeps on extraction calls and counts calls by stage.
 
     The sleep widens the window in which parallel pairs ask for the same
-    case. With fail_target set, the first FE_MF call for that target
-    raises instead of answering.
+    case. With fail_target set, every FE_MF call for that target fails:
+    it raises, or with garble set, replies garble instead.
     """
 
-    def __init__(self, cfg: MockJudgeConfig, fail_target: str | None = None, delay_s: float = 0.003):
+    def __init__(self, cfg: MockJudgeConfig, fail_target: str | None = None, garble: str | None = None,
+                 delay_s: float = 0.003):
         self.cfg = cfg
         self.fail_target = fail_target
+        self.garble = garble
         self.delay_s = delay_s
         self.calls: Counter[str] = Counter()
         self._lock = threading.Lock()
@@ -635,14 +637,13 @@ class SlowExtractionJudge:
         stage = stage_of(request.user_text)
         if stage.startswith("FE"):
             time.sleep(self.delay_s)
-        target = f"{TARGET_BEGIN}\n{self.fail_target}\n{TARGET_END}"
         with self._lock:
             self.calls[stage] += 1
-            fail = stage == "FE_MF" and self.fail_target is not None and target in request.user_text
-            if fail:
-                self.fail_target = None
-        if fail:
-            raise UpstreamError("injected extraction failure")
+        target = f"{TARGET_BEGIN}\n{self.fail_target}\n{TARGET_END}"
+        if stage == "FE_MF" and self.fail_target is not None and target in request.user_text:
+            if self.garble is None:
+                raise UpstreamError("injected extraction failure")
+            return JudgeResponse(text=self.garble, usage=TokenUsage(1, 1), latency_ms=0.0)
         return mock_complete(request, self.cfg)
 
 
@@ -660,23 +661,30 @@ class TestSingleFlightExtraction:
         serial = make_engine(MockJudge(mock_cfg), toy_library).judge_pairs(pairs)
         assert records == serial
 
-    def test_failed_extraction_is_retried_not_shared(self, mock_cfg, toy_library, toy_corpus):
+    # (the failing extraction's reply, or None when the call raises; the error of each of the
+    # query's pairs; the FE_MF calls of all pools: one per case, the failing one asked once).
+    @pytest.mark.parametrize(
+        ("garble", "error", "fe_mf_calls"),
+        [
+            (None, "FE_MF: injected extraction failure", 47 + 1),
+            ("no facts here", "FE_MF: no facts block between sentinels after 3 attempt(s)", 47 + 3),
+        ],
+        ids=["raises", "never-parses"],
+    )
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_failed_extraction_is_kept_and_shared(
+        self, parallelism, garble, error, fe_mf_calls, mock_cfg, toy_library, toy_corpus
+    ):
         store, pools, _ = toy_corpus
         query = store.get(pools[0].query_id)
-        candidates = [store.get(cid) for cid in pools[0].candidate_ids]
-        pairs = [(query, c) for c in candidates]
-        judge = SlowExtractionJudge(mock_cfg, fail_target=query.fact_text)
-        records = make_engine(judge, toy_library, parallelism=8).judge_pairs(pairs)
+        judge = SlowExtractionJudge(mock_cfg, fail_target=query.fact_text, garble=garble)
+        records = make_engine(judge, toy_library, parallelism=parallelism).judge_pools(store, pools)
+        # Every pair of the query fails with the one kept error; no later pair asks again.
         failed = [r for r in records if r.status == "failed"]
-        assert len(failed) == 1 and "injected extraction failure" in failed[0].error
-        # As in a serial run: the failed pair's candidate is never extracted,
-        # and the next pair extracts the query again.
-        assert judge.calls["FE_MF"] == 11
-        assert judge.calls["FE_LF"] == 10
-        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_pairs(pairs)
-        assert [r for r in records if r.status == "ok"] == [
-            r for r in serial if r.candidate_id != failed[0].candidate_id
-        ]
+        assert [(r.query_id, r.error) for r in failed] == [(query.id, error)] * len(pools[0].candidate_ids)
+        assert judge.calls["FE_MF"] == fe_mf_calls
+        serial = make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
+        assert [r for r in records if r.status == "ok"] == [r for r in serial if r.query_id != query.id]
 
     @pytest.mark.parametrize("parallelism", [1, 2, 8])
     def test_all_pools_extract_each_case_once(self, parallelism, mock_cfg, toy_library, toy_corpus):
@@ -698,18 +706,27 @@ class TestSingleFlightExtraction:
         assert judge.calls["FE_MF"] + judge.calls["FE_LF"] == 2 * len(cases)
         assert records == annotate_pairs(make_engine(MockJudge(mock_cfg), toy_library), store, pairs, tmp_path / "p1.jsonl")
 
-    def test_finished_engine_is_freed_without_the_cycle_collector(self, mock_cfg, toy_library, toy_corpus):
+    # With the toy lexicon no pair fails; with an empty one every FE_LF reply has an empty
+    # facts block, so every pair fails and the memo keeps those failures.
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("lexicon", ["toy", "empty"])
+    def test_finished_engine_is_freed_without_the_cycle_collector(
+        self, lexicon, parallelism, toy_lexicon, toy_library, toy_corpus
+    ):
         # An engine kept alive by a reference cycle holds its extractions until a full collection.
         store, pools, _ = toy_corpus
-        engine = make_engine(MockJudge(mock_cfg), toy_library)
-        engine.judge_pools(store, pools[:1], top_n=2)
-        freed = weakref.ref(engine)
+        judge = MockJudge(MockJudgeConfig(lexicon=toy_lexicon if lexicon == "toy" else frozenset()))
+        gc.collect()
         gc.disable()
         try:
+            engine = make_engine(judge, toy_library, parallelism=parallelism)
+            records = engine.judge_pools(store, pools, top_n=3)
+            freed = weakref.ref(engine)
             del engine
             assert freed() is None
         finally:
             gc.enable()
+        assert {r.status for r in records} == {"ok" if lexicon == "toy" else "failed"}
 
 
 class CountingCalls:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import warnings
@@ -514,6 +515,14 @@ class TestReports:
         run = [fabricate_record("q1", "c1", 1)]
         with pytest.raises(DomainError):
             build_reliability_report([run])
+
+    def test_reliability_refuses_runs_of_two_configurations(self):
+        run_a = [fabricate_record("q1", "c1", 1), fabricate_record("q1", "c2", 2)]
+        # A failed record counts too: it was written under its run's configuration.
+        other = dataclasses.replace(fabricate_record("q1", "c2", 2, status="failed"), config_fingerprint="fab1")
+        run_b = [fabricate_record("q1", "c1", 1), other]
+        with pytest.raises(IntegrityError, match="fingerprints fab0, fab1$"):
+            build_reliability_report([run_a, run_b])
 
     def test_reliability_no_common_pairs(self):
         run_a = [fabricate_record("q1", "c1", 1, status="failed")]

@@ -3,8 +3,9 @@
 The reference judges serially, ranks each stage call's whole demo set with
 rank_oracle, fills prompts by one re.sub and writes lines with the generic
 JSON encoder. Agreement on run-file bytes and on every prompt sent, over
-drawn pools, libraries, ablations, seeds and parallelism, is the evidence
-that the engine's memos, frames and scheduling change nothing.
+drawn pools, libraries, ablations, seeds, parallelism and mock lexicons
+(a short one fails extractions), is the evidence that the engine's memos,
+frames and scheduling change nothing, failed pairs included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lexjudge.config import AblationFlags
@@ -61,7 +62,10 @@ class TestReferencePipeline:
         picked = data.draw(st.sets(st.integers(0, len(all_pools) - 1), min_size=1, max_size=3), label="pools")
         pools = [all_pools[i] for i in sorted(picked)]
         demos = drawn_library(per_set, toy_lexicon)
-        mock_cfg = MockJudgeConfig(lexicon=toy_lexicon)
+        # A case holding no term of the mock's lexicon gets an empty FE_LF facts block, so its
+        # legal-fact extraction fails and every pair of that case fails with it.
+        lexicon = data.draw(st.frozensets(st.sampled_from(sorted(toy_lexicon))), label="lexicon")
+        mock_cfg = MockJudgeConfig(lexicon=lexicon)
         knobs = dict(sampling_seed=sampling_seed, top_k_demos=top_k_demos, fa_demos_per_polarity=fa_demos_per_polarity)
         want_file, want_sent = reference_judge_pools(store, pools, top_n, demos, load_templates(), mock_cfg, flags,
                                                      **knobs)
@@ -71,6 +75,7 @@ class TestReferencePipeline:
             path = Path(tmp) / "judge.jsonl"
             judge_to_file(engine, store, pool_pairs(pools, top_n), path)
             assert path.read_bytes() == want_file.encode("utf-8")
+        event("a failed record" if '"status": "failed"' in want_file else "no failed record")
         # Each prompt as often as the reference sends it, so the same distinct prompts and call
         # count; serial, in the same order too.
         assert Counter(judge.user_texts) == Counter(want_sent)
