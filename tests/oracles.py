@@ -147,6 +147,64 @@ def kappa_is_degenerate(a: list, b: list) -> bool:
     return len(set(a)) == 1 and len(set(b)) == 1 and a[0] != b[0]
 
 
+# A graded label is mf + 2 * lf, so each layer's flag is one bit of it.
+LAYER_BITS = {"mf": lambda label: label & 1, "lf": lambda label: label >> 1}
+
+
+def heatmap_oracle(judged: list, gold: list, classes: tuple) -> str:
+    """The heatmap CSV, each cell counted by a scan over every pair."""
+    lines = ["," + ",".join(str(c) for c in classes)]
+    for x in classes:
+        cells = [sum(1 for a, b in zip(judged, gold) if a == x and b == y) for y in classes]
+        lines.append(f"{x}," + ",".join(str(v) for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def validity_oracle(records: list, qrels) -> tuple[dict, dict] | None:
+    """build_validity_report's (report, heatmaps) from kappa_oracle; None when no record is ok."""
+    ok = [r for r in records if r.status == "ok"]
+    if not ok:
+        return None
+    gold = [qrels.entries[r.query_id][r.candidate_id] for r in ok]
+    judged = [r.label for r in ok]
+    layers = {"label": (judged, gold)}
+    for layer, bit in LAYER_BITS.items():
+        layers[layer] = ([bit(x) for x in judged], [bit(y) for y in gold])
+    report = {
+        "kappa_mf": kappa_oracle(*layers["mf"]),
+        "kappa_lf": kappa_oracle(*layers["lf"]),
+        "kappa_4level": kappa_oracle(*layers["label"]),
+        "pairs_compared": len(ok),
+        "failed_excluded": len(records) - len(ok),
+    }
+    heatmaps = {
+        "heatmap_4x4": heatmap_oracle(*layers["label"], (0, 1, 2, 3)),
+        "heatmap_mf": heatmap_oracle(*layers["mf"], (0, 1)),
+        "heatmap_lf": heatmap_oracle(*layers["lf"], (0, 1)),
+    }
+    return report, heatmaps
+
+
+def reliability_oracle(runs: list) -> dict | None:
+    """build_reliability_report's dict from kappa_oracle; None when no pair is ok in every run."""
+    labels = [{(r.query_id, r.candidate_id): r.label for r in run if r.status == "ok"} for run in runs]
+    common = sorted(set.intersection(*(set(m) for m in labels)))
+    if not common:
+        return None
+    report: dict = {"pairs_compared": len(common), "runs": len(runs)}
+    series = {"mf": LAYER_BITS["mf"], "lf": LAYER_BITS["lf"], "label": lambda label: label}
+    for kind, value in series.items():
+        pairs = [
+            {"run_a": i, "run_b": j, "kappa": kappa_oracle(
+                [value(labels[i][p]) for p in common], [value(labels[j][p]) for p in common]
+            )}
+            for i in range(len(runs))
+            for j in range(i + 1, len(runs))
+        ]
+        report[f"kappa_{kind}"] = {"mean": sum(p["kappa"] for p in pairs) / len(pairs), "pairs": pairs}
+    return report
+
+
 # -- NDCG ---------------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -714,6 +715,28 @@ class TestCliEvaluate:
             assert (report_dir / f"{name}.csv").is_file()
         grid = (report_dir / "heatmap_4x4.csv").read_text(encoding="utf-8").strip().split("\n")
         assert grid[0] == ",0,1,2,3"
+
+    # The validity files of the bundled corpus judged without fact extraction (ablation.disable_fe),
+    # so that every layer and class is counted off the diagonal as well as on it.
+    RAW_VALIDITY_SHA256 = {
+        "report.json": "6dd1a06ce2927c0062a0f15c3dcf87a4ca6977d9683c8b3905b1887d08ead8a4",
+        "heatmap_4x4.csv": "42f83dde3eeecc46066b75bf3d05e233b1d0e5532a18579ece56cbfc9e225756",
+        "heatmap_mf.csv": "4cdac041a536a7323a299baee81d4d04029a5e0b11d31311983e66be1ba3d52d",
+        "heatmap_lf.csv": "87a3d4284130c0b50559185243825be9155e87ad85a908a121a9bb2f09a8d663",
+    }
+
+    def test_validity_files_without_fact_extraction_are_pinned(self, toy, tmp_path, capsys):
+        out = tmp_path / "raw.jsonl"
+        code, _ = run_cli(capsys, "judge", "--mock", "--cases", str(toy.cases), "--pools", str(toy.pools),
+                          "--out", str(out), "--runs", "1", "--set", "ablation.disable_fe=true")
+        assert code == 0
+        report_dir = tmp_path / "rep"
+        code, payload = run_cli(capsys, "evaluate", "validity", "--in", str(out), "--qrels", str(toy.qrels),
+                                "--report-dir", str(report_dir))
+        assert code == 0
+        assert (payload["kappa_mf"], payload["kappa_lf"], payload["kappa_4level"]) == (1.0, 0.0, 0.523809523809524)
+        digests = {name: hashlib.sha256((report_dir / name).read_bytes()).hexdigest() for name in self.RAW_VALIDITY_SHA256}
+        assert digests == self.RAW_VALIDITY_SHA256
 
     def test_validity_refuses_more_than_one_run_file(self, judged, tmp_path, capsys):
         toy, out = judged

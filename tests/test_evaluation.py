@@ -36,7 +36,7 @@ from lexjudge.evaluation import (
 )
 
 from conftest import fabricate_record, make_engine
-from oracles import kappa_is_degenerate, kappa_oracle, ndcg_oracle
+from oracles import kappa_is_degenerate, kappa_oracle, ndcg_oracle, reliability_oracle, validity_oracle
 
 
 def series(labels, prefix="p"):
@@ -466,6 +466,58 @@ class TestNdcg:
             k=3,
         )
         assert original.per_query["q"] == pytest.approx(renamed.per_query["q"], abs=1e-15)
+
+
+@st.composite
+def judged_runs(draw):
+    """Runs over one list of pairs, with their gold labels.
+
+    A run's label for a pair may differ from gold and from the other runs.
+    Its record may be failed, ok, or a failed line followed by an ok one,
+    as a resumed checkpoint holds it.
+    """
+    n = draw(st.integers(1, 12))
+    pairs = [(f"q{i % 3}", f"c{i}") for i in range(n)]
+    gold = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    runs = []
+    for _ in range(draw(st.integers(2, 4))):
+        records = []
+        for (qid, cid), g in zip(pairs, gold):
+            label = draw(st.one_of(st.just(g), st.integers(0, 3)))
+            outcome = draw(st.sampled_from(("ok", "ok", "ok", "failed", "resumed")))
+            if outcome != "ok":
+                records.append(fabricate_record(qid, cid, 0, status="failed"))
+            if outcome != "failed":
+                records.append(fabricate_record(qid, cid, label))
+        runs.append(records)
+    entries: dict = {}
+    for (qid, cid), g in zip(pairs, gold):
+        entries.setdefault(qid, {})[cid] = g
+    return runs, Qrels(entries)
+
+
+class TestReportsAgainstOracle:
+    """Both reports equal, with ==, the ones kappa_oracle builds by brute force."""
+
+    @given(judged_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_reports_equal_oracle(self, drawn):
+        runs, qrels = drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSeriesWarning)
+            for records in runs:
+                expected = validity_oracle(records, qrels)
+                if expected is None:
+                    with pytest.raises(DomainError):
+                        build_validity_report(records, qrels)
+                else:
+                    assert build_validity_report(records, qrels) == expected
+            expected = reliability_oracle(runs)
+            if expected is None:
+                with pytest.raises(DomainError):
+                    build_reliability_report(runs)
+            else:
+                assert build_reliability_report(runs) == expected
 
 
 class TestReports:
