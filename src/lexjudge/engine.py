@@ -294,7 +294,8 @@ class JudgmentRecord:
         Calls that pass one shared dict get one object back for each equal
         id, status, run id, fingerprint, extraction and verdict, so a case
         extraction copied into many records is held once. All of these are
-        immutable, so sharing them changes no value.
+        immutable, so sharing them changes no value. An ok record without
+        its label, a verdict or an extraction pair raises TypeError.
         """
         table = {} if shared is None else shared
         same = table.setdefault
@@ -303,7 +304,7 @@ class JudgmentRecord:
         qid, cid = same(qid, qid), same(cid, cid)
         status, run_id, fingerprint = data["status"], data["run_id"], data["config_fingerprint"]
         # Positional, in field order; the arguments are read in the order the errors of a bad row rely on.
-        return cls(
+        record = cls(
             qid,
             cid,
             same(status, status),
@@ -318,6 +319,15 @@ class JudgmentRecord:
             same(fingerprint, fingerprint),
             data.get("error"),
         )
+        if status == "ok":
+            for name in _OK_PARTS:
+                if getattr(record, name) is None:
+                    raise TypeError(f"ok record lacks {name}")
+        return record
+
+
+# What every successfully judged record carries.
+_OK_PARTS = ("label", "mf_extractions", "lf_extractions", "mf_verdict", "lf_verdict")
 
 
 def _shared(table: dict, cls: type[_T], *fields) -> _T:

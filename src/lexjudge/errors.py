@@ -63,10 +63,6 @@ class MalformedStageMarker(LexjudgeError):
     """The mock judge found no recognizable stage marker in the request."""
 
 
-class AlignmentError(LexjudgeError):
-    """Two label series do not cover the same items."""
-
-
 class MissingGoldError(LexjudgeError):
     """A judged pair or run query has no gold label."""
 

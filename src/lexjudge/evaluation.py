@@ -2,7 +2,8 @@
 
 Reliability is the mean pairwise Cohen's Kappa across repeated runs of the
 same pairs; validity is Kappa against gold labels, reported per fact layer
-(binary) and on the full four-level scale. Ranking quality uses NDCG@k over
+(binary) and on the full four-level scale. Every kappa is read from one
+ConfusionMatrix of the two label series. Ranking quality uses NDCG@k over
 standard run files.
 """
 
@@ -11,138 +12,116 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, Sequence
 
 from ._util import atomic_write_text, read_text
 from .corpus import Qrels, gold_fact_flags
 from .engine import JudgmentRecord
-from .errors import (
-    AlignmentError,
-    DomainError,
-    EmptyRunError,
-    IntegrityError,
-    MissingGoldError,
-    ParseError,
-)
+from .errors import DomainError, EmptyRunError, IntegrityError, MissingGoldError, ParseError
 
 logger = logging.getLogger(__name__)
 
 
 class DegenerateSeriesWarning(UserWarning):
-    """Both raters were constant; chance agreement is undefined."""
+    """Both raters were constant, on different classes.
+
+    Observed and chance agreement are then both 0, so kappa reads 0.0, a
+    value that says nothing about how the raters agree.
+    """
 
 
 @dataclass(frozen=True, slots=True)
-class LabelSeries:
-    """Labels for a fixed sequence of (query_id, candidate_id) items."""
+class ConfusionMatrix:
+    """counts[i][j] = items rater a put in classes[i] and rater b in classes[j].
 
-    ids: tuple[tuple[str, str], ...]
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.ids) != len(self.labels):
-            raise DomainError("ids and labels must have equal length")
-        if len(set(self.ids)) != len(self.ids):
-            raise IntegrityError("label series repeats an item id")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def _align(a: LabelSeries, b: LabelSeries) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if len(a) == 0 or len(b) == 0:
-        raise DomainError("label series must be non-empty")
-    if a.ids == b.ids:
-        return a.labels, b.labels
-    if set(a.ids) != set(b.ids):
-        raise AlignmentError("label series cover different item sets")
-    order = {item: i for i, item in enumerate(b.ids)}
-    return a.labels, tuple(b.labels[order[item]] for item in a.ids)
-
-
-def cohens_kappa(a: LabelSeries, b: LabelSeries) -> float:
-    """Cohen's Kappa over the union of observed classes.
-
-    Degenerate conventions: both raters constant on the same class gives
-    1.0; both constant on different classes gives 0.0 with a warning.
+    In a validity heatmap rater a is the judge and rater b is gold.
     """
-    labels_a, labels_b = _align(a, b)
-    n = len(labels_a)
-    classes = sorted(set(labels_a) | set(labels_b))
-    p_o = sum(1 for x, y in zip(labels_a, labels_b) if x == y) / n
-    p_e = sum(
-        (labels_a.count(c) / n) * (labels_b.count(c) / n) for c in classes
+
+    classes: tuple[int, ...]
+    counts: tuple[tuple[int, ...], ...]
+
+    def kappa(self) -> float:
+        """Cohen's kappa: p_o from the diagonal, p_e from the row and column totals in class order.
+
+        Degenerate conventions: both raters constant on the same class gives
+        1.0; both constant on different classes (one nonzero cell, off the
+        diagonal) gives 0.0 with a DegenerateSeriesWarning.
+        """
+        n = sum(map(sum, self.counts))
+        p_o = sum(row[i] for i, row in enumerate(self.counts)) / n
+        p_e = sum((sum(row) / n) * (sum(col) / n) for row, col in zip(self.counts, zip(*self.counts)))
+        if p_e == 1.0:
+            return 1.0
+        if sum(1 for row in self.counts for v in row if v) == 1:
+            message = "both raters are constant on different classes; returning 0.0"
+            warnings.warn(message, DegenerateSeriesWarning, stacklevel=2)
+            return 0.0
+        return (p_o - p_e) / (1.0 - p_e)
+
+    def to_csv(self) -> str:
+        rows = [("", *self.classes), *((c, *row) for c, row in zip(self.classes, self.counts))]
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def confusion_matrix(a: Sequence[int], b: Sequence[int], classes: Sequence[int]) -> ConfusionMatrix:
+    """The counts of the label pairs (a[i], b[i]), rows and columns in the order of classes."""
+    if len(a) == 0 or len(a) != len(b):
+        raise DomainError(f"label sequences must be non-empty and of equal length, got {len(a)} and {len(b)}")
+    cells = Counter(zip(a, b))
+    for x, y in cells:
+        if x not in classes or y not in classes:
+            raise DomainError(f"label outside classes {tuple(classes)}: ({x}, {y})")
+    return ConfusionMatrix(
+        classes=tuple(classes),
+        counts=tuple(tuple(cells[x, y] for y in classes) for x in classes),
     )
-    if p_e == 1.0:
-        return 1.0
-    if len(set(labels_a)) == 1 and len(set(labels_b)) == 1:
-        warnings.warn(
-            "both raters are constant on different classes; returning 0.0",
-            DegenerateSeriesWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return (p_o - p_e) / (1.0 - p_e)
 
 
-def reliability_kappa(runs: Sequence[LabelSeries]) -> tuple[float, list[tuple[int, int, float]]]:
-    """Mean pairwise Kappa across aligned runs, plus every pair's value."""
+def cohens_kappa(a: Sequence[int], b: Sequence[int]) -> float:
+    """Cohen's kappa over the sorted union of observed classes (see ConfusionMatrix.kappa)."""
+    return confusion_matrix(a, b, sorted(set(a) | set(b))).kappa()
+
+
+def reliability_kappa(runs: Sequence[Sequence[int]]) -> tuple[float, list[tuple[int, int, float]]]:
+    """Mean pairwise kappa across runs labelling the same items, plus every pair's value."""
     if len(runs) < 2:
         raise DomainError("reliability needs at least two runs")
-    per_pair: list[tuple[int, int, float]] = []
-    for i in range(len(runs)):
-        for j in range(i + 1, len(runs)):
-            per_pair.append((i, j, cohens_kappa(runs[i], runs[j])))
+    per_pair = [(i, j, cohens_kappa(runs[i], runs[j])) for i, j in combinations(range(len(runs)), 2)]
     mean = sum(k for _, _, k in per_pair) / len(per_pair)
     return mean, per_pair
 
 
-def _ok_records(records: Sequence[JudgmentRecord]) -> list[JudgmentRecord]:
-    ok = [r for r in records if r.status == "ok"]
+def _ok_by_pair(records: Sequence[JudgmentRecord]) -> dict[tuple[str, str], JudgmentRecord]:
+    """A run's successful records by (query_id, candidate_id), failed ones logged and left out.
+
+    A failed line and then an ok one for a pair is a resumed checkpoint; a
+    pair judged ok twice raises IntegrityError naming it.
+    """
+    ok: dict[tuple[str, str], JudgmentRecord] = {}
+    for record in records:
+        if record.status != "ok":
+            continue
+        pair = (record.query_id, record.candidate_id)
+        if pair in ok:
+            raise IntegrityError(f"run judges pair {pair!r} more than once")
+        ok[pair] = record
     dropped = len(records) - len(ok)
     if dropped:
         logger.warning("excluding %d failed pair(s) from agreement metrics", dropped)
     return ok
 
 
-# The value each series kind reads from a successful record, in report order.
-_SERIES_VALUES: dict[str, Callable[[JudgmentRecord], int]] = {
-    "mf": lambda r: int(r.mf_verdict.relevant),
-    "lf": lambda r: int(r.lf_verdict.relevant),
-    "label": lambda r: int(r.label),
+# Each series kind: the value it reads from a successful record, and its
+# classes; in report order.
+_SERIES: dict[str, tuple[Callable[[JudgmentRecord], int], tuple[int, ...]]] = {
+    "mf": (lambda r: int(r.mf_verdict.relevant), (0, 1)),
+    "lf": (lambda r: int(r.lf_verdict.relevant), (0, 1)),
+    "label": (lambda r: int(r.label), (0, 1, 2, 3)),
 }
-
-
-@dataclass(frozen=True, slots=True)
-class ConfusionMatrix:
-    """counts[i][j] = items judged classes[i] whose gold label is classes[j]."""
-
-    classes: tuple[int, ...]
-    counts: tuple[tuple[int, ...], ...]
-
-    def to_csv(self) -> str:
-        header = "," + ",".join(str(c) for c in self.classes)
-        rows = [
-            f"{cls}," + ",".join(str(v) for v in row)
-            for cls, row in zip(self.classes, self.counts)
-        ]
-        return "\n".join([header, *rows]) + "\n"
-
-
-def confusion_matrix(a: LabelSeries, b: LabelSeries, classes: Sequence[int]) -> ConfusionMatrix:
-    labels_a, labels_b = _align(a, b)
-    index = {c: i for i, c in enumerate(classes)}
-    counts = [[0] * len(classes) for _ in classes]
-    for x, y in zip(labels_a, labels_b):
-        if x not in index or y not in index:
-            raise DomainError(f"label outside classes {tuple(classes)}: ({x}, {y})")
-        counts[index[x]][index[y]] += 1
-    return ConfusionMatrix(
-        classes=tuple(classes),
-        counts=tuple(tuple(row) for row in counts),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,42 +233,29 @@ def build_validity_report(
     Failed records are excluded (with a logged count); every remaining pair
     must carry a gold label.
     """
-    ok = _ok_records(records)
+    ok = _ok_by_pair(records)
     if not ok:
         raise DomainError("no successfully judged pairs to evaluate")
-    ids = []
-    gold_labels = []
-    for record in ok:
-        gold = qrels.label(record.query_id, record.candidate_id)
-        if gold is None:
-            raise MissingGoldError(
-                f"no gold label for pair ({record.query_id!r}, {record.candidate_id!r})"
-            )
-        ids.append((record.query_id, record.candidate_id))
-        gold_labels.append(gold)
-    id_tuple = tuple(ids)
-    gold_flags = [gold_fact_flags(g) for g in gold_labels]
-    gold = {
-        "mf": tuple(int(f.mf_relevant) for f in gold_flags),
-        "lf": tuple(int(f.lf_relevant) for f in gold_flags),
-        "label": tuple(gold_labels),
-    }
-    series = {
-        kind: (LabelSeries(id_tuple, tuple(map(value, ok))), LabelSeries(id_tuple, gold[kind]))
-        for kind, value in _SERIES_VALUES.items()
+    gold_labels = [qrels.label(*pair) for pair in ok]
+    if None in gold_labels:
+        query_id, candidate_id = list(ok)[gold_labels.index(None)]
+        raise MissingGoldError(f"no gold label for pair ({query_id!r}, {candidate_id!r})")
+    flags = [gold_fact_flags(g) for g in gold_labels]
+    gold_series = {"mf": [int(f.mf_relevant) for f in flags], "lf": [int(f.lf_relevant) for f in flags],
+                   "label": gold_labels}
+    matrices = {
+        kind: confusion_matrix([value(r) for r in ok.values()], gold_series[kind], classes)
+        for kind, (value, classes) in _SERIES.items()
     }
     report = {
-        "kappa_mf": cohens_kappa(*series["mf"]),
-        "kappa_lf": cohens_kappa(*series["lf"]),
-        "kappa_4level": cohens_kappa(*series["label"]),
+        "kappa_mf": matrices["mf"].kappa(),
+        "kappa_lf": matrices["lf"].kappa(),
+        "kappa_4level": matrices["label"].kappa(),
         "pairs_compared": len(ok),
         "failed_excluded": len(records) - len(ok),
     }
-    heatmaps = {
-        "heatmap_4x4": confusion_matrix(*series["label"], (0, 1, 2, 3)).to_csv(),
-        "heatmap_mf": confusion_matrix(*series["mf"], (0, 1)).to_csv(),
-        "heatmap_lf": confusion_matrix(*series["lf"], (0, 1)).to_csv(),
-    }
+    heatmaps = {f"heatmap_{name}": matrices[kind].to_csv()
+                for name, kind in (("4x4", "label"), ("mf", "mf"), ("lf", "lf"))}
     return report, heatmaps
 
 
@@ -307,25 +273,13 @@ def build_reliability_report(records_per_run: Sequence[Sequence[JudgmentRecord]]
     fingerprints = sorted({r.config_fingerprint for records in records_per_run for r in records})
     if len(fingerprints) > 1:
         raise IntegrityError(f"reliability needs runs of one configuration, got fingerprints {', '.join(fingerprints)}")
-    ok_maps = []
-    for records in records_per_run:
-        ok = _ok_records(records)
-        ok_maps.append({(r.query_id, r.candidate_id): r for r in ok})
-    common = set(ok_maps[0])
-    for m in ok_maps[1:]:
-        common &= set(m)
-    if not common:
+    ok_maps = [_ok_by_pair(records) for records in records_per_run]
+    order = sorted(set(ok_maps[0]).intersection(*ok_maps[1:]))
+    if not order:
         raise DomainError("no pair was judged successfully in every run")
-    order = sorted(common)
     report: dict = {"pairs_compared": len(order), "runs": len(records_per_run)}
-    for kind, value in _SERIES_VALUES.items():
-        series = [
-            LabelSeries(tuple(order), tuple(value(m[pair]) for pair in order))
-            for m in ok_maps
-        ]
-        mean, per_pair = reliability_kappa(series)
-        report[f"kappa_{kind}"] = {
-            "mean": mean,
-            "pairs": [{"run_a": i, "run_b": j, "kappa": k} for i, j, k in per_pair],
-        }
+    for kind, (value, _) in _SERIES.items():
+        mean, per_pair = reliability_kappa([[value(m[pair]) for pair in order] for m in ok_maps])
+        pairs = [{"run_a": i, "run_b": j, "kappa": k} for i, j, k in per_pair]
+        report[f"kappa_{kind}"] = {"mean": mean, "pairs": pairs}
     return report

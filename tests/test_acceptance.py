@@ -46,7 +46,6 @@ from lexjudge.engine import AblationFlags
 from lexjudge.errors import IntegrityError
 from lexjudge.evaluation import (
     DegenerateSeriesWarning,
-    LabelSeries,
     RunFile,
     build_reliability_report,
     cohens_kappa,
@@ -57,8 +56,7 @@ from lexjudge.retrieval import build_bm25_index, tokenize, top_k_rank
 
 
 def series_pair(a_labels, b_labels):
-    ids = tuple(("q", f"p{i}") for i in range(len(a_labels)))
-    return LabelSeries(ids, tuple(a_labels)), LabelSeries(ids, tuple(b_labels))
+    return tuple(a_labels), tuple(b_labels)
 
 
 def attach_counter(engine, stop_after=None):

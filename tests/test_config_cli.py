@@ -795,6 +795,20 @@ class TestCliEvaluate:
         assert message == f"error: reliability needs distinct run files, but {again} is given twice"
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("mode", ["validity", "reliability"])
+    def test_a_run_that_judges_a_pair_twice_exits_1(self, mode, judged, tmp_path, capsys):
+        toy, out = judged
+        first = out.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text(first + out.read_text(encoding="utf-8"), encoding="utf-8")
+        pair = (json.loads(first)["query_id"], json.loads(first)["candidate_id"])
+        given = ["--in", str(twice), "--qrels", str(toy.qrels)] if mode == "validity" else ["--in", str(out), str(twice)]
+        code = main(["evaluate", mode, *given, "--report-dir", str(tmp_path / "rep")])
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert message == f"error: run judges pair {pair!r} more than once"
+        assert not (tmp_path / "rep").exists()
+
     def test_reliability_refuses_qrels(self, judged, tmp_path, capsys):
         toy, out = judged
         other = tmp_path / "other.jsonl"

@@ -1089,7 +1089,8 @@ def judgment_records(draw, values, ids):
     def verdict(fact_type):
         return FactVerdict(fact_type, draw(st.booleans()), draw(values), draw(values))
 
-    label = draw(st.one_of(st.integers(0, 3), st.none(), st.booleans(), st.floats(allow_nan=False)))
+    # A failed record carries the None label; an ok record without one does not read back.
+    label = draw(st.one_of(st.integers(0, 3), st.booleans(), st.floats(allow_nan=False)))
     return JudgmentRecord(
         qid, cid, "ok", label,
         extractions(FactType.MF), extractions(FactType.LF), verdict(FactType.MF), verdict(FactType.LF),
@@ -1338,6 +1339,21 @@ class TestRecordReadErrors:
         with pytest.raises(ParseError) as info:
             read_records_jsonl(path)
         assert (str(info.value), info.value.line) == (f"{message} ({path}:3)", 3)
+
+    @pytest.mark.parametrize(
+        "layer, part",
+        [(None, "label"), ("mf", "extractions"), ("mf", "verdict"), ("lf", "extractions"), ("lf", "verdict")],
+    )
+    def test_ok_record_without_a_part(self, layer, part, tmp_path):
+        def edit(row):
+            (row if layer is None else row[layer])[part] = None
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(_edited(edit)) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_records_jsonl(path)
+        name = part if layer is None else f"{layer}_{part}"
+        assert (str(info.value), info.value.line) == (f"malformed record: ok record lacks {name} ({path}:1)", 1)
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the messages were recorded on Python 3.11")
     def test_messages_as_recorded_on_python_3_11(self):

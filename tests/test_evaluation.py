@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from lexjudge.corpus import Qrels
 from lexjudge.errors import (
-    AlignmentError,
     DomainError,
     EmptyRunError,
     IntegrityError,
@@ -23,7 +22,6 @@ from lexjudge.errors import (
 from lexjudge.evaluation import (
     ConfusionMatrix,
     DegenerateSeriesWarning,
-    LabelSeries,
     RunFile,
     build_reliability_report,
     build_validity_report,
@@ -39,76 +37,49 @@ from conftest import fabricate_record, make_engine
 from oracles import kappa_is_degenerate, kappa_oracle, ndcg_oracle, reliability_oracle, validity_oracle
 
 
-def series(labels, prefix="p"):
-    ids = tuple(("q", f"{prefix}{i}") for i in range(len(labels)))
-    return LabelSeries(ids=ids, labels=tuple(labels))
-
-
-class TestLabelSeries:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            LabelSeries(ids=(("q", "c1"),), labels=(1, 2))
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(IntegrityError):
-            LabelSeries(ids=(("q", "c1"), ("q", "c1")), labels=(1, 2))
-
-    def test_len(self):
-        assert len(series([0, 1, 2])) == 3
-
-
 class TestCohensKappa:
     def test_identical_series(self):
-        s = series([0, 1, 2, 3, 1])
+        s = [0, 1, 2, 3, 1]
         assert cohens_kappa(s, s) == 1.0
 
     def test_hand_computed_half(self):
-        a = series([0, 1, 0, 1])
-        b = series([0, 1, 1, 1])
+        a = [0, 1, 0, 1]
+        b = [0, 1, 1, 1]
         # observed agreement 0.75, chance agreement 0.5
         assert cohens_kappa(a, b) == pytest.approx(0.5, abs=1e-9)
 
     def test_chance_level_agreement_is_zero(self):
-        a = series([0, 0, 1, 1])
-        b = series([0, 1, 0, 1])
+        a = [0, 0, 1, 1]
+        b = [0, 1, 0, 1]
         assert cohens_kappa(a, b) == pytest.approx(0.0, abs=1e-12)
 
     def test_both_constant_same_class(self):
-        a = series([2, 2, 2])
-        b = series([2, 2, 2])
+        a = [2, 2, 2]
+        b = [2, 2, 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cohens_kappa(a, b) == 1.0
 
     def test_both_constant_different_classes_warns(self):
-        a = series([0, 0, 0])
-        b = series([1, 1, 1])
+        a = [0, 0, 0]
+        b = [1, 1, 1]
         with pytest.warns(DegenerateSeriesWarning):
             assert cohens_kappa(a, b) == 0.0
 
     def test_one_constant_rater_uses_plain_formula(self):
-        a = series([0, 0, 0, 0])
-        b = series([0, 1, 2, 3])
+        a = [0, 0, 0, 0]
+        b = [0, 1, 2, 3]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cohens_kappa(a, b) == pytest.approx(0.0, abs=1e-12)
 
-    def test_alignment_reorders_by_id(self):
-        ids = (("q", "c1"), ("q", "c2"), ("q", "c3"))
-        a = LabelSeries(ids=ids, labels=(0, 1, 2))
-        b = LabelSeries(ids=(ids[2], ids[0], ids[1]), labels=(2, 0, 1))
-        assert cohens_kappa(a, b) == 1.0
-
-    def test_disjoint_id_sets_rejected(self):
-        a = LabelSeries(ids=(("q", "c1"),), labels=(0,))
-        b = LabelSeries(ids=(("q", "c2"),), labels=(0,))
-        with pytest.raises(AlignmentError):
-            cohens_kappa(a, b)
-
     def test_empty_series_rejected(self):
-        empty = LabelSeries(ids=(), labels=())
         with pytest.raises(DomainError):
-            cohens_kappa(empty, empty)
+            cohens_kappa((), ())
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DomainError, match="equal length, got 1 and 2"):
+            cohens_kappa((1,), (1, 2))
 
     def test_matches_oracle_on_random_series(self):
         rng = random.Random(20260817)
@@ -119,7 +90,7 @@ class TestCohensKappa:
             b_labels = [rng.randint(0, 3) for _ in range(n)]
             if kappa_is_degenerate(a_labels, b_labels):
                 continue
-            got = cohens_kappa(series(a_labels), series(b_labels))
+            got = cohens_kappa(a_labels, b_labels)
             assert got == pytest.approx(kappa_oracle(a_labels, b_labels), abs=1e-12)
             checked += 1
         assert checked > 900
@@ -131,8 +102,8 @@ class TestCohensKappa:
     )
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_range(self, pairs):
-        a = series([x for x, _ in pairs])
-        b = series([y for _, y in pairs])
+        a = [x for x, _ in pairs]
+        b = [y for _, y in pairs]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateSeriesWarning)
             forward = cohens_kappa(a, b)
@@ -143,25 +114,24 @@ class TestCohensKappa:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_self_agreement_is_one(self, labels):
-        s = series(labels)
-        assert cohens_kappa(s, s) == 1.0
+        assert cohens_kappa(labels, labels) == 1.0
 
 
 class TestReliabilityKappa:
     def test_three_identical_runs(self):
-        runs = [series([0, 1, 2, 3])] * 3
+        runs = [[0, 1, 2, 3]] * 3
         mean, per_pair = reliability_kappa(runs)
         assert mean == 1.0
         assert len(per_pair) == 3
 
     def test_two_runs_single_pair(self):
-        mean, per_pair = reliability_kappa([series([0, 1]), series([0, 1])])
+        mean, per_pair = reliability_kappa([[0, 1], [0, 1]])
         assert len(per_pair) == 1
         assert per_pair[0][:2] == (0, 1)
 
     def test_known_pairwise_values_mean(self):
-        a = series([0, 1, 0, 1])
-        b = series([0, 1, 1, 1])
+        a = [0, 1, 0, 1]
+        b = [0, 1, 1, 1]
         mean, per_pair = reliability_kappa([a, b, a])
         kappas = {(i, j): k for i, j, k in per_pair}
         assert kappas[(0, 1)] == pytest.approx(0.5, abs=1e-9)
@@ -171,7 +141,7 @@ class TestReliabilityKappa:
 
     def test_single_run_rejected(self):
         with pytest.raises(DomainError):
-            reliability_kappa([series([0, 1])])
+            reliability_kappa([[0, 1]])
 
 
 def heatmap_counts(csv: str) -> dict[tuple[int, int], int]:
@@ -259,7 +229,7 @@ class TestValidityKappa:
 
 class TestConfusionMatrix:
     def test_agreement_gives_diagonal(self):
-        s = series([0, 1, 2, 3, 3])
+        s = [0, 1, 2, 3, 3]
         matrix = confusion_matrix(s, s, (0, 1, 2, 3))
         for i in range(4):
             for j in range(4):
@@ -268,8 +238,8 @@ class TestConfusionMatrix:
         assert matrix.counts[3][3] == 2
 
     def test_single_off_diagonal_count(self):
-        a = series([1])
-        b = series([3])
+        a = [1]
+        b = [3]
         matrix = confusion_matrix(a, b, (0, 1, 2, 3))
         assert matrix.counts[1][3] == 1
         assert sum(map(sum, matrix.counts)) == 1
@@ -279,7 +249,7 @@ class TestConfusionMatrix:
         a_labels = [rng.randint(0, 3) for _ in range(400)]
         b_labels = [rng.randint(0, 3) for _ in range(400)]
         matrix = confusion_matrix(
-            series(a_labels), series(b_labels), (0, 1, 2, 3)
+            a_labels, b_labels, (0, 1, 2, 3)
         )
         assert sum(map(sum, matrix.counts)) == 400
         for i, cls in enumerate(matrix.classes):
@@ -287,8 +257,24 @@ class TestConfusionMatrix:
             assert sum(row[i] for row in matrix.counts) == b_labels.count(cls)
 
     def test_label_outside_classes_rejected(self):
-        with pytest.raises(DomainError):
-            confusion_matrix(series([0, 5]), series([0, 1]), (0, 1, 2, 3))
+        with pytest.raises(DomainError, match=r"label outside classes \(0, 1, 2, 3\): \(5, 1\)"):
+            confusion_matrix([0, 5], [0, 1], (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("a, b", [((), ()), ((0,), (0, 1))])
+    def test_empty_or_unequal_sequences_rejected(self, a, b):
+        with pytest.raises(DomainError, match="non-empty and of equal length"):
+            confusion_matrix(a, b, (0, 1))
+
+    def test_kappa_over_all_classes_is_kappa_over_observed_ones(self):
+        # Classes neither rater used add an exact 0.0 to chance agreement.
+        rng = random.Random(30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSeriesWarning)
+            for _ in range(500):
+                n = rng.randint(1, 20)
+                a = [rng.choice((1, 3)) for _ in range(n)]
+                b = [rng.choice((0, 1, 3)) for _ in range(n)]
+                assert confusion_matrix(a, b, (0, 1, 2, 3)).kappa() == cohens_kappa(a, b)
 
     def test_csv_layout(self):
         matrix = ConfusionMatrix(classes=(0, 1), counts=((3, 0), (1, 2)))
@@ -575,6 +561,29 @@ class TestReports:
         run_b = [fabricate_record("q1", "c1", 1), other]
         with pytest.raises(IntegrityError, match="fingerprints fab0, fab1$"):
             build_reliability_report([run_a, run_b])
+
+    def test_validity_refuses_a_pair_judged_ok_twice(self):
+        records = [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1), fabricate_record("q1", "c1", 3)]
+        with pytest.raises(IntegrityError, match=r"^run judges pair \('q1', 'c1'\) more than once$"):
+            build_validity_report(records, Qrels({"q1": {"c1": 3, "c2": 1}}))
+
+    def test_reliability_refuses_a_pair_judged_ok_twice(self):
+        run_a = [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1)]
+        run_b = [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1), fabricate_record("q1", "c2", 2)]
+        with pytest.raises(IntegrityError, match=r"^run judges pair \('q1', 'c2'\) more than once$"):
+            build_reliability_report([run_a, run_b])
+
+    def test_a_failed_line_then_an_ok_line_for_one_pair_is_kept(self):
+        # A resumed checkpoint holds the failed line of an interrupted run and the rerun's ok line.
+        resumed = [
+            fabricate_record("q1", "c1", 0, status="failed"),
+            fabricate_record("q1", "c2", 1),
+            fabricate_record("q1", "c1", 3),
+        ]
+        validity, _ = build_validity_report(resumed, Qrels({"q1": {"c1": 3, "c2": 1}}))
+        assert (validity["kappa_4level"], validity["pairs_compared"], validity["failed_excluded"]) == (1.0, 2, 1)
+        reliability = build_reliability_report([resumed, [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1)]])
+        assert (reliability["kappa_label"]["mean"], reliability["pairs_compared"]) == (1.0, 2)
 
     def test_reliability_no_common_pairs(self):
         run_a = [fabricate_record("q1", "c1", 1, status="failed")]
