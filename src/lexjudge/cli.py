@@ -172,7 +172,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: Config) -> int:
             if any(os.path.samefile(path, earlier) for earlier in args.infile[:i]):
                 raise LexjudgeError(f"reliability needs distinct run files, but {path} is given twice")
         records_per_run = [read_records_jsonl(p) for p in args.infile]
-        report = build_reliability_report(records_per_run)
+        report = build_reliability_report(records_per_run, args.infile)
         atomic_write_json(report_dir / "report.json", report)
         _emit({"report": str(report_dir / "report.json"),
                "kappa_mf_mean": report["kappa_mf"]["mean"],
@@ -185,7 +185,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: Config) -> int:
         raise LexjudgeError("validity needs --qrels")
     records = read_records_jsonl(args.infile[0])
     qrels = load_qrels(args.qrels)
-    report, heatmaps = build_validity_report(records, qrels)
+    report, heatmaps = build_validity_report(records, qrels, args.infile[0])
     atomic_write_json(report_dir / "report.json", report)
     for name, csv_text in heatmaps.items():
         atomic_write_text(report_dir / f"{name}.csv", csv_text)

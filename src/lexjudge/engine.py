@@ -35,6 +35,7 @@ from .config import AblationFlags
 from .corpus import Case, CandidatePool, CaseStore, aggregate_label
 from .demos import DemoLibrary, Demonstration, FactType, Stage, select
 from .errors import (
+    AuthError,
     DomainError,
     IntegrityError,
     JudgeResponseUnparseable,
@@ -498,6 +499,7 @@ class JudgeEngine:
 
         Returned, not raised, so the memo keeps it; its traceback, which
         would hold the engine's frames in a cycle through the memo, is cleared.
+        An AuthError is raised instead, and kept by nothing: every call would meet it.
         """
         case, fact_type = key
         if self.flags.disable_fe:
@@ -505,6 +507,8 @@ class JudgeEngine:
         try:
             target = case.fact_text if fact_type is FactType.MF else self.extract_fact(case, FactType.MF).text
             text, raw = self._call_stage(Stage.FE, fact_type, target, target, (case.id,), _parse_nonempty_facts)
+        except AuthError:
+            raise
         except Exception as exc:
             return exc.with_traceback(None)
         return FactExtraction(case.id, fact_type, text, raw)
@@ -557,7 +561,8 @@ class JudgeEngine:
 
         The first stage that fails ends the pair in a failed record whose
         error names it: "<stage>_<fact type>: <message>". A failed
-        extraction is the one the memo keeps for that case.
+        extraction is the one the memo keeps for that case. An AuthError,
+        which every later call would meet too, is raised, not recorded.
         """
 
         def failed(stage: Stage, fact_type: FactType, exc: Exception) -> JudgmentRecord:
@@ -577,6 +582,8 @@ class JudgeEngine:
             mf_verdict = self.judge_fact_pair(mf_q, mf_c, fact_type)
             fact_type = FactType.LF
             lf_verdict = self.judge_fact_pair(lf_q, lf_c, fact_type)
+        except AuthError:
+            raise
         except Exception as exc:
             return failed(Stage.FA, fact_type, exc)
         label = aggregate_label(mf_verdict.relevant, lf_verdict.relevant)
@@ -591,9 +598,9 @@ class JudgeEngine:
         """Judge (query, candidate) pairs; records come back in input order.
 
         A pair that fails becomes a failed record rather than aborting the
-        batch. on_record sees each record as soon as its pair finishes, so
-        in completion order when pairs run in parallel. On an error or
-        interrupt, pairs not yet started are dropped.
+        batch; an AuthError aborts it. on_record sees each record as soon as
+        its pair finishes, so in completion order when pairs run in
+        parallel. On an error or interrupt, pairs not yet started are dropped.
         """
         if self.parallelism == 1 or len(pairs) < 2:
             records = []

@@ -95,11 +95,11 @@ def reliability_kappa(runs: Sequence[Sequence[int]]) -> tuple[float, list[tuple[
     return mean, per_pair
 
 
-def _ok_by_pair(records: Sequence[JudgmentRecord]) -> dict[tuple[str, str], JudgmentRecord]:
+def _ok_by_pair(records: Sequence[JudgmentRecord], source: str) -> dict[tuple[str, str], JudgmentRecord]:
     """A run's successful records by (query_id, candidate_id), failed ones logged and left out.
 
     A failed line and then an ok one for a pair is a resumed checkpoint; a
-    pair judged ok twice raises IntegrityError naming it.
+    pair judged ok twice raises IntegrityError naming it and source, the run.
     """
     ok: dict[tuple[str, str], JudgmentRecord] = {}
     for record in records:
@@ -107,7 +107,7 @@ def _ok_by_pair(records: Sequence[JudgmentRecord]) -> dict[tuple[str, str], Judg
             continue
         pair = (record.query_id, record.candidate_id)
         if pair in ok:
-            raise IntegrityError(f"run judges pair {pair!r} more than once")
+            raise IntegrityError(f"{source} judges pair {pair!r} more than once")
         ok[pair] = record
     dropped = len(records) - len(ok)
     if dropped:
@@ -225,15 +225,15 @@ def ndcg_at_k(run: RunFile, qrels: Qrels, k: int) -> NdcgResult:
 
 
 def build_validity_report(
-    records: Sequence[JudgmentRecord], qrels: Qrels
+    records: Sequence[JudgmentRecord], qrels: Qrels, source: str = "run"
 ) -> tuple[dict, dict[str, str]]:
     """Kappa of judged labels against gold, per layer and on the full scale.
 
     Returns the report dict and the confusion heatmaps as CSV texts.
     Failed records are excluded (with a logged count); every remaining pair
-    must carry a gold label.
+    must carry a gold label. source names the run in a refusal, such as its file.
     """
-    ok = _ok_by_pair(records)
+    ok = _ok_by_pair(records, source)
     if not ok:
         raise DomainError("no successfully judged pairs to evaluate")
     gold_labels = [qrels.label(*pair) for pair in ok]
@@ -259,21 +259,27 @@ def build_validity_report(
     return report, heatmaps
 
 
-def build_reliability_report(records_per_run: Sequence[Sequence[JudgmentRecord]]) -> dict:
+def build_reliability_report(
+    records_per_run: Sequence[Sequence[JudgmentRecord]], sources: Sequence[str] | None = None
+) -> dict:
     """Mean pairwise Kappa across runs for each series kind.
 
     Runs are restricted to the pairs every run judged successfully, so a
     failure in one run drops that pair everywhere. Runs must come from one
     configuration: records carrying more than one config_fingerprint raise
-    IntegrityError naming them, since their agreement measures the change
-    of configuration, not the judge's reliability.
+    IntegrityError naming each run's, since their agreement measures the
+    change of configuration, not the judge's reliability. sources names
+    the runs in a refusal, such as by their files; by default "run 1",
+    "run 2" and so on.
     """
     if len(records_per_run) < 2:
         raise DomainError("reliability needs at least two runs")
-    fingerprints = sorted({r.config_fingerprint for records in records_per_run for r in records})
-    if len(fingerprints) > 1:
-        raise IntegrityError(f"reliability needs runs of one configuration, got fingerprints {', '.join(fingerprints)}")
-    ok_maps = [_ok_by_pair(records) for records in records_per_run]
+    sources = sources or [f"run {i}" for i in range(1, len(records_per_run) + 1)]
+    fingerprints = [sorted({r.config_fingerprint for r in records}) for records in records_per_run]
+    if len(set().union(*fingerprints)) > 1:
+        each = "; ".join(f"{', '.join(held)} in {source}" for held, source in zip(fingerprints, sources) if held)
+        raise IntegrityError(f"reliability needs runs of one configuration, got fingerprints {each}")
+    ok_maps = [_ok_by_pair(records, source) for records, source in zip(records_per_run, sources)]
     order = sorted(set(ok_maps[0]).intersection(*ok_maps[1:]))
     if not order:
         raise DomainError("no pair was judged successfully in every run")

@@ -376,12 +376,14 @@ def reference_judge_pools(
     store, pools, top_n, demos, templates, mock_cfg, flags, *, sampling_seed: int = 0, top_k_demos: int = 2,
     fa_demos_per_polarity: int = 2, model: str = "gpt-3.5-turbo", temperature: float = 0.4, max_tokens: int = 1024,
     retry: int = 2, k1: float = 1.2, b: float = 0.75, run_id: str = "r1",
-) -> tuple[str, list[str]]:
-    """The run file a serial judge of the pools' first top_n candidates writes, and the user texts it sends.
+) -> tuple[str, list[str], list[tuple[tuple[str, str], str | None]]]:
+    """The run file a serial judge of the pools' first top_n candidates writes, the texts it sends, and their owners.
 
     Every stage call ranks its whole demo set with rank_oracle, and only a
     (case, layer)'s extraction is kept, in a plain dict: the extraction, or
     the exception that ended it, which every later pair of the case raises.
+    Each text's owner is the (query id, candidate id) being judged when it
+    was sent, with the id of the case it extracts, or None for a comparison.
     """
     settings = {
         "model": model, "temperature": temperature, "max_tokens": max_tokens, "top_k_demos": top_k_demos,
@@ -392,9 +394,10 @@ def reference_judge_pools(
     for demo in demos:
         sets.setdefault((demo.stage.value, demo.fact_type.value), []).append(demo)
     sent: list[str] = []
+    owners: list[tuple[tuple[str, str], str | None]] = []
     extractions: dict[tuple[str, str], FactExtraction | Exception] = {}
 
-    def call(stage, fact_type, target: str, query: str, call_key: str, parse):
+    def call(stage, fact_type, target: str, query: str, call_key: str, parse, case_id: str | None = None):
         demo_set = sets[stage.value, fact_type.value]
         k = top_k_demos if stage is Stage.FE else fa_demos_per_polarity
         if stage is Stage.FA and flags.disable_fa_demos:
@@ -411,6 +414,7 @@ def reference_judge_pools(
         for attempt in range(retry + 1):
             text = user_text if attempt == 0 else f"{user_text}\n\n{reminder}"
             sent.append(text)
+            owners.append(((query_id, candidate_id), case_id))
             request = JudgeRequest(system_text=SYSTEM_TEXT, user_text=text, temperature=temperature, model=model,
                                    max_tokens=max_tokens)
             reply = mock_complete(request, mock_cfg).text
@@ -434,7 +438,8 @@ def reference_judge_pools(
             else:
                 try:
                     target = case.fact_text if fact_type.value == "MF" else extract(case, FactType.MF).text
-                    text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{case.id}", facts)
+                    text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{case.id}", facts,
+                                       case.id)
                     extractions[key] = FactExtraction(case.id, fact_type, text, reply)
                 except Exception as exc:
                     extractions[key] = exc
@@ -469,4 +474,4 @@ def reference_judge_pools(
         record = JudgmentRecord(query_id=query_id, candidate_id=candidate_id, run_id=run_id,
                                 config_fingerprint=fingerprint, **outcome)
         lines.append(record_line_oracle(record))
-    return "".join(lines), sent
+    return "".join(lines), sent, owners

@@ -9,7 +9,6 @@ import itertools
 import json
 import logging
 import random
-import threading
 import time
 import weakref
 from collections import Counter
@@ -36,7 +35,7 @@ from lexjudge.augmentation import (
 )
 from lexjudge.corpus import Case, CaseStore
 from lexjudge.demos import FactType
-from lexjudge.engine import FactExtraction, read_records_jsonl
+from lexjudge.engine import FactExtraction
 from lexjudge.errors import (
     DomainError,
     ExhaustedError,
@@ -48,7 +47,7 @@ from lexjudge.errors import (
 from lexjudge.gateway import JudgeResponse, mock_complete, mock_tokens, stage_of
 from lexjudge.retrieval import tokenize
 
-from conftest import FaultyOnPairJudge, fabricate_record, make_engine
+from conftest import FaultyOnPairJudge, RecordingJudge, fabricate_record, make_engine
 from oracles import bm25_score_oracle, mock_label_oracle, quota_oracle, twelve_sig
 
 
@@ -342,21 +341,6 @@ class TestPrerank:
             prerank_pairs([pair], store, ExplodingScorer(), top_n=1)
 
 
-def interrupting(engine, stop_after: int):
-    """Shadow engine.judge_pair so that the pair after the first stop_after raises KeyboardInterrupt."""
-    calls: list[tuple[str, str]] = []
-    original = engine.judge_pair
-
-    def wrapper(query, candidate):
-        if len(calls) == stop_after:
-            raise KeyboardInterrupt
-        calls.append((query.id, candidate.id))
-        return original(query, candidate)
-
-    engine.judge_pair = wrapper
-    return calls
-
-
 class TestAnnotatePairs:
     def test_labels_match_rule_oracle(
         self, mock_judge, toy_library, toy_corpus, toy_lexicon, tmp_path
@@ -405,47 +389,6 @@ class TestAnnotatePairs:
         assert records[2].status == "failed"
         assert all(r.status == "ok" for i, r in enumerate(records) if i != 2)
 
-    def test_interrupt_and_resume(self, mock_judge, toy_library, toy_corpus, tmp_path):
-        store, _, _ = toy_corpus
-        pairs = sample_pairs(store, 10, seed=6)
-        checkpoint = tmp_path / "ck" / "progress.jsonl"
-
-        first = make_engine(mock_judge, toy_library)
-        interrupting(first, stop_after=5)
-        with pytest.raises(KeyboardInterrupt):
-            annotate_pairs(first, store, pairs, checkpoint_path=checkpoint)
-        lines = [l for l in checkpoint.read_text(encoding="utf-8").splitlines() if l]
-        assert len(lines) == 5
-
-        second = make_engine(mock_judge, toy_library)
-        resumed_calls = interrupting(second, stop_after=99)
-        records = annotate_pairs(second, store, pairs, checkpoint_path=checkpoint)
-        assert len(resumed_calls) == 5  # only the unfinished half is judged
-
-        fresh = make_engine(mock_judge, toy_library)
-        assert records == annotate_pairs(fresh, store, pairs, tmp_path / "fresh.jsonl")
-
-    def test_resume_retries_only_the_failed_pair(self, mock_cfg, mock_judge, toy_library, toy_corpus, tmp_path):
-        store, _, _ = toy_corpus
-        pairs = sample_pairs(store, 5, seed=3)
-        checkpoint = tmp_path / "progress.jsonl"
-        victim = store.get(pairs[2].right_id)
-        faulty = FaultyOnPairJudge(mock_cfg, poisoned_fragment=" ".join(mock_tokens(victim.fact_text)))
-        first = annotate_pairs(make_engine(faulty, toy_library, retry=0), store, pairs, checkpoint_path=checkpoint)
-        assert [r.status for r in first] == ["ok", "ok", "failed", "ok", "ok"]
-
-        engine = make_engine(mock_judge, toy_library)
-        judged = interrupting(engine, stop_after=99)
-        records = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
-        assert judged == [pairs[2].key()]
-        assert [r.status for r in records] == ["ok"] * 5
-        assert records[:2] + records[3:] == first[:2] + first[3:]
-
-        oneshot = tmp_path / "oneshot.jsonl"
-        assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, checkpoint_path=oneshot)
-        lines = lambda path: sorted(path.read_text(encoding="utf-8").splitlines(keepends=True))
-        assert lines(checkpoint) == lines(oneshot)  # the failed line is gone: one line per pair
-
     def test_ok_line_wins_over_failed_lines_on_read(self, mock_cfg, mock_judge, toy_library, toy_corpus, tmp_path):
         store, _, _ = toy_corpus
         pairs = sample_pairs(store, 5, seed=3)
@@ -457,10 +400,9 @@ class TestAnnotatePairs:
         failed_line = checkpoint.read_text(encoding="utf-8")
         # A failed line on each side of the ok lines: the ok line is kept and nothing is judged.
         checkpoint.write_text(failed_line + oneshot.read_text(encoding="utf-8") + failed_line, encoding="utf-8")
-        engine = make_engine(mock_judge, toy_library)
-        judged = interrupting(engine, stop_after=99)
-        assert annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint) == done
-        assert judged == []
+        judge = RecordingJudge(mock_judge)
+        assert annotate_pairs(make_engine(judge, toy_library), store, pairs, checkpoint_path=checkpoint) == done
+        assert judge.user_texts == []
         lines = lambda path: sorted(path.read_text(encoding="utf-8").splitlines(keepends=True))
         assert lines(checkpoint) == lines(oneshot)
 
@@ -475,19 +417,6 @@ class TestAnnotatePairs:
         other = make_engine(mock_judge, toy_library, temperature=0.9)
         with pytest.raises(IntegrityError, match="configuration"):
             annotate_pairs(other, store, pairs, checkpoint_path=checkpoint)
-
-    def test_completed_checkpoint_means_no_new_calls(
-        self, mock_judge, toy_library, toy_corpus, tmp_path
-    ):
-        store, _, _ = toy_corpus
-        pairs = sample_pairs(store, 4, seed=6)
-        checkpoint = tmp_path / "progress.jsonl"
-        engine = make_engine(mock_judge, toy_library)
-        done = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
-        replay = make_engine(mock_judge, toy_library)
-        calls = interrupting(replay, stop_after=99)
-        assert annotate_pairs(replay, store, pairs, checkpoint_path=checkpoint) == done
-        assert calls == []
 
 
 class HoldFirstPairJudge:
@@ -540,96 +469,8 @@ class TestCheckpointOrder:
         assert judge.lines() == len(pairs)
 
 
-class RecordingJudge:
-    """Wraps a judge, keeping the user text of every request; safe across threads."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.user_texts: list[str] = []
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        with self._lock:
-            self.user_texts.append(request.user_text)
-        return self.inner.complete(request)
-
-    def fe_calls(self) -> int:
-        return sum(stage_of(text).startswith("FE") for text in self.user_texts)
-
-
-class CountingStore:
-    """A case store that keeps the id of every case looked up."""
-
-    def __init__(self, store):
-        self.store = store
-        self.looked_up: list[str] = []
-
-    def get(self, case_id):
-        self.looked_up.append(case_id)
-        return self.store.get(case_id)
-
-
-def case_ids(pairs) -> set[str]:
-    return {case_id for pair in pairs for case_id in pair}
-
-
 class TestResumeReusesExtractions:
-    """A resumed annotation extracts only the cases no finished pair extracted."""
-
-    def interrupted_checkpoint(self, mock_judge, toy_library, store, pairs, path, stop_after):
-        engine = make_engine(mock_judge, toy_library)
-        interrupting(engine, stop_after)
-        with pytest.raises(KeyboardInterrupt):
-            annotate_pairs(engine, store, pairs, checkpoint_path=path)
-        return read_records_jsonl(path)
-
-    @pytest.mark.parametrize("stop_after", [1, 10, 25])
-    def test_resume_extracts_only_cases_without_an_ok_record(
-        self, stop_after, mock_judge, toy_library, toy_store_only, tmp_path
-    ):
-        store = toy_store_only
-        pairs = sample_pairs(store, 40, seed=5)
-        checkpoint = tmp_path / "resumed.jsonl"
-        finished = self.interrupted_checkpoint(mock_judge, toy_library, store, pairs, checkpoint, stop_after)
-        assert len(finished) == stop_after
-        pending = [p.key() for p in pairs[stop_after:]]
-        extracted = case_ids((r.query_id, r.candidate_id) for r in finished if r.status == "ok")
-        assert case_ids(pending) & extracted  # the run shares cases across the interrupt
-
-        judge = RecordingJudge(mock_judge)
-        engine = make_engine(judge, toy_library)
-        records = annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
-        assert judge.fe_calls() == 2 * len(case_ids(pending) - extracted)
-        assert engine.extractions_reused == len(case_ids(pending) & extracted)
-
-        oneshot = tmp_path / "oneshot.jsonl"
-        assert records == annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, checkpoint_path=oneshot)
-        lines = lambda path: sorted(path.read_text(encoding="utf-8").splitlines(keepends=True))
-        assert lines(checkpoint) == lines(oneshot)
-
-    @pytest.mark.usefixtures("short_switch_interval")
-    def test_parallel_resume_makes_the_serial_calls(self, mock_judge, toy_library, toy_store_only, tmp_path):
-        store = toy_store_only
-        pairs = sample_pairs(store, 40, seed=5)
-        serial_path, parallel_path = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        self.interrupted_checkpoint(mock_judge, toy_library, store, pairs, serial_path, 10)
-        parallel_path.write_bytes(serial_path.read_bytes())
-        runs = []
-        for path, parallelism in ((serial_path, 1), (parallel_path, 8)):
-            judge = RecordingJudge(mock_judge)
-            engine = make_engine(judge, toy_library, parallelism=parallelism)
-            records = annotate_pairs(engine, store, pairs, checkpoint_path=path)
-            runs.append((Counter(judge.user_texts), engine.extractions_reused, records))
-        assert runs[0][1] > 0
-        assert runs[0] == runs[1]
-
-    def test_pending_cases_only_are_looked_up(self, mock_judge, toy_library, toy_store_only, tmp_path):
-        pairs = sample_pairs(toy_store_only, 40, seed=5)
-        checkpoint = tmp_path / "progress.jsonl"
-        self.interrupted_checkpoint(mock_judge, toy_library, toy_store_only, pairs, checkpoint, 10)
-        store = CountingStore(toy_store_only)
-        annotate_pairs(make_engine(mock_judge, toy_library), store, pairs, checkpoint_path=checkpoint)
-        assert set(store.looked_up) == case_ids(p.key() for p in pairs[10:])
+    """reuse_extractions fills the memo from ok records only, one record per case."""
 
     def test_failed_records_fill_nothing(self, mock_judge, toy_library):
         ok = fabricate_record("q1", "c1", 3)

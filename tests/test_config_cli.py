@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from lexjudge import cli
+from lexjudge import cli, gateway
 from lexjudge.cli import _make_judge, main
 from lexjudge.config import _KEYS, Config, load_config
 from lexjudge.corpus import load_qrels
@@ -561,6 +561,21 @@ class TestCliJudge:
         # hash, so run 2 misses the cache and this assertion turns around.
         assert (payload["kappa_mf_mean"], payload["kappa_lf_mean"], payload["kappa_label_mean"]) == (1.0, 1.0, 1.0)
 
+    # The key is looked up before each call, so a run without it ends at its first call, on
+    # whichever thread makes it, and no pair is recorded as failed.
+    @pytest.mark.parametrize("parallelism", [1, 8])
+    def test_a_missing_key_ends_the_run_before_any_call(self, parallelism, toy, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        monkeypatch.setattr(gateway, "_SessionTransport", lambda: lambda *request: calls.append(request))
+        code = main(["judge", "--cases", str(toy.cases), "--pools", str(toy.pools), "--out", str(tmp_path / "j.jsonl"),
+                     "--set", "api.base_url=http://127.0.0.1:9", "--set", f"parallelism={parallelism}"])
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1 and calls == []
+        assert message == "error: environment variable OPENAI_API_KEY is not set"
+        assert (tmp_path / "j.run1.jsonl").read_bytes() == b""
+        assert not (tmp_path / "j.run2.jsonl").exists()
+
 
 class StageCounter:
     """Counts MockJudge calls per stage, across threads; the call after stop_after calls raises KeyboardInterrupt."""
@@ -806,7 +821,7 @@ class TestCliEvaluate:
         code = main(["evaluate", mode, *given, "--report-dir", str(tmp_path / "rep")])
         [message] = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert message == f"error: run judges pair {pair!r} more than once"
+        assert message == f"error: {twice} judges pair {pair!r} more than once"
         assert not (tmp_path / "rep").exists()
 
     def test_reliability_refuses_qrels(self, judged, tmp_path, capsys):
@@ -863,12 +878,13 @@ class TestCliEvaluate:
                          "--out", str(paths[-1]), "--runs", "1", "--set", setting])
             assert code == 0
         capsys.readouterr()
-        fingerprints = sorted({read_records_jsonl(path)[0].config_fingerprint for path in paths})
-        assert len(fingerprints) == 3
+        fingerprints = [read_records_jsonl(path)[0].config_fingerprint for path in paths]
+        assert len(set(fingerprints)) == 3
         code = main(["evaluate", "reliability", "--in", *map(str, paths), "--report-dir", str(tmp_path / "rep")])
         [message] = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert message == f"error: reliability needs runs of one configuration, got fingerprints {', '.join(fingerprints)}"
+        each = "; ".join(f"{fingerprint} in {path}" for fingerprint, path in zip(fingerprints, paths))
+        assert message == f"error: reliability needs runs of one configuration, got fingerprints {each}"
         assert not (tmp_path / "rep").exists()
 
 

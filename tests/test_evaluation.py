@@ -559,7 +559,7 @@ class TestReports:
         # A failed record counts too: it was written under its run's configuration.
         other = dataclasses.replace(fabricate_record("q1", "c2", 2, status="failed"), config_fingerprint="fab1")
         run_b = [fabricate_record("q1", "c1", 1), other]
-        with pytest.raises(IntegrityError, match="fingerprints fab0, fab1$"):
+        with pytest.raises(IntegrityError, match="fingerprints fab0 in run 1; fab0, fab1 in run 2$"):
             build_reliability_report([run_a, run_b])
 
     def test_validity_refuses_a_pair_judged_ok_twice(self):
@@ -570,7 +570,7 @@ class TestReports:
     def test_reliability_refuses_a_pair_judged_ok_twice(self):
         run_a = [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1)]
         run_b = [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1), fabricate_record("q1", "c2", 2)]
-        with pytest.raises(IntegrityError, match=r"^run judges pair \('q1', 'c2'\) more than once$"):
+        with pytest.raises(IntegrityError, match=r"^run 2 judges pair \('q1', 'c2'\) more than once$"):
             build_reliability_report([run_a, run_b])
 
     def test_a_failed_line_then_an_ok_line_for_one_pair_is_kept(self):

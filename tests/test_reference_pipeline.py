@@ -5,24 +5,33 @@ rank_oracle, fills prompts by one re.sub and writes lines with the generic
 JSON encoder. Agreement on run-file bytes and on every prompt sent, over
 drawn pools, libraries, ablations, seeds, parallelism and mock lexicons
 (a short one fails extractions), is the evidence that the engine's memos,
-frames and scheduling change nothing, failed pairs included.
+frames and scheduling change nothing, failed pairs included. The same
+agreement over drawn schedules of interrupted, torn and resumed runs is
+the evidence for the checkpoint's resume rules.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import sys
 import tempfile
+import threading
 from collections import Counter
+from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lexjudge.config import AblationFlags
+from lexjudge.corpus import CandidatePool
 from lexjudge.demos import DemoLibrary, Demonstration, FactType, Stage
 from lexjudge.engine import JudgeEngine, judge_to_file, load_templates, pool_pairs
-from lexjudge.gateway import MockJudge, MockJudgeConfig
+from lexjudge.errors import AuthError, UpstreamError
+from lexjudge.gateway import MockJudge, MockJudgeConfig, stage_of
 
 from conftest import RecordingJudge
 from oracles import reference_judge_pools
@@ -67,8 +76,8 @@ class TestReferencePipeline:
         lexicon = data.draw(st.frozensets(st.sampled_from(sorted(toy_lexicon))), label="lexicon")
         mock_cfg = MockJudgeConfig(lexicon=lexicon)
         knobs = dict(sampling_seed=sampling_seed, top_k_demos=top_k_demos, fa_demos_per_polarity=fa_demos_per_polarity)
-        want_file, want_sent = reference_judge_pools(store, pools, top_n, demos, load_templates(), mock_cfg, flags,
-                                                     **knobs)
+        want_file, want_sent, _ = reference_judge_pools(store, pools, top_n, demos, load_templates(), mock_cfg, flags,
+                                                        **knobs)
         judge = RecordingJudge(MockJudge(mock_cfg))
         engine = JudgeEngine(judge, DemoLibrary(demos), flags=flags, parallelism=parallelism, **knobs)
         with tempfile.TemporaryDirectory() as tmp:
@@ -81,3 +90,121 @@ class TestReferencePipeline:
         assert Counter(judge.user_texts) == Counter(want_sent)
         if parallelism == 1:
             assert judge.user_texts == want_sent
+
+
+class Interrupting:
+    """Passes the first k calls to inner; every later call raises error, as an interrupt or a refusal would.
+
+    stopped_at is the stage of the first call that raised.
+    """
+
+    def __init__(self, inner, k: float, error: type[BaseException] | None):
+        self.inner = inner
+        self.k = k
+        self.error = error
+        self.calls = 0
+        self.stopped_at = None
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            if self.calls > self.k:
+                self.stopped_at = self.stopped_at or stage_of(request.user_text)
+                raise self.error(f"after {self.k} calls")
+        return self.inner.complete(request)
+
+
+class CountingStore:
+    """A case store that keeps the id of every case looked up."""
+
+    def __init__(self, store):
+        self.store = store
+        self.looked_up: set[str] = set()
+
+    def get(self, case_id):
+        self.looked_up.add(case_id)
+        return self.store.get(case_id)
+
+
+def held_ok(path: Path) -> set[tuple[str, str]]:
+    """The pairs of a checkpoint's ok lines; a last line cut short holds none, one without its newline counts."""
+    held = set()
+    for line in path.read_bytes().splitlines() if path.exists() else []:
+        try:
+            row = json.loads(line)
+        except ValueError:
+            continue
+        if row["status"] == "ok":
+            held.add((row["query_id"], row["candidate_id"]))
+    return held
+
+
+class TestResumedCheckpoint:
+    # Each segment but the last is cut short once it has made a drawn percentage of the calls it
+    # needs: by KeyboardInterrupt, which gets past the engine's except Exception; by AuthError,
+    # which the engine lets through; or by UpstreamError, which fails every pair left, so the run
+    # ends with failed lines to retry. Then the drawn number of bytes may be cut off its last line.
+    # Nothing drawn depends on the file, whose lines a parallel segment leaves in any order.
+    @given(
+        data=st.data(),
+        segments=st.lists(
+            st.tuples(st.sampled_from([1, 4]), st.sampled_from([KeyboardInterrupt, AuthError, UpstreamError]),
+                      st.integers(0, 100), st.none() | st.just(1) | st.integers(2, 4000)),
+            min_size=1, max_size=3,
+        ),
+        last_parallelism=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_schedule_of_resumes_ends_in_the_one_shot_file(
+        self, toy_corpus, toy_lexicon, data, segments, last_parallelism
+    ):
+        store = toy_corpus[0]
+        # Few cases, so pairs share them and a resume has extractions to reuse.
+        cases = data.draw(st.lists(st.sampled_from(sorted(store.ids())), min_size=2, max_size=6, unique=True),
+                          label="cases")
+        pairs = data.draw(st.lists(st.sampled_from([(q, c) for q in cases for c in cases if q != c]), min_size=1,
+                                   max_size=12, unique=True), label="pairs")
+        # A case holding no term of the mock's lexicon fails its legal-fact extraction.
+        dropped = data.draw(st.frozensets(st.sampled_from(sorted(toy_lexicon))), label="terms dropped")
+        mock_cfg = MockJudgeConfig(lexicon=toy_lexicon - dropped)
+        demos = drawn_library(4, toy_lexicon)
+        library = DemoLibrary(demos)
+        pools = [CandidatePool(q, (c,)) for q, c in pairs]
+        want_file, want_sent, owners = reference_judge_pools(store, pools, None, demos, load_templates(), mock_cfg,
+                                                             AblationFlags())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.jsonl"
+            for parallelism, error, percent, tear in [*segments, (last_parallelism, None, None, None)]:
+                held = held_ok(path)
+                held_cases = {case for pair in held for case in pair}
+                pending_cases = {case for pair in pairs if pair not in held for case in pair}
+                if pending_cases & held_cases:
+                    event("a resume with extractions to reuse")
+                # The reference's prompts less those of a pair an ok line holds, and of a case one
+                # holds, whose extractions the resume takes from that line.
+                need = [text for text, (pair, case) in zip(want_sent, owners)
+                        if pair not in held and case not in held_cases]
+                k = math.inf if error is None else len(need) * percent // 100
+                judge = RecordingJudge(MockJudge(mock_cfg))
+                interrupting = Interrupting(judge, k, error)
+                engine = JudgeEngine(interrupting, library, parallelism=parallelism)
+                counting = CountingStore(store)
+                with pytest.raises(error) if error in (KeyboardInterrupt, AuthError) and k < len(need) else nullcontext():
+                    judge_to_file(engine, counting, pairs, path)
+                assert counting.looked_up == pending_cases  # only the pending pairs' cases
+                if interrupting.stopped_at:
+                    event(f"{error.__name__} at {interrupting.stopped_at}")
+                sent = judge.user_texts
+                # Nothing held is asked for again, and nothing twice.
+                assert Counter(sent) <= Counter(need)
+                # A segment stops only at its interrupt, and a serial one asks in the reference's order.
+                assert len(sent) == min(k, len(need))
+                if parallelism == 1:
+                    assert sent == need[: len(sent)]
+                assert not list(path.parent.glob("*.tmp"))
+                lines = path.read_bytes().splitlines(keepends=True)
+                if tear is not None and lines:
+                    event("a line without its newline" if tear == 1 else "a line cut short")
+                    path.write_bytes(b"".join(lines[:-1]) + lines[-1][: -min(tear, len(lines[-1]))])
+            assert path.read_bytes() == want_file.encode("utf-8")
