@@ -123,6 +123,26 @@ class RecordingJudge:
         return self.inner.complete(request)
 
 
+class Interrupting:
+    """Passes the first k calls to inner; every later call raises error, and stopped_at keeps its first stage."""
+
+    def __init__(self, inner, k: float, error: type[BaseException] | None):
+        self.inner = inner
+        self.k = k
+        self.error = error
+        self.calls = 0
+        self.stopped_at = None
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            if self.calls > self.k:
+                self.stopped_at = self.stopped_at or stage_of(request.user_text)
+                raise self.error(f"after {self.k} calls")
+        return self.inner.complete(request)
+
+
 @pytest.fixture()
 def instrumented(mock_judge):
     return InstrumentedJudge(mock_judge)

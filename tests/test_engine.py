@@ -45,6 +45,7 @@ from lexjudge.engine import (
     write_records_jsonl,
 )
 from lexjudge.errors import (
+    AuthError,
     DomainError,
     JudgeResponseUnparseable,
     ParseError,
@@ -66,7 +67,7 @@ from lexjudge.gateway import (
 )
 from lexjudge.retrieval import top_k_rank
 
-from conftest import FaultyOnPairJudge, RecordingJudge, ScriptedJudge, fabricate_record, make_engine
+from conftest import FaultyOnPairJudge, Interrupting, RecordingJudge, ScriptedJudge, fabricate_record, make_engine
 from oracles import jaccard_oracle, normalized_tokens, prompt_oracle, record_line_oracle, user_text_oracle
 
 GOOD_FE = "===FACTS===\nfacts ok\n===END==="
@@ -685,6 +686,23 @@ class TestSingleFlightExtraction:
         assert judge.calls["FE_MF"] == fe_mf_calls
         serial = make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
         assert [r for r in records if r.status == "ok"] == [r for r in serial if r.query_id != query.id]
+
+    # A refusal ends the run and, unlike an upstream error, no memo keeps it: once the key is back,
+    # the same engine judges the pairs as a fresh one does. k picks the refused call: FE_MF, FE_MF,
+    # FE_LF, FE_LF, FA_MF, FA_LF.
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_a_refusal_ends_the_run_and_is_kept_by_nothing(self, parallelism, k, mock_judge, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        pairs = [(store.get(pools[0].query_id), store.get(cid)) for cid in pools[0].candidate_ids[:2]]
+        judge = Interrupting(mock_judge, k, AuthError)
+        engine = make_engine(judge, toy_library, parallelism=parallelism)
+        recorded = []
+        with pytest.raises(AuthError):
+            engine.judge_pairs(pairs, recorded.append)
+        assert recorded == []  # no pair finishes within k calls, and none is recorded as failed
+        judge.k = 99
+        assert engine.judge_pairs(pairs) == make_engine(mock_judge, toy_library).judge_pairs(pairs)
 
     @pytest.mark.parametrize("parallelism", [1, 2, 8])
     def test_all_pools_extract_each_case_once(self, parallelism, mock_cfg, toy_library, toy_corpus):

@@ -16,11 +16,11 @@ import json
 import math
 import sys
 import tempfile
-import threading
 from collections import Counter
 from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -31,9 +31,9 @@ from lexjudge.corpus import CandidatePool
 from lexjudge.demos import DemoLibrary, Demonstration, FactType, Stage
 from lexjudge.engine import JudgeEngine, judge_to_file, load_templates, pool_pairs
 from lexjudge.errors import AuthError, UpstreamError
-from lexjudge.gateway import MockJudge, MockJudgeConfig, stage_of
+from lexjudge.gateway import MockJudge, MockJudgeConfig
 
-from conftest import RecordingJudge
+from conftest import Interrupting, RecordingJudge
 from oracles import reference_judge_pools
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -90,41 +90,6 @@ class TestReferencePipeline:
         assert Counter(judge.user_texts) == Counter(want_sent)
         if parallelism == 1:
             assert judge.user_texts == want_sent
-
-
-class Interrupting:
-    """Passes the first k calls to inner; every later call raises error, as an interrupt or a refusal would.
-
-    stopped_at is the stage of the first call that raised.
-    """
-
-    def __init__(self, inner, k: float, error: type[BaseException] | None):
-        self.inner = inner
-        self.k = k
-        self.error = error
-        self.calls = 0
-        self.stopped_at = None
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        with self._lock:
-            self.calls += 1
-            if self.calls > self.k:
-                self.stopped_at = self.stopped_at or stage_of(request.user_text)
-                raise self.error(f"after {self.k} calls")
-        return self.inner.complete(request)
-
-
-class CountingStore:
-    """A case store that keeps the id of every case looked up."""
-
-    def __init__(self, store):
-        self.store = store
-        self.looked_up: set[str] = set()
-
-    def get(self, case_id):
-        self.looked_up.add(case_id)
-        return self.store.get(case_id)
 
 
 def held_ok(path: Path) -> set[tuple[str, str]]:
@@ -189,10 +154,11 @@ class TestResumedCheckpoint:
                 judge = RecordingJudge(MockJudge(mock_cfg))
                 interrupting = Interrupting(judge, k, error)
                 engine = JudgeEngine(interrupting, library, parallelism=parallelism)
-                counting = CountingStore(store)
+                counting = Mock(wraps=store)
                 with pytest.raises(error) if error in (KeyboardInterrupt, AuthError) and k < len(need) else nullcontext():
                     judge_to_file(engine, counting, pairs, path)
-                assert counting.looked_up == pending_cases  # only the pending pairs' cases
+                looked_up = {call.args[0] for call in counting.get.call_args_list}
+                assert looked_up == pending_cases  # only the pending pairs' cases
                 if interrupting.stopped_at:
                     event(f"{error.__name__} at {interrupting.stopped_at}")
                 sent = judge.user_texts
