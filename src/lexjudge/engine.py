@@ -100,6 +100,7 @@ TEMPLATE_NAMES = ("fe_mf", "fe_lf", "fa_mf", "fa_lf")
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 _KNOWN_PLACEHOLDERS = {"task_description", "definitions", "demos", "target"}
 _VERDICT_RE = re.compile(r"^\s*VERDICT:\s*(RELEVANT|IRRELEVANT)\s*$", re.IGNORECASE)
+_RUN_ID_RE = re.compile(r"r([1-9][0-9]*)")
 _T = TypeVar("_T")
 
 logger = logging.getLogger(__name__)
@@ -330,6 +331,9 @@ class JudgmentRecord:
 # What every successfully judged record carries.
 _OK_PARTS = ("label", "mf_extractions", "lf_extractions", "mf_verdict", "lf_verdict")
 
+# What fixes a comparison's prompt: fact type, demos, and the two fact texts.
+Comparison = tuple[FactType, tuple[Demonstration, ...], str, str]
+
 
 def _shared(table: dict, cls: type[_T], *fields) -> _T:
     """The one cls(*fields) that table holds, made and kept on first request."""
@@ -360,8 +364,15 @@ class JudgeEngine:
     with its one error until a rerun on a new engine (as each CLI command
     builds) tries it again; with a sampling backend, a pair that might
     have succeeded waits for that rerun.
-    A resumed run or annotation fills the memo from its checkpoint first
-    (reuse_extractions), so the once holds across the resumes too.
+    Each distinct comparison, its fact type, demos and two fact texts, is
+    asked once per engine the same way, through a second OnceMemo: pairs
+    whose extractions are equal share one reply, or one kept failure.
+    A resumed run or annotation fills both memos from its checkpoint first
+    (reuse_extractions, reuse_comparisons), so the once holds across the
+    resumes too.
+
+    run_id reads r<n>; n, the run number, is each request's sample_index,
+    so runs with different run ids never send an equal request.
 
     config_fingerprint is the first 16 hex digits of a sha256 over every
     input that changes a record: the request settings (model, temperature,
@@ -425,8 +436,13 @@ class JudgeEngine:
         blob = json.dumps(fingerprinted, sort_keys=True, ensure_ascii=False)
         self.config_fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         self.run_id = run_id if run_id is not None else "r1"
-        # Weakly, so engine and memo form no cycle: a finished engine frees its extractions at once.
+        run_number = _RUN_ID_RE.fullmatch(self.run_id)
+        if run_number is None:
+            raise DomainError(f"run_id must read r<n> with n >= 1, got {self.run_id!r}")
+        self.sample_index = int(run_number.group(1))
+        # Weakly, so engine and memos form no cycle: a finished engine frees its extractions at once.
         self._extractions = OnceMemo(partial(JudgeEngine._extract_once, weakref.proxy(self)))
+        self._comparisons = OnceMemo(partial(JudgeEngine._compare_once, weakref.proxy(self)))
         self._frames = OnceMemo(partial(_frame, self.templates, True))
         self._demo_blocks = OnceMemo(_demo_block)
         self.extractions_reused = 0  # cases reuse_extractions filled
@@ -442,28 +458,34 @@ class JudgeEngine:
         blocks = [self._demo_blocks[demo, i] for i, demo in enumerate(demos, start=1)]
         return _fill(self._frames[stage, fact_type], blocks, target)
 
-    def _call_stage(
-        self, stage: Stage, fact_type: FactType, target: str, query: str | tuple[str, str],
-        case_ids: tuple[str, ...], parse: Callable[[str], _T],
-    ) -> tuple[_T, str]:
-        """One stage call: pick its demos, fill its prompt, and ask until parse accepts a reply.
+    def _demos(
+        self, stage: Stage, fact_type: FactType, query: str | tuple[str, str], case_ids: tuple[str, ...]
+    ) -> tuple[Demonstration, ...]:
+        """The demos of one stage call, matched to query by BM25.
 
-        The demos are matched to query by BM25. This is the one place that
-        reads the demo ablations: disable_adm draws them with the sampling
-        seed under the call key "stage:fact type:case ids joined by |"
-        instead, and disable_fa_demos leaves annotation prompts without
-        any. Attempts after the first append the stage's reminder. Only an
-        unparseable reply earns another attempt; the last parse error is
-        reported. Returns the parsed value and the reply.
+        This is the one place that reads the demo ablations: disable_adm
+        draws them with the sampling seed under the call key "stage:fact
+        type:case ids joined by |" instead, and disable_fa_demos leaves
+        annotation prompts without any.
         """
         k = self.top_k_demos if stage is Stage.FE else self.fa_demos_per_polarity
         if stage is Stage.FA and self.flags.disable_fa_demos:
-            demos: list[Demonstration] = []
-        elif self.flags.disable_adm:
+            return ()
+        if self.flags.disable_adm:
             call_key = f"{stage.value}:{fact_type.value}:{'|'.join(case_ids)}"
-            demos = select(self.library, stage, fact_type, k, seed=self.sampling_seed, call_key=call_key)
-        else:
-            demos = select(self.library, stage, fact_type, k, query)
+            return tuple(select(self.library, stage, fact_type, k, seed=self.sampling_seed, call_key=call_key))
+        return tuple(select(self.library, stage, fact_type, k, query))
+
+    def _call_stage(
+        self, stage: Stage, fact_type: FactType, target: str, demos: Sequence[Demonstration],
+        parse: Callable[[str], _T],
+    ) -> tuple[_T, str]:
+        """One stage call: fill its prompt with demos and target, and ask until parse accepts a reply.
+
+        Attempts after the first append the stage's reminder. Only an
+        unparseable reply earns another attempt; the last parse error is
+        reported. Returns the parsed value and the reply.
+        """
         user_text = self._user_text(stage, fact_type, demos, target)
         reminder = FE_REMINDER if stage is Stage.FE else FA_REMINDER
         for attempt in range(self.retry + 1):
@@ -473,6 +495,7 @@ class JudgeEngine:
                 temperature=self.temperature,
                 model=self.model,
                 max_tokens=self.max_tokens,
+                sample_index=self.sample_index,
             )
             text = self.judge.complete(request).text
             try:
@@ -506,12 +529,17 @@ class JudgeEngine:
             return FactExtraction(case.id, fact_type, case.fact_text, "")
         try:
             target = case.fact_text if fact_type is FactType.MF else self.extract_fact(case, FactType.MF).text
-            text, raw = self._call_stage(Stage.FE, fact_type, target, target, (case.id,), _parse_nonempty_facts)
+            demos = self._demos(Stage.FE, fact_type, target, (case.id,))
+            text, raw = self._call_stage(Stage.FE, fact_type, target, demos, _parse_nonempty_facts)
         except AuthError:
             raise
         except Exception as exc:
             return exc.with_traceback(None)
         return FactExtraction(case.id, fact_type, text, raw)
+
+    def _comparison(self, a: FactExtraction, b: FactExtraction, fact_type: FactType) -> Comparison:
+        """The comparison memo's key for one fact layer of a pair: what fixes its prompt."""
+        return fact_type, self._demos(Stage.FA, fact_type, (a.text, b.text), (a.case_id, b.case_id)), a.text, b.text
 
     def judge_fact_pair(
         self,
@@ -519,11 +547,23 @@ class JudgeEngine:
         b: FactExtraction,
         fact_type: FactType,
     ) -> FactVerdict:
-        """Annotate one fact layer of a pair of extractions."""
-        target = f"{INPUT_A}\n{a.text}\n{INPUT_B}\n{b.text}"
-        (relevant, reasoning), raw = self._call_stage(
-            Stage.FA, fact_type, target, (a.text, b.text), (a.case_id, b.case_id), parse_verdict
-        )
+        """Annotate one fact layer of a pair of extractions, from the engine's memo; a kept failure is raised."""
+        verdict = self._comparisons[self._comparison(a, b, fact_type)]
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
+
+    def _compare_once(self, key: Comparison) -> FactVerdict | Exception:
+        """The comparison memo's computation: a verdict, or the exception that ended it (see _extract_once)."""
+        fact_type, demos, a_text, b_text = key
+        try:
+            (relevant, reasoning), raw = self._call_stage(
+                Stage.FA, fact_type, f"{INPUT_A}\n{a_text}\n{INPUT_B}\n{b_text}", demos, parse_verdict
+            )
+        except AuthError:
+            raise
+        except Exception as exc:
+            return exc.with_traceback(None)
         return FactVerdict(fact_type, relevant, reasoning, raw)
 
     # -- pair and pool drivers ----------------------------------------------
@@ -556,12 +596,33 @@ class JudgeEngine:
         self.extractions_reused += filled
         return filled
 
+    def reuse_comparisons(self, records: Iterable[JudgmentRecord]) -> int:
+        """Fill the comparison memo from finished records; return how many comparisons it filled.
+
+        judge_to_file calls this next to reuse_extractions, so a comparison
+        that a finished pair asked is not asked again. Only ok records
+        count; a comparison takes the verdict of the first record that
+        holds it, and one already in the memo is left as it is. The records
+        must come from this configuration, as for reuse_extractions.
+        """
+        filled = 0
+        for record in records:
+            if record.status != "ok":
+                continue
+            for fact_type, (a, b), verdict in ((FactType.MF, record.mf_extractions, record.mf_verdict),
+                                               (FactType.LF, record.lf_extractions, record.lf_verdict)):
+                key = self._comparison(a, b, fact_type)
+                if key not in self._comparisons:
+                    self._comparisons[key] = verdict
+                    filled += 1
+        return filled
+
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
         """Judge one pair through all six stages, material facts first.
 
         The first stage that fails ends the pair in a failed record whose
         error names it: "<stage>_<fact type>: <message>". A failed
-        extraction is the one the memo keeps for that case. An AuthError,
+        extraction or comparison is the one its memo keeps. An AuthError,
         which every later call would meet too, is raised, not recorded.
         """
 
@@ -577,15 +638,13 @@ class JudgeEngine:
                     return failed(Stage.FE, fact_type, extraction)
                 extractions.append(extraction)
         mf_q, mf_c, lf_q, lf_c = extractions
-        fact_type = FactType.MF
-        try:
-            mf_verdict = self.judge_fact_pair(mf_q, mf_c, fact_type)
-            fact_type = FactType.LF
-            lf_verdict = self.judge_fact_pair(lf_q, lf_c, fact_type)
-        except AuthError:
-            raise
-        except Exception as exc:
-            return failed(Stage.FA, fact_type, exc)
+        verdicts = []
+        for fact_type, a, b in ((FactType.MF, mf_q, mf_c), (FactType.LF, lf_q, lf_c)):
+            verdict = self._comparisons[self._comparison(a, b, fact_type)]
+            if isinstance(verdict, Exception):
+                return failed(Stage.FA, fact_type, verdict)
+            verdicts.append(verdict)
+        mf_verdict, lf_verdict = verdicts
         label = aggregate_label(mf_verdict.relevant, lf_verdict.relevant)
         return JudgmentRecord(query.id, candidate.id, "ok", label, (mf_q, mf_c), (lf_q, lf_c), mf_verdict, lf_verdict,
                               self.run_id, self.config_fingerprint)
@@ -599,23 +658,26 @@ class JudgeEngine:
 
         A pair that fails becomes a failed record rather than aborting the
         batch; an AuthError aborts it. on_record sees each record as soon as
-        its pair finishes, so in completion order when pairs run in
-        parallel. On an error or interrupt, pairs not yet started are dropped.
+        its pair finishes, on the thread that judged the pair: in parallel,
+        that is a pool thread, so on_record must be thread-safe, and it sees
+        records in completion order. On an error or interrupt, pairs not yet
+        started are dropped, pairs already running finish and reach
+        on_record, and then the first error is raised.
         """
+
+        def judge(query: Case, candidate: Case) -> JudgmentRecord:
+            record = self.judge_pair(query, candidate)
+            if on_record is not None:
+                on_record(record)
+            return record
+
         if self.parallelism == 1 or len(pairs) < 2:
-            records = []
-            for query, candidate in pairs:
-                record = self.judge_pair(query, candidate)
-                if on_record is not None:
-                    on_record(record)
-                records.append(record)
-            return records
+            return [judge(query, candidate) for query, candidate in pairs]
         with ThreadPoolExecutor(max_workers=self.parallelism) as executor:
-            futures = [executor.submit(self.judge_pair, q, c) for q, c in pairs]
+            futures = [executor.submit(judge, q, c) for q, c in pairs]
             try:
                 for future in as_completed(futures):
-                    if on_record is not None:
-                        on_record(future.result())
+                    future.result()  # raises the first error to end
             finally:
                 for future in futures:
                     future.cancel()
@@ -758,8 +820,10 @@ def judge_to_file(
     A rerun skips pairs whose line is ok and judges failed ones again (a
     key's ok line wins, then its last failed line); it refuses a file from
     another configuration, drops a last line an interrupt cut short, and
-    hands the finished records to engine.reuse_extractions, assuming the
-    cases have not changed since. Only pending pairs' cases are looked up.
+    hands the finished records to engine.reuse_extractions and
+    engine.reuse_comparisons, assuming the cases have not changed since, so
+    the run makes the calls of one uninterrupted run. Only pending pairs'
+    cases are looked up.
     The file ends as the requested pairs in input order, then any others in
     file order, and is rewritten atomically only if its lines differ from
     that (after a parallel run or a superseded line). Returns one record per
@@ -781,7 +845,9 @@ def judge_to_file(
             raise IntegrityError(f"{path} was written under a different configuration")
         keep(record)
     todo = [(store.get(q), store.get(c)) for q, c in unique if (q, c) not in kept or kept[q, c].status != "ok"]
-    engine.reuse_extractions(written, [case for pair in todo for case in pair])
+    if todo:
+        engine.reuse_extractions(written, [case for pair in todo for case in pair])
+        engine.reuse_comparisons(written)
     engine.pairs_resumed += len(unique) - len(todo)
     write_lock = threading.Lock()
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -793,11 +859,13 @@ def judge_to_file(
                 sink.write(line)
                 sink.flush()
                 written.append(record)
-            keep(record)
+                keep(record)
 
-        # finish sees pairs in completion order, so a slow pair holds back no
-        # finished line; after an error or interrupt, pairs not yet started
-        # are dropped rather than judged with nowhere to record them.
+        # finish sees pairs in completion order, on the threads that judged
+        # them, so a slow pair holds back no finished line, and a pair still
+        # running at an error or interrupt is written before it is raised;
+        # pairs not yet started are dropped rather than judged with nowhere
+        # to record them.
         engine.judge_pairs(todo, on_record=finish)
     records = [kept[key] for key in unique]
     lines = records + [record for key, record in kept.items() if key not in unique]

@@ -268,9 +268,12 @@ def build_reliability_report(
     failure in one run drops that pair everywhere. Runs must come from one
     configuration: records carrying more than one config_fingerprint raise
     IntegrityError naming each run's, since their agreement measures the
-    change of configuration, not the judge's reliability. sources names
-    the runs in a refusal, such as by their files; by default "run 1",
-    "run 2" and so on.
+    change of configuration, not the judge's reliability. Runs must also
+    hold distinct run ids: a run id held by two runs raises IntegrityError
+    naming the runs that hold it, since the run number is the requests'
+    sample index, so two such runs may share replies through a cache.
+    sources names the runs in a refusal, such as by their files; by
+    default "run 1", "run 2" and so on.
     """
     if len(records_per_run) < 2:
         raise DomainError("reliability needs at least two runs")
@@ -280,6 +283,13 @@ def build_reliability_report(
         each = "; ".join(f"{', '.join(held)} in {source}" for held, source in zip(fingerprints, sources) if held)
         raise IntegrityError(f"reliability needs runs of one configuration, got fingerprints {each}")
     ok_maps = [_ok_by_pair(records, source) for records, source in zip(records_per_run, sources)]
+    holders: dict[str, list[str]] = {}
+    for records, source in zip(records_per_run, sources):
+        for run_id in sorted({r.run_id for r in records}):
+            holders.setdefault(run_id, []).append(source)
+    shared = "; ".join(f"{run_id} in {', '.join(held)}" for run_id, held in sorted(holders.items()) if len(held) > 1)
+    if shared:
+        raise IntegrityError(f"reliability needs runs of distinct run ids, got run id {shared}")
     order = sorted(set(ok_maps[0]).intersection(*ok_maps[1:]))
     if not order:
         raise DomainError("no pair was judged successfully in every run")

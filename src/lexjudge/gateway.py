@@ -48,13 +48,19 @@ class TokenUsage:
 
 @dataclass(frozen=True, slots=True)
 class JudgeRequest:
-    """One prompt for the judge; immutable so it can double as a cache key."""
+    """One prompt for the judge; immutable so it can double as a cache key.
+
+    sample_index is the number of the run that asks (the engine's run id
+    r<n>), so a cache never serves one run another run's reply. No backend
+    sends it; the mock ignores it.
+    """
 
     system_text: str
     user_text: str
     temperature: float
     model: str
     max_tokens: int = 1024
+    sample_index: int = 1
 
     def __post_init__(self) -> None:
         if not self.user_text:
@@ -63,6 +69,8 @@ class JudgeRequest:
             raise DomainError(f"temperature must lie in [0, 2], got {self.temperature}")
         if self.max_tokens < 1:
             raise DomainError("max_tokens must be >= 1")
+        if self.sample_index < 1:
+            raise DomainError("sample_index must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +92,7 @@ def request_hash(request: JudgeRequest) -> str:
             request.model,
             repr(request.temperature),
             str(request.max_tokens),
+            str(request.sample_index),
             request.system_text,
             request.user_text,
         ]

@@ -44,7 +44,7 @@ from lexjudge.errors import (
     ParseError,
     ScorerError,
 )
-from lexjudge.gateway import JudgeResponse, mock_complete, mock_tokens, stage_of
+from lexjudge.gateway import JudgeResponse, MockJudge, MockJudgeConfig, mock_complete, mock_tokens, stage_of
 from lexjudge.retrieval import tokenize
 
 from conftest import FaultyOnPairJudge, RecordingJudge, fabricate_record, make_engine
@@ -470,7 +470,7 @@ class TestCheckpointOrder:
 
 
 class TestResumeReusesExtractions:
-    """reuse_extractions fills the memo from ok records only, one record per case."""
+    """reuse_extractions and reuse_comparisons fill their memos from ok records only, one record per key."""
 
     def test_failed_records_fill_nothing(self, mock_judge, toy_library):
         ok = fabricate_record("q1", "c1", 3)
@@ -496,6 +496,20 @@ class TestResumeReusesExtractions:
             assert len(engine._extractions) == 2
             assert engine.reuse_extractions(records, [case]) == 0  # a filled case stays as it is
 
+    def test_a_comparison_takes_its_verdict_from_the_first_ok_record(self, toy_library):
+        judge = RecordingJudge(MockJudge(MockJudgeConfig()))
+        first = fabricate_record("q1", "c1", 3)
+        # Another pair with the same fact texts asks the same comparisons; its verdicts differ.
+        second = fabricate_record("q2", "c2", 0)
+        failed = dataclasses.replace(fabricate_record("q3", "c3", 1), status="failed")
+        engine = make_engine(judge, toy_library)
+        assert engine.reuse_comparisons([failed]) == 0 and not engine._comparisons
+        assert engine.reuse_comparisons([failed, first, second]) == 2
+        assert engine.reuse_comparisons([second]) == 0  # a filled comparison stays as it is
+        mf, lf = (engine.judge_fact_pair(*pair, fact_type) for pair, fact_type in
+                  ((second.mf_extractions, FactType.MF), (second.lf_extractions, FactType.LF)))
+        assert (mf, lf) == (first.mf_verdict, first.lf_verdict) and judge.user_texts == []
+
     def test_fingerprint_mismatch_raises_before_anything_is_filled(
         self, mock_judge, toy_library, toy_store_only, tmp_path, monkeypatch
     ):
@@ -512,7 +526,7 @@ class TestResumeReusesExtractions:
         monkeypatch.setattr(engine, "reuse_extractions", lambda *args: called.append(args))
         with pytest.raises(IntegrityError, match="configuration"):
             annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
-        assert called == [] and not engine._extractions
+        assert called == [] and not engine._extractions and not engine._comparisons
         assert checkpoint.read_bytes() == before
 
 

@@ -514,7 +514,7 @@ class TestCliJudge:
         # With both off the bare backend comes back, so the default path has no wrapper.
         assert type(judge) is (MockJudge if mock else ChatCompletionsJudge)
 
-    def test_cache_serves_run_two_from_run_one(self, toy, tmp_path, monkeypatch, capsys):
+    def test_cache_serves_each_run_only_its_own_replies(self, toy, tmp_path, monkeypatch, capsys):
         transcript = tmp_path / "t.jsonl"
         mock_calls, at_write = [], []
         complete, judge_to_file = MockJudge.complete, cli.judge_to_file
@@ -533,8 +533,9 @@ class TestCliJudge:
         monkeypatch.setattr(cli, "judge_to_file", write_then_snapshot)
         judge = ["judge", "--cases", str(toy.cases), "--pools", str(toy.pools), "--runs", "2", "--mock"]
         assert run_cli(capsys, *judge, "--out", str(tmp_path / "plain" / "j.jsonl"))[0] == 0
-        # Each run issues 336 calls, of which 300 are distinct: equal pairs repeat.
-        assert at_write == [(336, 0), (672, 0)]
+        # Each run asks each of its 300 distinct requests once: pairs of equal legal facts share a reply.
+        assert at_write == [(300, 0), (600, 0)]
+        assert [r.sample_index for r in mock_calls] == [1] * 300 + [2] * 300
         mock_calls.clear()
         at_write.clear()
         cached = [
@@ -543,12 +544,17 @@ class TestCliJudge:
             "--set", f"transcript_path={transcript}",
         ]
         assert run_cli(capsys, *judge, "--out", str(tmp_path / "cached" / "j.jsonl"), *cached)[0] == 0
-        # Run 1 reaches the mock once per distinct request and writes one line for each;
-        # run 2 is served wholly from run 1's entries, so it reaches nothing and writes nothing.
-        assert at_write == [(300, 300), (300, 300)]
-        assert len(list((tmp_path / "cache").iterdir())) == 300
+        # Run 2's requests carry its own sample index, so the cache serves it none of run 1's
+        # entries: it reaches the mock once per request and writes one line for each.
+        assert at_write == [(300, 300), (600, 600)]
+        assert len(list((tmp_path / "cache").iterdir())) == 600
         for name in ("j.run1.jsonl", "j.run2.jsonl"):
             assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        # Another invocation's runs are r1 and r2 again, so the cache serves them wholly; this is
+        # why evaluate reliability refuses runs that share a run id.
+        at_write.clear()
+        assert run_cli(capsys, *judge, "--out", str(tmp_path / "again" / "j.jsonl"), *cached)[0] == 0
+        assert at_write == [(600, 600), (600, 600)]
         code, payload = run_cli(
             capsys,
             "evaluate", "reliability",
@@ -556,9 +562,8 @@ class TestCliJudge:
             "--report-dir", str(tmp_path / "rep"),
         )
         assert code == 0
-        # Kappa 1.0 by construction: run 2 repeats run 1's replies. The ROADMAP item
-        # "Reliability and validity that can fail" puts a sample index in the request
-        # hash, so run 2 misses the cache and this assertion turns around.
+        # Still 1.0, now because the mock ignores the sample index: a noisy mock that reads it is
+        # the second half of the ROADMAP item "Reliability and validity that can fail".
         assert (payload["kappa_mf_mean"], payload["kappa_lf_mean"], payload["kappa_label_mean"]) == (1.0, 1.0, 1.0)
 
     # The key is looked up before each call, so a run without it ends at its first call, on
@@ -624,13 +629,15 @@ class TestCliJudgeResume:
         self, parallelism, oneshot, toy, tmp_path, monkeypatch, capsys
     ):
         out = tmp_path / "j.jsonl"
-        run_calls = 336  # one toy run: 240 comparisons and 96 extractions of 48 cases
+        run_calls = 300  # one toy run: 204 distinct comparisons and 96 extractions of 48 cases
         StageCounter(monkeypatch, stop_after=run_calls + 150)
         with pytest.raises(KeyboardInterrupt):
             main(_judge_three_runs(toy, out))
         assert (tmp_path / "j.run1.jsonl").read_bytes() == oneshot["j.run1.jsonl"]
         assert not (tmp_path / "j.run3.jsonl").exists()
-        pairs = [(r.query_id, r.candidate_id) for r in read_records_jsonl(tmp_path / "j.run1.jsonl")]
+        run1 = read_records_jsonl(tmp_path / "j.run1.jsonl")
+        pairs = [(r.query_id, r.candidate_id) for r in run1]
+        legal = {(r.query_id, r.candidate_id): (r.lf_extractions[0].text, r.lf_extractions[1].text) for r in run1}
         done = [(r.query_id, r.candidate_id) for r in read_records_jsonl(tmp_path / "j.run2.jsonl")]
         assert 0 < len(done) < len(pairs) and done == pairs[: len(done)]
         pending = pairs[len(done) :]
@@ -640,11 +647,17 @@ class TestCliJudgeResume:
         assert code == 0
         for name in RUN_FILES:
             assert (tmp_path / name).read_bytes() == oneshot[name]
-        # Run 1 calls nothing. Run 2 compares its pending pairs and extracts the cases no
-        # finished pair extracted; run 3 makes every call.
+        # Run 1 calls nothing. Run 2 extracts the cases no finished pair extracted and asks the
+        # comparisons no finished pair asked: each pending pair's material facts, and each
+        # distinct pair of legal facts; run 3 makes every call, each distinct comparison once.
         fe = len(_pair_cases(pending) - _pair_cases(done)) + len(_pair_cases(pairs))
-        fa = len(pending) + len(pairs)
-        assert counter.calls == {"FE_MF": fe, "FE_LF": fe, "FA_MF": fa, "FA_LF": fa}
+        fa_mf = len(pending) + len(pairs)
+        fa_lf = len({legal[pair] for pair in pending} - {legal[pair] for pair in done}) + len(set(legal.values()))
+        assert counter.calls == {"FE_MF": fe, "FE_LF": fe, "FA_MF": fa_mf, "FA_LF": fa_lf}
+        # With the 150 calls before the interrupt, run 2 made one run's calls, though some of
+        # its pending pairs compare the legal facts that a done pair compared.
+        assert sum(counter.calls.values()) - run_calls == run_calls - 150
+        assert {legal[pair] for pair in pending} & {legal[pair] for pair in done}
         reused = len(_pair_cases(pending) & _pair_cases(done))
         assert [(o["pairs"], o["failed"], o["resumed"], o["extractions_reused"]) for o in summary["outputs"]] == [
             (120, 0, 120, 0),
@@ -837,26 +850,25 @@ class TestCliEvaluate:
 
     def test_reliability_across_repeat_runs(self, judged, tmp_path, capsys):
         toy, out = judged
+        judge = ["judge", "--cases", str(toy.cases), "--pools", str(toy.pools), "--mock"]
+        # A second `judge --runs 1` is run r1 again: it asks run 1's requests, which a cache would
+        # serve it, so the two are refused together.
         second = tmp_path / "second.jsonl"
-        assert (
-            main(
-                [
-                    "judge",
-                    "--cases", str(toy.cases),
-                    "--pools", str(toy.pools),
-                    "--out", str(second),
-                    "--runs", "1",
-                    "--mock",
-                ]
-            )
-            == 0
-        )
+        assert main([*judge, "--out", str(second), "--runs", "1"]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "reliability", "--in", str(out), str(second), "--report-dir", str(tmp_path / "rep")])
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert message == f"error: reliability needs runs of distinct run ids, got run id r1 in {out}, {second}"
+        assert not (tmp_path / "rep").exists()
+        # The runs of one `judge --runs 2` are r1 and r2.
+        assert main([*judge, "--out", str(tmp_path / "j.jsonl"), "--runs", "2"]) == 0
         capsys.readouterr()
         report_dir = tmp_path / "rep"
         code, payload = run_cli(
             capsys,
             "evaluate", "reliability",
-            "--in", str(out), str(second),
+            "--in", str(tmp_path / "j.run1.jsonl"), str(tmp_path / "j.run2.jsonl"),
             "--report-dir", str(report_dir),
         )
         assert code == 0

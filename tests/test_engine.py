@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import errno
 import gc
@@ -53,6 +54,8 @@ from lexjudge.errors import (
     UpstreamError,
 )
 from lexjudge.gateway import (
+    INPUT_A,
+    INPUT_B,
     STAGE_PREFIX,
     TARGET_BEGIN,
     TARGET_END,
@@ -612,31 +615,33 @@ class TestFactExtractionCache:
         first = engine.judge_pair(query, cand)
         baseline = len(instrumented.stages)
         second = engine.judge_pair(query, cand)
-        fa_only = instrumented.stages[baseline:]
-        assert fa_only == ["FA_MF", "FA_LF"]
+        # Its extractions and both comparisons come from the engine's memos.
+        assert instrumented.stages[baseline:] == []
         assert first == second
 
 
 class SlowExtractionJudge:
-    """Mock judge that sleeps on extraction calls and counts calls by stage.
+    """Mock judge that sleeps on extraction calls, or on the stages slow names, and counts calls by stage.
 
     The sleep widens the window in which parallel pairs ask for the same
-    case. With fail_target set, every FE_MF call for that target fails:
-    it raises, or with garble set, replies garble instead.
+    case, or the same comparison. With fail_target set, every FE_MF call
+    for that target fails: it raises, or with garble set, replies garble
+    instead.
     """
 
     def __init__(self, cfg: MockJudgeConfig, fail_target: str | None = None, garble: str | None = None,
-                 delay_s: float = 0.003):
+                 delay_s: float = 0.003, slow: tuple[str, ...] = ("FE_MF", "FE_LF")):
         self.cfg = cfg
         self.fail_target = fail_target
         self.garble = garble
         self.delay_s = delay_s
+        self.slow = slow
         self.calls: Counter[str] = Counter()
         self._lock = threading.Lock()
 
     def complete(self, request: JudgeRequest) -> JudgeResponse:
         stage = stage_of(request.user_text)
-        if stage.startswith("FE"):
+        if stage in self.slow:
             time.sleep(self.delay_s)
         with self._lock:
             self.calls[stage] += 1
@@ -709,10 +714,15 @@ class TestSingleFlightExtraction:
         store, pools, _ = toy_corpus
         cases = {pool.query_id for pool in pools} | {cid for pool in pools for cid in pool.candidate_ids}
         pairs = sum(len(pool.candidate_ids) for pool in pools)
-        judge = SlowExtractionJudge(mock_cfg)
+        # Legal-fact comparisons, which pairs share, are slow too.
+        judge = SlowExtractionJudge(mock_cfg, slow=("FE_MF", "FE_LF", "FA_LF"))
         records = make_engine(judge, toy_library, parallelism=parallelism).judge_pools(store, pools)
-        # FE: 2 calls per case; FA: 2 per pair, with the pairs of all pools in flight together.
-        assert sum(judge.calls.values()) == 2 * len(cases) + 2 * pairs == 336
+        # FE: 2 calls per case; FA: 1 per distinct comparison, which the bundled library's demos
+        # make 1 per distinct (fact type, fact texts), with the pairs of all pools in flight together.
+        comparisons = {(r.mf_extractions[0].text, r.mf_extractions[1].text) for r in records}
+        legal = {(r.lf_extractions[0].text, r.lf_extractions[1].text) for r in records}
+        assert (judge.calls["FA_MF"], judge.calls["FA_LF"]) == (len(comparisons), len(legal)) == (pairs, 84)
+        assert sum(judge.calls.values()) == 2 * len(cases) + len(comparisons) + len(legal) == 300
         assert records == make_engine(MockJudge(mock_cfg), toy_library).judge_pools(store, pools)
 
     def test_parallel_annotation_extracts_each_case_once(self, mock_cfg, toy_library, toy_corpus, tmp_path):
@@ -745,6 +755,78 @@ class TestSingleFlightExtraction:
         finally:
             gc.enable()
         assert {r.status for r in records} == {"ok" if lexicon == "toy" else "failed"}
+
+
+class RefusedMidRun:
+    """Passes calls to inner; the k-th raises AuthError, and each later one is held until cancelled is set.
+
+    With cancelled set when the run cancels its unstarted pairs, every pair
+    still running then finishes after the error has ended the run.
+    """
+
+    def __init__(self, inner, k: int):
+        self.inner = inner
+        self.k = k
+        self.calls = 0
+        self.cancelled = threading.Event()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            n = self.calls
+        if n == self.k:
+            raise AuthError("refused once")
+        if n > self.k and not self.cancelled.wait(timeout=60):
+            raise TimeoutError("the run never cancelled its unstarted pairs")
+        return self.inner.complete(request)
+
+
+class TestParallelRunEndedByAnError:
+    def test_every_pair_that_finishes_is_written_and_not_asked_again(
+        self, monkeypatch, mock_judge, toy_library, toy_corpus, tmp_path
+    ):
+        store, pools, _ = toy_corpus
+        pairs = pool_pairs(pools)
+        judge = RefusedMidRun(mock_judge, k=150)
+        cancel = concurrent.futures.Future.cancel
+
+        def observed_cancel(future):
+            judge.cancelled.set()
+            return cancel(future)
+
+        monkeypatch.setattr(concurrent.futures.Future, "cancel", observed_cancel)
+        engine = make_engine(judge, toy_library, parallelism=8)
+        returned, late = [], []
+        judge_pair = engine.judge_pair
+
+        def tracked(query, candidate):
+            record = judge_pair(query, candidate)
+            (late if judge.cancelled.is_set() else returned).append((query.id, candidate.id))
+            return record
+
+        engine.judge_pair = tracked
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(AuthError, match="refused once"):
+            judge_to_file(engine, store, pairs, path)
+        monkeypatch.undo()
+        # Pairs running when the run was cancelled finished after it, and have their lines too.
+        assert late
+        held = read_records_jsonl(path)
+        assert sorted((r.query_id, r.candidate_id) for r in held) == sorted(returned + late)
+        rerun = RecordingJudge(mock_judge)
+        judge_to_file(make_engine(rerun, toy_library, parallelism=8), store, pairs, path)
+        # The rerun extracts no case of a held pair and asks none of its comparisons.
+        asked = {text[text.index(TARGET_BEGIN):] for text in rerun.user_texts}
+        for r in held:
+            targets = [store.get(r.query_id).fact_text, store.get(r.candidate_id).fact_text,
+                       r.mf_extractions[0].text, r.mf_extractions[1].text,
+                       f"{INPUT_A}\n{r.mf_extractions[0].text}\n{INPUT_B}\n{r.mf_extractions[1].text}",
+                       f"{INPUT_A}\n{r.lf_extractions[0].text}\n{INPUT_B}\n{r.lf_extractions[1].text}"]
+            assert not asked & {f"{TARGET_BEGIN}\n{target}\n{TARGET_END}" for target in targets}
+        oneshot = tmp_path / "oneshot.jsonl"
+        judge_to_file(make_engine(mock_judge, toy_library), store, pairs, oneshot)
+        assert path.read_bytes() == oneshot.read_bytes()
 
 
 class CountingCalls:
@@ -898,15 +980,18 @@ class TestGoldenRecords:
         assert self.run_digests(write, libraries, parallelism, tmp_path, mock_cfg, toy_corpus) == GOLDEN_RUN_SHA256
 
 
-# (library, ablation flag) -> (prompts sent, sha256 of their user texts as a JSON list).
+# (library, ablation flag) -> (prompts sent, sha256 of their user texts as a JSON list). Each
+# distinct prompt is sent once: 36 of the toy pools' 240 comparisons repeat an earlier one,
+# except under disable_adm, whose seeded draw follows the pair, so that only 5 repeat with the
+# bundled library and none with the large one.
 GOLDEN_PROMPTS = {
-    ("bundled", None): (336, "8b1e5f2f4591688cd8c46a19fd7023156c1d194682db6592fc720f1ae9dd1126"),
-    ("bundled", "disable_adm"): (336, "0b525377a227cc7c5c5623a4c5f4e1fdd063cb486e39214e99264fac4a80d356"),
-    ("bundled", "disable_fa_demos"): (336, "4808cca2bec87df6e42015a273c6c849b1c091e5d3b471f6b9a62406ba234d4f"),
+    ("bundled", None): (300, "f43ecb84351f4cab39672f28cad15e29f2ef6be5ff765f5f441bb66b098120e5"),
+    ("bundled", "disable_adm"): (331, "8f8383df35d493d35a18e96896fca9f19ab556b9b12aad76e1cc5ce7a7ddfb58"),
+    ("bundled", "disable_fa_demos"): (300, "7aaae62d7641377811dbb7b22ec860aef89de435e0324793cfff36a9f274f588"),
     ("bundled", "disable_fe"): (240, "9395aa2ed95569542957745c957022729dfeea8031333f8e1e677d8d72a2562e"),
-    ("large", None): (336, "18d535c6dd61e32d15854b4c2796461408dacd3be6b857c845e054abcd20e4be"),
+    ("large", None): (300, "018adbeba0a4daa24577678c8ec9271fdc32a3f801a8c053e7450c10bfa24d12"),
     ("large", "disable_adm"): (336, "b3d4e366120ad107429178b8c216daa4d8b20cc8462b19a469399119c779f8d4"),
-    ("large", "disable_fa_demos"): (336, "f861a7b5c65c4904b4b50fa1db1cc5f037712918adf1ce58547937b944d52b7c"),
+    ("large", "disable_fa_demos"): (300, "f5f57575eb3ab96dc1f3fcea87f90fcf585ff5d737560c7933e4cb8158a0a780"),
     ("large", "disable_fe"): (240, "ffd23e4802eda2cc7ee0a00da88d05dd4cfc2c8202ec8ff9bb91cd6e97e35e4a"),
 }
 
@@ -1453,3 +1538,15 @@ class TestFingerprint:
     def test_run_id_override(self, mock_judge, toy_library):
         assert make_engine(mock_judge, toy_library).run_id == "r1"
         assert make_engine(mock_judge, toy_library, run_id="r7").run_id == "r7"
+
+    @pytest.mark.parametrize("run_id", ["r0", "r01", "run1", "r1x", ""])
+    def test_run_id_names_a_run_number(self, run_id, mock_judge, toy_library):
+        with pytest.raises(DomainError, match="run_id must read r<n>"):
+            make_engine(mock_judge, toy_library, run_id=run_id)
+
+    def test_requests_carry_the_run_number(self, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        judge = ScriptedJudge([GOOD_FE] * 4 + [GOOD_FA] * 2)
+        engine = make_engine(judge, toy_library, run_id="r7")
+        assert engine.judge_pair(store.get(pools[0].query_id), store.get(pools[0].candidate_ids[0])).status == "ok"
+        assert [request.sample_index for request in judge.requests] == [7] * 6

@@ -466,15 +466,15 @@ def judged_runs(draw):
     pairs = [(f"q{i % 3}", f"c{i}") for i in range(n)]
     gold = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     runs = []
-    for _ in range(draw(st.integers(2, 4))):
+    for run in range(1, draw(st.integers(2, 4)) + 1):
         records = []
         for (qid, cid), g in zip(pairs, gold):
             label = draw(st.one_of(st.just(g), st.integers(0, 3)))
             outcome = draw(st.sampled_from(("ok", "ok", "ok", "failed", "resumed")))
             if outcome != "ok":
-                records.append(fabricate_record(qid, cid, 0, status="failed"))
+                records.append(fabricate_record(qid, cid, 0, status="failed", run_id=f"r{run}"))
             if outcome != "failed":
-                records.append(fabricate_record(qid, cid, label))
+                records.append(fabricate_record(qid, cid, label, run_id=f"r{run}"))
         runs.append(records)
     entries: dict = {}
     for (qid, cid), g in zip(pairs, gold):
@@ -506,6 +506,11 @@ class TestReportsAgainstOracle:
                 assert build_reliability_report(runs) == expected
 
 
+def numbered(*runs):
+    """The runs with run i's records under run id r<i>, as `judge --runs N` writes them."""
+    return [[dataclasses.replace(r, run_id=f"r{i}") for r in run] for i, run in enumerate(runs, start=1)]
+
+
 class TestReports:
     def test_validity_report_shape(self, mock_judge, toy_library, toy_corpus):
         store, pools, qrels = toy_corpus
@@ -528,7 +533,7 @@ class TestReports:
 
     def test_reliability_report_identical_runs(self):
         run = [fabricate_record("q1", f"c{i}", label) for i, label in enumerate([0, 1, 2, 3])]
-        report = build_reliability_report([run, run, run])
+        report = build_reliability_report(numbered(run, run, run))
         assert report["runs"] == 3
         assert report["pairs_compared"] == 4
         for kind in ("mf", "lf", "label"):
@@ -546,7 +551,7 @@ class TestReports:
             fabricate_record("q1", "c2", 1, status="failed"),
             fabricate_record("q1", "c3", 2),
         ]
-        report = build_reliability_report([run_a, run_b])
+        report = build_reliability_report(numbered(run_a, run_b))
         assert report["pairs_compared"] == 2
 
     def test_reliability_needs_two_runs(self):
@@ -571,7 +576,7 @@ class TestReports:
         run_a = [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1)]
         run_b = [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1), fabricate_record("q1", "c2", 2)]
         with pytest.raises(IntegrityError, match=r"^run 2 judges pair \('q1', 'c2'\) more than once$"):
-            build_reliability_report([run_a, run_b])
+            build_reliability_report(numbered(run_a, run_b))
 
     def test_a_failed_line_then_an_ok_line_for_one_pair_is_kept(self):
         # A resumed checkpoint holds the failed line of an interrupted run and the rerun's ok line.
@@ -582,11 +587,27 @@ class TestReports:
         ]
         validity, _ = build_validity_report(resumed, Qrels({"q1": {"c1": 3, "c2": 1}}))
         assert (validity["kappa_4level"], validity["pairs_compared"], validity["failed_excluded"]) == (1.0, 2, 1)
-        reliability = build_reliability_report([resumed, [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1)]])
+        reliability = build_reliability_report(
+            numbered(resumed, [fabricate_record("q1", "c1", 3), fabricate_record("q1", "c2", 1)])
+        )
         assert (reliability["kappa_label"]["mean"], reliability["pairs_compared"]) == (1.0, 2)
 
     def test_reliability_no_common_pairs(self):
         run_a = [fabricate_record("q1", "c1", 1, status="failed")]
         run_b = [fabricate_record("q1", "c1", 1)]
         with pytest.raises(DomainError):
-            build_reliability_report([run_a, run_b])
+            build_reliability_report(numbered(run_a, run_b))
+
+    # A run's number is its requests' sample index, so runs sharing a run id may share cached
+    # replies, and their agreement would measure the cache. The failed record counts too.
+    @pytest.mark.parametrize(("sources", "named"), [
+        (None, "r1 in run 1, run 3; r2 in run 2, run 3$"),
+        (["a.jsonl", "b.jsonl", "c.jsonl"], "r1 in a.jsonl, c.jsonl; r2 in b.jsonl, c.jsonl$"),
+    ])
+    def test_reliability_refuses_runs_that_share_a_run_id(self, sources, named):
+        run_a, run_b = numbered([fabricate_record("q1", "c1", 1)], [fabricate_record("q1", "c1", 1)])
+        run_c = [fabricate_record("q1", "c1", 1, run_id="r1"),
+                 fabricate_record("q1", "c2", 1, status="failed", run_id="r2")]
+        with pytest.raises(IntegrityError, match=f"^reliability needs runs of distinct run ids, got run id {named}"):
+            build_reliability_report([run_a, run_b, run_c], sources)
+        assert build_reliability_report([run_a, run_b], sources)["pairs_compared"] == 1

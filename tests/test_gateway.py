@@ -68,6 +68,10 @@ class TestRequestBasics:
         with pytest.raises(DomainError):
             JudgeRequest(system_text="", user_text="x", temperature=2.5, model="m")
 
+    def test_sample_index_range(self):
+        with pytest.raises(DomainError, match="sample_index"):
+            JudgeRequest(system_text="", user_text="x", temperature=0.4, model="m", sample_index=0)
+
     def test_request_hash_distinguishes_fields(self):
         base = JudgeRequest(system_text="s", user_text="u", temperature=0.4, model="m")
         assert request_hash(base) != request_hash(
@@ -84,6 +88,12 @@ class TestRequestBasics:
         )
         assert request_hash(base) != request_hash(
             JudgeRequest(system_text="s", user_text="u", temperature=0.4, model="m2")
+        )
+        assert request_hash(base) != request_hash(
+            JudgeRequest(system_text="s", user_text="u", temperature=0.4, model="m", sample_index=2)
+        )
+        assert request_hash(base) == request_hash(
+            JudgeRequest(system_text="s", user_text="u", temperature=0.4, model="m", sample_index=1)
         )
 
     def test_stage_of(self):
@@ -225,7 +235,7 @@ class TestPromptTokenCounts:
                 return judge.complete(request)
 
         make_engine(Recording(), toy_library).judge_pools(store, pools)
-        assert len(sent) == 336
+        assert len(sent) == 300  # each distinct request once
         shared = MockJudge(mock_cfg)  # its line counts fill across all the requests
         for request in sent:
             reminder = FE_REMINDER if stage_of(request.user_text).startswith("FE") else FA_REMINDER

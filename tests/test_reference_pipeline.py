@@ -5,9 +5,11 @@ rank_oracle, fills prompts by one re.sub and writes lines with the generic
 JSON encoder. Agreement on run-file bytes and on every prompt sent, over
 drawn pools, libraries, ablations, seeds, parallelism and mock lexicons
 (a short one fails extractions), is the evidence that the engine's memos,
-frames and scheduling change nothing, failed pairs included. The same
-agreement over drawn schedules of interrupted, torn and resumed runs is
-the evidence for the checkpoint's resume rules.
+frames and scheduling change nothing, failed pairs included. The reference
+asks each pair's comparisons, where the engine asks each distinct one once
+per run, so the engine must send the reference's prompts less its repeated
+comparisons. The same agreement over drawn schedules of interrupted, torn
+and resumed runs is the evidence for the checkpoint's resume rules.
 """
 
 from __future__ import annotations
@@ -38,6 +40,22 @@ from oracles import reference_judge_pools
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from make_demo_library import build_library  # noqa: E402
+
+
+def asked_once(sent) -> list[str]:
+    """The texts of the reference's (text, owner)s less each comparison (a text of no case) already sent.
+
+    That is what one engine run sends.
+    """
+    seen: set[str] = set()
+    kept = []
+    for text, (_, case) in sent:
+        if case is None:
+            if text in seen:
+                continue
+            seen.add(text)
+        kept.append(text)
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +94,8 @@ class TestReferencePipeline:
         lexicon = data.draw(st.frozensets(st.sampled_from(sorted(toy_lexicon))), label="lexicon")
         mock_cfg = MockJudgeConfig(lexicon=lexicon)
         knobs = dict(sampling_seed=sampling_seed, top_k_demos=top_k_demos, fa_demos_per_polarity=fa_demos_per_polarity)
-        want_file, want_sent, _ = reference_judge_pools(store, pools, top_n, demos, load_templates(), mock_cfg, flags,
-                                                        **knobs)
+        want_file, want_sent, owners = reference_judge_pools(store, pools, top_n, demos, load_templates(), mock_cfg,
+                                                             flags, **knobs)
         judge = RecordingJudge(MockJudge(mock_cfg))
         engine = JudgeEngine(judge, DemoLibrary(demos), flags=flags, parallelism=parallelism, **knobs)
         with tempfile.TemporaryDirectory() as tmp:
@@ -85,11 +103,15 @@ class TestReferencePipeline:
             judge_to_file(engine, store, pool_pairs(pools, top_n), path)
             assert path.read_bytes() == want_file.encode("utf-8")
         event("a failed record" if '"status": "failed"' in want_file else "no failed record")
-        # Each prompt as often as the reference sends it, so the same distinct prompts and call
-        # count; serial, in the same order too.
-        assert Counter(judge.user_texts) == Counter(want_sent)
+        # Every distinct prompt of the reference, each as often as the reference sends it less its
+        # repeated comparisons, so each comparison once; serial, in the same order too.
+        want = asked_once(zip(want_sent, owners))
+        if len(want) < len(want_sent):
+            event("a repeated comparison")
+        assert set(judge.user_texts) == set(want_sent)
+        assert Counter(judge.user_texts) == Counter(want)
         if parallelism == 1:
-            assert judge.user_texts == want_sent
+            assert judge.user_texts == want
 
 
 def held_ok(path: Path) -> set[tuple[str, str]]:
@@ -146,10 +168,15 @@ class TestResumedCheckpoint:
                 pending_cases = {case for pair in pairs if pair not in held for case in pair}
                 if pending_cases & held_cases:
                     event("a resume with extractions to reuse")
-                # The reference's prompts less those of a pair an ok line holds, and of a case one
-                # holds, whose extractions the resume takes from that line.
-                need = [text for text, (pair, case) in zip(want_sent, owners)
-                        if pair not in held and case not in held_cases]
+                # The reference's prompts less those of a pair an ok line holds, of a case one holds,
+                # whose extractions the resume takes from that line, and of a comparison one holds,
+                # whose verdict it takes; then each comparison once.
+                held_comparisons = {text for text, (pair, case) in zip(want_sent, owners)
+                                    if case is None and pair in held}
+                if any(text in held_comparisons for text, (pair, _) in zip(want_sent, owners) if pair not in held):
+                    event("a resume with a comparison to reuse")
+                need = asked_once((text, (pair, case)) for text, (pair, case) in zip(want_sent, owners)
+                                  if pair not in held and case not in held_cases and text not in held_comparisons)
                 k = math.inf if error is None else len(need) * percent // 100
                 judge = RecordingJudge(MockJudge(mock_cfg))
                 interrupting = Interrupting(judge, k, error)
@@ -162,8 +189,9 @@ class TestResumedCheckpoint:
                 if interrupting.stopped_at:
                     event(f"{error.__name__} at {interrupting.stopped_at}")
                 sent = judge.user_texts
-                # Nothing held is asked for again, and nothing twice.
+                # Nothing held is asked for again, and no comparison twice.
                 assert Counter(sent) <= Counter(need)
+                assert not set(sent) & held_comparisons
                 # A segment stops only at its interrupt, and a serial one asks in the reference's order.
                 assert len(sent) == min(k, len(need))
                 if parallelism == 1:
