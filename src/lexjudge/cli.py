@@ -19,7 +19,6 @@ from ._util import atomic_write_json, atomic_write_text, read_json
 from .augmentation import (
     Bm25PairScorer,
     DatasetSpec,
-    annotate_pairs,
     build_dataset,
     export_dataset,
     load_pairs,
@@ -237,7 +236,7 @@ def _cmd_augment_annotate(args: argparse.Namespace, config: Config) -> int:
     engine = _make_engine(
         config, judge, _load_library(config, args.demos), temperature=config.augment.temperature
     )
-    records = annotate_pairs(engine, store, pairs, checkpoint_path=args.out)
+    records = judge_to_file(engine, store, [pair.key() for pair in pairs], args.out)
     failed = sum(1 for r in records if r.status != "ok")
     _emit(
         {

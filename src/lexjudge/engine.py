@@ -360,16 +360,18 @@ class JudgeEngine:
 
     Each (case, fact type) is extracted once per engine, however many pairs
     the case is in, through one OnceMemo: parallel pairs share the one
-    extraction. A failed one is kept too, so every pair of that case fails
-    with its one error until a rerun on a new engine (as each CLI command
-    builds) tries it again; with a sampling backend, a pair that might
-    have succeeded waits for that rerun.
-    Each distinct comparison, its fact type, demos and two fact texts, is
-    asked once per engine the same way, through a second OnceMemo: pairs
-    whose extractions are equal share one reply, or one kept failure.
-    A resumed run or annotation fills both memos from its checkpoint first
-    (reuse_extractions, reuse_comparisons), so the once holds across the
-    resumes too.
+    extraction. Each distinct comparison, its fact type, demos and two fact
+    texts, is asked once per engine through a second OnceMemo: pairs whose
+    extractions are equal share one reply. Both memos keep what
+    _call_stage returns, a failure included, so every pair that needs a
+    failed call fails with its one error until a rerun on a new engine (as
+    each CLI command builds) tries it again; with a sampling backend, a
+    pair that might have succeeded waits for that rerun. judge_pair is the
+    one reader of both memos, and reuse the one refill: a resumed run or
+    annotation fills both from its checkpoint first, so the once holds
+    across the resumes too. An AuthError, or an error selecting demos (an
+    empty demo set), is kept by neither memo: every later call would meet
+    it too, so it ends the run.
 
     run_id reads r<n>; n, the run number, is each request's sample_index,
     so runs with different run ids never send an equal request.
@@ -445,7 +447,7 @@ class JudgeEngine:
         self._comparisons = OnceMemo(partial(JudgeEngine._compare_once, weakref.proxy(self)))
         self._frames = OnceMemo(partial(_frame, self.templates, True))
         self._demo_blocks = OnceMemo(_demo_block)
-        self.extractions_reused = 0  # cases reuse_extractions filled
+        self.extractions_reused = 0  # cases reuse filled
         self.pairs_resumed = 0  # pairs judge_to_file read back as finished
 
     # -- prompting ---------------------------------------------------------
@@ -479,112 +481,95 @@ class JudgeEngine:
     def _call_stage(
         self, stage: Stage, fact_type: FactType, target: str, demos: Sequence[Demonstration],
         parse: Callable[[str], _T],
-    ) -> tuple[_T, str]:
+    ) -> tuple[_T, str] | Exception:
         """One stage call: fill its prompt with demos and target, and ask until parse accepts a reply.
 
         Attempts after the first append the stage's reminder. Only an
         unparseable reply earns another attempt; the last parse error is
-        reported. Returns the parsed value and the reply.
+        reported. Returns the parsed value and the reply, or the exception
+        that ended the call with its traceback cleared: returned, not
+        raised, so a memo keeps it, and cleared, since the traceback would
+        hold the engine's frames in a cycle through the memo. This is the
+        one place a failure is kept. An AuthError is raised instead, and
+        kept by nothing: every call would meet it.
         """
-        user_text = self._user_text(stage, fact_type, demos, target)
         reminder = FE_REMINDER if stage is Stage.FE else FA_REMINDER
-        for attempt in range(self.retry + 1):
-            request = JudgeRequest(
-                system_text=SYSTEM_TEXT,
-                user_text=user_text if attempt == 0 else f"{user_text}\n\n{reminder}",
-                temperature=self.temperature,
-                model=self.model,
-                max_tokens=self.max_tokens,
-                sample_index=self.sample_index,
-            )
-            text = self.judge.complete(request).text
-            try:
-                return parse(text), text
-            except JudgeResponseUnparseable as exc:
-                error = str(exc)  # the text, not the exception, whose traceback would hold this frame
-        raise JudgeResponseUnparseable(f"{error} after {self.retry + 1} attempt(s)")
-
-    # -- stages ------------------------------------------------------------
-
-    def extract_fact(self, case: Case, fact_type: FactType) -> FactExtraction:
-        """A case's extraction of one fact type, from the engine's memo; a kept failure is raised.
-
-        Legal-fact extraction consumes the case's extracted material facts,
-        never the raw text, unless extraction is ablated entirely.
-        """
-        extraction = self._extractions[case, fact_type]
-        if isinstance(extraction, Exception):
-            raise extraction
-        return extraction
-
-    def _extract_once(self, key: tuple[Case, FactType]) -> FactExtraction | Exception:
-        """The memo's computation: a case's extraction, or the exception that ended it.
-
-        Returned, not raised, so the memo keeps it; its traceback, which
-        would hold the engine's frames in a cycle through the memo, is cleared.
-        An AuthError is raised instead, and kept by nothing: every call would meet it.
-        """
-        case, fact_type = key
-        if self.flags.disable_fe:
-            return FactExtraction(case.id, fact_type, case.fact_text, "")
         try:
-            target = case.fact_text if fact_type is FactType.MF else self.extract_fact(case, FactType.MF).text
-            demos = self._demos(Stage.FE, fact_type, target, (case.id,))
-            text, raw = self._call_stage(Stage.FE, fact_type, target, demos, _parse_nonempty_facts)
+            user_text = self._user_text(stage, fact_type, demos, target)
+            for attempt in range(self.retry + 1):
+                request = JudgeRequest(
+                    system_text=SYSTEM_TEXT,
+                    user_text=user_text if attempt == 0 else f"{user_text}\n\n{reminder}",
+                    temperature=self.temperature,
+                    model=self.model,
+                    max_tokens=self.max_tokens,
+                    sample_index=self.sample_index,
+                )
+                text = self.judge.complete(request).text
+                try:
+                    return parse(text), text
+                except JudgeResponseUnparseable as exc:
+                    error = str(exc)  # the text, not the exception, whose traceback would hold this frame
         except AuthError:
             raise
         except Exception as exc:
             return exc.with_traceback(None)
+        return JudgeResponseUnparseable(f"{error} after {self.retry + 1} attempt(s)")
+
+    # -- stages ------------------------------------------------------------
+
+    def _extract_once(self, key: tuple[Case, FactType]) -> FactExtraction | Exception:
+        """The extraction memo's computation: a case's extraction, or the exception _call_stage returned.
+
+        Legal-fact extraction consumes the case's extracted material facts
+        from the memo, never the raw text, unless extraction is ablated
+        entirely. judge_pair asks for a case's legal facts only once its
+        material facts are extracted.
+        """
+        case, fact_type = key
+        if self.flags.disable_fe:
+            return FactExtraction(case.id, fact_type, case.fact_text, "")
+        target = case.fact_text if fact_type is FactType.MF else self._extractions[case, FactType.MF].text
+        demos = self._demos(Stage.FE, fact_type, target, (case.id,))
+        called = self._call_stage(Stage.FE, fact_type, target, demos, _parse_nonempty_facts)
+        if isinstance(called, Exception):
+            return called
+        text, raw = called
         return FactExtraction(case.id, fact_type, text, raw)
 
     def _comparison(self, a: FactExtraction, b: FactExtraction, fact_type: FactType) -> Comparison:
         """The comparison memo's key for one fact layer of a pair: what fixes its prompt."""
         return fact_type, self._demos(Stage.FA, fact_type, (a.text, b.text), (a.case_id, b.case_id)), a.text, b.text
 
-    def judge_fact_pair(
-        self,
-        a: FactExtraction,
-        b: FactExtraction,
-        fact_type: FactType,
-    ) -> FactVerdict:
-        """Annotate one fact layer of a pair of extractions, from the engine's memo; a kept failure is raised."""
-        verdict = self._comparisons[self._comparison(a, b, fact_type)]
-        if isinstance(verdict, Exception):
-            raise verdict
-        return verdict
-
     def _compare_once(self, key: Comparison) -> FactVerdict | Exception:
-        """The comparison memo's computation: a verdict, or the exception that ended it (see _extract_once)."""
+        """The comparison memo's computation: a verdict, or the exception _call_stage returned."""
         fact_type, demos, a_text, b_text = key
-        try:
-            (relevant, reasoning), raw = self._call_stage(
-                Stage.FA, fact_type, f"{INPUT_A}\n{a_text}\n{INPUT_B}\n{b_text}", demos, parse_verdict
-            )
-        except AuthError:
-            raise
-        except Exception as exc:
-            return exc.with_traceback(None)
+        target = f"{INPUT_A}\n{a_text}\n{INPUT_B}\n{b_text}"
+        called = self._call_stage(Stage.FA, fact_type, target, demos, parse_verdict)
+        if isinstance(called, Exception):
+            return called
+        (relevant, reasoning), raw = called
         return FactVerdict(fact_type, relevant, reasoning, raw)
 
     # -- pair and pool drivers ----------------------------------------------
 
-    def reuse_extractions(self, records: Iterable[JudgmentRecord], cases: Iterable[Case]) -> int:
-        """Fill the extraction memo for cases from finished records; return how many cases it filled.
+    def reuse(self, records: Iterable[JudgmentRecord], cases: Iterable[Case]) -> None:
+        """Fill both memos from finished records, in one pass over the ok ones.
 
-        judge_to_file calls this before judging, so a case that a
-        finished pair extracted is not extracted again. Only ok records
-        count. A case takes its material and its legal facts from the first
-        record that holds it, so the legal facts are the ones derived from
-        those material facts. A case already in the memo, or in no ok
-        record, is left to extract as usual. The records must come from
-        this configuration (judge_to_file checks the fingerprint first) and
-        from the cases' present text.
+        judge_to_file calls this before judging, so a case that a finished
+        pair extracted is not extracted again, and a comparison that a
+        finished pair asked is not asked again. Each case of cases takes its
+        material and its legal facts from the first ok record that holds it,
+        so the legal facts are the ones derived from those material facts;
+        extractions_reused counts these cases. Each comparison takes the
+        verdict of the first ok record that asks it. What a memo already
+        holds is left as it is, and a case in no ok record is left to extract
+        as usual. The records must come from this configuration
+        (judge_to_file checks the fingerprint first) and from the cases'
+        present text.
         """
         wanted = {case.id: case for case in cases if (case, FactType.MF) not in self._extractions}
-        filled = 0
         for record in records:
-            if not wanted:
-                break
             if record.status != "ok":
                 continue
             for mf, lf in zip(record.mf_extractions, record.lf_extractions):
@@ -592,38 +577,19 @@ class JudgeEngine:
                 if case is not None:
                     self._extractions[case, FactType.MF] = mf
                     self._extractions[case, FactType.LF] = lf
-                    filled += 1
-        self.extractions_reused += filled
-        return filled
-
-    def reuse_comparisons(self, records: Iterable[JudgmentRecord]) -> int:
-        """Fill the comparison memo from finished records; return how many comparisons it filled.
-
-        judge_to_file calls this next to reuse_extractions, so a comparison
-        that a finished pair asked is not asked again. Only ok records
-        count; a comparison takes the verdict of the first record that
-        holds it, and one already in the memo is left as it is. The records
-        must come from this configuration, as for reuse_extractions.
-        """
-        filled = 0
-        for record in records:
-            if record.status != "ok":
-                continue
+                    self.extractions_reused += 1
             for fact_type, (a, b), verdict in ((FactType.MF, record.mf_extractions, record.mf_verdict),
                                                (FactType.LF, record.lf_extractions, record.lf_verdict)):
-                key = self._comparison(a, b, fact_type)
-                if key not in self._comparisons:
-                    self._comparisons[key] = verdict
-                    filled += 1
-        return filled
+                self._comparisons.setdefault(self._comparison(a, b, fact_type), verdict)
 
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
         """Judge one pair through all six stages, material facts first.
 
         The first stage that fails ends the pair in a failed record whose
-        error names it: "<stage>_<fact type>: <message>". A failed
-        extraction or comparison is the one its memo keeps. An AuthError,
-        which every later call would meet too, is raised, not recorded.
+        error names it: "<stage>_<fact type>: <message>". This is the one
+        reader of both memos: a failed extraction or comparison is the one
+        its memo keeps. An AuthError or an error selecting demos, which every
+        later call would meet too, is raised, not recorded.
         """
 
         def failed(stage: Stage, fact_type: FactType, exc: Exception) -> JudgmentRecord:
@@ -657,10 +623,11 @@ class JudgeEngine:
         """Judge (query, candidate) pairs; records come back in input order.
 
         A pair that fails becomes a failed record rather than aborting the
-        batch; an AuthError aborts it. on_record sees each record as soon as
-        its pair finishes, on the thread that judged the pair: in parallel,
-        that is a pool thread, so on_record must be thread-safe, and it sees
-        records in completion order. On an error or interrupt, pairs not yet
+        batch; an AuthError or an error selecting demos (an empty demo set)
+        aborts it. on_record sees each record as soon as its pair finishes,
+        on the thread that judged the pair: in parallel, that is a pool
+        thread, so on_record must be thread-safe, and it sees records in
+        completion order. On an error or interrupt, pairs not yet
         started are dropped, pairs already running finish and reach
         on_record, and then the first error is raised.
         """
@@ -820,10 +787,11 @@ def judge_to_file(
     A rerun skips pairs whose line is ok and judges failed ones again (a
     key's ok line wins, then its last failed line); it refuses a file from
     another configuration, drops a last line an interrupt cut short, and
-    hands the finished records to engine.reuse_extractions and
-    engine.reuse_comparisons, assuming the cases have not changed since, so
-    the run makes the calls of one uninterrupted run. Only pending pairs'
-    cases are looked up.
+    hands the finished records to engine.reuse, the one refill of its
+    memos, assuming the cases have not changed since, so the run makes the
+    calls of one uninterrupted run. Only pending pairs' cases are looked up.
+    An AuthError or an error selecting demos ends the run, as in
+    judge_pairs, with every finished pair already in the file.
     The file ends as the requested pairs in input order, then any others in
     file order, and is rewritten atomically only if its lines differ from
     that (after a parallel run or a superseded line). Returns one record per
@@ -846,8 +814,7 @@ def judge_to_file(
         keep(record)
     todo = [(store.get(q), store.get(c)) for q, c in unique if (q, c) not in kept or kept[q, c].status != "ok"]
     if todo:
-        engine.reuse_extractions(written, [case for pair in todo for case in pair])
-        engine.reuse_comparisons(written)
+        engine.reuse(written, [case for pair in todo for case in pair])
     engine.pairs_resumed += len(unique) - len(todo)
     write_lock = threading.Lock()
     path.parent.mkdir(parents=True, exist_ok=True)

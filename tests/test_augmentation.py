@@ -469,17 +469,19 @@ class TestCheckpointOrder:
         assert judge.lines() == len(pairs)
 
 
-class TestResumeReusesExtractions:
-    """reuse_extractions and reuse_comparisons fill their memos from ok records only, one record per key."""
+class TestReuse:
+    """reuse fills both memos from ok records only, one record per key."""
 
     def test_failed_records_fill_nothing(self, mock_judge, toy_library):
         ok = fabricate_record("q1", "c1", 3)
         records = [fabricate_record("q1", "c1", 0, status="failed"), dataclasses.replace(ok, status="failed")]
         engine = make_engine(mock_judge, toy_library)
         cases = [Case(id="q1", fact_text="query facts"), Case(id="c1", fact_text="candidate facts")]
-        assert engine.reuse_extractions(records, cases) == 0
-        assert not engine._extractions
-        assert engine.reuse_extractions([*records, ok], cases) == 2
+        engine.reuse(records, cases)
+        assert engine.extractions_reused == 0
+        assert not engine._extractions and not engine._comparisons
+        engine.reuse([*records, ok], cases)
+        assert engine.extractions_reused == 2
         assert len(engine._extractions) == 4
 
     def test_a_case_takes_its_facts_from_one_record(self, mock_judge, toy_library):
@@ -490,11 +492,13 @@ class TestResumeReusesExtractions:
         case = Case(id="q1", fact_text="案情")
         for records, source, side in (([first, second], first, 0), ([second, first], second, 1)):
             engine = make_engine(mock_judge, toy_library)
-            assert engine.reuse_extractions(records, [case, case]) == 1
+            engine.reuse(records, [case, case])
+            assert engine.extractions_reused == 1
             assert engine._extractions[case, FactType.MF] is source.mf_extractions[side]
             assert engine._extractions[case, FactType.LF] is source.lf_extractions[side]
             assert len(engine._extractions) == 2
-            assert engine.reuse_extractions(records, [case]) == 0  # a filled case stays as it is
+            engine.reuse(records, [case])
+            assert engine.extractions_reused == 1  # a filled case stays as it is
 
     def test_a_comparison_takes_its_verdict_from_the_first_ok_record(self, toy_library):
         judge = RecordingJudge(MockJudge(MockJudgeConfig()))
@@ -503,12 +507,17 @@ class TestResumeReusesExtractions:
         second = fabricate_record("q2", "c2", 0)
         failed = dataclasses.replace(fabricate_record("q3", "c3", 1), status="failed")
         engine = make_engine(judge, toy_library)
-        assert engine.reuse_comparisons([failed]) == 0 and not engine._comparisons
-        assert engine.reuse_comparisons([failed, first, second]) == 2
-        assert engine.reuse_comparisons([second]) == 0  # a filled comparison stays as it is
-        mf, lf = (engine.judge_fact_pair(*pair, fact_type) for pair, fact_type in
-                  ((second.mf_extractions, FactType.MF), (second.lf_extractions, FactType.LF)))
-        assert (mf, lf) == (first.mf_verdict, first.lf_verdict) and judge.user_texts == []
+        query, candidate = Case(id="q2", fact_text="query facts"), Case(id="c2", fact_text="candidate facts")
+        engine.reuse([failed], [query, candidate])
+        assert not engine._comparisons
+        engine.reuse([failed, first, second], [query, candidate])
+        assert len(engine._comparisons) == 2
+        engine.reuse([second], [query, candidate])
+        assert len(engine._comparisons) == 2  # a filled comparison stays as it is
+        record = engine.judge_pair(query, candidate)
+        assert record.mf_extractions == second.mf_extractions and record.lf_extractions == second.lf_extractions
+        assert (record.mf_verdict, record.lf_verdict) == (first.mf_verdict, first.lf_verdict)
+        assert record.label == 3 and judge.user_texts == []
 
     def test_fingerprint_mismatch_raises_before_anything_is_filled(
         self, mock_judge, toy_library, toy_store_only, tmp_path, monkeypatch
@@ -523,7 +532,7 @@ class TestResumeReusesExtractions:
         before = checkpoint.read_bytes()
         engine = make_engine(mock_judge, toy_library, temperature=0.9)
         called = []
-        monkeypatch.setattr(engine, "reuse_extractions", lambda *args: called.append(args))
+        monkeypatch.setattr(engine, "reuse", lambda *args: called.append(args))
         with pytest.raises(IntegrityError, match="configuration"):
             annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
         assert called == [] and not engine._extractions and not engine._comparisons

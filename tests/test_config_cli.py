@@ -581,6 +581,29 @@ class TestCliJudge:
         assert (tmp_path / "j.run1.jsonl").read_bytes() == b""
         assert not (tmp_path / "j.run2.jsonl").exists()
 
+    # Every call of a stage whose demo set is empty would fail alike, so its first one ends the
+    # run, at either stage, and no pair is recorded as failed; the ablation that asks for no demo
+    # of that set judges every pair with the same library.
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("stage, fact_type, ablation", [
+        ("FE", "MF", "disable_fe"), ("FE", "LF", "disable_fe"),
+        ("FA", "MF", "disable_fa_demos"), ("FA", "LF", "disable_fa_demos"),
+    ])
+    def test_an_empty_demo_set_ends_the_run(self, stage, fact_type, ablation, parallelism, toy, tmp_path, capsys):
+        demos = [demo for demo in json.loads(Path(toy.demos).read_text(encoding="utf-8"))
+                 if (demo["stage"], demo["fact_type"]) != (stage, fact_type)]
+        library = tmp_path / "demos.json"
+        library.write_text(json.dumps(demos, ensure_ascii=False), encoding="utf-8")
+        judge = ["judge", "--mock", "--cases", str(toy.cases), "--pools", str(toy.pools), "--demos", str(library),
+                 "--runs", "1", "--set", f"parallelism={parallelism}"]
+        code = main([*judge, "--out", str(tmp_path / "j.jsonl")])
+        [message] = capsys.readouterr().err.splitlines()
+        assert code == 1 and message == f"error: no demonstrations for {stage}/{fact_type}"
+        assert (tmp_path / "j.jsonl").read_bytes() == b""
+        assert main([*judge, "--out", str(tmp_path / "ablated.jsonl"), "--set", f"ablation.{ablation}=true"]) == 0
+        records = read_records_jsonl(tmp_path / "ablated.jsonl")
+        assert len(records) == 120 and all(record.status == "ok" for record in records)
+
 
 class StageCounter:
     """Counts MockJudge calls per stage, across threads; the call after stop_after calls raises KeyboardInterrupt."""

@@ -232,12 +232,14 @@ class TestResponseParsing:
         assert FA_REMINDER == "Reminder: end with one line reading exactly VERDICT: RELEVANT or VERDICT: IRRELEVANT."
 
 
-class TestExtractFact:
+class TestExtractionMemo:
+    """A case's extraction is read from the engine's memo, which keeps a failure like a value."""
+
     def test_mf_matches_mock_rule(self, mock_judge, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         case = store.get(pools[0].query_id)
         engine = make_engine(mock_judge, toy_library)
-        extraction = engine.extract_fact(case, FactType.MF)
+        extraction = engine._extractions[case, FactType.MF]
         assert extraction.text == " ".join(normalized_tokens(case.fact_text))
         assert extraction.case_id == case.id
         assert extraction.fact_type is FactType.MF
@@ -247,17 +249,17 @@ class TestExtractFact:
         store, pools, _ = toy_corpus
         case = store.get(pools[0].query_id)
         engine = make_engine(instrumented, toy_library)
-        lf = engine.extract_fact(case, FactType.LF)
+        lf = engine._extractions[case, FactType.LF]
         assert instrumented.stages == ["FE_MF", "FE_LF"]
-        assert engine.extract_fact(case, FactType.MF).text == " ".join(normalized_tokens(case.fact_text))
-        assert engine.extract_fact(case, FactType.LF) is lf
+        assert engine._extractions[case, FactType.MF].text == " ".join(normalized_tokens(case.fact_text))
+        assert engine._extractions[case, FactType.LF] is lf
         assert instrumented.stages == ["FE_MF", "FE_LF"]  # both read from the memo
 
     def test_lf_consumes_prior_extraction_not_raw_text(self, toy_library):
         engine = ascii_engine(toy_library)
         case = Case(id="x1", fact_text="fraud fraud fraud")
         engine._extractions[case, FactType.MF] = FactExtraction("x1", FactType.MF, "alpha theft beta", GOOD_FE)
-        extraction = engine.extract_fact(case, FactType.LF)
+        extraction = engine._extractions[case, FactType.LF]
         assert extraction.text == "theft"  # from the prior text, not the case
 
     def test_disable_fe_forwards_raw_text(self, instrumented, toy_library, toy_corpus):
@@ -266,7 +268,7 @@ class TestExtractFact:
         engine = make_engine(
             instrumented, toy_library, flags=AblationFlags(disable_fe=True)
         )
-        extraction = engine.extract_fact(case, FactType.MF)
+        extraction = engine._extractions[case, FactType.MF]
         assert extraction.text == case.fact_text
         assert extraction.raw_response == ""
         assert instrumented.stages == []  # no prompt was issued
@@ -275,7 +277,7 @@ class TestExtractFact:
         judge = ScriptedJudge(["not following the format", GOOD_FE])
         engine = make_engine(judge, toy_library)
         case = Case(id="x1", fact_text="alpha beta")
-        extraction = engine.extract_fact(case, FactType.MF)
+        extraction = engine._extractions[case, FactType.MF]
         assert extraction.text == "facts ok"
         assert len(judge.requests) == 2
         assert FE_REMINDER not in judge.requests[0].user_text
@@ -284,42 +286,47 @@ class TestExtractFact:
     def test_empty_facts_block_retries(self, toy_library):
         judge = ScriptedJudge(["===FACTS===\n===END===", GOOD_FE])
         engine = make_engine(judge, toy_library)
-        extraction = engine.extract_fact(Case(id="x1", fact_text="t"), FactType.MF)
+        extraction = engine._extractions[Case(id="x1", fact_text="t"), FactType.MF]
         assert extraction.text == "facts ok"
         assert len(judge.requests) == 2
 
     def test_retry_budget_exhausted(self, toy_library):
         judge = ScriptedJudge(["bad", "still bad"])
         engine = make_engine(judge, toy_library, retry=1)
-        with pytest.raises(JudgeResponseUnparseable, match="2 attempt"):
-            engine.extract_fact(Case(id="x1", fact_text="t"), FactType.MF)
+        failure = engine._extractions[Case(id="x1", fact_text="t"), FactType.MF]
+        assert isinstance(failure, JudgeResponseUnparseable) and "2 attempt" in str(failure)
         assert len(judge.requests) == 2
 
     def test_request_carries_stage_marker_and_target(self, toy_library):
         judge = ScriptedJudge([GOOD_FE])
         engine = make_engine(judge, toy_library)
-        engine.extract_fact(Case(id="x1", fact_text="alpha beta"), FactType.MF)
+        engine._extractions[Case(id="x1", fact_text="alpha beta"), FactType.MF]
         text = judge.requests[0].user_text
         assert text.startswith("#STAGE:FE_MF\n")
         assert "#TARGET_BEGIN\nalpha beta\n#TARGET_END" in text
 
 
-class TestJudgeFactPair:
+class TestComparisonMemo:
+    """A comparison's verdict is read from the engine's memo, under the key that fixes its prompt."""
+
     def fx(self, case_id: str, text: str, fact_type=FactType.MF) -> FactExtraction:
         return FactExtraction(case_id, fact_type, text, "raw")
 
+    def compare(self, engine, a: FactExtraction, b: FactExtraction, fact_type: FactType) -> FactVerdict:
+        return engine._comparisons[engine._comparison(a, b, fact_type)]
+
     def test_identical_texts_relevant(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
-        verdict = engine.judge_fact_pair(
-            self.fx("a", "alpha beta gamma"), self.fx("b", "alpha beta gamma"), FactType.MF
+        verdict = self.compare(
+            engine, self.fx("a", "alpha beta gamma"), self.fx("b", "alpha beta gamma"), FactType.MF
         )
         assert verdict.relevant is True
         assert verdict.fact_type is FactType.MF
 
     def test_disjoint_texts_irrelevant(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
-        verdict = engine.judge_fact_pair(
-            self.fx("a", "alpha beta"), self.fx("b", "gamma delta"), FactType.MF
+        verdict = self.compare(
+            engine, self.fx("a", "alpha beta"), self.fx("b", "gamma delta"), FactType.MF
         )
         assert verdict.relevant is False
 
@@ -331,16 +338,16 @@ class TestJudgeFactPair:
         assert score == pytest.approx(3 / 8)
         assert score < 0.4
         engine = make_engine(mock_judge, toy_library)
-        verdict = engine.judge_fact_pair(
-            self.fx("a", a_text), self.fx("b", b_text), FactType.MF
+        verdict = self.compare(
+            engine, self.fx("a", a_text), self.fx("b", b_text), FactType.MF
         )
         assert verdict.relevant is False
         assert "jaccard=0.3750" in verdict.reasoning
 
     def test_reasoning_and_raw_response_captured(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
-        verdict = engine.judge_fact_pair(
-            self.fx("a", "alpha"), self.fx("b", "alpha"), FactType.MF
+        verdict = self.compare(
+            engine, self.fx("a", "alpha"), self.fx("b", "alpha"), FactType.MF
         )
         assert verdict.reasoning
         assert verdict.raw_response.endswith("VERDICT: RELEVANT")
@@ -348,12 +355,14 @@ class TestJudgeFactPair:
 
     def test_lf_pair_uses_tag_intersection(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
-        shared = engine.judge_fact_pair(
+        shared = self.compare(
+            engine,
             self.fx("a", "盗窃 抢劫", FactType.LF),
             self.fx("b", "盗窃", FactType.LF),
             FactType.LF,
         )
-        disjoint = engine.judge_fact_pair(
+        disjoint = self.compare(
+            engine,
             self.fx("a", "盗窃", FactType.LF),
             self.fx("b", "抢劫", FactType.LF),
             FactType.LF,
@@ -364,8 +373,8 @@ class TestJudgeFactPair:
     def test_fa_retry_appends_reminder(self, toy_library):
         judge = ScriptedJudge(["rambling with no verdict", GOOD_FA])
         engine = make_engine(judge, toy_library)
-        verdict = engine.judge_fact_pair(
-            self.fx("a", "t"), self.fx("b", "t"), FactType.MF
+        verdict = self.compare(
+            engine, self.fx("a", "t"), self.fx("b", "t"), FactType.MF
         )
         assert verdict.relevant is True
         assert len(judge.requests) == 2
@@ -376,13 +385,13 @@ class TestJudgeFactPair:
         engine = make_engine(
             judge, toy_library, flags=AblationFlags(disable_fa_demos=True)
         )
-        engine.judge_fact_pair(self.fx("a", "t"), self.fx("b", "t"), FactType.MF)
+        self.compare(engine, self.fx("a", "t"), self.fx("b", "t"), FactType.MF)
         assert "Example 1" not in judge.requests[0].user_text
 
     def test_fa_prompt_carries_both_polarities_by_default(self, toy_library):
         judge = ScriptedJudge([GOOD_FA])
         engine = make_engine(judge, toy_library)
-        engine.judge_fact_pair(self.fx("a", "t"), self.fx("b", "t"), FactType.MF)
+        self.compare(engine, self.fx("a", "t"), self.fx("b", "t"), FactType.MF)
         text = judge.requests[0].user_text
         assert "(relevant pair)" in text
         assert "(irrelevant pair)" in text
@@ -1029,8 +1038,9 @@ class TestRetryExhaustion:
     def test_empty_facts_block_reported(self, toy_library):
         judge = ScriptedJudge(["===FACTS===\n===END==="] * 3)
         engine = make_engine(judge, toy_library, retry=2)
-        with pytest.raises(JudgeResponseUnparseable, match="empty facts block after 3 attempt"):
-            engine.extract_fact(Case(id="x1", fact_text="t"), FactType.MF)
+        [record] = engine.judge_pairs([(Case(id="x1", fact_text="t"), Case(id="x2", fact_text="t"))])
+        assert record.status == "failed"
+        assert record.error == "FE_MF: empty facts block after 3 attempt(s)"
         assert len(judge.requests) == 3
 
 
