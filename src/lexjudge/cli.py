@@ -30,7 +30,14 @@ from .augmentation import (
 from .config import Config, load_config
 from .corpus import ingest_corpus, load_cases, load_qrels
 from .demos import DemoLibrary, load_demo_library
-from .engine import JudgeEngine, judge_to_file, pool_pairs, read_records_jsonl, write_records_jsonl
+from .engine import (
+    JudgeEngine,
+    check_demo_sets,
+    judge_to_file,
+    pool_pairs,
+    read_records_jsonl,
+    write_records_jsonl,
+)
 from .errors import DomainError, LexjudgeError
 from .evaluation import (
     build_reliability_report,
@@ -127,6 +134,7 @@ def _cmd_ingest(args: argparse.Namespace, config: Config) -> int:
 
 def _cmd_demos_validate(args: argparse.Namespace, config: Config) -> int:
     library = _load_library(config, args.demos)
+    check_demo_sets(library, config.ablation)  # as judge does, before its first call
     _emit({"demonstrations": len(library), "sets": library.counts()})
     return 0
 

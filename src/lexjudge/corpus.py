@@ -27,17 +27,13 @@ class Case:
     """One legal case: identifier, fact paragraph, crime tags, full document.
 
     fact_text is what every pipeline stage reads; full_text is retained
-    for provenance only and never informs judging. A case hashes by its
-    id, which is unique within a CaseStore; equality compares every field.
+    for provenance only and never informs judging.
     """
 
     id: str
     fact_text: str
     crime_tags: tuple[str, ...] = ()
     full_text: str | None = None
-
-    def __hash__(self) -> int:
-        return hash(self.id)
 
 
 @dataclass(frozen=True, slots=True)

@@ -233,7 +233,8 @@ def _parse_nonempty_facts(raw_text: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class FactExtraction:
-    case_id: str
+    """One fact layer extracted from a text; a record's query or candidate position says whose."""
+
     fact_type: FactType
     text: str
     raw_response: str
@@ -294,7 +295,7 @@ class JudgmentRecord:
         """Rebuild a record from its to_dict form.
 
         Calls that pass one shared dict get one object back for each equal
-        id, status, run id, fingerprint, extraction and verdict, so a case
+        id, status, run id, fingerprint, extraction and verdict, so an
         extraction copied into many records is held once. All of these are
         immutable, so sharing them changes no value. An ok record without
         its label, a verdict or an extraction pair raises TypeError.
@@ -311,8 +312,8 @@ class JudgmentRecord:
             cid,
             same(status, status),
             data["label"],
-            _shared_extractions(table, data["mf"]["extractions"], FactType.MF, qid, cid),
-            _shared_extractions(table, data["lf"]["extractions"], FactType.LF, qid, cid),
+            _shared_extractions(table, data["mf"]["extractions"], FactType.MF),
+            _shared_extractions(table, data["lf"]["extractions"], FactType.LF),
             None if (v := data["mf"]["verdict"]) is None
             else _shared(table, FactVerdict, FactType.MF, bool(v["relevant"]), v["reasoning"], v["raw_response"]),
             None if (v := data["lf"]["verdict"]) is None
@@ -331,9 +332,6 @@ class JudgmentRecord:
 # What every successfully judged record carries.
 _OK_PARTS = ("label", "mf_extractions", "lf_extractions", "mf_verdict", "lf_verdict")
 
-# What fixes a comparison's prompt: fact type, demos, and the two fact texts.
-Comparison = tuple[FactType, tuple[Demonstration, ...], str, str]
-
 
 def _shared(table: dict, cls: type[_T], *fields) -> _T:
     """The one cls(*fields) that table holds, made and kept on first request."""
@@ -344,34 +342,47 @@ def _shared(table: dict, cls: type[_T], *fields) -> _T:
     return found
 
 
-def _shared_extractions(table: dict, block: Mapping | None, fact_type: FactType, qid, cid):
+def _shared_extractions(table: dict, block: Mapping | None, fact_type: FactType):
     """The (query, candidate) extraction pair of a to_dict block, each looked up in table."""
     if block is None:
         return None
     q, c = block["query"], block["candidate"]
     return (
-        _shared(table, FactExtraction, qid, fact_type, q["text"], q["raw_response"]),
-        _shared(table, FactExtraction, cid, fact_type, c["text"], c["raw_response"]),
+        _shared(table, FactExtraction, fact_type, q["text"], q["raw_response"]),
+        _shared(table, FactExtraction, fact_type, c["text"], c["raw_response"]),
     )
+
+
+def check_demo_sets(library: DemoLibrary, flags: AblationFlags) -> None:
+    """Raise EmptySetError for the first empty demo set a run under flags draws from.
+
+    Those are FE_MF and FE_LF unless disable_fe, and FA_MF and FA_LF unless
+    disable_fa_demos.
+    """
+    for stage, ablated in ((Stage.FE, flags.disable_fe), (Stage.FA, flags.disable_fa_demos)):
+        if not ablated:
+            for fact_type in FactType:
+                library._set(stage, fact_type)
 
 
 class JudgeEngine:
     """Drives the staged workflow against any judge backend.
 
-    Each (case, fact type) is extracted once per engine, however many pairs
-    the case is in, through one OnceMemo: parallel pairs share the one
-    extraction. Each distinct comparison, its fact type, demos and two fact
-    texts, is asked once per engine through a second OnceMemo: pairs whose
-    extractions are equal share one reply. Both memos keep what
-    _call_stage returns, a failure included, so every pair that needs a
-    failed call fails with its one error until a rerun on a new engine (as
-    each CLI command builds) tries it again; with a sampling backend, a
-    pair that might have succeeded waits for that rerun. judge_pair is the
-    one reader of both memos, and reuse the one refill: a resumed run or
-    annotation fills both from its checkpoint first, so the once holds
-    across the resumes too. An AuthError, or an error selecting demos (an
-    empty demo set), is kept by neither memo: every later call would meet
-    it too, so it ends the run.
+    A run sends each distinct first-attempt prompt once, in every ablation.
+    Every stage call goes through one OnceMemo, keyed by what fixes its
+    prompt: (stage, fact type, *input texts), that is (FE, MF, a case's fact
+    text), (FE, LF, its extracted material facts) and (FA, fact type, a
+    pair's two fact texts of that layer). Demos are selected from the key
+    alone, so parallel pairs that ask one call share its one result object.
+    The memo keeps what _call_stage returns, a failure included, so every
+    pair that needs a failed call fails with its one error until a rerun on
+    a new engine (as each CLI command builds) tries it again; with a
+    sampling backend, a pair that might have succeeded waits for that rerun.
+    judge_pair is the memo's one reader, and reuse its one refill: a resumed
+    run or annotation fills it from its checkpoint first, so the once holds
+    across the resumes too. An AuthError is kept by nothing: every later
+    call would meet it too, so it ends the run. An empty demo set that the
+    flags draw from is refused at construction, before any call.
 
     run_id reads r<n>; n, the run number, is each request's sample_index,
     so runs with different run ids never send an equal request.
@@ -416,6 +427,7 @@ class JudgeEngine:
         self.fa_demos_per_polarity = fa_demos_per_polarity
         self.retry = retry
         self.flags = flags or AblationFlags()
+        check_demo_sets(library, self.flags)
         self.templates = load_templates(templates_dir)
         self.sampling_seed = sampling_seed
         self.parallelism = parallelism
@@ -442,9 +454,8 @@ class JudgeEngine:
         if run_number is None:
             raise DomainError(f"run_id must read r<n> with n >= 1, got {self.run_id!r}")
         self.sample_index = int(run_number.group(1))
-        # Weakly, so engine and memos form no cycle: a finished engine frees its extractions at once.
-        self._extractions = OnceMemo(partial(JudgeEngine._extract_once, weakref.proxy(self)))
-        self._comparisons = OnceMemo(partial(JudgeEngine._compare_once, weakref.proxy(self)))
+        # Weakly, so engine and memo form no cycle: a finished engine frees its calls' results at once.
+        self._calls = OnceMemo(partial(JudgeEngine._call_once, weakref.proxy(self)))
         self._frames = OnceMemo(partial(_frame, self.templates, True))
         self._demo_blocks = OnceMemo(_demo_block)
         self.extractions_reused = 0  # cases reuse filled
@@ -460,23 +471,22 @@ class JudgeEngine:
         blocks = [self._demo_blocks[demo, i] for i, demo in enumerate(demos, start=1)]
         return _fill(self._frames[stage, fact_type], blocks, target)
 
-    def _demos(
-        self, stage: Stage, fact_type: FactType, query: str | tuple[str, str], case_ids: tuple[str, ...]
-    ) -> tuple[Demonstration, ...]:
-        """The demos of one stage call, matched to query by BM25.
+    def _demos(self, stage: Stage, fact_type: FactType, inputs: tuple[str, ...]) -> list[Demonstration]:
+        """The demos of one stage call, matched to its input texts by BM25.
 
         This is the one place that reads the demo ablations: disable_adm
         draws them with the sampling seed under the call key "stage:fact
-        type:case ids joined by |" instead, and disable_fa_demos leaves
-        annotation prompts without any.
+        type:" + the input texts joined by "\\x1f" instead, and
+        disable_fa_demos leaves annotation prompts without any. Either way
+        the demos follow from the call's memo key alone.
         """
         k = self.top_k_demos if stage is Stage.FE else self.fa_demos_per_polarity
         if stage is Stage.FA and self.flags.disable_fa_demos:
-            return ()
+            return []
         if self.flags.disable_adm:
-            call_key = f"{stage.value}:{fact_type.value}:{'|'.join(case_ids)}"
-            return tuple(select(self.library, stage, fact_type, k, seed=self.sampling_seed, call_key=call_key))
-        return tuple(select(self.library, stage, fact_type, k, query))
+            call_key = f"{stage.value}:{fact_type.value}:" + "\x1f".join(inputs)
+            return select(self.library, stage, fact_type, k, seed=self.sampling_seed, call_key=call_key)
+        return select(self.library, stage, fact_type, k, inputs[0] if stage is Stage.FE else inputs)
 
     def _call_stage(
         self, stage: Stage, fact_type: FactType, target: str, demos: Sequence[Demonstration],
@@ -518,95 +528,85 @@ class JudgeEngine:
 
     # -- stages ------------------------------------------------------------
 
-    def _extract_once(self, key: tuple[Case, FactType]) -> FactExtraction | Exception:
-        """The extraction memo's computation: a case's extraction, or the exception _call_stage returned.
+    def _call_once(self, key: tuple) -> FactExtraction | FactVerdict | Exception:
+        """The memo's computation: a call's FactExtraction or FactVerdict, or the exception _call_stage returned.
 
-        Legal-fact extraction consumes the case's extracted material facts
-        from the memo, never the raw text, unless extraction is ablated
-        entirely. judge_pair asks for a case's legal facts only once its
-        material facts are extracted.
+        Under disable_fe an extraction forwards its input text, with no call.
         """
-        case, fact_type = key
-        if self.flags.disable_fe:
-            return FactExtraction(case.id, fact_type, case.fact_text, "")
-        target = case.fact_text if fact_type is FactType.MF else self._extractions[case, FactType.MF].text
-        demos = self._demos(Stage.FE, fact_type, target, (case.id,))
-        called = self._call_stage(Stage.FE, fact_type, target, demos, _parse_nonempty_facts)
+        stage, fact_type, inputs = key[0], key[1], key[2:]
+        if stage is Stage.FE:
+            if self.flags.disable_fe:
+                return FactExtraction(fact_type, inputs[0], "")
+            target, parse = inputs[0], _parse_nonempty_facts
+        else:
+            target, parse = f"{INPUT_A}\n{inputs[0]}\n{INPUT_B}\n{inputs[1]}", parse_verdict
+        called = self._call_stage(stage, fact_type, target, self._demos(stage, fact_type, inputs), parse)
         if isinstance(called, Exception):
             return called
-        text, raw = called
-        return FactExtraction(case.id, fact_type, text, raw)
-
-    def _comparison(self, a: FactExtraction, b: FactExtraction, fact_type: FactType) -> Comparison:
-        """The comparison memo's key for one fact layer of a pair: what fixes its prompt."""
-        return fact_type, self._demos(Stage.FA, fact_type, (a.text, b.text), (a.case_id, b.case_id)), a.text, b.text
-
-    def _compare_once(self, key: Comparison) -> FactVerdict | Exception:
-        """The comparison memo's computation: a verdict, or the exception _call_stage returned."""
-        fact_type, demos, a_text, b_text = key
-        target = f"{INPUT_A}\n{a_text}\n{INPUT_B}\n{b_text}"
-        called = self._call_stage(Stage.FA, fact_type, target, demos, parse_verdict)
-        if isinstance(called, Exception):
-            return called
-        (relevant, reasoning), raw = called
+        parsed, raw = called
+        if stage is Stage.FE:
+            return FactExtraction(fact_type, parsed, raw)
+        relevant, reasoning = parsed
         return FactVerdict(fact_type, relevant, reasoning, raw)
 
     # -- pair and pool drivers ----------------------------------------------
 
     def reuse(self, records: Iterable[JudgmentRecord], cases: Iterable[Case]) -> None:
-        """Fill both memos from finished records, in one pass over the ok ones.
+        """Fill the memo from finished records, in one pass over the ok ones, selecting no demos.
 
-        judge_to_file calls this before judging, so a case that a finished
-        pair extracted is not extracted again, and a comparison that a
-        finished pair asked is not asked again. Each case of cases takes its
-        material and its legal facts from the first ok record that holds it,
-        so the legal facts are the ones derived from those material facts;
-        extractions_reused counts these cases. Each comparison takes the
-        verdict of the first ok record that asks it. What a memo already
-        holds is left as it is, and a case in no ok record is left to extract
-        as usual. The records must come from this configuration
-        (judge_to_file checks the fingerprint first) and from the cases'
-        present text.
+        judge_to_file calls this before judging, so a call that a finished
+        pair made is not made again. Each case of cases takes its material
+        facts, and the legal facts derived from them, from the first ok
+        record that holds its id; extractions_reused counts these cases.
+        Each comparison takes the verdict of the first ok record that asks
+        it. What the memo already holds is left as it is, and a case in no
+        ok record is left to extract as usual. The records must come from
+        this configuration (judge_to_file checks the fingerprint first) and
+        from the cases' present text.
         """
-        wanted = {case.id: case for case in cases if (case, FactType.MF) not in self._extractions}
+        calls = self._calls
+        wanted = {case.id: case for case in cases if (Stage.FE, FactType.MF, case.fact_text) not in calls}
         for record in records:
             if record.status != "ok":
                 continue
-            for mf, lf in zip(record.mf_extractions, record.lf_extractions):
-                case = wanted.pop(mf.case_id, None)
+            (mf_q, mf_c), (lf_q, lf_c) = record.mf_extractions, record.lf_extractions
+            for case_id, mf, lf in ((record.query_id, mf_q, lf_q), (record.candidate_id, mf_c, lf_c)):
+                case = wanted.pop(case_id, None)
                 if case is not None:
-                    self._extractions[case, FactType.MF] = mf
-                    self._extractions[case, FactType.LF] = lf
+                    calls.setdefault((Stage.FE, FactType.MF, case.fact_text), mf)
+                    calls.setdefault((Stage.FE, FactType.LF, mf.text), lf)
                     self.extractions_reused += 1
-            for fact_type, (a, b), verdict in ((FactType.MF, record.mf_extractions, record.mf_verdict),
-                                               (FactType.LF, record.lf_extractions, record.lf_verdict)):
-                self._comparisons.setdefault(self._comparison(a, b, fact_type), verdict)
+            calls.setdefault((Stage.FA, FactType.MF, mf_q.text, mf_c.text), record.mf_verdict)
+            calls.setdefault((Stage.FA, FactType.LF, lf_q.text, lf_c.text), record.lf_verdict)
 
     def judge_pair(self, query: Case, candidate: Case) -> JudgmentRecord:
         """Judge one pair through all six stages, material facts first.
 
-        The first stage that fails ends the pair in a failed record whose
-        error names it: "<stage>_<fact type>: <message>". This is the one
-        reader of both memos: a failed extraction or comparison is the one
-        its memo keeps. An AuthError or an error selecting demos, which every
-        later call would meet too, is raised, not recorded.
+        Each stage's result is read from the memo under its call's key; a
+        case's legal-fact key holds its extracted material facts. The first
+        stage that fails ends the pair in a failed record whose error names
+        it: "<stage>_<fact type>: <message>", the one failure the memo keeps
+        for that call. An AuthError, which every later call would meet too,
+        is raised, not recorded.
         """
 
         def failed(stage: Stage, fact_type: FactType, exc: Exception) -> JudgmentRecord:
             return JudgmentRecord(query.id, candidate.id, "failed", None, None, None, None, None, self.run_id,
                                   self.config_fingerprint, f"{stage.value}_{fact_type.value}: {exc}")
 
+        calls = self._calls
         extractions = []
         for fact_type in (FactType.MF, FactType.LF):
-            for case in (query, candidate):
-                extraction = self._extractions[case, fact_type]
+            for i, case in enumerate((query, candidate)):
+                source = case.fact_text if fact_type is FactType.MF else extractions[i].text
+                extraction = calls[Stage.FE, fact_type, source]
                 if isinstance(extraction, Exception):
                     return failed(Stage.FE, fact_type, extraction)
                 extractions.append(extraction)
         mf_q, mf_c, lf_q, lf_c = extractions
         verdicts = []
         for fact_type, a, b in ((FactType.MF, mf_q, mf_c), (FactType.LF, lf_q, lf_c)):
-            verdict = self._comparisons[self._comparison(a, b, fact_type)]
+            verdict = calls[Stage.FA, fact_type, a.text, b.text]
             if isinstance(verdict, Exception):
                 return failed(Stage.FA, fact_type, verdict)
             verdicts.append(verdict)
@@ -623,11 +623,10 @@ class JudgeEngine:
         """Judge (query, candidate) pairs; records come back in input order.
 
         A pair that fails becomes a failed record rather than aborting the
-        batch; an AuthError or an error selecting demos (an empty demo set)
-        aborts it. on_record sees each record as soon as its pair finishes,
-        on the thread that judged the pair: in parallel, that is a pool
-        thread, so on_record must be thread-safe, and it sees records in
-        completion order. On an error or interrupt, pairs not yet
+        batch; an AuthError aborts it. on_record sees each record as soon as
+        its pair finishes, on the thread that judged the pair: in parallel,
+        that is a pool thread, so on_record must be thread-safe, and it sees
+        records in completion order. On an error or interrupt, pairs not yet
         started are dropped, pairs already running finish and reach
         on_record, and then the first error is raised.
         """
@@ -788,10 +787,10 @@ def judge_to_file(
     key's ok line wins, then its last failed line); it refuses a file from
     another configuration, drops a last line an interrupt cut short, and
     hands the finished records to engine.reuse, the one refill of its
-    memos, assuming the cases have not changed since, so the run makes the
+    memo, assuming the cases have not changed since, so the run makes the
     calls of one uninterrupted run. Only pending pairs' cases are looked up.
-    An AuthError or an error selecting demos ends the run, as in
-    judge_pairs, with every finished pair already in the file.
+    An AuthError ends the run, as in judge_pairs, with every finished pair
+    already in the file.
     The file ends as the requested pairs in input order, then any others in
     file order, and is rewritten atomically only if its lines differ from
     that (after a parallel run or a superseded line). Returns one record per

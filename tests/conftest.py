@@ -220,12 +220,12 @@ def fabricate_record(
         status="ok",
         label=label,
         mf_extractions=(
-            FactExtraction(query_id, FactType.MF, query_text, f"===FACTS===\n{query_text}\n===END==="),
-            FactExtraction(candidate_id, FactType.MF, cand_text, f"===FACTS===\n{cand_text}\n===END==="),
+            FactExtraction(FactType.MF, query_text, f"===FACTS===\n{query_text}\n===END==="),
+            FactExtraction(FactType.MF, cand_text, f"===FACTS===\n{cand_text}\n===END==="),
         ),
         lf_extractions=(
-            FactExtraction(query_id, FactType.LF, "tag_q", "===FACTS===\ntag_q\n===END==="),
-            FactExtraction(candidate_id, FactType.LF, "tag_c", "===FACTS===\ntag_c\n===END==="),
+            FactExtraction(FactType.LF, "tag_q", "===FACTS===\ntag_q\n===END==="),
+            FactExtraction(FactType.LF, "tag_c", "===FACTS===\ntag_c\n===END==="),
         ),
         mf_verdict=FactVerdict(FactType.MF, mf, "material comparison", f"material comparison\n{verdict_word[mf]}"),
         lf_verdict=FactVerdict(FactType.LF, lf, "legal comparison", f"legal comparison\n{verdict_word[lf]}"),

@@ -379,9 +379,11 @@ def reference_judge_pools(
 ) -> tuple[str, list[str], list[tuple[tuple[str, str], str | None]]]:
     """The run file a serial judge of the pools' first top_n candidates writes, the texts it sends, and their owners.
 
-    Every stage call ranks its whole demo set with rank_oracle, and only a
-    (case, layer)'s extraction is kept, in a plain dict: the extraction, or
-    the exception that ended it, which every later pair of the case raises.
+    Every stage call ranks its whole demo set with rank_oracle, or under
+    disable_adm draws from it seeded by its stage, fact type and input
+    texts, and only a (case, layer)'s extraction is kept, in a plain dict:
+    the extraction, or the exception that ended it, which every later pair
+    of the case raises.
     Each text's owner is the (query id, candidate id) being judged when it
     was sent, with the id of the case it extracts, or None for a comparison.
     """
@@ -434,13 +436,13 @@ def reference_judge_pools(
         key = (case.id, fact_type.value)
         if key not in extractions:
             if flags.disable_fe:
-                extractions[key] = FactExtraction(case.id, fact_type, case.fact_text, "")
+                extractions[key] = FactExtraction(fact_type, case.fact_text, "")
             else:
                 try:
                     target = case.fact_text if fact_type.value == "MF" else extract(case, FactType.MF).text
-                    text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{case.id}", facts,
+                    text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{target}", facts,
                                        case.id)
-                    extractions[key] = FactExtraction(case.id, fact_type, text, reply)
+                    extractions[key] = FactExtraction(fact_type, text, reply)
                 except Exception as exc:
                     extractions[key] = exc
         if isinstance(extractions[key], Exception):
@@ -449,7 +451,7 @@ def reference_judge_pools(
 
     def annotate(a: FactExtraction, b: FactExtraction, fact_type) -> FactVerdict:
         target = f"{INPUT_A}\n{a.text}\n{INPUT_B}\n{b.text}"
-        call_key = f"FA:{fact_type.value}:{a.case_id}|{b.case_id}"
+        call_key = f"FA:{fact_type.value}:{a.text}\x1f{b.text}"
         (relevant, reasoning), reply = call(Stage.FA, fact_type, target, f"{a.text}\n{b.text}", call_key, parse_verdict)
         return FactVerdict(fact_type, relevant, reasoning, reply)
 

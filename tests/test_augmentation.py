@@ -34,7 +34,7 @@ from lexjudge.augmentation import (
     save_pairs,
 )
 from lexjudge.corpus import Case, CaseStore
-from lexjudge.demos import FactType
+from lexjudge.demos import FactType, Stage
 from lexjudge.engine import FactExtraction
 from lexjudge.errors import (
     DomainError,
@@ -469,8 +469,13 @@ class TestCheckpointOrder:
         assert judge.lines() == len(pairs)
 
 
+def held(engine, stage: Stage) -> list:
+    """The keys of the engine's call memo of one stage."""
+    return [key for key in engine._calls if key[0] is stage]
+
+
 class TestReuse:
-    """reuse fills both memos from ok records only, one record per key."""
+    """reuse fills the call memo from ok records only, one record per key."""
 
     def test_failed_records_fill_nothing(self, mock_judge, toy_library):
         ok = fabricate_record("q1", "c1", 3)
@@ -479,24 +484,25 @@ class TestReuse:
         cases = [Case(id="q1", fact_text="query facts"), Case(id="c1", fact_text="candidate facts")]
         engine.reuse(records, cases)
         assert engine.extractions_reused == 0
-        assert not engine._extractions and not engine._comparisons
+        assert not held(engine, Stage.FE) and not held(engine, Stage.FA)
         engine.reuse([*records, ok], cases)
         assert engine.extractions_reused == 2
-        assert len(engine._extractions) == 4
+        assert len(held(engine, Stage.FE)) == 4
 
     def test_a_case_takes_its_facts_from_one_record(self, mock_judge, toy_library):
         first = fabricate_record("q1", "c1", 3, query_text="盗窃 财物")
         second = fabricate_record("c0", "q1", 1, cand_text="抢劫 财物")
-        lf_other = FactExtraction("q1", FactType.LF, "tag_other", "===FACTS===\ntag_other\n===END===")
+        lf_other = FactExtraction(FactType.LF, "tag_other", "===FACTS===\ntag_other\n===END===")
         second = dataclasses.replace(second, lf_extractions=(second.lf_extractions[0], lf_other))
         case = Case(id="q1", fact_text="案情")
         for records, source, side in (([first, second], first, 0), ([second, first], second, 1)):
             engine = make_engine(mock_judge, toy_library)
             engine.reuse(records, [case, case])
             assert engine.extractions_reused == 1
-            assert engine._extractions[case, FactType.MF] is source.mf_extractions[side]
-            assert engine._extractions[case, FactType.LF] is source.lf_extractions[side]
-            assert len(engine._extractions) == 2
+            mf = engine._calls[Stage.FE, FactType.MF, case.fact_text]
+            assert mf is source.mf_extractions[side]
+            assert engine._calls[Stage.FE, FactType.LF, mf.text] is source.lf_extractions[side]
+            assert len(held(engine, Stage.FE)) == 2
             engine.reuse(records, [case])
             assert engine.extractions_reused == 1  # a filled case stays as it is
 
@@ -509,11 +515,11 @@ class TestReuse:
         engine = make_engine(judge, toy_library)
         query, candidate = Case(id="q2", fact_text="query facts"), Case(id="c2", fact_text="candidate facts")
         engine.reuse([failed], [query, candidate])
-        assert not engine._comparisons
+        assert not held(engine, Stage.FA)
         engine.reuse([failed, first, second], [query, candidate])
-        assert len(engine._comparisons) == 2
+        assert len(held(engine, Stage.FA)) == 2
         engine.reuse([second], [query, candidate])
-        assert len(engine._comparisons) == 2  # a filled comparison stays as it is
+        assert len(held(engine, Stage.FA)) == 2  # a filled comparison stays as it is
         record = engine.judge_pair(query, candidate)
         assert record.mf_extractions == second.mf_extractions and record.lf_extractions == second.lf_extractions
         assert (record.mf_verdict, record.lf_verdict) == (first.mf_verdict, first.lf_verdict)
@@ -535,7 +541,7 @@ class TestReuse:
         monkeypatch.setattr(engine, "reuse", lambda *args: called.append(args))
         with pytest.raises(IntegrityError, match="configuration"):
             annotate_pairs(engine, store, pairs, checkpoint_path=checkpoint)
-        assert called == [] and not engine._extractions and not engine._comparisons
+        assert called == [] and not engine._calls
         assert checkpoint.read_bytes() == before
 
 

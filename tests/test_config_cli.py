@@ -581,28 +581,37 @@ class TestCliJudge:
         assert (tmp_path / "j.run1.jsonl").read_bytes() == b""
         assert not (tmp_path / "j.run2.jsonl").exists()
 
-    # Every call of a stage whose demo set is empty would fail alike, so its first one ends the
-    # run, at either stage, and no pair is recorded as failed; the ablation that asks for no demo
-    # of that set judges every pair with the same library.
+    # Every call of a stage whose demo set is empty would fail alike, so the engine refuses the
+    # library before any call, at either stage, and no run file is opened; the ablation that asks
+    # for no demo of that set judges every pair with the same library. demos validate agrees.
     @pytest.mark.parametrize("parallelism", [1, 4])
     @pytest.mark.parametrize("stage, fact_type, ablation", [
         ("FE", "MF", "disable_fe"), ("FE", "LF", "disable_fe"),
         ("FA", "MF", "disable_fa_demos"), ("FA", "LF", "disable_fa_demos"),
     ])
-    def test_an_empty_demo_set_ends_the_run(self, stage, fact_type, ablation, parallelism, toy, tmp_path, capsys):
+    def test_an_empty_demo_set_ends_the_run(
+        self, stage, fact_type, ablation, parallelism, toy, tmp_path, capsys, monkeypatch
+    ):
         demos = [demo for demo in json.loads(Path(toy.demos).read_text(encoding="utf-8"))
                  if (demo["stage"], demo["fact_type"]) != (stage, fact_type)]
         library = tmp_path / "demos.json"
         library.write_text(json.dumps(demos, ensure_ascii=False), encoding="utf-8")
         judge = ["judge", "--mock", "--cases", str(toy.cases), "--pools", str(toy.pools), "--demos", str(library),
                  "--runs", "1", "--set", f"parallelism={parallelism}"]
+        counter = StageCounter(monkeypatch)
         code = main([*judge, "--out", str(tmp_path / "j.jsonl")])
         [message] = capsys.readouterr().err.splitlines()
         assert code == 1 and message == f"error: no demonstrations for {stage}/{fact_type}"
-        assert (tmp_path / "j.jsonl").read_bytes() == b""
+        assert sum(counter.calls.values()) == 0 and not (tmp_path / "j.jsonl").exists()
+        validate = ["demos", "validate", "--demos", str(library)]
+        assert main(validate) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
         assert main([*judge, "--out", str(tmp_path / "ablated.jsonl"), "--set", f"ablation.{ablation}=true"]) == 0
         records = read_records_jsonl(tmp_path / "ablated.jsonl")
         assert len(records) == 120 and all(record.status == "ok" for record in records)
+        capsys.readouterr()
+        code, payload = run_cli(capsys, *validate, "--set", f"ablation.{ablation}=true")
+        assert code == 0 and payload["sets"][f"{stage}_{fact_type}"] == 0
 
 
 class StageCounter:

@@ -24,7 +24,7 @@ import lexjudge.demos
 import lexjudge.engine
 import lexjudge.gateway
 from lexjudge.augmentation import annotate_pairs, sample_pairs
-from lexjudge.corpus import CandidatePool, Case, aggregate_label, gold_fact_flags
+from lexjudge.corpus import CandidatePool, Case, CaseStore, aggregate_label, gold_fact_flags
 from lexjudge.demos import Demonstration, FactType, Stage, _rank, load_demo_library
 from lexjudge.engine import (
     FA_REMINDER,
@@ -233,15 +233,15 @@ class TestResponseParsing:
 
 
 class TestExtractionMemo:
-    """A case's extraction is read from the engine's memo, which keeps a failure like a value."""
+    """An extraction is read from the engine's call memo, which keeps a failure like a value."""
 
     def test_mf_matches_mock_rule(self, mock_judge, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
         case = store.get(pools[0].query_id)
         engine = make_engine(mock_judge, toy_library)
-        extraction = engine._extractions[case, FactType.MF]
+        extraction = engine._calls[Stage.FE, FactType.MF, case.fact_text]
         assert extraction.text == " ".join(normalized_tokens(case.fact_text))
-        assert extraction.case_id == case.id
+        assert engine.judge_pair(case, case).mf_extractions == (extraction, extraction)
         assert extraction.fact_type is FactType.MF
         assert "===FACTS===" in extraction.raw_response
 
@@ -249,17 +249,18 @@ class TestExtractionMemo:
         store, pools, _ = toy_corpus
         case = store.get(pools[0].query_id)
         engine = make_engine(instrumented, toy_library)
-        lf = engine._extractions[case, FactType.LF]
+        mf = engine._calls[Stage.FE, FactType.MF, case.fact_text]
+        lf = engine._calls[Stage.FE, FactType.LF, mf.text]
         assert instrumented.stages == ["FE_MF", "FE_LF"]
-        assert engine._extractions[case, FactType.MF].text == " ".join(normalized_tokens(case.fact_text))
-        assert engine._extractions[case, FactType.LF] is lf
+        assert engine._calls[Stage.FE, FactType.MF, case.fact_text].text == " ".join(normalized_tokens(case.fact_text))
+        assert engine._calls[Stage.FE, FactType.LF, mf.text] is lf
         assert instrumented.stages == ["FE_MF", "FE_LF"]  # both read from the memo
 
     def test_lf_consumes_prior_extraction_not_raw_text(self, toy_library):
         engine = ascii_engine(toy_library)
         case = Case(id="x1", fact_text="fraud fraud fraud")
-        engine._extractions[case, FactType.MF] = FactExtraction("x1", FactType.MF, "alpha theft beta", GOOD_FE)
-        extraction = engine._extractions[case, FactType.LF]
+        engine._calls[Stage.FE, FactType.MF, case.fact_text] = FactExtraction(FactType.MF, "alpha theft beta", GOOD_FE)
+        extraction = engine.judge_pair(case, case).lf_extractions[0]
         assert extraction.text == "theft"  # from the prior text, not the case
 
     def test_disable_fe_forwards_raw_text(self, instrumented, toy_library, toy_corpus):
@@ -268,7 +269,7 @@ class TestExtractionMemo:
         engine = make_engine(
             instrumented, toy_library, flags=AblationFlags(disable_fe=True)
         )
-        extraction = engine._extractions[case, FactType.MF]
+        extraction = engine._calls[Stage.FE, FactType.MF, case.fact_text]
         assert extraction.text == case.fact_text
         assert extraction.raw_response == ""
         assert instrumented.stages == []  # no prompt was issued
@@ -276,8 +277,7 @@ class TestExtractionMemo:
     def test_retry_appends_reminder(self, toy_library):
         judge = ScriptedJudge(["not following the format", GOOD_FE])
         engine = make_engine(judge, toy_library)
-        case = Case(id="x1", fact_text="alpha beta")
-        extraction = engine._extractions[case, FactType.MF]
+        extraction = engine._calls[Stage.FE, FactType.MF, "alpha beta"]
         assert extraction.text == "facts ok"
         assert len(judge.requests) == 2
         assert FE_REMINDER not in judge.requests[0].user_text
@@ -286,39 +286,39 @@ class TestExtractionMemo:
     def test_empty_facts_block_retries(self, toy_library):
         judge = ScriptedJudge(["===FACTS===\n===END===", GOOD_FE])
         engine = make_engine(judge, toy_library)
-        extraction = engine._extractions[Case(id="x1", fact_text="t"), FactType.MF]
+        extraction = engine._calls[Stage.FE, FactType.MF, "t"]
         assert extraction.text == "facts ok"
         assert len(judge.requests) == 2
 
     def test_retry_budget_exhausted(self, toy_library):
         judge = ScriptedJudge(["bad", "still bad"])
         engine = make_engine(judge, toy_library, retry=1)
-        failure = engine._extractions[Case(id="x1", fact_text="t"), FactType.MF]
+        failure = engine._calls[Stage.FE, FactType.MF, "t"]
         assert isinstance(failure, JudgeResponseUnparseable) and "2 attempt" in str(failure)
         assert len(judge.requests) == 2
 
     def test_request_carries_stage_marker_and_target(self, toy_library):
         judge = ScriptedJudge([GOOD_FE])
         engine = make_engine(judge, toy_library)
-        engine._extractions[Case(id="x1", fact_text="alpha beta"), FactType.MF]
+        engine._calls[Stage.FE, FactType.MF, "alpha beta"]
         text = judge.requests[0].user_text
         assert text.startswith("#STAGE:FE_MF\n")
         assert "#TARGET_BEGIN\nalpha beta\n#TARGET_END" in text
 
 
 class TestComparisonMemo:
-    """A comparison's verdict is read from the engine's memo, under the key that fixes its prompt."""
+    """A comparison's verdict is read from the engine's call memo, under the key that fixes its prompt."""
 
-    def fx(self, case_id: str, text: str, fact_type=FactType.MF) -> FactExtraction:
-        return FactExtraction(case_id, fact_type, text, "raw")
+    def fx(self, text: str, fact_type=FactType.MF) -> FactExtraction:
+        return FactExtraction(fact_type, text, "raw")
 
     def compare(self, engine, a: FactExtraction, b: FactExtraction, fact_type: FactType) -> FactVerdict:
-        return engine._comparisons[engine._comparison(a, b, fact_type)]
+        return engine._calls[Stage.FA, fact_type, a.text, b.text]
 
     def test_identical_texts_relevant(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
         verdict = self.compare(
-            engine, self.fx("a", "alpha beta gamma"), self.fx("b", "alpha beta gamma"), FactType.MF
+            engine, self.fx("alpha beta gamma"), self.fx("alpha beta gamma"), FactType.MF
         )
         assert verdict.relevant is True
         assert verdict.fact_type is FactType.MF
@@ -326,7 +326,7 @@ class TestComparisonMemo:
     def test_disjoint_texts_irrelevant(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
         verdict = self.compare(
-            engine, self.fx("a", "alpha beta"), self.fx("b", "gamma delta"), FactType.MF
+            engine, self.fx("alpha beta"), self.fx("gamma delta"), FactType.MF
         )
         assert verdict.relevant is False
 
@@ -339,7 +339,7 @@ class TestComparisonMemo:
         assert score < 0.4
         engine = make_engine(mock_judge, toy_library)
         verdict = self.compare(
-            engine, self.fx("a", a_text), self.fx("b", b_text), FactType.MF
+            engine, self.fx(a_text), self.fx(b_text), FactType.MF
         )
         assert verdict.relevant is False
         assert "jaccard=0.3750" in verdict.reasoning
@@ -347,7 +347,7 @@ class TestComparisonMemo:
     def test_reasoning_and_raw_response_captured(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
         verdict = self.compare(
-            engine, self.fx("a", "alpha"), self.fx("b", "alpha"), FactType.MF
+            engine, self.fx("alpha"), self.fx("alpha"), FactType.MF
         )
         assert verdict.reasoning
         assert verdict.raw_response.endswith("VERDICT: RELEVANT")
@@ -357,14 +357,14 @@ class TestComparisonMemo:
         engine = make_engine(mock_judge, toy_library)
         shared = self.compare(
             engine,
-            self.fx("a", "盗窃 抢劫", FactType.LF),
-            self.fx("b", "盗窃", FactType.LF),
+            self.fx("盗窃 抢劫", FactType.LF),
+            self.fx("盗窃", FactType.LF),
             FactType.LF,
         )
         disjoint = self.compare(
             engine,
-            self.fx("a", "盗窃", FactType.LF),
-            self.fx("b", "抢劫", FactType.LF),
+            self.fx("盗窃", FactType.LF),
+            self.fx("抢劫", FactType.LF),
             FactType.LF,
         )
         assert shared.relevant is True
@@ -374,7 +374,7 @@ class TestComparisonMemo:
         judge = ScriptedJudge(["rambling with no verdict", GOOD_FA])
         engine = make_engine(judge, toy_library)
         verdict = self.compare(
-            engine, self.fx("a", "t"), self.fx("b", "t"), FactType.MF
+            engine, self.fx("t"), self.fx("t"), FactType.MF
         )
         assert verdict.relevant is True
         assert len(judge.requests) == 2
@@ -385,13 +385,13 @@ class TestComparisonMemo:
         engine = make_engine(
             judge, toy_library, flags=AblationFlags(disable_fa_demos=True)
         )
-        self.compare(engine, self.fx("a", "t"), self.fx("b", "t"), FactType.MF)
+        self.compare(engine, self.fx("t"), self.fx("t"), FactType.MF)
         assert "Example 1" not in judge.requests[0].user_text
 
     def test_fa_prompt_carries_both_polarities_by_default(self, toy_library):
         judge = ScriptedJudge([GOOD_FA])
         engine = make_engine(judge, toy_library)
-        self.compare(engine, self.fx("a", "t"), self.fx("b", "t"), FactType.MF)
+        self.compare(engine, self.fx("t"), self.fx("t"), FactType.MF)
         text = judge.requests[0].user_text
         assert "(relevant pair)" in text
         assert "(irrelevant pair)" in text
@@ -453,8 +453,8 @@ class TestJudgePair:
         engine = make_engine(mock_judge, toy_library)
         record = engine.judge_pair(query, cand)
         assert record.query_id == query.id and record.candidate_id == cand.id
-        assert record.mf_extractions[0].case_id == query.id
-        assert record.mf_extractions[1].case_id == cand.id
+        assert record.mf_extractions[0] is engine._calls[Stage.FE, FactType.MF, query.fact_text]
+        assert record.mf_extractions[1] is engine._calls[Stage.FE, FactType.MF, cand.fact_text]
         for pair in (record.mf_extractions, record.lf_extractions):
             for extraction in pair:
                 assert extraction.raw_response
@@ -615,6 +615,20 @@ class TestFactExtractionCache:
         assert instrumented.count("FE_LF") == 3
         assert instrumented.count("FA_MF") == 2
         assert instrumented.count("FA_LF") == 2
+
+    def test_cases_with_equal_facts_share_their_calls(self, instrumented, toy_library, toy_corpus):
+        store, pools, _ = toy_corpus
+        query, cand = store.get(pools[0].query_id), store.get(pools[0].candidate_ids[0])
+        twin = Case(id="twin", fact_text=cand.fact_text)
+        engine = make_engine(instrumented, toy_library)
+        pool = CandidatePool(query.id, (cand.id, twin.id))
+        first, second = engine.judge_pools(CaseStore([query, cand, twin]), [pool])
+        # The twin's extractions and both comparisons are its sibling's: one call per distinct prompt.
+        assert Counter(instrumented.stages) == {"FE_MF": 2, "FE_LF": 2, "FA_MF": 1, "FA_LF": 1}
+        assert [(r.query_id, r.candidate_id) for r in (first, second)] == [(query.id, cand.id), (query.id, twin.id)]
+        assert second.mf_extractions[1] is first.mf_extractions[1]
+        assert second.lf_extractions[1] is first.lf_extractions[1]
+        assert second.mf_verdict is first.mf_verdict and second.lf_verdict is first.lf_verdict
 
     def test_repeat_pair_reuses_extractions(self, instrumented, toy_library, toy_corpus):
         store, pools, _ = toy_corpus
@@ -990,16 +1004,15 @@ class TestGoldenRecords:
 
 
 # (library, ablation flag) -> (prompts sent, sha256 of their user texts as a JSON list). Each
-# distinct prompt is sent once: 36 of the toy pools' 240 comparisons repeat an earlier one,
-# except under disable_adm, whose seeded draw follows the pair, so that only 5 repeat with the
-# bundled library and none with the large one.
+# distinct prompt is sent once, in every ablation: 36 of the toy pools' 240 comparisons repeat
+# an earlier one's fact type and texts, which fix its prompt, disable_adm's seeded draw included.
 GOLDEN_PROMPTS = {
     ("bundled", None): (300, "f43ecb84351f4cab39672f28cad15e29f2ef6be5ff765f5f441bb66b098120e5"),
-    ("bundled", "disable_adm"): (331, "8f8383df35d493d35a18e96896fca9f19ab556b9b12aad76e1cc5ce7a7ddfb58"),
+    ("bundled", "disable_adm"): (300, "bb23ba5fd5f9156a94e9ed0c3170b1f132e61d7caf98962efe145672800c0e81"),
     ("bundled", "disable_fa_demos"): (300, "7aaae62d7641377811dbb7b22ec860aef89de435e0324793cfff36a9f274f588"),
     ("bundled", "disable_fe"): (240, "9395aa2ed95569542957745c957022729dfeea8031333f8e1e677d8d72a2562e"),
     ("large", None): (300, "018adbeba0a4daa24577678c8ec9271fdc32a3f801a8c053e7450c10bfa24d12"),
-    ("large", "disable_adm"): (336, "b3d4e366120ad107429178b8c216daa4d8b20cc8462b19a469399119c779f8d4"),
+    ("large", "disable_adm"): (300, "73b8e4a7f1d56e4c1ca7f07e686491cfe9373711875ea70b23f8b48a1ec22a08"),
     ("large", "disable_fa_demos"): (300, "f5f57575eb3ab96dc1f3fcea87f90fcf585ff5d737560c7933e4cb8158a0a780"),
     ("large", "disable_fe"): (240, "ffd23e4802eda2cc7ee0a00da88d05dd4cfc2c8202ec8ff9bb91cd6e97e35e4a"),
 }
@@ -1022,6 +1035,7 @@ class TestGoldenPrompts:
         make_engine(judge, library, parallelism=1, flags=flags).judge_pools(store, pools)
         digest = hashlib.sha256(json.dumps(judge.user_texts, ensure_ascii=False).encode()).hexdigest()
         assert (len(judge.user_texts), digest) == GOLDEN_PROMPTS[library_name, flag]
+        assert len(set(judge.user_texts)) == len(judge.user_texts)
 
 
 class TestRetryExhaustion:
@@ -1195,8 +1209,8 @@ def judgment_records(draw, values, ids):
 
     def extractions(fact_type):
         return (
-            FactExtraction(qid, fact_type, draw(values), draw(values)),
-            FactExtraction(cid, fact_type, draw(values), draw(values)),
+            FactExtraction(fact_type, draw(values), draw(values)),
+            FactExtraction(fact_type, draw(values), draw(values)),
         )
 
     def verdict(fact_type):
@@ -1326,8 +1340,10 @@ class TestRecordFiles:
         # A case met in several pools, as query or candidate, has one object per fact type.
         objects: dict[tuple[str, FactType], set[int]] = {}
         for record in read:
-            for extraction in (*record.mf_extractions, *record.lf_extractions):
-                objects.setdefault((extraction.case_id, extraction.fact_type), set()).add(id(extraction))
+            for case_id, mf, lf in zip((record.query_id, record.candidate_id), record.mf_extractions,
+                                       record.lf_extractions):
+                for extraction in (mf, lf):
+                    objects.setdefault((case_id, extraction.fact_type), set()).add(id(extraction))
         assert {len(ids) for ids in objects.values()} == {1}
         for field in ("status", "run_id", "config_fingerprint"):
             assert len({id(getattr(r, field)) for r in read}) == 1
@@ -1338,7 +1354,7 @@ class TestRecordFiles:
         second = fabricate_record("q1", "c2", 1, query_text="抢劫 财物")
         third = fabricate_record("q1", "c3", 1, query_text="盗窃 财物")
         fourth = fabricate_record("q1", "c4", 3, query_text="盗窃 财物")
-        other_raw = FactExtraction("q1", FactType.MF, "盗窃 财物", "another reply")
+        other_raw = FactExtraction(FactType.MF, "盗窃 财物", "another reply")
         fourth = dataclasses.replace(fourth, mf_extractions=(other_raw, fourth.mf_extractions[1]))
         records = [first, second, third, fourth]
         path = tmp_path / "resumed.jsonl"

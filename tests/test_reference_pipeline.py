@@ -6,10 +6,12 @@ JSON encoder. Agreement on run-file bytes and on every prompt sent, over
 drawn pools, libraries, ablations, seeds, parallelism and mock lexicons
 (a short one fails extractions), is the evidence that the engine's memos,
 frames and scheduling change nothing, failed pairs included. The reference
-asks each pair's comparisons, where the engine asks each distinct one once
-per run, so the engine must send the reference's prompts less its repeated
-comparisons. The same agreement over drawn schedules of interrupted, torn
-and resumed runs is the evidence for the checkpoint's resume rules.
+keeps only each case's extractions and asks each pair's comparisons, where
+the engine makes each call with a distinct first prompt once per run, so
+the engine must send the reference's calls less those whose first prompt
+was sent before, in the reference's order.
+The same agreement over drawn schedules of interrupted, torn and resumed
+runs is the evidence for the checkpoint's resume rules.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from hypothesis import strategies as st
 from lexjudge.config import AblationFlags
 from lexjudge.corpus import CandidatePool
 from lexjudge.demos import DemoLibrary, Demonstration, FactType, Stage
-from lexjudge.engine import JudgeEngine, judge_to_file, load_templates, pool_pairs
+from lexjudge.engine import FA_REMINDER, FE_REMINDER, JudgeEngine, judge_to_file, load_templates, pool_pairs
 from lexjudge.errors import AuthError, UpstreamError
 from lexjudge.gateway import MockJudge, MockJudgeConfig
 
@@ -42,20 +44,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from make_demo_library import build_library  # noqa: E402
 
 
-def asked_once(sent) -> list[str]:
-    """The texts of the reference's (text, owner)s less each comparison (a text of no case) already sent.
+def each_call_once(sent) -> list[str]:
+    """The texts of sent less each call whose first prompt was sent before: what one engine run sends.
 
-    That is what one engine run sends.
+    A call is a first prompt and the retries after it, each a retry of the
+    first prompt with its stage's reminder appended, so a call that retries
+    twice sends one text twice.
     """
-    seen: set[str] = set()
-    kept = []
-    for text, (_, case) in sent:
-        if case is None:
-            if text in seen:
-                continue
-            seen.add(text)
-        kept.append(text)
-    return kept
+    calls: dict[str, list[str]] = {}
+    for text in sent:
+        if not text.endswith((f"\n\n{FE_REMINDER}", f"\n\n{FA_REMINDER}")):
+            texts = [] if text in calls else calls.setdefault(text, [])
+        texts.append(text)
+    return [text for texts in calls.values() for text in texts]
 
 
 @lru_cache(maxsize=None)
@@ -103,11 +104,10 @@ class TestReferencePipeline:
             judge_to_file(engine, store, pool_pairs(pools, top_n), path)
             assert path.read_bytes() == want_file.encode("utf-8")
         event("a failed record" if '"status": "failed"' in want_file else "no failed record")
-        # Every distinct prompt of the reference, each as often as the reference sends it less its
-        # repeated comparisons, so each comparison once; serial, in the same order too.
-        want = asked_once(zip(want_sent, owners))
+        # Every call of the reference whose first prompt is not sent before; serial, in its order too.
+        want = each_call_once(want_sent)
         if len(want) < len(want_sent):
-            event("a repeated comparison")
+            event("a repeated call")
         assert set(judge.user_texts) == set(want_sent)
         assert Counter(judge.user_texts) == Counter(want)
         if parallelism == 1:
@@ -170,13 +170,13 @@ class TestResumedCheckpoint:
                     event("a resume with extractions to reuse")
                 # The reference's prompts less those of a pair an ok line holds, of a case one holds,
                 # whose extractions the resume takes from that line, and of a comparison one holds,
-                # whose verdict it takes; then each comparison once.
+                # whose verdict it takes; then each call once.
                 held_comparisons = {text for text, (pair, case) in zip(want_sent, owners)
                                     if case is None and pair in held}
                 if any(text in held_comparisons for text, (pair, _) in zip(want_sent, owners) if pair not in held):
                     event("a resume with a comparison to reuse")
-                need = asked_once((text, (pair, case)) for text, (pair, case) in zip(want_sent, owners)
-                                  if pair not in held and case not in held_cases and text not in held_comparisons)
+                need = each_call_once(text for text, (pair, case) in zip(want_sent, owners)
+                                      if pair not in held and case not in held_cases and text not in held_comparisons)
                 k = math.inf if error is None else len(need) * percent // 100
                 judge = RecordingJudge(MockJudge(mock_cfg))
                 interrupting = Interrupting(judge, k, error)
@@ -189,7 +189,7 @@ class TestResumedCheckpoint:
                 if interrupting.stopped_at:
                     event(f"{error.__name__} at {interrupting.stopped_at}")
                 sent = judge.user_texts
-                # Nothing held is asked for again, and no comparison twice.
+                # Nothing held is asked for again, and no call twice.
                 assert Counter(sent) <= Counter(need)
                 assert not set(sent) & held_comparisons
                 # A segment stops only at its interrupt, and a serial one asks in the reference's order.
