@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -24,16 +24,10 @@ LABELS = (0, 1, 2, 3)
 
 @dataclass(frozen=True, slots=True)
 class Case:
-    """One legal case: identifier, fact paragraph, crime tags, full document.
-
-    fact_text is what every pipeline stage reads; full_text is retained
-    for provenance only and never informs judging.
-    """
+    """One legal case: its identifier and the fact paragraph every pipeline stage reads."""
 
     id: str
     fact_text: str
-    crime_tags: tuple[str, ...] = ()
-    full_text: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,28 +122,15 @@ def validate_case(case: Case) -> list[str]:
         problems.append("id is empty")
     if not case.fact_text or not case.fact_text.strip():
         problems.append("fact_text is empty")
-    if any(not tag for tag in case.crime_tags):
-        problems.append("crime_tags contains an empty tag")
     return problems
 
 
 def case_from_record(record: Mapping[str, object], *, path: str | None = None, line: int | None = None) -> Case:
-    """Build a Case from one canonical JSONL record, normalizing to NFC."""
+    """Build a Case from one canonical JSONL record's id and fact_text, normalized to NFC; other keys are ignored."""
     try:
-        raw_id = record["id"]
-        raw_fact = record["fact_text"]
+        case = Case(id=_nfc(str(record["id"])), fact_text=_nfc(str(record["fact_text"])))
     except KeyError as exc:
         raise ParseError(f"case record missing key {exc}", path=path, line=line) from None
-    tags = record.get("crime_tags", [])
-    if not isinstance(tags, list):
-        raise ParseError("crime_tags must be a list", path=path, line=line)
-    full = record.get("full_text")
-    case = Case(
-        id=_nfc(str(raw_id)),
-        fact_text=_nfc(str(raw_fact)),
-        crime_tags=tuple(_nfc(str(t)) for t in tags),
-        full_text=_nfc(str(full)) if full is not None else None,
-    )
     problems = validate_case(case)
     if problems:
         raise ParseError("invalid case: " + "; ".join(problems), path=path, line=line)

@@ -224,28 +224,30 @@ def parse_verdict(raw_text: str) -> tuple[bool, str]:
     raise JudgeResponseUnparseable("reply does not end with a verdict line")
 
 
-def _parse_nonempty_facts(raw_text: str) -> str:
-    text = parse_facts_block(raw_text)
-    if not text:
-        raise JudgeResponseUnparseable("empty facts block")
-    return text
-
-
 @dataclass(frozen=True, slots=True)
 class FactExtraction:
-    """One fact layer extracted from a text; a record's query or candidate position says whose."""
+    """One fact layer extracted from a text; a record's mf or lf block says which, its position whose."""
 
-    fact_type: FactType
     text: str
     raw_response: str
 
 
 @dataclass(frozen=True, slots=True)
 class FactVerdict:
-    fact_type: FactType
     relevant: bool
     reasoning: str
     raw_response: str
+
+
+def _extraction(reply: str) -> FactExtraction:
+    text = parse_facts_block(reply)
+    if not text:
+        raise JudgeResponseUnparseable("empty facts block")
+    return FactExtraction(text, reply)
+
+
+def _verdict(reply: str) -> FactVerdict:
+    return FactVerdict(*parse_verdict(reply), reply)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,8 +299,10 @@ class JudgmentRecord:
         Calls that pass one shared dict get one object back for each equal
         id, status, run id, fingerprint, extraction and verdict, so an
         extraction copied into many records is held once. All of these are
-        immutable, so sharing them changes no value. An ok record without
-        its label, a verdict or an extraction pair raises TypeError.
+        immutable, so sharing them changes no value. A verdict whose
+        relevant is not a JSON boolean raises TypeError, and so does an ok
+        record without its label, a verdict or an extraction pair, or whose
+        label is not the int its verdicts give.
         """
         table = {} if shared is None else shared
         same = table.setdefault
@@ -312,12 +316,10 @@ class JudgmentRecord:
             cid,
             same(status, status),
             data["label"],
-            _shared_extractions(table, data["mf"]["extractions"], FactType.MF),
-            _shared_extractions(table, data["lf"]["extractions"], FactType.LF),
-            None if (v := data["mf"]["verdict"]) is None
-            else _shared(table, FactVerdict, FactType.MF, bool(v["relevant"]), v["reasoning"], v["raw_response"]),
-            None if (v := data["lf"]["verdict"]) is None
-            else _shared(table, FactVerdict, FactType.LF, bool(v["relevant"]), v["reasoning"], v["raw_response"]),
+            _shared_extractions(table, data["mf"]["extractions"]),
+            _shared_extractions(table, data["lf"]["extractions"]),
+            _shared_verdict(table, data["mf"]["verdict"]),
+            _shared_verdict(table, data["lf"]["verdict"]),
             same(run_id, run_id),
             same(fingerprint, fingerprint),
             data.get("error"),
@@ -326,6 +328,9 @@ class JudgmentRecord:
             for name in _OK_PARTS:
                 if getattr(record, name) is None:
                     raise TypeError(f"ok record lacks {name}")
+            label = aggregate_label(record.mf_verdict.relevant, record.lf_verdict.relevant)
+            if type(record.label) is not int or record.label != label:
+                raise TypeError(f"ok record label {record.label!r} is not {label}, the label of its verdicts")
         return record
 
 
@@ -342,15 +347,24 @@ def _shared(table: dict, cls: type[_T], *fields) -> _T:
     return found
 
 
-def _shared_extractions(table: dict, block: Mapping | None, fact_type: FactType):
+def _shared_extractions(table: dict, block: Mapping | None):
     """The (query, candidate) extraction pair of a to_dict block, each looked up in table."""
     if block is None:
         return None
     q, c = block["query"], block["candidate"]
     return (
-        _shared(table, FactExtraction, fact_type, q["text"], q["raw_response"]),
-        _shared(table, FactExtraction, fact_type, c["text"], c["raw_response"]),
+        _shared(table, FactExtraction, q["text"], q["raw_response"]),
+        _shared(table, FactExtraction, c["text"], c["raw_response"]),
     )
+
+
+def _shared_verdict(table: dict, v: Mapping | None) -> FactVerdict | None:
+    """A to_dict verdict looked up in table; its relevant must be a JSON boolean."""
+    if v is None:
+        return None
+    if type(v["relevant"]) is not bool:
+        raise TypeError(f"verdict relevant {v['relevant']!r} is not a boolean")
+    return _shared(table, FactVerdict, v["relevant"], v["reasoning"], v["raw_response"])
 
 
 def check_demo_sets(library: DemoLibrary, flags: AblationFlags) -> None:
@@ -374,7 +388,7 @@ class JudgeEngine:
     text), (FE, LF, its extracted material facts) and (FA, fact type, a
     pair's two fact texts of that layer). Demos are selected from the key
     alone, so parallel pairs that ask one call share its one result object.
-    The memo keeps what _call_stage returns, a failure included, so every
+    The memo keeps what _call_once returns, a failure included, so every
     pair that needs a failed call fails with its one error until a rerun on
     a new engine (as each CLI command builds) tries it again; with a
     sampling backend, a pair that might have succeeded waits for that rerun.
@@ -488,22 +502,30 @@ class JudgeEngine:
             return select(self.library, stage, fact_type, k, seed=self.sampling_seed, call_key=call_key)
         return select(self.library, stage, fact_type, k, inputs[0] if stage is Stage.FE else inputs)
 
-    def _call_stage(
-        self, stage: Stage, fact_type: FactType, target: str, demos: Sequence[Demonstration],
-        parse: Callable[[str], _T],
-    ) -> tuple[_T, str] | Exception:
-        """One stage call: fill its prompt with demos and target, and ask until parse accepts a reply.
+    # -- stages ------------------------------------------------------------
 
-        Attempts after the first append the stage's reminder. Only an
-        unparseable reply earns another attempt; the last parse error is
-        reported. Returns the parsed value and the reply, or the exception
-        that ended the call with its traceback cleared: returned, not
-        raised, so a memo keeps it, and cleared, since the traceback would
-        hold the engine's frames in a cycle through the memo. This is the
-        one place a failure is kept. An AuthError is raised instead, and
-        kept by nothing: every call would meet it.
+    def _call_once(self, key: tuple) -> FactExtraction | FactVerdict | Exception:
+        """The memo's computation: one stage call, asked until its reply parses.
+
+        The call's demos and target follow from its key, and attempts after
+        the first append the stage's reminder. Only an unparseable reply
+        earns another attempt; the last parse error is reported. Returns the
+        call's FactExtraction or FactVerdict, or the exception that ended it
+        with its traceback cleared: returned, not raised, so the memo keeps
+        it, and cleared, since the traceback would hold the engine's frames
+        in a cycle through the memo. This is the one place a failure is
+        kept. An AuthError is raised instead, and kept by nothing: every
+        call would meet it. Under disable_fe an extraction forwards its
+        input text, with no call.
         """
-        reminder = FE_REMINDER if stage is Stage.FE else FA_REMINDER
+        stage, fact_type, inputs = key[0], key[1], key[2:]
+        if stage is Stage.FE:
+            if self.flags.disable_fe:
+                return FactExtraction(inputs[0], "")
+            target, parse, reminder = inputs[0], _extraction, FE_REMINDER
+        else:
+            target, parse, reminder = f"{INPUT_A}\n{inputs[0]}\n{INPUT_B}\n{inputs[1]}", _verdict, FA_REMINDER
+        demos = self._demos(stage, fact_type, inputs)
         try:
             user_text = self._user_text(stage, fact_type, demos, target)
             for attempt in range(self.retry + 1):
@@ -515,9 +537,9 @@ class JudgeEngine:
                     max_tokens=self.max_tokens,
                     sample_index=self.sample_index,
                 )
-                text = self.judge.complete(request).text
+                reply = self.judge.complete(request).text
                 try:
-                    return parse(text), text
+                    return parse(reply)
                 except JudgeResponseUnparseable as exc:
                     error = str(exc)  # the text, not the exception, whose traceback would hold this frame
         except AuthError:
@@ -525,29 +547,6 @@ class JudgeEngine:
         except Exception as exc:
             return exc.with_traceback(None)
         return JudgeResponseUnparseable(f"{error} after {self.retry + 1} attempt(s)")
-
-    # -- stages ------------------------------------------------------------
-
-    def _call_once(self, key: tuple) -> FactExtraction | FactVerdict | Exception:
-        """The memo's computation: a call's FactExtraction or FactVerdict, or the exception _call_stage returned.
-
-        Under disable_fe an extraction forwards its input text, with no call.
-        """
-        stage, fact_type, inputs = key[0], key[1], key[2:]
-        if stage is Stage.FE:
-            if self.flags.disable_fe:
-                return FactExtraction(fact_type, inputs[0], "")
-            target, parse = inputs[0], _parse_nonempty_facts
-        else:
-            target, parse = f"{INPUT_A}\n{inputs[0]}\n{INPUT_B}\n{inputs[1]}", parse_verdict
-        called = self._call_stage(stage, fact_type, target, self._demos(stage, fact_type, inputs), parse)
-        if isinstance(called, Exception):
-            return called
-        parsed, raw = called
-        if stage is Stage.FE:
-            return FactExtraction(fact_type, parsed, raw)
-        relevant, reasoning = parsed
-        return FactVerdict(fact_type, relevant, reasoning, raw)
 
     # -- pair and pool drivers ----------------------------------------------
 

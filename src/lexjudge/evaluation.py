@@ -120,7 +120,7 @@ def _ok_by_pair(records: Sequence[JudgmentRecord], source: str) -> dict[tuple[st
 _SERIES: dict[str, tuple[Callable[[JudgmentRecord], int], tuple[int, ...]]] = {
     "mf": (lambda r: int(r.mf_verdict.relevant), (0, 1)),
     "lf": (lambda r: int(r.lf_verdict.relevant), (0, 1)),
-    "label": (lambda r: int(r.label), (0, 1, 2, 3)),
+    "label": (lambda r: r.label, (0, 1, 2, 3)),
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from lexjudge.corpus import CaseStore, ingest_corpus
-from lexjudge.demos import FactType, load_demo_library
+from lexjudge.demos import load_demo_library
 from lexjudge.engine import FactExtraction, FactVerdict, JudgeEngine, JudgmentRecord
 from lexjudge.gateway import (
     JudgeRequest,
@@ -220,15 +220,15 @@ def fabricate_record(
         status="ok",
         label=label,
         mf_extractions=(
-            FactExtraction(FactType.MF, query_text, f"===FACTS===\n{query_text}\n===END==="),
-            FactExtraction(FactType.MF, cand_text, f"===FACTS===\n{cand_text}\n===END==="),
+            FactExtraction(query_text, f"===FACTS===\n{query_text}\n===END==="),
+            FactExtraction(cand_text, f"===FACTS===\n{cand_text}\n===END==="),
         ),
         lf_extractions=(
-            FactExtraction(FactType.LF, "tag_q", "===FACTS===\ntag_q\n===END==="),
-            FactExtraction(FactType.LF, "tag_c", "===FACTS===\ntag_c\n===END==="),
+            FactExtraction("tag_q", "===FACTS===\ntag_q\n===END==="),
+            FactExtraction("tag_c", "===FACTS===\ntag_c\n===END==="),
         ),
-        mf_verdict=FactVerdict(FactType.MF, mf, "material comparison", f"material comparison\n{verdict_word[mf]}"),
-        lf_verdict=FactVerdict(FactType.LF, lf, "legal comparison", f"legal comparison\n{verdict_word[lf]}"),
+        mf_verdict=FactVerdict(mf, "material comparison", f"material comparison\n{verdict_word[mf]}"),
+        lf_verdict=FactVerdict(lf, "legal comparison", f"legal comparison\n{verdict_word[lf]}"),
         run_id=run_id,
         config_fingerprint="fab0",
     )

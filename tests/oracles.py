@@ -436,13 +436,13 @@ def reference_judge_pools(
         key = (case.id, fact_type.value)
         if key not in extractions:
             if flags.disable_fe:
-                extractions[key] = FactExtraction(fact_type, case.fact_text, "")
+                extractions[key] = FactExtraction(case.fact_text, "")
             else:
                 try:
                     target = case.fact_text if fact_type.value == "MF" else extract(case, FactType.MF).text
                     text, reply = call(Stage.FE, fact_type, target, target, f"FE:{fact_type.value}:{target}", facts,
                                        case.id)
-                    extractions[key] = FactExtraction(fact_type, text, reply)
+                    extractions[key] = FactExtraction(text, reply)
                 except Exception as exc:
                     extractions[key] = exc
         if isinstance(extractions[key], Exception):
@@ -453,7 +453,7 @@ def reference_judge_pools(
         target = f"{INPUT_A}\n{a.text}\n{INPUT_B}\n{b.text}"
         call_key = f"FA:{fact_type.value}:{a.text}\x1f{b.text}"
         (relevant, reasoning), reply = call(Stage.FA, fact_type, target, f"{a.text}\n{b.text}", call_key, parse_verdict)
-        return FactVerdict(fact_type, relevant, reasoning, reply)
+        return FactVerdict(relevant, reasoning, reply)
 
     lines = []
     pairs = dict.fromkeys((pool.query_id, cid) for pool in pools for cid in pool.candidate_ids[:top_n])

@@ -492,7 +492,7 @@ class TestReuse:
     def test_a_case_takes_its_facts_from_one_record(self, mock_judge, toy_library):
         first = fabricate_record("q1", "c1", 3, query_text="盗窃 财物")
         second = fabricate_record("c0", "q1", 1, cand_text="抢劫 财物")
-        lf_other = FactExtraction(FactType.LF, "tag_other", "===FACTS===\ntag_other\n===END===")
+        lf_other = FactExtraction("tag_other", "===FACTS===\ntag_other\n===END===")
         second = dataclasses.replace(second, lf_extractions=(second.lf_extractions[0], lf_other))
         case = Case(id="q1", fact_text="案情")
         for records, source, side in (([first, second], first, 0), ([second, first], second, 1)):

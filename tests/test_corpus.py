@@ -53,16 +53,16 @@ class TestLabelAlgebra:
 
 class TestCaseValidation:
     def test_well_formed(self):
-        case = Case(id="c1", fact_text="something happened", crime_tags=("盗窃",))
+        case = Case(id="c1", fact_text="something happened")
         assert validate_case(case) == []
 
     def test_blank_fact_text(self):
-        case = Case(id="c1", fact_text="   ", crime_tags=())
+        case = Case(id="c1", fact_text="   ")
         problems = validate_case(case)
         assert any("fact_text" in p for p in problems)
 
     def test_empty_id(self):
-        case = Case(id="", fact_text="x", crime_tags=())
+        case = Case(id="", fact_text="x")
         problems = validate_case(case)
         assert any("id" in p for p in problems)
 
@@ -80,8 +80,8 @@ class TestCaseValidation:
 class TestStore:
     def test_duplicate_id(self):
         cases = [
-            Case(id="c1", fact_text="a", crime_tags=()),
-            Case(id="c1", fact_text="b", crime_tags=()),
+            Case(id="c1", fact_text="a"),
+            Case(id="c1", fact_text="b"),
         ]
         with pytest.raises(IntegrityError):
             CaseStore(cases)
@@ -91,7 +91,7 @@ class TestStore:
             CaseStore([]).get("missing")
 
     def test_iteration_preserves_insertion_order(self):
-        cases = [Case(id=f"c{i}", fact_text="x", crime_tags=()) for i in (3, 1, 2)]
+        cases = [Case(id=f"c{i}", fact_text="x") for i in (3, 1, 2)]
         store = CaseStore(cases)
         assert store.ids() == ["c3", "c1", "c2"]
         assert [case.id for case in store] == ["c3", "c1", "c2"]
@@ -112,7 +112,14 @@ class TestFiles:
         )
         store = load_cases(path)
         assert len(store) == 2
-        assert store.get("b").full_text == "full"
+        assert store.get("b") == Case(id="b", fact_text="y")
+
+    @pytest.mark.parametrize("tags", ['"x"', '[""]'])
+    def test_load_cases_reads_id_and_fact_text_only(self, tags, tmp_path):
+        plain = load_cases(self.write(tmp_path, "plain.jsonl", '{"id": "a", "fact_text": "x"}\n'))
+        tagged = f'{{"id": "a", "fact_text": "x", "crime_tags": {tags}, "full_text": "full"}}\n'
+        extended = load_cases(self.write(tmp_path, "extended.jsonl", tagged))
+        assert list(extended) == list(plain) == [Case(id="a", fact_text="x")]
 
     def test_load_cases_reports_line(self, tmp_path):
         path = self.write(

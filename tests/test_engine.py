@@ -241,8 +241,8 @@ class TestExtractionMemo:
         engine = make_engine(mock_judge, toy_library)
         extraction = engine._calls[Stage.FE, FactType.MF, case.fact_text]
         assert extraction.text == " ".join(normalized_tokens(case.fact_text))
-        assert engine.judge_pair(case, case).mf_extractions == (extraction, extraction)
-        assert extraction.fact_type is FactType.MF
+        block = engine.judge_pair(case, case).to_dict()["mf"]["extractions"]
+        assert block["query"] == block["candidate"] == {"text": extraction.text, "raw_response": extraction.raw_response}
         assert "===FACTS===" in extraction.raw_response
 
     def test_lf_extracts_the_material_facts_first(self, instrumented, toy_library, toy_corpus):
@@ -259,7 +259,7 @@ class TestExtractionMemo:
     def test_lf_consumes_prior_extraction_not_raw_text(self, toy_library):
         engine = ascii_engine(toy_library)
         case = Case(id="x1", fact_text="fraud fraud fraud")
-        engine._calls[Stage.FE, FactType.MF, case.fact_text] = FactExtraction(FactType.MF, "alpha theft beta", GOOD_FE)
+        engine._calls[Stage.FE, FactType.MF, case.fact_text] = FactExtraction("alpha theft beta", GOOD_FE)
         extraction = engine.judge_pair(case, case).lf_extractions[0]
         assert extraction.text == "theft"  # from the prior text, not the case
 
@@ -309,8 +309,8 @@ class TestExtractionMemo:
 class TestComparisonMemo:
     """A comparison's verdict is read from the engine's call memo, under the key that fixes its prompt."""
 
-    def fx(self, text: str, fact_type=FactType.MF) -> FactExtraction:
-        return FactExtraction(fact_type, text, "raw")
+    def fx(self, text: str) -> FactExtraction:
+        return FactExtraction(text, "raw")
 
     def compare(self, engine, a: FactExtraction, b: FactExtraction, fact_type: FactType) -> FactVerdict:
         return engine._calls[Stage.FA, fact_type, a.text, b.text]
@@ -321,7 +321,10 @@ class TestComparisonMemo:
             engine, self.fx("alpha beta gamma"), self.fx("alpha beta gamma"), FactType.MF
         )
         assert verdict.relevant is True
-        assert verdict.fact_type is FactType.MF
+        case = Case(id="x", fact_text="some case")
+        engine._calls[Stage.FE, FactType.MF, case.fact_text] = self.fx("alpha beta gamma")
+        engine._calls[Stage.FE, FactType.LF, "alpha beta gamma"] = self.fx("盗窃")
+        assert engine.judge_pair(case, case).mf_verdict is verdict  # the MF call fills the record's mf block
 
     def test_disjoint_texts_irrelevant(self, mock_judge, toy_library):
         engine = make_engine(mock_judge, toy_library)
@@ -357,14 +360,14 @@ class TestComparisonMemo:
         engine = make_engine(mock_judge, toy_library)
         shared = self.compare(
             engine,
-            self.fx("盗窃 抢劫", FactType.LF),
-            self.fx("盗窃", FactType.LF),
+            self.fx("盗窃 抢劫"),
+            self.fx("盗窃"),
             FactType.LF,
         )
         disjoint = self.compare(
             engine,
-            self.fx("盗窃", FactType.LF),
-            self.fx("抢劫", FactType.LF),
+            self.fx("盗窃"),
+            self.fx("抢劫"),
             FactType.LF,
         )
         assert shared.relevant is True
@@ -1200,27 +1203,30 @@ def json_values(surrogates: bool = True, nan: bool = True):
 
 
 @st.composite
-def judgment_records(draw, values, ids):
-    """An ok or failed record whose ids, label, texts, reasoning and error take any of values."""
+def judgment_records(draw, values, ids, any_label=True):
+    """An ok or failed record whose ids, texts, reasoning and error take any of values.
+
+    An ok record's label is drawn from 0-3, booleans and floats, or, unless
+    any_label, is the one its verdicts give, the only label that reads back.
+    """
     qid, cid = draw(ids), draw(ids)
     run_id, fingerprint = draw(values), draw(values)
     if draw(st.booleans()):
         return JudgmentRecord(qid, cid, "failed", None, None, None, None, None, run_id, fingerprint, draw(values))
 
-    def extractions(fact_type):
-        return (
-            FactExtraction(fact_type, draw(values), draw(values)),
-            FactExtraction(fact_type, draw(values), draw(values)),
-        )
+    def extractions():
+        return FactExtraction(draw(values), draw(values)), FactExtraction(draw(values), draw(values))
 
-    def verdict(fact_type):
-        return FactVerdict(fact_type, draw(st.booleans()), draw(values), draw(values))
+    def verdict():
+        return FactVerdict(draw(st.booleans()), draw(values), draw(values))
 
-    # A failed record carries the None label; an ok record without one does not read back.
-    label = draw(st.one_of(st.integers(0, 3), st.booleans(), st.floats(allow_nan=False)))
+    mf_extractions, lf_extractions, mf_verdict, lf_verdict = extractions(), extractions(), verdict(), verdict()
+    if any_label:
+        label = draw(st.one_of(st.integers(0, 3), st.booleans(), st.floats(allow_nan=False)))
+    else:
+        label = aggregate_label(mf_verdict.relevant, lf_verdict.relevant)
     return JudgmentRecord(
-        qid, cid, "ok", label,
-        extractions(FactType.MF), extractions(FactType.LF), verdict(FactType.MF), verdict(FactType.LF),
+        qid, cid, "ok", label, mf_extractions, lf_extractions, mf_verdict, lf_verdict,
         run_id, fingerprint, draw(values),
     )
 
@@ -1231,7 +1237,7 @@ def records_with_repeats(draw):
     few = draw(st.lists(json_values(surrogates=False, nan=False), min_size=1, max_size=3))
     some = st.sampled_from(few)
     ids = st.one_of(st.sampled_from(["q1", "c1", "c2"]), some)
-    return draw(st.lists(judgment_records(some, ids), min_size=1, max_size=8))
+    return draw(st.lists(judgment_records(some, ids, any_label=False), min_size=1, max_size=8))
 
 
 def parts(record):
@@ -1337,16 +1343,29 @@ class TestRecordFiles:
                 assert record.query_id is first.query_id
                 assert record.mf_extractions[0] is first.mf_extractions[0]
                 assert record.lf_extractions[0] is first.lf_extractions[0]
-        # A case met in several pools, as query or candidate, has one object per fact type.
-        objects: dict[tuple[str, FactType], set[int]] = {}
+        # A case met in several pools, as query or candidate, has one object per block, mf and lf.
+        objects: dict[tuple[str, str], set[int]] = {}
         for record in read:
             for case_id, mf, lf in zip((record.query_id, record.candidate_id), record.mf_extractions,
                                        record.lf_extractions):
-                for extraction in (mf, lf):
-                    objects.setdefault((case_id, extraction.fact_type), set()).add(id(extraction))
+                for block, extraction in (("mf", mf), ("lf", lf)):
+                    objects.setdefault((case_id, block), set()).add(id(extraction))
         assert {len(ids) for ids in objects.values()} == {1}
         for field in ("status", "run_id", "config_fingerprint"):
             assert len({id(getattr(r, field)) for r in read}) == 1
+
+    def test_without_extraction_a_case_holds_one_object_for_both_layers(
+        self, tmp_path, mock_cfg, toy_library, toy_corpus
+    ):
+        # Under disable_fe each layer's extraction is the case's fact text with no reply.
+        store, pools, _ = toy_corpus
+        path = tmp_path / "raw.jsonl"
+        engine = make_engine(MockJudge(mock_cfg), toy_library, flags=AblationFlags(disable_fe=True))
+        write_records_jsonl(path, engine.judge_pools(store, pools))
+        read = read_records_jsonl(path)
+        for record in read:
+            assert all(mf is lf for mf, lf in zip(record.mf_extractions, record.lf_extractions))
+        assert len({id(e) for r in read for e in (*r.mf_extractions, *r.lf_extractions)}) == len(store) == 48
 
     def test_different_texts_of_one_case_stay_distinct(self, tmp_path):
         # A run resumed against a live backend can hold two extractions of one case.
@@ -1354,7 +1373,7 @@ class TestRecordFiles:
         second = fabricate_record("q1", "c2", 1, query_text="抢劫 财物")
         third = fabricate_record("q1", "c3", 1, query_text="盗窃 财物")
         fourth = fabricate_record("q1", "c4", 3, query_text="盗窃 财物")
-        other_raw = FactExtraction(FactType.MF, "盗窃 财物", "another reply")
+        other_raw = FactExtraction("盗窃 财物", "another reply")
         fourth = dataclasses.replace(fourth, mf_extractions=(other_raw, fourth.mf_extractions[1]))
         records = [first, second, third, fourth]
         path = tmp_path / "resumed.jsonl"
@@ -1451,11 +1470,31 @@ class TestRecordReadErrors:
         ),
         "text-an-array": (
             lambda row: row["lf"]["extractions"]["candidate"].update(text=["a", "b"]),
-            "malformed record: " + _type_error({}, (FactExtraction, "c1", FactType.LF, ["a", "b"], "raw")),
+            "malformed record: " + _type_error({}, (FactExtraction, ["a", "b"], "===FACTS===\ntag_c\n===END===")),
         ),
         "lf-null": (
             lambda row: row.update(lf=None),
             "malformed record: " + _type_error(None, "extractions"),
+        ),
+        "relevant-a-string": (
+            lambda row: row["mf"]["verdict"].update(relevant="false"),
+            "malformed record: verdict relevant 'false' is not a boolean",
+        ),
+        "label-a-string": (
+            lambda row: row.update(label="x"),
+            "malformed record: ok record label 'x' is not 3, the label of its verdicts",
+        ),
+        "label-out-of-range": (
+            lambda row: row.update(label=7),
+            "malformed record: ok record label 7 is not 3, the label of its verdicts",
+        ),
+        "label-a-float": (
+            lambda row: row.update(label=2.5),
+            "malformed record: ok record label 2.5 is not 3, the label of its verdicts",
+        ),
+        "label-against-its-verdicts": (
+            lambda row: row.update(label=row["label"] ^ 3),
+            "malformed record: ok record label 0 is not 3, the label of its verdicts",
         ),
     }
 
@@ -1493,6 +1532,11 @@ class TestRecordReadErrors:
             "verdict-a-string": "malformed record: string indices must be integers, not 'str'",
             "text-an-array": "malformed record: unhashable type: 'list'",
             "lf-null": "malformed record: 'NoneType' object is not subscriptable",
+            "relevant-a-string": "malformed record: verdict relevant 'false' is not a boolean",
+            "label-a-string": "malformed record: ok record label 'x' is not 3, the label of its verdicts",
+            "label-out-of-range": "malformed record: ok record label 7 is not 3, the label of its verdicts",
+            "label-a-float": "malformed record: ok record label 2.5 is not 3, the label of its verdicts",
+            "label-against-its-verdicts": "malformed record: ok record label 0 is not 3, the label of its verdicts",
         }
 
 
